@@ -7,6 +7,7 @@
 #include <mutex>
 #include <thread>
 
+#include "packetsim/train_recurrence.h"
 #include "util/require.h"
 #include "util/units.h"
 
@@ -26,6 +27,22 @@ std::uint64_t substream(std::uint64_t seed, std::uint64_t epoch, std::uint64_t s
 /// round produce byte-identical records.
 std::uint64_t pair_salt(VmId src, VmId dst, std::uint64_t lane) {
   return 0x5851f42d4c957f2dULL + src * 1000003ULL + dst * 8191ULL + lane;
+}
+
+/// A train's receiver log: the per-packet recurrence, or — on a tie it
+/// cannot order, which it reports before touching the sink — the event
+/// queue, which orders ties by insertion.
+std::vector<packetsim::RecordingSink::Record> run_chain(const Cloud::TrainChain& chain) {
+  packetsim::RecordingSink sink(chain.timestamp_jitter_s, chain.sink_seed);
+  if (packetsim::simulate_train(chain.shaper, chain.hops, chain.params, sink)) {
+    return sink.records();
+  }
+  packetsim::EventQueue events;
+  packetsim::Path path(events, chain.shaper, chain.hops, &sink);
+  packetsim::send_train(events, path.entry(), chain.params, /*flow_id=*/1,
+                        /*start_time=*/0.0);
+  events.run();
+  return sink.records();
 }
 
 }  // namespace
@@ -237,20 +254,23 @@ std::vector<double> Cloud::probe_series_bps(VmId src, VmId dst, double duration_
   return series;
 }
 
-std::vector<packetsim::RecordingSink::Record> Cloud::send_train_impl(
-    VmId src, VmId dst, const packetsim::TrainParams& params, std::uint64_t sink_seed,
-    std::uint64_t route_key, const std::function<double()>& shaper_jitter_frac,
-    const TrafficSnapshot* snapshot) const {
+Cloud::TrainChain Cloud::train_chain(VmId src, VmId dst,
+                                     const packetsim::TrainParams& params,
+                                     std::uint64_t sink_seed, std::uint64_t route_key,
+                                     const std::function<double()>& shaper_jitter_frac,
+                                     const TrafficSnapshot* snapshot) const {
   CHOREO_REQUIRE(src < vms_.size() && dst < vms_.size());
   CHOREO_REQUIRE(src != dst);
-  packetsim::EventQueue events;
-  packetsim::RecordingSink sink(profile_.timestamp_jitter_s, sink_seed);
+  TrainChain chain;
+  chain.params = params;
+  chain.params.line_rate_bps = profile_.vnic_rate_bps;
+  chain.timestamp_jitter_s = profile_.timestamp_jitter_s;
+  chain.sink_seed = sink_seed;
 
   const net::NodeId src_host = vms_[src].host;
   const net::NodeId dst_host = vms_[dst].host;
-
-  packetsim::ShaperSpec shaper;
-  std::vector<packetsim::HopSpec> hops;
+  packetsim::ShaperSpec& shaper = chain.shaper;
+  std::vector<packetsim::HopSpec>& hops = chain.hops;
   if (src_host == dst_host) {
     shaper.enabled = false;
     hops.push_back(packetsim::HopSpec{profile_.vswitch_rate_bps, 5e-6, 2e6});
@@ -275,21 +295,15 @@ std::vector<packetsim::RecordingSink::Record> Cloud::send_train_impl(
       hops.push_back(packetsim::HopSpec{cap, link.delay_s, 2e6});
     }
   }
-
-  packetsim::Path path(events, shaper, hops, &sink);
-  packetsim::TrainParams tuned = params;
-  tuned.line_rate_bps = profile_.vnic_rate_bps;
-  packetsim::send_train(events, path.entry(), tuned, /*flow_id=*/1, /*start_time=*/0.0);
-  events.run();
-  return sink.records();
+  return chain;
 }
 
 std::vector<packetsim::RecordingSink::Record> Cloud::run_train(
     VmId src, VmId dst, const packetsim::TrainParams& params, std::uint64_t epoch) {
-  return send_train_impl(src, dst, params, substream(seed_, epoch, 21),
-                         substream(seed_, epoch, 22),
-                         [this] { return noise_rng_.normal(0.0, profile_.train_rate_jitter_frac); },
-                         /*snapshot=*/nullptr);
+  return run_chain(train_chain(
+      src, dst, params, substream(seed_, epoch, 21), substream(seed_, epoch, 22),
+      [this] { return noise_rng_.normal(0.0, profile_.train_rate_jitter_frac); },
+      /*snapshot=*/nullptr));
 }
 
 Cloud::TrafficSnapshot Cloud::traffic_snapshot(std::uint64_t epoch) const {
@@ -311,9 +325,9 @@ Cloud::TrafficSnapshot Cloud::traffic_snapshot(std::uint64_t epoch) const {
   return snap;
 }
 
-std::vector<packetsim::RecordingSink::Record> Cloud::run_train_in_snapshot(
-    VmId src, VmId dst, const packetsim::TrainParams& params,
-    const TrafficSnapshot& snapshot) const {
+Cloud::TrainChain Cloud::train_chain_in_snapshot(VmId src, VmId dst,
+                                                 const packetsim::TrainParams& params,
+                                                 const TrafficSnapshot& snapshot) const {
   // Same train construction as run_train, but every noise stream is keyed by
   // (seed, epoch, src, dst) instead of shared order-dependent RNG state, and
   // hop capacities come from the round's cross-traffic snapshot.
@@ -322,9 +336,14 @@ std::vector<packetsim::RecordingSink::Record> Cloud::run_train_in_snapshot(
     Rng rng(substream(seed_, epoch, pair_salt(src, dst, 1)));
     return rng.normal(0.0, profile_.train_rate_jitter_frac);
   };
-  return send_train_impl(src, dst, params, substream(seed_, epoch, pair_salt(src, dst, 0)),
-                         substream(seed_, epoch, pair_salt(src, dst, 2)), jitter,
-                         &snapshot);
+  return train_chain(src, dst, params, substream(seed_, epoch, pair_salt(src, dst, 0)),
+                     substream(seed_, epoch, pair_salt(src, dst, 2)), jitter, &snapshot);
+}
+
+std::vector<packetsim::RecordingSink::Record> Cloud::run_train_in_snapshot(
+    VmId src, VmId dst, const packetsim::TrainParams& params,
+    const TrafficSnapshot& snapshot) const {
+  return run_chain(train_chain_in_snapshot(src, dst, params, snapshot));
 }
 
 std::vector<std::vector<packetsim::RecordingSink::Record>> Cloud::run_train_round(

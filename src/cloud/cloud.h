@@ -118,6 +118,20 @@ class Cloud {
       VmId src, VmId dst, const packetsim::TrainParams& params,
       const TrafficSnapshot& snapshot) const;
 
+  /// The packet-level chain one train src->dst runs through, plus the
+  /// receiver's timestamp noise: exactly what run_train_in_snapshot
+  /// simulates. Exposed so that the event-driven packetsim::Path can replay
+  /// the very same train (the differential oracle) and benches can time it.
+  struct TrainChain {
+    packetsim::ShaperSpec shaper;
+    std::vector<packetsim::HopSpec> hops;
+    packetsim::TrainParams params;  ///< the caller's, at the vNIC line rate
+    double timestamp_jitter_s = 0.0;
+    std::uint64_t sink_seed = 0;
+  };
+  TrainChain train_chain_in_snapshot(VmId src, VmId dst, const packetsim::TrainParams& params,
+                                     const TrafficSnapshot& snapshot) const;
+
   /// Runs one conflict-free round of trains — no VM may appear twice as a
   /// source or twice as a destination — on up to `workers` threads. Results
   /// are parallel to `pairs` and byte-identical for any worker count
@@ -188,11 +202,10 @@ class Cloud {
   /// Shared train construction behind run_train and run_train_in_snapshot;
   /// `shaper_jitter_frac` is invoked only for inter-host trains, `snapshot`
   /// (optional) caps hop capacities at the background's leftovers.
-  std::vector<packetsim::RecordingSink::Record> send_train_impl(
-      VmId src, VmId dst, const packetsim::TrainParams& params,
-      std::uint64_t sink_seed, std::uint64_t route_key,
-      const std::function<double()>& shaper_jitter_frac,
-      const TrafficSnapshot* snapshot) const;
+  TrainChain train_chain(VmId src, VmId dst, const packetsim::TrainParams& params,
+                         std::uint64_t sink_seed, std::uint64_t route_key,
+                         const std::function<double()>& shaper_jitter_frac,
+                         const TrafficSnapshot* snapshot) const;
 
   ProviderProfile profile_;
   std::uint64_t seed_;

@@ -26,6 +26,7 @@ Choreo::Choreo(cloud::Cloud& cloud, std::vector<cloud::VmId> vms, ChoreoConfig c
   obs_.txn_ops = o.counter("place.txn_ops");
   obs_.reevals = o.counter("place.reevals");
   obs_.tasks_migrated = o.counter("place.tasks_migrated");
+  obs_.reeval_infeasible = o.counter("place.reeval_infeasible");
 }
 
 Choreo::~Choreo() = default;
@@ -241,10 +242,17 @@ Choreo::ReevalReport Choreo::reevaluate(std::uint64_t epoch) {
   std::map<AppHandle, place::Placement> proposal;
   place::GreedyPlacer greedy(config_.rate_model);
   const place::PlacementEngine::Counters scratch_base = scratch.engine().counters();
-  for (const auto& [handle, entry] : running_) {
-    const place::Placement p = greedy.place(entry.app, scratch);
-    scratch.commit(entry.app, p);
-    proposal.emplace(handle, p);
+  try {
+    for (const auto& [handle, entry] : running_) {
+      const place::Placement p = greedy.place(entry.app, scratch);
+      scratch.commit(entry.app, p);
+      proposal.emplace(handle, p);
+    }
+  } catch (const place::PlacementError&) {
+    // Arrival order can pack a nearly full fleet worse than the live plan,
+    // which got there through departures and retries: no candidate plan.
+    report.infeasible = true;
+    CHOREO_OBS_INC(obs_.reeval_infeasible, config_.obs);
   }
   {
     // The scratch engine's search effort is real work; fold its deltas in
@@ -253,6 +261,11 @@ Choreo::ReevalReport Choreo::reevaluate(std::uint64_t epoch) {
     CHOREO_OBS_ADD(obs_.candidates_walked, config_.obs,
                    sc.candidates_walked - scratch_base.candidates_walked);
     CHOREO_OBS_ADD(obs_.txn_ops, config_.obs, sc.txn_ops - scratch_base.txn_ops);
+  }
+  if (report.infeasible) {
+    span.arg("apps", static_cast<double>(report.apps_considered));
+    span.arg("infeasible", 1.0);
+    return report;
   }
   std::vector<std::pair<const place::Application*, const place::Placement*>> proposed;
   std::size_t moved = 0;

@@ -190,7 +190,8 @@ class Choreo {
   /// §2.4 re-evaluation: refreshes the network view incrementally, re-places
   /// every running application from scratch (in arrival order), and adopts
   /// the new plan if the estimated completion-time gain exceeds the
-  /// migration cost.
+  /// migration cost. A re-plan that cannot fit every app keeps the current
+  /// plan and reports `infeasible`.
   struct ReevalReport {
     std::size_t apps_considered = 0;
     /// Tasks whose machine would change under the candidate plan — reported
@@ -205,6 +206,9 @@ class Choreo {
     double migration_cost_s = 0.0;
     /// True iff the candidate plan was committed (gain exceeded cost).
     bool adopted = false;
+    /// True iff the clean-slate re-plan found no CPU-feasible placement for
+    /// some running app; the current placements stay and nothing is moved.
+    bool infeasible = false;
     /// Cost of the measurement refresh this re-evaluation triggered.
     MeasureReport measurement;
   };
@@ -257,7 +261,7 @@ class Choreo {
     obs::Counter measure_cycles, pairs_probed, rounds;
     obs::Counter refresh_never, refresh_stale, refresh_volatile, pairs_predicted;
     obs::Counter apps_placed, candidates_walked, txn_ops;
-    obs::Counter reevals, tasks_migrated;
+    obs::Counter reevals, tasks_migrated, reeval_infeasible;
   };
   ObsHandles obs_;
   place::PlacementEngine::Counters engine_seen_;

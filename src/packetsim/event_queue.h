@@ -1,8 +1,8 @@
 #pragma once
 
+#include <algorithm>
 #include <cstdint>
 #include <functional>
-#include <queue>
 #include <vector>
 
 #include "util/require.h"
@@ -19,7 +19,8 @@ class EventQueue {
 
   void schedule(double time, Callback fn) {
     CHOREO_REQUIRE(time >= now_);
-    heap_.push(Entry{time, seq_++, std::move(fn)});
+    heap_.push_back(Entry{time, seq_++, std::move(fn)});
+    std::push_heap(heap_.begin(), heap_.end(), Later{});
   }
 
   /// Schedules relative to the current time.
@@ -32,9 +33,10 @@ class EventQueue {
   /// Executes the next event; returns false when the queue is empty.
   bool step() {
     if (heap_.empty()) return false;
-    // Move the callback out before popping so that callbacks may schedule.
-    Entry e = heap_.top();
-    heap_.pop();
+    // Move the entry out before calling it so that callbacks may schedule.
+    std::pop_heap(heap_.begin(), heap_.end(), Later{});
+    Entry e = std::move(heap_.back());
+    heap_.pop_back();
     now_ = e.time;
     e.fn();
     return true;
@@ -43,7 +45,7 @@ class EventQueue {
   /// Runs events with time <= t_end, then advances the clock to t_end.
   void run_until(double t_end) {
     CHOREO_REQUIRE(t_end >= now_);
-    while (!heap_.empty() && heap_.top().time <= t_end) step();
+    while (!heap_.empty() && heap_.front().time <= t_end) step();
     now_ = t_end;
   }
 
@@ -58,12 +60,16 @@ class EventQueue {
     double time;
     std::uint64_t seq;
     Callback fn;
-    bool operator>(const Entry& other) const {
-      if (time != other.time) return time > other.time;
-      return seq > other.seq;
+  };
+  /// Heap order: the earliest (time, seq) on top; seq is unique, so the
+  /// order is total and independent of the heap's layout.
+  struct Later {
+    bool operator()(const Entry& a, const Entry& b) const {
+      if (a.time != b.time) return a.time > b.time;
+      return a.seq > b.seq;
     }
   };
-  std::priority_queue<Entry, std::vector<Entry>, std::greater<>> heap_;
+  std::vector<Entry> heap_;
   double now_ = 0.0;
   std::uint64_t seq_ = 0;
 };

@@ -3,13 +3,17 @@
 
 #include <gtest/gtest.h>
 
+#include "cloud/cloud.h"
+#include "core/runtime.h"
 #include "lp/simplex.h"
+#include "obs/metrics.h"
 #include "packetsim/event_queue.h"
 #include "packetsim/sink.h"
 #include "packetsim/token_bucket.h"
 #include "packetsim/udp_train.h"
 #include "place/ilp.h"
 #include "util/rng.h"
+#include "workload/stream.h"
 
 namespace choreo {
 namespace {
@@ -144,6 +148,56 @@ TEST(Regression, TokenBucketRateExactUnderLongLoad) {
   const double duration = sink.records().back().time - sink.records().front().time;
   const double rate = 39999.0 * 1500.0 * 8.0 / duration;
   EXPECT_NEAR(rate, 300e6, 30e6);
+}
+
+// --- re-evaluation on a full fleet -------------------------------------------
+//
+// Bug: Choreo::reevaluate re-places every running app from a clean slate with
+// the greedy placer. On nearly full fleets that re-plan can find no
+// CPU-feasible slot, and its PlacementError escaped SessionRuntime::step,
+// ending the session ("greedy: no CPU-feasible path for transfer 0->4" in
+// tenant 3 at t = 600 s). The configuration is the "Known crash" recipe of
+// bench/e2e/README.md: 4 tenants x 5 ec2_2013 VMs for 0.2 h, 6 250 apps/day
+// each with 4.8 GB median transfers, at the seeds choreo_bench
+// --workload=session_fixed --seed=8 derives for its first input. The re-plan
+// now keeps the current placements and is counted as infeasible.
+
+TEST(Regression, InfeasibleReevaluationKeepsTheCurrentPlan) {
+  cloud::Cloud cl(cloud::ec2_2013(), 0x9e3004e40a27f420ull);
+  const std::uint64_t stream_seeds[] = {0x634e373f78d30e74ull, 0x32ac34eb4d181a8cull,
+                                        0xc491f52b2660c789ull, 0x5ed11e7c5a2b0274ull};
+  workload::TraceConfig trace;
+  trace.duration_hours = 0.2;
+  trace.apps_per_day = 6250;
+  trace.gen.min_tasks = 3;
+  trace.gen.max_tasks = 6;
+  trace.gen.max_cpu = 2.0;
+  trace.gen.median_transfer_bytes = 4.8e9;
+  obs::Registry registry;
+  std::vector<std::unique_ptr<workload::TraceArrivalStream>> streams;
+  std::vector<core::TenantSpec> tenants;
+  for (std::size_t i = 0; i < 4; ++i) {
+    streams.push_back(std::make_unique<workload::TraceArrivalStream>(stream_seeds[i], trace));
+    core::TenantSpec t;
+    t.name = "tenant" + std::to_string(i);
+    t.vms = cl.allocate_vms(5);
+    t.config.choreo.obs.metrics = &registry;
+    t.stream = streams.back().get();
+    tenants.push_back(std::move(t));
+  }
+  core::MultiTenantSession session(cl, std::move(tenants));
+  core::MultiTenantLog log;
+  ASSERT_NO_THROW(log = session.run());
+  const obs::MetricsSnapshot snap = registry.snapshot();
+  const obs::MetricsSnapshot::CounterValue* infeasible =
+      snap.find_counter("place.reeval_infeasible");
+  ASSERT_NE(infeasible, nullptr);
+  EXPECT_GE(infeasible->value, 1u);
+  EXPECT_EQ(snap.find_counter("place.reevals")->value, log.aggregate.reevaluations);
+  EXPECT_EQ(log.aggregate.rejected, 0u);
+  for (const core::AppOutcome& app : log.aggregate.apps) {
+    EXPECT_GE(app.finished_s, app.placed_s) << app.name;
+  }
 }
 
 }  // namespace
