@@ -40,6 +40,21 @@ place::ClusterView random_view(Rng& rng, std::size_t machines) {
   return view;
 }
 
+/// A copy of `view` with about `percent`% of its pair rates re-drawn: what a
+/// measurement cycle that saw that share of the fleet move publishes.
+place::ClusterView perturbed(const place::ClusterView& view, Rng& rng, std::int64_t percent) {
+  place::ClusterView out = view;
+  const std::size_t machines = view.machine_count();
+  for (std::size_t i = 0; i < machines; ++i) {
+    for (std::size_t j = 0; j < machines; ++j) {
+      if (i != j && rng.chance(static_cast<double>(percent) / 100.0)) {
+        out.rate_bps(i, j) = rng.uniform(3e8, 1.1e9);
+      }
+    }
+  }
+  return out;
+}
+
 place::Application random_app(Rng& rng, std::size_t tasks) {
   workload::GeneratorConfig cfg;
   cfg.min_tasks = tasks;
@@ -87,26 +102,38 @@ void BM_GreedyPlacementExhaustive(benchmark::State& state) {
 BENCHMARK(BM_GreedyPlacementExhaustive)->Args({40, 10})->Args({200, 10});
 
 // One measurement cycle's placement-plane cost at scale: swapping a fresh
-// view into an occupied state (static index rebuild, residuals kept).
+// view into an occupied state (bounds recomputed, ranked lists re-sorted
+// where a bound moved, residuals kept). The second argument is the share of
+// pairs (%) each new view changes; iterations alternate between two views
+// that differ in exactly those pairs, so 0 prices the no-change path and
+// 100 a full re-rank.
 void BM_EngineUpdateView(benchmark::State& state) {
   Rng rng(42);
   const auto machines = static_cast<std::size_t>(state.range(0));
   const place::ClusterView view = random_view(rng, machines);
+  const place::ClusterView views[2] = {view, perturbed(view, rng, state.range(1))};
   place::ClusterState cluster(view);
   place::GreedyPlacer greedy(place::RateModel::Hose);
   const place::Application app = random_app(rng, 10);
   cluster.commit(app, greedy.place(app, cluster));
+  std::size_t i = 0;
   for (auto _ : state) {
     // The production path (Choreo::measure_network) moves a freshly built
     // view in; keep the O(n^2) copy needed to repeat that outside the timer.
     state.PauseTiming();
-    place::ClusterView fresh = view;
+    place::ClusterView fresh = views[++i % 2];
     state.ResumeTiming();
     cluster.update_view(std::move(fresh));
     benchmark::DoNotOptimize(cluster.free_cores(0));
   }
 }
-BENCHMARK(BM_EngineUpdateView)->Arg(50)->Arg(200)->Arg(500);
+BENCHMARK(BM_EngineUpdateView)
+    ->ArgNames({"vms", "changed_pct"})
+    ->Args({50, 100})
+    ->Args({200, 100})
+    ->Args({500, 0})
+    ->Args({500, 1})
+    ->Args({500, 100});
 
 // Serving-plane arena costs: what a §2.4 hypothetical re-placement pays for
 // a zero-occupancy scratch state...
@@ -121,8 +148,10 @@ void BM_EngineCloneUnoccupied(benchmark::State& state) {
 }
 BENCHMARK(BM_EngineCloneUnoccupied)->Arg(100)->Arg(500);
 
-// ...and what a serving-plane Scratch refresh pays for a full copy with the
+// ...and what a serving-plane Scratch refresh pays for a copy with the
 // residual occupancy included (one per reader thread per published epoch).
+// The view and static indexes are shared, so this prices a residual-only
+// copy: the O(n^2) per-path counts plus two O(n) vectors.
 void BM_EngineClone(benchmark::State& state) {
   Rng rng(42);
   const auto machines = static_cast<std::size_t>(state.range(0));
@@ -140,21 +169,29 @@ BENCHMARK(BM_EngineClone)->Arg(100)->Arg(500);
 // The serving plane's writer path: clone the current snapshot's state, swap
 // the refreshed view in, publish the next epoch. Readers keep serving the
 // old snapshot throughout; this is the full measurement-cycle cost they
-// never wait on.
+// never wait on. The second argument is the share of pairs (%) each
+// published view changes, as in BM_EngineUpdateView.
 void BM_SnapshotPublish(benchmark::State& state) {
   Rng rng(42);
   const auto machines = static_cast<std::size_t>(state.range(0));
   const place::ClusterView view = random_view(rng, machines);
+  const place::ClusterView views[2] = {view, perturbed(view, rng, state.range(1))};
   serve::PlacementService service(view, place::RateModel::Hose);
+  std::size_t i = 0;
   for (auto _ : state) {
     state.PauseTiming();
-    place::ClusterView fresh = view;  // the O(n^2) copy the producer hands in
+    place::ClusterView fresh = views[++i % 2];  // the O(n^2) copy the producer hands in
     state.ResumeTiming();
     service.publish_view(std::move(fresh));
     benchmark::DoNotOptimize(service.epoch());
   }
 }
-BENCHMARK(BM_SnapshotPublish)->Arg(100)->Arg(500);
+BENCHMARK(BM_SnapshotPublish)
+    ->ArgNames({"vms", "changed_pct"})
+    ->Args({100, 100})
+    ->Args({500, 0})
+    ->Args({500, 1})
+    ->Args({500, 100});
 
 void BM_IlpPlacement(benchmark::State& state) {
   Rng rng(42);

@@ -116,9 +116,10 @@ double Choreo::measure_network(std::uint64_t epoch) {
 
   // Preserve existing commitments. After the first cycle the fleet is fixed,
   // so the new view is swapped into the existing state in place: the
-  // PlacementEngine rebuilds its static rate indexes and keeps the residual
-  // occupancy (CPU, transfer counts), instead of reconstructing the state
-  // and replaying every running application on each arrival/re-evaluation.
+  // PlacementEngine re-ranks only the candidate lists whose bounds moved and
+  // keeps the residual occupancy (CPU, transfer counts), instead of
+  // reconstructing the state and replaying every running application on
+  // each arrival/re-evaluation.
   if (state_ && state_->machine_count() == view.machine_count()) {
     state_->update_view(std::move(view));
   } else {

@@ -63,11 +63,18 @@ void ClusterView::validate() const {
 void apply_rate_discount(ClusterView& view, const DoubleMatrix& factor) {
   const std::size_t n = view.machine_count();
   CHOREO_REQUIRE(factor.rows() == n && factor.cols() == n);
+  // Every factor is checked before any rate is scaled, so a rejected
+  // discount leaves the view untouched.
   for (std::size_t i = 0; i < n; ++i) {
     for (std::size_t j = 0; j < n; ++j) {
-      if (i == j) continue;
-      CHOREO_REQUIRE_MSG(factor(i, j) >= 0.0, "rate discount must be non-negative");
-      view.rate_bps(i, j) *= factor(i, j);
+      if (i != j) {
+        CHOREO_REQUIRE_MSG(factor(i, j) >= 0.0, "rate discount must be non-negative");
+      }
+    }
+  }
+  for (std::size_t i = 0; i < n; ++i) {
+    for (std::size_t j = 0; j < n; ++j) {
+      if (i != j) view.rate_bps(i, j) *= factor(i, j);
     }
   }
 }

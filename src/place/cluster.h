@@ -158,23 +158,24 @@ class ClusterState {
 
   /// Swaps in a freshly measured view of the SAME fleet while keeping the
   /// residual occupancy (committed CPU and transfer counts) — what makes a
-  /// §2.4 measurement refresh O(n^2) index rebuild instead of a full replay
-  /// of every running application.
+  /// §2.4 measurement refresh an index update (bounds recomputed, only the
+  /// ranked lists whose bounds moved re-sorted) instead of a full replay of
+  /// every running application.
   void update_view(ClusterView view);
 
   /// Discounts the current view's pair rates in place (see the free
   /// function above); residual occupancy is kept, rate indexes rebuilt.
   void apply_rate_discount(const DoubleMatrix& factor);
 
-  /// A state with the same view and cached indexes but zero occupancy —
-  /// cheap scratch for hypothetical re-placement (§2.4); skips re-validating
-  /// and re-sorting the static indexes.
+  /// A state sharing the view and cached indexes but with zero occupancy —
+  /// cheap scratch for hypothetical re-placement (§2.4).
   ClusterState clone_unoccupied() const;
 
-  /// A full copy — view, cached indexes, AND residual occupancy. What the
-  /// serving plane refreshes its per-worker scratch arenas from when a new
-  /// snapshot epoch is published; like clone_unoccupied it skips
-  /// re-validating and re-sorting.
+  /// A copy with the same view, cached indexes, AND residual occupancy.
+  /// What the serving plane refreshes its per-worker scratch arenas from
+  /// when a new snapshot epoch is published. The view and cached indexes
+  /// are immutable and shared with the original; only the residual
+  /// occupancy is copied.
   ClusterState clone() const;
 
   /// The engine this state is backed by. Returned non-const from a const

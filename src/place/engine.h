@@ -1,6 +1,7 @@
 #pragma once
 
 #include <cstdint>
+#include <memory>
 #include <vector>
 
 #include "place/cluster.h"
@@ -19,16 +20,18 @@ namespace choreo::place {
 /// fleet sizes the measurement plane now handles. The engine makes every
 /// rate query O(1) and candidate selection lazy:
 ///
-///   * **Static per-machine indexes**, rebuilt only when the view changes
-///     (one measurement cycle, not one placement): cached `hose_bps`,
-///     cached hose cross-traffic share, and *ranked candidate lists* —
-///     for each machine its destinations (and sources) sorted by the static
-///     upper bound on any residual rate the pair can ever achieve. Placed
-///     transfer counts only ever divide a rate down, so the measured
-///     single-connection rate R(m,n) (and kIntraMachineRate on the
-///     diagonal) bounds every model from above; a best-first search over
-///     the ranked lists can stop as soon as the next upper bound drops
-///     below the best exact rate found (top-k pruning).
+///   * **Static per-machine indexes**, a function of the view alone:
+///     cached `hose_bps`, cached hose cross-traffic share, and *ranked
+///     candidate lists* — for each machine its destinations (and sources)
+///     sorted by the static upper bound on any residual rate the pair can
+///     ever achieve. Placed transfer counts only ever divide a rate down, so
+///     the measured single-connection rate R(m,n) (and kIntraMachineRate on
+///     the diagonal) bounds every model from above; a best-first search over
+///     the ranked lists can stop as soon as the next upper bound drops below
+///     the best exact rate found (top-k pruning). The view and these indexes
+///     form one immutable `Static` block shared by every clone: a view change
+///     builds a new block (never touching a published one) and re-ranks only
+///     the rows and columns whose bounds moved.
 ///
 ///   * **Residual indexes as first-class mutable state**: CPU slack,
 ///     per-path placed-transfer counts and per-source out-of-hose counts,
@@ -50,8 +53,8 @@ class PlacementEngine {
  public:
   explicit PlacementEngine(ClusterView view);
 
-  const ClusterView& view() const { return view_; }
-  std::size_t machine_count() const { return view_.machine_count(); }
+  const ClusterView& view() const { return static_->view; }
+  std::size_t machine_count() const { return static_->view.machine_count(); }
 
   /// Always-on lightweight instrumentation: plain integers (the engine is
   /// single-threaded by contract), incremented on the hot paths and scraped
@@ -66,7 +69,7 @@ class PlacementEngine {
 
   // ---- Residual reads (all O(1)) ----
 
-  double free_cores(std::size_t m) const { return view_.cores[m] - used_cores_[m]; }
+  double free_cores(std::size_t m) const { return view().cores[m] - used_cores_[m]; }
   /// The CPU feasibility rule every placer shares: demand fits into m's
   /// remaining cores (with the common 1e-9 slack for exact fits).
   bool cpu_fits(std::size_t m, double demand) const {
@@ -85,12 +88,12 @@ class PlacementEngine {
   /// transfers_on_path(m, n), transfers_out_of(m)).
   double rate_bps(std::size_t m, std::size_t n, RateModel model) const;
 
-  // ---- Static indexes (rebuilt by update_view, O(1) to read) ----
+  // ---- Static indexes (replaced by update_view, O(1) to read) ----
 
   /// Cached ClusterView::hose_bps(m).
-  double hose_bps(std::size_t m) const { return hose_[m]; }
+  double hose_bps(std::size_t m) const { return static_->hose[m]; }
   /// Cached hose_cross_out(view, m).
-  double hose_cross_out_of(std::size_t m) const { return cross_out_[m]; }
+  double hose_cross_out_of(std::size_t m) const { return static_->cross_out[m]; }
   /// Static upper bound on rate_bps(m, n, model) in ANY residual state:
   /// kIntraMachineRate on the diagonal; off it, the measured
   /// single-connection rate joined with the pipe model's zero-load rate.
@@ -99,37 +102,38 @@ class PlacementEngine {
   /// the lazy search's pruning must never cut a candidate whose exact rate
   /// ties the best.) What the ranked candidate lists are ordered by.
   double upper_bound_bps(std::size_t m, std::size_t n) const {
-    return ub_(m, n);
+    return static_->ub(m, n);
   }
 
   /// One entry of a ranked candidate list: the peer machine and its static
   /// rate ceiling, stored together so the hot best-first walks read both
-  /// from one contiguous array instead of gathering bounds through the ub_
+  /// from one contiguous array instead of gathering bounds through the ub
   /// matrix. `bound` is exactly upper_bound_bps(row machine, peer) — same
-  /// double, copied at rebuild time — so pruning on it is bit-identical to
-  /// pruning through the matrix.
+  /// double, copied when the list is built — so pruning on it is
+  /// bit-identical to pruning through the matrix.
   struct RankEntry {
     double bound = 0.0;
     std::uint32_t peer = 0;
   };
   /// Destination list of source m: machine_count() entries ordered by
-  /// (bound desc, peer asc). Valid until the next static-index rebuild.
+  /// (bound desc, peer asc). Valid until this engine's next update_view /
+  /// apply_rate_discount (clones keep their own lists alive).
   const RankEntry* ranked_dest_row(std::size_t m) const {
-    return dest_rank_.data() + m * machine_count();
+    return static_->dest_rank.data() + m * machine_count();
   }
   /// Source list toward destination n, same ordering contract.
   const RankEntry* ranked_src_row(std::size_t n) const {
-    return src_rank_.data() + n * machine_count();
+    return static_->src_rank.data() + n * machine_count();
   }
   /// k-th best destination of source m by (upper bound desc, index asc);
   /// k in [0, machine_count()). Position 0 is m itself unless some measured
   /// rate exceeds kIntraMachineRate.
   std::size_t ranked_dest(std::size_t m, std::size_t k) const {
-    return dest_rank_[m * machine_count() + k].peer;
+    return ranked_dest_row(m)[k].peer;
   }
   /// k-th best source toward destination n by (upper bound desc, index asc).
   std::size_t ranked_src(std::size_t n, std::size_t k) const {
-    return src_rank_[n * machine_count() + k].peer;
+    return ranked_src_row(n)[k].peer;
   }
 
   // ---- Committed mutations ----
@@ -140,28 +144,33 @@ class PlacementEngine {
   /// Reverse of commit (same placement the caller committed).
   void release(const Application& app, const Placement& placement);
 
-  /// Swaps in a new view of the same fleet, rebuilding the static indexes
-  /// and keeping the residual occupancy. Out-of-hose counts are re-derived
-  /// from the per-path counts (exact: they are integer-valued), so even a
-  /// changed colocation clustering needs no replay of running applications.
+  /// Swaps in a new view of the same fleet, keeping the residual occupancy.
+  /// Builds a new static block from the old one: bounds are recomputed, and
+  /// only the ranked rows and columns where a bound moved are re-sorted.
+  /// Out-of-hose counts are re-derived from the per-path counts (exact: they
+  /// are integer-valued), so even a changed colocation clustering needs no
+  /// replay of running applications.
   void update_view(ClusterView view);
 
   /// Uncertainty-aware placement hook (the forecast plane): scales the
   /// view's pair rates entry-wise by `factor` (n x n; diagonal ignored) and
-  /// rebuilds the static indexes, keeping the residual occupancy. Because
-  /// the discount lands in the view itself, every rate consumer — the
-  /// engine's cached lookups, the exhaustive oracle, and the
+  /// builds new static indexes as update_view does, keeping the residual
+  /// occupancy. Because the discount lands in the view itself, every rate
+  /// consumer — the engine's cached lookups, the exhaustive oracle, and the
   /// completion-time objective — sees the same discounted rates, so the
-  /// engine/oracle bit-identity is preserved under any discount.
+  /// engine/oracle bit-identity is preserved under any discount. Strong
+  /// guarantee: every factor is checked before anything changes, so a
+  /// negative one throws with the engine untouched.
   void apply_rate_discount(const DoubleMatrix& factor);
 
-  /// Copy with identical view and static indexes but zero occupancy.
+  /// Copy sharing the view and static indexes, with zero occupancy.
   PlacementEngine clone_unoccupied() const;
 
-  /// Full copy: identical view, static indexes, AND residual occupancy.
-  /// What the serving plane's per-worker scratch arenas are refreshed from —
-  /// a plain O(n^2) memcpy-shaped copy that skips re-validating the view and
-  /// re-sorting the ranked lists. Must not be called inside an open Txn.
+  /// Full copy: the same view, static indexes, AND residual occupancy.
+  /// What the serving plane's per-worker scratch arenas are refreshed from.
+  /// The immutable static block is shared, not copied, so this costs one
+  /// copy of the residual indexes (O(n^2) doubles of per-path counts plus
+  /// two O(n) vectors). Must not be called inside an open Txn.
   PlacementEngine clone() const;
 
   // ---- Tentative mutations ----
@@ -224,19 +233,32 @@ class PlacementEngine {
 
   void register_transfer(std::size_t m, std::size_t n, double sign) {
     on_path_[m * machine_count() + n] += sign;
-    if (!view_.colocated(m, n)) out_of_[m] += sign;
+    if (!view().colocated(m, n)) out_of_[m] += sign;
   }
   void apply(const Application& app, const Placement& placement, double sign);
-  void rebuild_static();
 
-  ClusterView view_;
+  /// The view and every index that is a function of it alone. Built once
+  /// and never mutated: clones share it, and a view change replaces it.
+  struct Static {
+    ClusterView view;
+    std::vector<double> hose;
+    std::vector<double> cross_out;
+    DoubleMatrix ub;
+    std::vector<RankEntry> dest_rank;  // machine_count^2, row-major by source
+    std::vector<RankEntry> src_rank;   // machine_count^2, row-major by destination
 
-  // Static indexes (functions of view_ only).
-  std::vector<double> hose_;
-  std::vector<double> cross_out_;
-  DoubleMatrix ub_;
-  std::vector<RankEntry> dest_rank_;  // machine_count^2, row-major by source
-  std::vector<RankEntry> src_rank_;   // machine_count^2, row-major by destination
+    /// Builds the block for `view`. With `prev` (the same fleet's previous
+    /// block) the ranked lists are derived from prev's: a row or column
+    /// keeps the entries whose bound is unchanged, in their order, and
+    /// merges in the re-sorted moved ones. Without it every bound counts as
+    /// moved, which is a full sort through the same code.
+    Static(ClusterView view, const Static* prev);
+  };
+
+  /// An unoccupied engine over an already built static block.
+  explicit PlacementEngine(std::shared_ptr<const Static> statics);
+
+  std::shared_ptr<const Static> static_;
 
   // Residual indexes (committed plus open-Txn tentative state). on_path_ is
   // a flat row-major array indexed without per-access bounds checks — the

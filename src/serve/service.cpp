@@ -19,9 +19,9 @@ PlacementService::Result PlacementService::place(const place::Application& app,
   const std::shared_ptr<const ClusterSnapshot> snap = snapshot();
   if (scratch.base_ != snap) {
     // The epoch moved (or this arena is fresh): rebuild it from the new
-    // snapshot. clone() copies the O(n^2) indexes without re-validating or
-    // re-sorting; in the steady state (no swap between queries) this branch
-    // is never taken and a query costs only the pointer compare.
+    // snapshot. clone() shares the snapshot's static indexes and copies only
+    // its residual occupancy; in the steady state (no swap between queries)
+    // this branch is never taken and a query costs only the pointer compare.
     scratch.state_.emplace(snap->state.clone());
     scratch.base_ = snap;
     ++scratch.refreshes_;

@@ -26,15 +26,17 @@ struct ClusterSnapshot {
       : epoch(epoch_), state(std::move(state_)) {}
 };
 
-/// A per-worker placement arena: a full clone of the current snapshot's
-/// engine (view, static indexes, residual occupancy) that a query thread
-/// runs its tentative Txn search on. Placement algorithms mutate the engine
-/// in place (and roll back), so concurrent queries cannot share one state —
-/// but they can each keep ONE clone and reuse it across queries, refreshing
-/// only when the service publishes a new epoch. That turns the per-query
-/// cost from an O(n^2) state rebuild into a pointer comparison in the steady
-/// state. Each thread owns its Scratch exclusively; a Scratch is never
-/// shared.
+/// A per-worker placement arena: a clone of the current snapshot's engine
+/// that a query thread runs its tentative Txn search on. The clone shares
+/// the snapshot's immutable view and static indexes and owns a copy of the
+/// residual occupancy, the only part a search writes to. Placement
+/// algorithms mutate the residuals in place (and roll back), so concurrent
+/// queries cannot share one state — but they can each keep ONE clone and
+/// reuse it across queries, refreshing only when the service publishes a
+/// new epoch. In the steady state a query costs a pointer comparison; a
+/// refresh copies the residuals (O(n^2) per-path counts), never the view or
+/// the ranked lists. Each thread owns its Scratch exclusively; a Scratch is
+/// never shared.
 class Scratch {
  public:
   Scratch() = default;
@@ -121,7 +123,8 @@ class PlacementService {
   // ---- Writer path (single-threaded by contract) ----
 
   /// Publishes a freshly measured view of the same fleet: next snapshot
-  /// keeps the committed occupancy, rebuilds the static rate indexes.
+  /// keeps the committed occupancy; its static rate indexes are re-ranked
+  /// only where the new view moved a bound.
   void publish_view(place::ClusterView view);
   /// Publishes the snapshot with `app` committed at `placement`.
   void commit(const place::Application& app, const place::Placement& placement);

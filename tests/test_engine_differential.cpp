@@ -5,17 +5,24 @@
 // placements and completion estimates to ExhaustiveGreedyPlacer, its O(1)
 // cached rates must equal transfer_rate_bps exactly, and the incremental
 // state maintenance (Txn rollback, update_view, clone_unoccupied) must be
-// indistinguishable from rebuild-and-replay.
+// indistinguishable from rebuild-and-replay. update_view re-ranks only the
+// candidate lists whose bounds moved; its static indexes must equal a fresh
+// build's exactly, and clones sharing a static block must never see a later
+// change to the engine they were cloned from.
 
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <cstdint>
 #include <optional>
+#include <utility>
+#include <vector>
 
 #include "place/baselines.h"
 #include "place/engine.h"
 #include "place/greedy.h"
 #include "place/rate_model.h"
+#include "util/require.h"
 #include "util/rng.h"
 #include "util/units.h"
 #include "workload/generator.h"
@@ -86,6 +93,43 @@ Application corpus_app(Rng& rng, std::size_t machines) {
     app.constraints.latency.push_back({1, 2, 2});
   }
   return app;
+}
+
+/// Every static index of an engine, copied out so it can be compared with ==
+/// after the engine has moved on.
+struct StaticIndexes {
+  std::vector<double> hose, cross_out, ub;
+  std::vector<std::pair<double, std::uint32_t>> dest, src;
+};
+
+StaticIndexes static_indexes(const PlacementEngine& eng) {
+  StaticIndexes out;
+  const std::size_t M = eng.machine_count();
+  for (std::size_t m = 0; m < M; ++m) {
+    out.hose.push_back(eng.hose_bps(m));
+    out.cross_out.push_back(eng.hose_cross_out_of(m));
+    for (std::size_t k = 0; k < M; ++k) {
+      out.ub.push_back(eng.upper_bound_bps(m, k));
+      out.dest.emplace_back(eng.ranked_dest_row(m)[k].bound, eng.ranked_dest_row(m)[k].peer);
+      out.src.emplace_back(eng.ranked_src_row(m)[k].bound, eng.ranked_src_row(m)[k].peer);
+    }
+  }
+  return out;
+}
+
+void expect_same_statics(const StaticIndexes& a, const StaticIndexes& b) {
+  EXPECT_EQ(a.hose, b.hose);
+  EXPECT_EQ(a.cross_out, b.cross_out);
+  EXPECT_EQ(a.ub, b.ub);
+  EXPECT_EQ(a.dest, b.dest);
+  EXPECT_EQ(a.src, b.src);
+}
+
+void expect_same_view(const ClusterView& a, const ClusterView& b) {
+  EXPECT_TRUE(a.rate_bps == b.rate_bps);
+  EXPECT_TRUE(a.cross_traffic == b.cross_traffic);
+  EXPECT_EQ(a.colocation_group, b.colocation_group);
+  EXPECT_EQ(a.cores, b.cores);
 }
 
 /// Places with both implementations on the same state; asserts identical
@@ -322,7 +366,7 @@ TEST_P(EngineDifferential, CloneUnoccupiedEqualsFreshState) {
   }
 }
 
-// Pins the hoisted cross-traffic subexpression in rebuild_static (and the
+// Pins the hoisted cross-traffic subexpression in the static build (and the
 // mirrored fast path in rate_bps): the cached static bound must equal the
 // pre-hoist formula literal for literal — the max of the measured rate and
 // the residual pipe rate of the un-shared path capacity with zero placed
@@ -388,6 +432,218 @@ TEST_P(EngineDifferential, CloneEqualsOriginalAndIsIsolated) {
     const double before = original.transfers_out_of(pc->machine_of_task[0]);
     copy.commit(next, *pc);
     EXPECT_EQ(original.transfers_out_of(pc->machine_of_task[0]), before);
+  }
+
+  // The other direction: the clone shares the original's static block, and
+  // every later change to the original — a new view, a rate discount, a
+  // commit — must leave the clone's view, bounds and ranks bit-identical.
+  const ClusterView copy_view = copy.view();
+  const StaticIndexes copy_statics = static_indexes(copy.engine());
+  const ClusterState unoccupied = original.clone_unoccupied();
+  ClusterView refreshed = corpus_cluster(rng, machines);
+  refreshed.cores = original.view().cores;
+  original.update_view(refreshed);
+  DoubleMatrix factor(machines, machines, 1.0);
+  for (std::size_t m = 0; m < machines; ++m) factor(m, (m + 1) % machines) = 0.5;
+  original.apply_rate_discount(factor);
+  const Application later = corpus_app(rng, machines);
+  try {
+    original.commit(later, greedy.place(later, original));
+  } catch (const PlacementError&) {
+  }
+  for (const ClusterState* shared : {static_cast<const ClusterState*>(&copy), &unoccupied}) {
+    expect_same_view(shared->view(), copy_view);
+    expect_same_statics(static_indexes(shared->engine()), copy_statics);
+  }
+}
+
+// A rate discount with one bad factor must throw before touching anything:
+// the view, the bounds and both ranked lists keep their values, and so does
+// the free function's view.
+TEST_P(EngineDifferential, RejectedRateDiscountLeavesEngineUntouched) {
+  Rng rng(GetParam() + 9000);
+  const std::size_t machines = static_cast<std::size_t>(rng.uniform_int(3, 14));
+  ClusterState state(corpus_cluster(rng, machines));
+  const ClusterView view_before = state.view();
+  const StaticIndexes statics_before = static_indexes(state.engine());
+
+  // Valid discounts everywhere except one late entry, so a scan that scales
+  // as it checks would already have changed most rates when it throws.
+  DoubleMatrix factor(machines, machines, 1.0);
+  for (std::size_t m = 0; m < machines; ++m) {
+    for (std::size_t n = 0; n < machines; ++n) factor(m, n) = rng.uniform(0.3, 1.0);
+  }
+  factor(machines - 1, machines - 2) = -0.5;
+
+  EXPECT_THROW(state.apply_rate_discount(factor), PreconditionError);
+  expect_same_view(state.view(), view_before);
+  expect_same_statics(static_indexes(state.engine()), statics_before);
+
+  ClusterView view = view_before;
+  EXPECT_THROW(apply_rate_discount(view, factor), PreconditionError);
+  expect_same_view(view, view_before);
+}
+
+// The ways a new view can differ from the last one, from nothing at all to
+// everything; update_view must handle each exactly like a fresh build.
+enum class ViewChange { kNone, kOnePair, kRow, kColumn, kFifth, kAll, kCrossOnly, kRegroup, kTies };
+
+const char* to_string(ViewChange c) {
+  switch (c) {
+    case ViewChange::kNone: return "none";
+    case ViewChange::kOnePair: return "one pair";
+    case ViewChange::kRow: return "row";
+    case ViewChange::kColumn: return "column";
+    case ViewChange::kFifth: return "20% of pairs";
+    case ViewChange::kAll: return "all pairs";
+    case ViewChange::kCrossOnly: return "cross traffic only";
+    case ViewChange::kRegroup: return "colocation regrouping";
+    case ViewChange::kTies: return "tied bounds";
+  }
+  return "?";
+}
+
+ClusterView changed_view(const ClusterView& base, ViewChange change, Rng& rng) {
+  ClusterView v = base;
+  const std::size_t M = v.machine_count();
+  const auto pick = [&] {
+    return static_cast<std::size_t>(rng.uniform_int(0, static_cast<std::int64_t>(M) - 1));
+  };
+  const auto fresh_rate = [&] { return rng.uniform(mbps(200), mbps(1200)); };
+  // Two rates shared by many peers, so whole runs of a ranked list tie on
+  // their bound and the peer index alone decides their order.
+  const auto tied_rate = [&] { return rng.chance(0.5) ? mbps(500) : mbps(800); };
+  switch (change) {
+    case ViewChange::kNone:
+      break;
+    case ViewChange::kOnePair: {
+      const std::size_t m = pick();
+      const std::size_t n = (m + 1 + pick() % (M - 1)) % M;
+      v.rate_bps(m, n) = fresh_rate();
+      break;
+    }
+    case ViewChange::kRow: {
+      const std::size_t r = pick();
+      for (std::size_t n = 0; n < M; ++n) {
+        if (n != r) v.rate_bps(r, n) = fresh_rate();
+      }
+      break;
+    }
+    case ViewChange::kColumn: {
+      const std::size_t c = pick();
+      for (std::size_t m = 0; m < M; ++m) {
+        if (m != c) v.rate_bps(m, c) = fresh_rate();
+      }
+      break;
+    }
+    case ViewChange::kFifth:
+    case ViewChange::kAll:
+      for (std::size_t m = 0; m < M; ++m) {
+        for (std::size_t n = 0; n < M; ++n) {
+          if (m != n && (change == ViewChange::kAll || rng.chance(0.2))) {
+            v.rate_bps(m, n) = fresh_rate();
+          }
+        }
+      }
+      break;
+    case ViewChange::kCrossOnly:
+      if (v.cross_traffic.empty()) v.cross_traffic = DoubleMatrix(M, M, 0.0);
+      for (std::size_t m = 0; m < M; ++m) {
+        for (std::size_t n = 0; n < M; ++n) {
+          if (m != n && rng.chance(0.3)) v.cross_traffic(m, n) = rng.uniform(0.0, 3.0);
+        }
+      }
+      break;
+    case ViewChange::kRegroup: {
+      int group = 0;
+      for (std::size_t m = 0; m < M; ++m) {
+        if (m > 0 && !rng.chance(0.3)) ++group;
+        v.colocation_group[m] = group;
+      }
+      break;
+    }
+    case ViewChange::kTies: {
+      const std::size_t r = pick();
+      const std::size_t c = pick();
+      for (std::size_t m = 0; m < M; ++m) {
+        for (std::size_t n = 0; n < M; ++n) {
+          if (m != n && (m == r || n == c || rng.chance(0.2))) v.rate_bps(m, n) = tied_rate();
+        }
+      }
+      break;
+    }
+  }
+  return v;
+}
+
+// Seeded update_view sequences over every kind of change, each step checked
+// against a fresh build of the same view: the incremental re-rank must
+// produce the same static indexes (==, not approximately) and the same
+// residuals and greedy placements as rebuild-and-replay. A rate discount
+// step rides along, since it goes through the same re-rank.
+TEST_P(EngineDifferential, IncrementalRerankEqualsFreshBuild) {
+  Rng rng(GetParam() + 10000);
+  const std::size_t machines = static_cast<std::size_t>(rng.uniform_int(4, 28));
+  ClusterView initial = corpus_cluster(rng, machines);
+  if (rng.chance(0.3)) initial = changed_view(initial, ViewChange::kTies, rng);
+  ClusterState state(initial);
+  GreedyPlacer greedy(RateModel::Hose);
+  std::vector<std::pair<Application, Placement>> committed;
+  for (int a = 0; a < 2; ++a) {
+    const Application app = corpus_app(rng, machines);
+    try {
+      const Placement p = greedy.place(app, state);
+      state.commit(app, p);
+      committed.push_back({app, p});
+    } catch (const PlacementError&) {
+    }
+  }
+
+  std::vector<ViewChange> steps = {
+      ViewChange::kNone,  ViewChange::kOnePair,   ViewChange::kRow,
+      ViewChange::kColumn, ViewChange::kFifth,    ViewChange::kAll,
+      ViewChange::kCrossOnly, ViewChange::kRegroup, ViewChange::kTies};
+  rng.shuffle(steps);
+  for (std::size_t step = 0; step <= steps.size(); ++step) {
+    const bool discount = step == steps.size();
+    SCOPED_TRACE(discount ? "rate discount" : to_string(steps[step]));
+    if (discount) {
+      DoubleMatrix factor(machines, machines, 1.0);
+      for (std::size_t m = 0; m < machines; ++m) {
+        for (std::size_t n = 0; n < machines; ++n) {
+          if (rng.chance(0.1)) factor(m, n) = rng.uniform(0.5, 1.0);
+        }
+      }
+      state.apply_rate_discount(factor);
+    } else {
+      state.update_view(changed_view(state.view(), steps[step], rng));
+    }
+    const ClusterView next = state.view();
+    expect_same_statics(static_indexes(state.engine()),
+                        static_indexes(PlacementEngine(next)));
+
+    ClusterState replayed(next);
+    for (const auto& [app, p] : committed) replayed.commit(app, p);
+    for (std::size_t m = 0; m < machines; ++m) {
+      EXPECT_EQ(state.transfers_out_of(m), replayed.transfers_out_of(m));
+    }
+    const Application app = corpus_app(rng, machines);
+    for (const RateModel model : {RateModel::Hose, RateModel::Pipe}) {
+      GreedyPlacer g(model);
+      std::optional<Placement> pi, pr;
+      try {
+        pi = g.place(app, state);
+      } catch (const PlacementError&) {
+      }
+      try {
+        pr = g.place(app, replayed);
+      } catch (const PlacementError&) {
+      }
+      ASSERT_EQ(pi.has_value(), pr.has_value());
+      if (pi) {
+        EXPECT_EQ(pi->machine_of_task, pr->machine_of_task);
+      }
+    }
   }
 }
 
