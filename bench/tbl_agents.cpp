@@ -91,9 +91,9 @@ SweepResult run_point(const SweepPoint& point, const measure::MeasurementPlan& m
   std::size_t planned = 0, missing = 0, defaulted = 0;
   for (std::uint64_t epoch = 1; epoch <= cycles; ++epoch) {
     const agent::ClusterAgent::CycleReport rep = plane.run_cycle(epoch);
-    planned += rep.pairs_planned;
-    missing += rep.pairs_missing;
-    defaulted += rep.pairs_defaulted;
+    planned += rep.report.agent_pairs_planned;
+    missing += rep.report.agent_pairs_missing;
+    defaulted += rep.report.pairs_defaulted;
 
     place::ClusterState state(rep.view);
     place::GreedyPlacer greedy(place::RateModel::Hose);

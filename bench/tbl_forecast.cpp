@@ -21,7 +21,7 @@
 #include <memory>
 
 #include "bench_common.h"
-#include "forecast/predictive_policy.h"
+#include "forecast/refresher.h"
 #include "measure/throughput_matrix.h"
 #include "place/greedy.h"
 #include "workload/generator.h"
@@ -46,35 +46,28 @@ struct RunResult {
   std::size_t full_sweeps = 0;
 };
 
-/// One measurement+placement session over the regime change, planning either
-/// with the fixed policy (predictive == nullptr) or the forecast plane.
+/// One measurement+placement session over the regime change, refreshing
+/// through forecast::Refresher under `forecast` — disabled, it plans with the
+/// fixed policy `refresh` verbatim. The views' topology comes from the calm
+/// twin (identical to the busy one); every cycle probes the cloud of its
+/// epoch.
 RunResult run_session(cloud::Cloud& calm, cloud::Cloud& busy,
                       const std::vector<cloud::VmId>& vms,
                       const measure::MeasurementPlan& mplan,
-                      const measure::RefreshPolicy& fixed,
-                      forecast::PredictivePolicy* predictive,
+                      const measure::RefreshPolicy& refresh,
+                      const forecast::ForecastOptions& forecast,
                       const place::Application& app, std::size_t total_epochs,
                       std::size_t shift_epoch) {
   RunResult result;
-  measure::ViewCache cache(vms.size());
+  forecast::Refresher refresher(calm, vms, refresh, forecast);
   std::vector<double> errs, post_errs;
   for (std::uint64_t e = 1; e <= total_epochs; ++e) {
     cloud::Cloud& active = e <= shift_epoch ? calm : busy;
-    measure::RefreshPlan plan =
-        predictive ? predictive->plan_refresh(cache, e, fixed)
-                   : cache.plan_refresh(e, fixed);
+    const forecast::Refresher::Cycle refreshed = refresher.run_in_process(active, mplan, e);
     EpochScore score;
-    score.probes = plan.pairs.size();
-    measure::RefreshResult refreshed = measure::refresh_cluster_view_with_plan(
-        active, vms, mplan, e, cache, std::move(plan));
-    if (predictive) {
-      for (const measure::ProbePair& p : refreshed.plan.pairs) {
-        predictive->observe(p.src, p.dst, cache.at(p.src, p.dst).rate_bps, e);
-      }
-      predictive->apply_to_view(refreshed.view, cache, refreshed.plan, e);
-      score.changepoints = predictive->last_plan().changepoints;
-      score.full_sweep = predictive->last_plan().full_sweep;
-    }
+    score.probes = refreshed.report.pairs_probed;
+    score.changepoints = refreshed.report.changepoint_pairs;
+    score.full_sweep = refreshed.report.forecast_full_sweep;
 
     // Place the probe application on the view this policy believes in, then
     // score the believed rates of the chosen paths against ground truth.
@@ -169,7 +162,6 @@ int main(int argc, char** argv) {
   opts.cusum.threshold = 0.35;
   opts.changepoint_baseline_alpha = 0.15;
   opts.changepoint_sweep_fraction = 0.4;
-  forecast::PredictivePolicy policy(opts);
 
   // The probe application: dense enough to stress many paths, CPU-heavy
   // enough that tasks must spread across machines.
@@ -182,11 +174,11 @@ int main(int argc, char** argv) {
   gen.pattern_weights = {0.0, 0.0, 0.0, 0.0, 1.0};  // uniform all-to-all
   const place::Application app = workload::generate_app(app_rng, gen);
 
-  const RunResult fixed_run = run_session(calm, busy, vms, mplan, fixed,
-                                          /*predictive=*/nullptr, app, total_epochs,
-                                          shift_epoch);
+  const RunResult fixed_run =
+      run_session(calm, busy, vms, mplan, fixed, forecast::ForecastOptions{}, app,
+                  total_epochs, shift_epoch);
   const RunResult pred_run = run_session(calm, busy, vms_busy, mplan, predictive_net,
-                                         &policy, app, total_epochs, shift_epoch);
+                                         opts, app, total_epochs, shift_epoch);
 
   Table t({"epoch", "fixed probes", "pred probes", "fixed rate err", "pred rate err",
            "changepoints"});

@@ -31,7 +31,6 @@
 
 #include "agent/options.h"
 #include "agent/plane.h"
-#include "core/controller.h"
 #include "core/sharded.h"
 #include "measure/throughput_matrix.h"
 #include "obs/observer.h"
@@ -87,11 +86,8 @@ int main(int argc, char** argv) {
   args.add_option("apps-per-day", "48", "session mode: per-tenant arrival rate");
   args.add_option("threads", "1",
                   "session mode: worker threads for the sharded control "
-                  "plane (1 = single-threaded oracle path; output is "
-                  "identical either way)");
-  args.add_option("shards", "0",
-                  "session mode: tenant shards (0 = one per thread); only "
-                  "meaningful with --threads > 1");
+                  "plane (1 runs inline; output is identical either way)");
+  args.add_option("shards", "0", "session mode: tenant shards (0 = one per thread)");
   args.add_option("cycles", "8", "agents mode: measurement cycles to run");
   args.add_option("loss", "0", "agents mode: per-message loss probability");
   args.add_option("duplicate", "0", "agents mode: per-message duplicate probability");
@@ -229,8 +225,8 @@ int main(int argc, char** argv) {
     config.choreo.forecast.enabled = args.get_flag("forecast");
     config.choreo.obs = obsv.with_lane(1, 1 % kObsShards);
     if (tracer) tracer->set_lane_name(1, "controller");
-    core::Controller controller(cloud, vms, config);
-    const core::SessionLog log = controller.run(apps);
+    workload::VectorArrivalStream stream(apps);
+    const core::SessionLog log = core::SessionRuntime(cloud, vms, config).run(stream);
 
     Table t({"t (s)", "event", "detail"});
     for (const core::SessionEvent& e : log.events) {
@@ -301,28 +297,18 @@ int main(int argc, char** argv) {
       tenants.push_back(std::move(spec));
     }
 
-    // --threads 1 (the default) keeps the single-threaded oracle path;
-    // anything higher routes through the sharded control plane, whose
-    // output is bit-identical for any shard/thread count.
-    const auto n_threads = static_cast<unsigned>(args.get_int("threads"));
-    core::MultiTenantLog result;
-    std::vector<core::SessionRuntime::Stats> tenant_stats;
-    if (n_threads <= 1) {
-      core::MultiTenantSession session(cloud, std::move(tenants));
-      result = session.run();
-      tenant_stats = session.tenant_stats();
-    } else {
-      core::ShardedOptions sharded;
-      sharded.threads = n_threads;
-      sharded.shards = static_cast<std::size_t>(args.get_int("shards"));
-      sharded.obs = obsv;
-      core::ShardedSession session(cloud, std::move(tenants), sharded);
-      result = session.run();
-      tenant_stats = session.tenant_stats();
-      std::cout << "sharded control plane: " << session.stats().shards
-                << " shards, " << session.stats().threads << " threads, "
-                << session.stats().epoch_grants << " epoch grants\n";
-    }
+    // The sharded control plane: its output is bit-identical for any
+    // shard/thread count, and at one thread it runs inline.
+    core::ShardedOptions sharded;
+    sharded.threads = static_cast<unsigned>(args.get_int("threads"));
+    sharded.shards = static_cast<std::size_t>(args.get_int("shards"));
+    sharded.obs = obsv;
+    core::ShardedSession session(cloud, std::move(tenants), sharded);
+    const core::MultiTenantLog result = session.run();
+    const std::vector<core::SessionRuntime::Stats>& tenant_stats = session.tenant_stats();
+    std::cout << "sharded control plane: " << session.stats().shards << " shards, "
+              << session.stats().threads << " threads, "
+              << session.stats().epoch_grants << " epoch grants\n";
 
     Table t({"tenant", "apps", "rejected", "reevals (adopted)", "migrated",
              "runtime sum (s)", "measure wall (s)", "probes"});
@@ -413,18 +399,18 @@ int main(int argc, char** argv) {
     measure::RefreshPolicy refresh;
     forecast::ForecastOptions forecast;
     forecast.enabled = args.get_flag("forecast");
-    agent::AgentPlane plane(cloud, vms, plan, refresh, forecast, opts, model);
+    agent::AgentPlane plane(cloud, vms, plan, refresh, forecast, opts);
     if (obsv.enabled()) plane.set_observer(obsv);
 
     const auto n_cycles = static_cast<std::uint64_t>(args.get_int("cycles"));
     Table t({"epoch", "planned", "probed", "missing", "defaulted", "reports",
              "wall (s)"});
     for (std::uint64_t epoch = 1; epoch <= n_cycles; ++epoch) {
-      const agent::ClusterAgent::CycleReport rep = plane.run_cycle(epoch);
-      t.add_row({std::to_string(epoch), std::to_string(rep.pairs_planned),
-                 std::to_string(rep.pairs_probed), std::to_string(rep.pairs_missing),
-                 std::to_string(rep.pairs_defaulted),
-                 std::to_string(rep.reports_integrated), fmt(rep.wall_time_s, 1)});
+      const forecast::MeasureReport rep = plane.run_cycle(epoch).report;
+      t.add_row({std::to_string(epoch), std::to_string(rep.agent_pairs_planned),
+                 std::to_string(rep.pairs_probed), std::to_string(rep.agent_pairs_missing),
+                 std::to_string(rep.pairs_defaulted), std::to_string(rep.agent_reports),
+                 fmt(rep.wall_time_s, 1)});
     }
     std::cout << t.to_string();
 

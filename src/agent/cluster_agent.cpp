@@ -2,7 +2,7 @@
 
 #include <utility>
 
-#include "cloud/cloud.h"
+#include "agent/options.h"
 #include "measure/probe_scheduler.h"
 #include "util/require.h"
 
@@ -10,57 +10,34 @@ namespace choreo::agent {
 
 ClusterAgent::ClusterAgent(cloud::Cloud& cloud, std::vector<std::size_t> vms,
                            measure::MeasurementPlan plan, measure::RefreshPolicy refresh,
-                           forecast::ForecastOptions forecast, AgentOptions options,
-                           place::RateModel model)
-    : cloud_(cloud),
-      vms_(std::move(vms)),
-      mplan_(plan),
-      refresh_(refresh),
-      opts_(std::move(options)),
-      model_(model),
-      cache_(vms_.size()),
-      policy_(forecast),
-      agents_(vms_.size()) {
-  CHOREO_REQUIRE_MSG(vms_.size() >= 2, "agent plane needs at least two VMs");
-}
-
-void ClusterAgent::reset_cache() { cache_ = measure::ViewCache(vms_.size()); }
+                           forecast::ForecastOptions forecast)
+    : mplan_(plan),
+      refresher_(cloud, std::move(vms), refresh, std::move(forecast)),
+      agents_(refresher_.cache().vm_count()) {}
 
 void ClusterAgent::begin_cycle(std::uint64_t epoch, std::uint64_t cycle,
                                net::SimTransport& transport) {
-  const std::size_t n = vms_.size();
-  epoch_ = epoch;
-  known_before_ = cache_.measured_pairs();
-  fresh_.assign(n * n, 0);
+  const std::size_t n = agents_.size();
   cycle_reports_ = 0;
 
-  // Plan exactly like the in-process pipeline: through the forecast plane,
-  // which delegates verbatim to the fixed ViewCache rules when disabled.
-  cache_.resize(n);
-  plan_ = policy_.plan_refresh(cache_, epoch, refresh_);
-
-  // State re-sync for restarted agents: re-probe their whole outgoing row on
-  // top of the plan (whatever they measured before the crash is gone, and
-  // the cache may hold estimates the new incarnation never produced).
-  std::vector<std::uint8_t> planned(n * n, 0);
-  for (const auto& p : plan_.pairs) planned[p.src * n + p.dst] = 1;
-  for (std::uint32_t a = 0; a < agents_.size(); ++a) {
+  // State re-sync for restarted agents: their whole outgoing rows are
+  // re-probed on top of the plan (whatever they measured before the crash
+  // is gone, and the cache may hold estimates the new incarnation never
+  // produced).
+  std::vector<std::size_t> resync;
+  for (std::uint32_t a = 0; a < n; ++a) {
     if (!agents_[a].resync_pending) continue;
     agents_[a].resync_pending = false;
-    for (std::size_t dst = 0; dst < n; ++dst) {
-      if (dst == a || planned[a * n + dst]) continue;
-      planned[a * n + dst] = 1;
-      plan_.pairs.push_back(measure::ProbePair{a, dst});
-      ++plan_.stale;
-    }
+    resync.push_back(a);
   }
+  const measure::RefreshPlan& plan = refresher_.plan(epoch, resync);
 
   // Central conflict-free round assignment, so the distributed trains carry
   // the same (epoch + round) snapshot keys the in-process scheduler uses.
   rounds_ = 0;
   wall_time_s_ = 0.0;
-  if (!plan_.pairs.empty()) {
-    const measure::ProbeSchedule schedule = measure::schedule_probes(n, plan_.pairs);
+  if (!plan.pairs.empty()) {
+    const measure::ProbeSchedule schedule = measure::schedule_probes(n, plan.pairs);
     rounds_ = schedule.rounds.size();
     wall_time_s_ = measure::measurement_wall_time_s(mplan_, rounds_);
 
@@ -83,20 +60,13 @@ void ClusterAgent::begin_cycle(std::uint64_t epoch, std::uint64_t cycle,
 }
 
 void ClusterAgent::integrate_sample(const proto::RateSample& sample) {
-  const std::size_t n = vms_.size();
+  const std::size_t n = agents_.size();
   if (sample.src >= n || sample.dst >= n || sample.src == sample.dst) return;
-  const measure::PairEstimate& have = cache_.at(sample.src, sample.dst);
-  // Monotone epoch guard: a sample only advances the pair's estimate. Replays
-  // of the same epoch and reordered older samples are no-ops, which is what
-  // makes duplicate delivery idempotent end to end.
-  if (have.valid() && sample.epoch <= have.epoch) {
+  if (refresher_.record(sample.src, sample.dst, sample.rate_bps, sample.epoch)) {
+    ++stats_.samples_integrated;
+  } else {
     ++stats_.samples_superseded;
-    return;
   }
-  cache_.store(sample.src, sample.dst, sample.rate_bps, sample.epoch);
-  policy_.observe(sample.src, sample.dst, sample.rate_bps, sample.epoch);
-  ++stats_.samples_integrated;
-  if (sample.epoch == epoch_) fresh_[sample.src * n + sample.dst] = 1;
 }
 
 void ClusterAgent::deliver(const proto::Message& msg, std::uint64_t cycle,
@@ -159,78 +129,9 @@ void ClusterAgent::deliver(const proto::Message& msg, std::uint64_t cycle,
 }
 
 ClusterAgent::CycleReport ClusterAgent::end_cycle(std::uint64_t epoch) {
-  const std::size_t n = vms_.size();
-  CHOREO_REQUIRE_MSG(epoch == epoch_, "end_cycle epoch does not match begin_cycle");
-
-  CycleReport rep;
-
-  // The view is the cache's current (stale-or-partial) picture plus tenant
-  // topology; an empty probe plan makes refresh_cluster_view_with_plan probe
-  // nothing and just rebuild — the exact primitive we need here.
-  measure::RefreshResult rebuilt = measure::refresh_cluster_view_with_plan(
-      cloud_, vms_, mplan_, epoch, cache_, measure::RefreshPlan{});
-  rep.view = std::move(rebuilt.view);
-
-  // Forecast fill over the gaps: apply_to_view treats every pair NOT in the
-  // plan it is handed as unprobed, so handing it only the pairs that actually
-  // reported this cycle (in planned order) routes lost/late pairs through the
-  // predictor fill + uncertainty discount.
-  measure::RefreshPlan effective;
-  effective.pairs.reserve(plan_.pairs.size());
-  for (const measure::ProbePair& p : plan_.pairs) {
-    if (fresh_[p.src * n + p.dst]) effective.pairs.push_back(p);
-  }
-  policy_.apply_to_view(rep.view, cache_, effective, epoch);
-
-  // Never-measured pairs (their first-sweep report lost before any sample
-  // landed) leave zero-rate holes neither the cache nor the forecast can
-  // fill, and the placement layer rejects a view with them. Fill the holes
-  // with the most conservative rate measured so far (pessimistic: do not
-  // tempt the placer across a link it knows nothing about), or a nominal
-  // 1 Gbps when nothing has been measured at all. A lossless transport never
-  // produces a hole, so this cannot perturb the bit-identity oracle.
-  double fallback = 0.0;
-  for (std::size_t i = 0; i < n; ++i) {
-    for (std::size_t j = 0; j < n; ++j) {
-      const double r = rep.view.rate_bps(i, j);
-      if (i == j || r <= 0.0) continue;
-      if (fallback == 0.0 || r < fallback) fallback = r;
-    }
-  }
-  if (fallback == 0.0) fallback = 1e9;
-  for (std::size_t i = 0; i < n; ++i) {
-    for (std::size_t j = 0; j < n; ++j) {
-      if (i == j || rep.view.rate_bps(i, j) > 0.0) continue;
-      rep.view.rate_bps(i, j) = fallback;
-      ++rep.pairs_defaulted;
-    }
-  }
-
-  rep.wall_time_s = wall_time_s_;
-  rep.rounds = rounds_;
-  rep.pairs_probed = effective.pairs.size();
-  rep.incremental = known_before_ > 0;
-  rep.never_measured = plan_.never_measured;
-  rep.stale = plan_.stale;
-  rep.volatile_pairs = plan_.volatile_pairs;
-  const forecast::PredictivePolicy::PlanStats& fs = policy_.last_plan();
-  rep.predictable_pairs = fs.predictable;
-  rep.unpredictable_pairs = fs.unpredictable + fs.warmup;
-  rep.changepoint_pairs = fs.changepoints;
-  rep.predicted_pairs = fs.predicted;
-  rep.forecast_full_sweep = fs.full_sweep;
-  rep.pairs_planned = plan_.pairs.size();
-  rep.pairs_missing = plan_.pairs.size() - effective.pairs.size();
-  rep.reports_integrated = cycle_reports_;
-
-  if (opts_.serve_snapshots) {
-    if (!service_) {
-      service_ = std::make_unique<serve::PlacementService>(rep.view, model_);
-    } else {
-      service_->publish_view(rep.view);
-    }
-  }
-  return rep;
+  CHOREO_REQUIRE_MSG(epoch == refresher_.epoch(),
+                     "end_cycle epoch does not match begin_cycle");
+  return refresher_.finish({rounds_, wall_time_s_, cycle_reports_});
 }
 
 std::uint64_t ClusterAgent::last_heard(std::uint32_t agent) const {

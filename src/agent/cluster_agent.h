@@ -1,71 +1,32 @@
 #pragma once
 
 #include <cstdint>
-#include <memory>
 #include <unordered_set>
 #include <vector>
 
-#include "agent/options.h"
 #include "agent/proto.h"
-#include "forecast/predictive_policy.h"
+#include "forecast/refresher.h"
 #include "measure/throughput_matrix.h"
-#include "measure/view_cache.h"
 #include "net/transport.h"
-#include "place/cluster.h"
-#include "serve/service.h"
-
-namespace choreo::cloud {
-class Cloud;
-}
 
 namespace choreo::agent {
 
 /// The controller half of the agent plane. Per measurement cycle it plans a
-/// refresh exactly like the in-process pipeline (through PredictivePolicy,
-/// which delegates to the fixed ViewCache rules when forecasting is off),
-/// schedules the planned pairs into conflict-free rounds, and fans the
-/// (pair, round) directives out to the owning host agents as ProbeRequests.
-/// Incoming StatsReports pass a (generation, seq) guard — stale generations
-/// are dropped, duplicates are re-acked but not re-integrated — and each
-/// sample lands in the ViewCache only if newer than the cached estimate, so
-/// delivery order, duplication, and late arrivals cannot corrupt the view.
-/// At cycle end the stale-or-partial view is rebuilt from the cache, gaps
-/// are routed through the forecast fill (apply_to_view over the pairs that
-/// actually reported), and the result is optionally published to an embedded
-/// PlacementService.
+/// refresh through the same forecast::Refresher core as the in-process
+/// pipeline, schedules the planned pairs into conflict-free rounds, and fans
+/// the (pair, round) directives out to the owning host agents as
+/// ProbeRequests. Incoming StatsReports pass a (generation, seq) guard —
+/// stale generations are dropped, duplicates are re-acked but not
+/// re-integrated — and each sample is recorded into the refresher, which
+/// keeps it only if newer than the cached estimate, so delivery order,
+/// duplication, and late arrivals cannot corrupt the view. At cycle end the
+/// refresher builds the stale-or-partial view and routes the gaps through
+/// the forecast fill.
 class ClusterAgent {
  public:
-  /// What one cycle produced — the fields core::Choreo::MeasureReport needs,
-  /// plus agent-plane accounting.
-  struct CycleReport {
-    place::ClusterView view;
-    double wall_time_s = 0.0;
-    std::size_t pairs_probed = 0;  ///< planned pairs whose report arrived in-cycle
-    std::size_t rounds = 0;
-    bool incremental = false;
-
-    // RefreshPlan classification (why each planned pair qualified).
-    std::size_t never_measured = 0;
-    std::size_t stale = 0;
-    std::size_t volatile_pairs = 0;
-
-    // Forecast accounting, copied from PredictivePolicy::last_plan().
-    std::size_t predictable_pairs = 0;
-    std::size_t unpredictable_pairs = 0;
-    std::size_t changepoint_pairs = 0;
-    std::size_t predicted_pairs = 0;
-    bool forecast_full_sweep = false;
-
-    // Agent-plane accounting for this cycle.
-    std::size_t pairs_planned = 0;
-    std::size_t pairs_missing = 0;       ///< planned but no report landed in-cycle
-    std::size_t reports_integrated = 0;  ///< fresh StatsReports accepted this cycle
-    /// Never-measured pairs whose view entry was filled with the fallback
-    /// rate (first-sweep losses — no sample ever arrived, so neither the
-    /// cache nor the forecast has anything to offer). Always 0 on a lossless
-    /// transport.
-    std::size_t pairs_defaulted = 0;
-  };
+  /// What one cycle produced: the view and the cycle's report, whose agent_*
+  /// counters say what survived the transport.
+  using CycleReport = forecast::Refresher::Cycle;
 
   /// Cumulative controller-side counters across all cycles.
   struct Stats {
@@ -83,8 +44,7 @@ class ClusterAgent {
   /// positions in this vector.
   ClusterAgent(cloud::Cloud& cloud, std::vector<std::size_t> vms,
                measure::MeasurementPlan plan, measure::RefreshPolicy refresh,
-               forecast::ForecastOptions forecast, AgentOptions options,
-               place::RateModel model);
+               forecast::ForecastOptions forecast);
 
   /// Plans the cycle's refresh and sends per-agent ProbeRequests. Agents the
   /// controller saw restart (Hello with a newer generation) get their entire
@@ -95,26 +55,16 @@ class ClusterAgent {
   /// through `transport`.
   void deliver(const proto::Message& msg, std::uint64_t cycle, net::SimTransport& transport);
 
-  /// Rebuilds the view from the cache, applies the forecast fill over the
-  /// pairs that reported, and publishes to the embedded PlacementService
-  /// when configured.
+  /// Closes the cycle begun at `epoch`: the refresher's view and report.
   CycleReport end_cycle(std::uint64_t epoch);
 
-  /// Full-sweep support: forget every cached estimate (the non-incremental
-  /// measure path).
-  void reset_cache();
-
-  const measure::ViewCache& cache() const { return cache_; }
+  const measure::ViewCache& cache() const { return refresher_.cache(); }
   const Stats& stats() const { return stats_; }
 
   /// Last cycle at which any message from `agent` was delivered (0 = never).
   std::uint64_t last_heard(std::uint32_t agent) const;
   /// The newest generation the controller has accepted from `agent`.
   std::uint32_t known_generation(std::uint32_t agent) const;
-
-  /// The embedded serving front end (nullptr unless options.serve_snapshots
-  /// and at least one cycle completed).
-  serve::PlacementService* service() { return service_.get(); }
 
  private:
   struct AgentState {
@@ -126,23 +76,11 @@ class ClusterAgent {
 
   void integrate_sample(const proto::RateSample& sample);
 
-  cloud::Cloud& cloud_;
-  std::vector<std::size_t> vms_;  ///< cloud::VmId per view index
   measure::MeasurementPlan mplan_;
-  measure::RefreshPolicy refresh_;
-  AgentOptions opts_;
-  place::RateModel model_;
-
-  measure::ViewCache cache_;
-  forecast::PredictivePolicy policy_;
+  forecast::Refresher refresher_;
   std::vector<AgentState> agents_;
-  std::unique_ptr<serve::PlacementService> service_;
 
   // Current-cycle state (begin_cycle .. end_cycle).
-  std::uint64_t epoch_ = 0;
-  measure::RefreshPlan plan_;
-  std::vector<std::uint8_t> fresh_;  ///< pair integrated at epoch_ this cycle
-  std::size_t known_before_ = 0;
   std::size_t rounds_ = 0;
   double wall_time_s_ = 0.0;
   std::size_t cycle_reports_ = 0;

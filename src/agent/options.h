@@ -45,11 +45,6 @@ struct AgentOptions {
   double crash_rate = 0.0;
   std::uint64_t down_cycles = 2;
   std::uint64_t crash_seed = 1;
-
-  /// When true the ClusterAgent publishes every integrated view to an
-  /// embedded serve::PlacementService (epoch-swapped snapshots), so serving
-  /// threads can place against the latest stale-or-partial view.
-  bool serve_snapshots = false;
 };
 
 }  // namespace choreo::agent

@@ -25,14 +25,13 @@ std::uint64_t mix3(std::uint64_t a, std::uint64_t b, std::uint64_t c) {
 
 AgentPlane::AgentPlane(cloud::Cloud& cloud, std::vector<std::size_t> vms,
                        measure::MeasurementPlan plan, measure::RefreshPolicy refresh,
-                       forecast::ForecastOptions forecast, AgentOptions options,
-                       place::RateModel model)
+                       forecast::ForecastOptions forecast, AgentOptions options)
     : cloud_(cloud),
       vms_(std::move(vms)),
       mplan_(plan),
       opts_(options),
       transport_(vms_.size() + 1, options.transport),
-      cluster_(cloud, vms_, plan, refresh, forecast, options, model) {
+      cluster_(cloud, vms_, plan, refresh, std::move(forecast)) {
   CHOREO_REQUIRE_MSG(vms_.size() >= 2, "agent plane needs at least two VMs");
   hosts_.reserve(vms_.size());
   for (std::uint32_t i = 0; i < vms_.size(); ++i) {
@@ -149,7 +148,7 @@ ClusterAgent::CycleReport AgentPlane::run_cycle(std::uint64_t epoch) {
                  now.transport.dropped - prev_.transport.dropped);
   span.arg("probes", static_cast<double>(now.probes_run - prev_.probes_run));
   span.arg("retransmits", static_cast<double>(now.retransmits - prev_.retransmits));
-  span.arg("pairs_missing", static_cast<double>(report.pairs_missing));
+  span.arg("pairs_missing", static_cast<double>(report.report.agent_pairs_missing));
   prev_ = now;
   return report;
 }

@@ -10,7 +10,6 @@
 #include "cloud/cloud.h"
 #include "net/transport.h"
 #include "obs/observer.h"
-#include "place/cluster.h"
 
 namespace choreo::agent {
 
@@ -18,8 +17,8 @@ namespace choreo::agent {
 /// agents (one per VM), one ClusterAgent, and the SimTransport between
 /// them, advanced in lock-step cycles. One run_cycle(epoch) is the agent
 /// plane's replacement for one in-process measure_network(epoch) — it
-/// returns the same CycleReport shape, built from whatever reports survived
-/// the transport.
+/// returns the same view and MeasureReport, built by the same refresh core
+/// from whatever reports survived the transport.
 ///
 /// Phase order within a cycle is fixed (crash draws, restarts + requests,
 /// host probe/report, controller integrate/ack, host ack intake), so a run
@@ -40,8 +39,7 @@ class AgentPlane {
 
   AgentPlane(cloud::Cloud& cloud, std::vector<std::size_t> vms,
              measure::MeasurementPlan plan, measure::RefreshPolicy refresh,
-             forecast::ForecastOptions forecast, AgentOptions options,
-             place::RateModel model = place::RateModel::Hose);
+             forecast::ForecastOptions forecast, AgentOptions options);
 
   /// Runs one full measurement cycle at `epoch` and returns the controller's
   /// (possibly stale-or-partial) view of the result.
@@ -57,9 +55,6 @@ class AgentPlane {
   const HostAgent& host(std::uint32_t id) const { return hosts_[id]; }
   const net::SimTransport& transport() const { return transport_; }
   const AgentOptions& options() const { return opts_; }
-
-  /// Forget every cached pair estimate (the non-incremental measure path).
-  void reset_cache() { cluster_.reset_cache(); }
 
   /// Aggregated counters across the transport, the controller, all live
   /// host-agent incarnations, and the durable fold of every crashed

@@ -11,7 +11,7 @@ namespace choreo::core {
 
 Choreo::Choreo(cloud::Cloud& cloud, std::vector<cloud::VmId> vms, ChoreoConfig config)
     : cloud_(cloud), vms_(std::move(vms)), config_(std::move(config)),
-      greedy_(config_.rate_model), policy_(config_.forecast) {
+      greedy_(config_.rate_model) {
   CHOREO_REQUIRE(vms_.size() >= 2);
   const obs::Observer& o = config_.obs;
   obs_.measure_cycles = o.counter("measure.cycles");
@@ -43,75 +43,27 @@ void Choreo::scrape_engine_counters() {
 double Choreo::measure_network(std::uint64_t epoch) {
   CHOREO_OBS_SPAN(span, config_.obs, "measure.cycle", "measure");
   place::ClusterView view;
-  last_measure_ = MeasureReport{};
   if (config_.use_measured_view && config_.agents.enabled) {
-    // Distributed path: one agent-plane cycle replaces the in-process
-    // probe/observe/apply sequence. The plane owns its own ViewCache and
-    // PredictivePolicy (fed by whatever reports survive the transport).
+    // Distributed path: one agent-plane cycle, whose ClusterAgent runs the
+    // refresh core over whatever reports survive the transport.
     if (!plane_) {
       plane_ = std::make_unique<agent::AgentPlane>(cloud_, vms_, config_.plan,
                                                    config_.refresh, config_.forecast,
-                                                   config_.agents, config_.rate_model);
+                                                   config_.agents);
       plane_->set_observer(config_.obs);
     }
-    if (!config_.incremental_refresh) plane_->reset_cache();
-    agent::ClusterAgent::CycleReport rep = plane_->run_cycle(epoch);
-    view = std::move(rep.view);
-    last_measure_.wall_time_s = rep.wall_time_s;
-    last_measure_.pairs_probed = rep.pairs_probed;
-    last_measure_.rounds = rep.rounds;
-    last_measure_.incremental = rep.incremental;
-    last_measure_.never_measured = rep.never_measured;
-    last_measure_.stale = rep.stale;
-    last_measure_.volatile_pairs = rep.volatile_pairs;
-    last_measure_.predictable_pairs = rep.predictable_pairs;
-    last_measure_.unpredictable_pairs = rep.unpredictable_pairs;
-    last_measure_.changepoint_pairs = rep.changepoint_pairs;
-    last_measure_.predicted_pairs = rep.predicted_pairs;
-    last_measure_.forecast_full_sweep = rep.forecast_full_sweep;
-    last_measure_.agent_pairs_planned = rep.pairs_planned;
-    last_measure_.agent_pairs_missing = rep.pairs_missing;
-    last_measure_.agent_reports = rep.reports_integrated;
+    agent::ClusterAgent::CycleReport cycle = plane_->run_cycle(epoch);
+    view = std::move(cycle.view);
+    last_measure_ = cycle.report;
   } else if (config_.use_measured_view) {
-    if (!config_.incremental_refresh) {
-      // Full sweep every cycle: forget everything, then refresh.
-      cache_ = measure::ViewCache(vms_.size());
-    }
-    const std::size_t known_before = cache_.measured_pairs();
-    // Plan through the forecast plane: with config.forecast disabled this is
-    // exactly the fixed policy's plan (same pairs, same order — the whole
-    // cycle is then bit-identical to pre-forecast behaviour); enabled, the
-    // probe budget goes to the pairs the best predictor is worst at.
-    cache_.resize(vms_.size());
-    measure::RefreshPlan probe_plan =
-        policy_.plan_refresh(cache_, epoch, config_.refresh);
-    measure::RefreshResult refreshed = measure::refresh_cluster_view_with_plan(
-        cloud_, vms_, config_.plan, epoch, cache_, std::move(probe_plan));
-    if (config_.forecast.enabled) {
-      // Score the predictors against every fresh probe result (the cache
-      // holds this cycle's estimates), then rewrite unprobed pairs with
-      // forecasts and apply the uncertainty discount.
-      for (const measure::ProbePair& p : refreshed.plan.pairs) {
-        policy_.observe(p.src, p.dst, cache_.at(p.src, p.dst).rate_bps, epoch);
-      }
-      policy_.apply_to_view(refreshed.view, cache_, refreshed.plan, epoch);
-    }
-    view = std::move(refreshed.view);
-    last_measure_.wall_time_s = refreshed.wall_time_s;
-    last_measure_.pairs_probed = refreshed.pairs_probed;
-    last_measure_.rounds = refreshed.rounds;
-    last_measure_.incremental = known_before > 0;
-    last_measure_.never_measured = refreshed.plan.never_measured;
-    last_measure_.stale = refreshed.plan.stale;
-    last_measure_.volatile_pairs = refreshed.plan.volatile_pairs;
-    const forecast::PredictivePolicy::PlanStats& fs = policy_.last_plan();
-    last_measure_.predictable_pairs = fs.predictable;
-    last_measure_.unpredictable_pairs = fs.unpredictable + fs.warmup;
-    last_measure_.changepoint_pairs = fs.changepoints;
-    last_measure_.predicted_pairs = fs.predicted;
-    last_measure_.forecast_full_sweep = fs.full_sweep;
+    if (!refresher_) refresher_.emplace(cloud_, vms_, config_.refresh, config_.forecast);
+    forecast::Refresher::Cycle cycle =
+        refresher_->run_in_process(cloud_, config_.plan, epoch);
+    view = std::move(cycle.view);
+    last_measure_ = cycle.report;
   } else {
     view = measure::true_cluster_view(cloud_, vms_, epoch);
+    last_measure_ = MeasureReport{};
   }
 
   // Preserve existing commitments. After the first cycle the fleet is fixed,
@@ -223,8 +175,8 @@ Choreo::ReevalReport Choreo::reevaluate(std::uint64_t epoch) {
 
   // Refresh the network picture first (§2.4: "Choreo re-measures the
   // network" and "this re-evaluation also allows Choreo to react to major
-  // changes in the network"). With incremental_refresh on, only stale or
-  // volatile pairs are re-probed — the report records the saved probes.
+  // changes in the network"). Only the pairs the refresh plan flags are
+  // re-probed — the report records the saved probes.
   measure_network(epoch);
   report.measurement = last_measure_;
 

@@ -3,11 +3,12 @@
 #include <cstdint>
 #include <map>
 #include <memory>
+#include <optional>
 #include <vector>
 
 #include "agent/options.h"
 #include "cloud/cloud.h"
-#include "forecast/predictive_policy.h"
+#include "forecast/refresher.h"
 #include "measure/throughput_matrix.h"
 #include "obs/observer.h"
 #include "place/cluster.h"
@@ -29,10 +30,6 @@ struct ChoreoConfig {
   /// measurement cycle re-probes (never measured / older than max_age_epochs
   /// / volatile per the §2.1 predictability signal).
   measure::RefreshPolicy refresh;
-  /// When true (default), measure_network() after the first full sweep only
-  /// re-probes the pairs the refresh policy flags; when false every cycle
-  /// re-measures the entire matrix from scratch.
-  bool incremental_refresh = true;
   /// Forecast plane (§2.1 predictability, applied online): per-pair rate
   /// history, competing predictors with online error tracking, and
   /// predictability-score-driven refresh planning in place of the fixed
@@ -91,46 +88,15 @@ class Choreo {
   const std::vector<cloud::VmId>& vms() const { return vms_; }
   const ChoreoConfig& config() const { return config_; }
 
-  /// What one measurement cycle cost: the §4.1 overhead accounting the
-  /// benches track, now with probe counts so incremental refreshes are
-  /// visible.
-  struct MeasureReport {
-    /// Modeled wall-clock on the real cloud ("less than three minutes for a
-    /// ten-node topology", §4.1); 0 when nothing was probed.
-    double wall_time_s = 0.0;
-    std::size_t pairs_probed = 0;  ///< n(n-1) on a full sweep, fewer after
-    std::size_t rounds = 0;        ///< conflict-free concurrent-train rounds
-    /// True when this cycle re-used cached estimates (probed a strict subset).
-    bool incremental = false;
-
-    // Why each probed pair qualified (the RefreshPlan counts).
-    std::size_t never_measured = 0;  ///< includes pairs of newly allocated VMs
-    std::size_t stale = 0;           ///< older than refresh.max_age_epochs
-    std::size_t volatile_pairs = 0;  ///< fixed policy's two-sample volatility rule
-
-    // Forecast-plane accounting (all zero while config.forecast is disabled).
-    std::size_t predictable_pairs = 0;    ///< skipped: forecasts trusted this cycle
-    /// Probed because the forecast cannot be trusted: the budget's
-    /// worst-predicted picks plus pairs still warming up their error track.
-    std::size_t unpredictable_pairs = 0;
-    std::size_t changepoint_pairs = 0;    ///< probed: CUSUM flagged a regime shift
-    std::size_t predicted_pairs = 0;      ///< view entries filled from forecasts
-    bool forecast_full_sweep = false;     ///< regime alarm forced probing everything
-
-    // Agent-plane accounting (all zero while config.agents is disabled; on
-    // the lossless zero-delay oracle transport, planned == probed and
-    // missing == 0, keeping every shared field above bit-identical to the
-    // in-process path).
-    std::size_t agent_pairs_planned = 0;  ///< pairs the controller requested
-    std::size_t agent_pairs_missing = 0;  ///< planned pairs with no in-cycle report
-    std::size_t agent_reports = 0;        ///< fresh StatsReports integrated
-  };
+  /// What one measurement cycle did, on either measure path (the refresh
+  /// core's report; see forecast/refresher.h).
+  using MeasureReport = forecast::MeasureReport;
 
   /// Runs the measurement phase (§4.1): packet trains scheduled into
   /// conflict-free rounds (plus traceroute clustering), refreshing the
   /// cluster view placements use. The first call probes every ordered pair;
-  /// later calls re-probe only stale/volatile pairs unless
-  /// config().incremental_refresh is false, and swap the refreshed view into
+  /// later calls re-probe only the pairs the refresh plan flags (stale,
+  /// volatile, or unpredictable), and swap the refreshed view into
   /// the existing placement state in place (residual occupancy is kept;
   /// only the engine's static rate indexes are rebuilt — no replay of
   /// running applications). `epoch` selects the cloud's
@@ -240,17 +206,10 @@ class Choreo {
   std::map<AppHandle, RunningApp> running_;
   AppHandle next_handle_ = 1;
   bool measured_ = false;
-  /// Epoch-stamped pair estimates carried across measurement cycles — what
-  /// makes measure_network() incremental after the first sweep.
-  measure::ViewCache cache_;
-  /// The forecast plane: refresh planning (predictive or, when disabled,
-  /// delegating verbatim to config.refresh), per-pair history, and the
-  /// prediction/discount view rewrite.
-  forecast::PredictivePolicy policy_;
-  /// The distributed measurement plane (config.agents); created lazily on
-  /// the first agent-path measure_network(). When active it owns the
-  /// ViewCache/PredictivePolicy lifecycle and cache_/policy_ above are
-  /// bypassed.
+  /// The measurement plane, created on the first measure_network(): the
+  /// in-process refresh core, or the distributed agent plane (config.agents)
+  /// whose ClusterAgent runs the same core. Never both.
+  std::optional<forecast::Refresher> refresher_;
   std::unique_ptr<agent::AgentPlane> plane_;
   MeasureReport last_measure_;
 

@@ -6,11 +6,11 @@
 
 namespace choreo::core {
 
-/// The pre-runtime Controller::run loop, kept verbatim (modulo the typed
+/// The pre-runtime single-tenant session loop, kept verbatim (modulo the typed
 /// SessionEvent payloads) as the differential oracle for the discrete-event
 /// SessionRuntime — the same role ExhaustiveGreedyPlacer plays for the
-/// placement engine. test_runtime_differential pins the runtime-backed
-/// Controller bit-identical (events, outcomes, accounting) to this loop on a
+/// placement engine. test_runtime_differential pins SessionRuntime over a
+/// VectorArrivalStream bit-identical (events, outcomes, accounting) to this loop on a
 /// randomized single-tenant corpus. Do not "improve" this function; fix the
 /// runtime instead.
 SessionLog run_session_reference(cloud::Cloud& cloud,

@@ -121,7 +121,6 @@ void SessionRuntime::push_event(Event ev) {
 
 void SessionRuntime::emit(const SessionEvent& ev) {
   if (opts_.record_events) log_.events.push_back(ev);
-  if (opts_.on_event) opts_.on_event(ev);
 }
 
 void SessionRuntime::retire(AppRecord& rec) {
@@ -172,6 +171,13 @@ void SessionRuntime::pull_next_arrival() {
   CHOREO_ASSERT_MSG(!pending_, "only one look-ahead arrival at a time");
   std::optional<place::Application> app = stream_->next();
   if (!app) return;
+  // Out-of-order arrivals would be placed "late" without complaint, and the
+  // sharded session's epoch-draw lookahead assumes they never happen.
+  CHOREO_REQUIRE_MSG(app->arrival_s >= last_arrival_s_,
+                     "arrival times must be non-decreasing: '"
+                         << app->name << "' arrives at " << app->arrival_s
+                         << " s, after an arrival at " << last_arrival_s_ << " s");
+  last_arrival_s_ = app->arrival_s;
   AppRecord rec;
   rec.ordinal = next_ordinal_++;
   rec.outcome.name = app->name;

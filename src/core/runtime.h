@@ -3,6 +3,7 @@
 #include <cstdint>
 #include <deque>
 #include <functional>
+#include <limits>
 #include <memory>
 #include <optional>
 #include <queue>
@@ -38,15 +39,12 @@ struct RuntimeOptions {
   /// streaming; finished/rejected outcomes are then delivered via on_outcome
   /// and only aggregate counters are kept.
   bool record_outcomes = true;
-  /// Optional sink invoked for every event as it happens (independent of
-  /// record_events).
-  std::function<void(const SessionEvent&)> on_event;
   /// Optional sink invoked when an application retires (finishes or is
   /// rejected) — the only way to observe per-app results with
   /// record_outcomes off.
   std::function<void(const AppOutcome&)> on_outcome;
   /// Where measurement epochs come from. Default: a runtime-local counter
-  /// 1, 2, 3, ... (bit-identical to the historical Controller). Multi-tenant
+  /// 1, 2, 3, ... (bit-identical to the historical merge loop). Multi-tenant
   /// sessions share the cloud's counter instead, so tenants' measurement
   /// cycles interleave on the shared clock and observe the cloud's evolving
   /// background realizations in session order.
@@ -57,7 +55,7 @@ struct RuntimeOptions {
 
 /// Discrete-event control plane for one tenant session: a typed event queue
 /// with deterministic tie-breaking on a shared clock, replacing the
-/// hand-rolled merge loop the Controller used to be. Pulls applications
+/// hand-rolled merge loop the single-tenant driver used to be. Pulls applications
 /// one at a time from a workload::ArrivalStream (at most one look-ahead app
 /// is held), so week-long traces stream through at constant memory.
 ///
@@ -111,7 +109,8 @@ class SessionRuntime {
 
   /// Runs the initial measurement sweep and schedules the first arrival.
   /// `stream` must outlive the runtime; arrival times must be
-  /// non-decreasing.
+  /// non-decreasing (a stream that goes back in time throws
+  /// PreconditionError when the offending application is pulled).
   void start(workload::ArrivalStream& stream);
 
   /// True when no live event remains (stream exhausted, every placed app
@@ -257,6 +256,7 @@ class SessionRuntime {
   std::uint64_t tick_gen_ = 0;
   std::uint64_t local_epoch_ = 1;
   std::uint32_t next_ordinal_ = 0;
+  double last_arrival_s_ = -std::numeric_limits<double>::infinity();
   double streamed_runtime_s_ = 0.0;
   bool started_ = false;
   bool finished_ = false;

@@ -10,8 +10,8 @@
 
 namespace choreo::core {
 
-/// Session-level configuration shared by the `Controller` facade and the
-/// discrete-event `SessionRuntime` behind it. Drives a whole tenant session
+/// Session-level configuration of the discrete-event `SessionRuntime`
+/// (and of every tenant of the multi-tenant drivers). Drives a whole tenant session
 /// the way §2 describes Choreo operating in production: applications arrive
 /// over time and are placed on arrival (re-measuring first), finished
 /// applications release their VMs, and "every T minutes, Choreo re-evaluates

@@ -7,33 +7,6 @@
 #include "util/require.h"
 
 namespace choreo::measure {
-namespace {
-
-/// Fills the traceroute-derived fields of a tenant view: hop counts and
-/// co-location groups (hop count 1 => same host, §3.3.1), plus CPU
-/// capacities from the instance type.
-void fill_tenant_topology(place::ClusterView& view, cloud::Cloud& cloud,
-                          const std::vector<cloud::VmId>& vms) {
-  const std::size_t n = vms.size();
-  view.cores.assign(n, static_cast<double>(cloud.machine_cores()));
-  view.hops = DoubleMatrix(n, n, 0.0);
-  view.colocation_group.assign(n, -1);
-  int next_group = 0;
-  for (std::size_t i = 0; i < n; ++i) {
-    if (view.colocation_group[i] < 0) view.colocation_group[i] = next_group++;
-    for (std::size_t j = 0; j < n; ++j) {
-      if (i == j) continue;
-      view.hops(i, j) = static_cast<double>(cloud.traceroute_hops(vms[i], vms[j]));
-    }
-    for (std::size_t j = i + 1; j < n; ++j) {
-      if (cloud.traceroute_hops(vms[i], vms[j]) == 1) {
-        view.colocation_group[j] = view.colocation_group[i];
-      }
-    }
-  }
-}
-
-}  // namespace
 
 double measurement_wall_time_s(const MeasurementPlan& plan, std::size_t rounds) {
   if (rounds == 0) return 0.0;
@@ -104,24 +77,10 @@ RefreshResult refresh_cluster_view(cloud::Cloud& cloud,
                                    const std::vector<cloud::VmId>& vms,
                                    const MeasurementPlan& plan, std::uint64_t epoch,
                                    ViewCache& cache, const RefreshPolicy& policy) {
-  const std::size_t n = vms.size();
-  CHOREO_REQUIRE(n >= 2);
-  cache.resize(n);
-  return refresh_cluster_view_with_plan(cloud, vms, plan, epoch, cache,
-                                        cache.plan_refresh(epoch, policy));
-}
-
-RefreshResult refresh_cluster_view_with_plan(cloud::Cloud& cloud,
-                                             const std::vector<cloud::VmId>& vms,
-                                             const MeasurementPlan& plan,
-                                             std::uint64_t epoch, ViewCache& cache,
-                                             RefreshPlan probe_plan) {
-  const std::size_t n = vms.size();
-  CHOREO_REQUIRE(n >= 2);
-  CHOREO_REQUIRE(cache.vm_count() == n);
-
+  CHOREO_REQUIRE(vms.size() >= 2);
+  cache.resize(vms.size());
   RefreshResult out;
-  out.plan = std::move(probe_plan);
+  out.plan = cache.plan_refresh(epoch, policy);
   if (!out.plan.pairs.empty()) {
     const PairsResult probed = measure_rate_pairs(cloud, vms, out.plan.pairs, plan, epoch);
     for (std::size_t k = 0; k < out.plan.pairs.size(); ++k) {
@@ -132,13 +91,38 @@ RefreshResult refresh_cluster_view_with_plan(cloud::Cloud& cloud,
     out.rounds = probed.rounds;
     out.wall_time_s = probed.wall_time_s;
   }
-
-  out.view.rate_bps = cache.rates();
-  out.view.cross_traffic = DoubleMatrix(n, n, 0.0);
-  out.view.pair_epoch = cache.epochs();
-  out.view.view_epoch = epoch;
-  fill_tenant_topology(out.view, cloud, vms);
+  out.view = cached_cluster_view(cloud, vms, cache, epoch);
   return out;
+}
+
+place::ClusterView cached_cluster_view(cloud::Cloud& cloud,
+                                       const std::vector<cloud::VmId>& vms,
+                                       const ViewCache& cache, std::uint64_t epoch) {
+  const std::size_t n = vms.size();
+  CHOREO_REQUIRE(n >= 2);
+  CHOREO_REQUIRE(cache.vm_count() == n);
+  place::ClusterView view;
+  view.rate_bps = cache.rates();
+  view.cross_traffic = DoubleMatrix(n, n, 0.0);
+  view.pair_epoch = cache.epochs();
+  view.view_epoch = epoch;
+  view.cores.assign(n, static_cast<double>(cloud.machine_cores()));
+  view.hops = DoubleMatrix(n, n, 0.0);
+  view.colocation_group.assign(n, -1);
+  int next_group = 0;
+  for (std::size_t i = 0; i < n; ++i) {
+    if (view.colocation_group[i] < 0) view.colocation_group[i] = next_group++;
+    for (std::size_t j = 0; j < n; ++j) {
+      if (i == j) continue;
+      view.hops(i, j) = static_cast<double>(cloud.traceroute_hops(vms[i], vms[j]));
+    }
+    for (std::size_t j = i + 1; j < n; ++j) {
+      if (cloud.traceroute_hops(vms[i], vms[j]) == 1) {
+        view.colocation_group[j] = view.colocation_group[i];
+      }
+    }
+  }
+  return view;
 }
 
 place::ClusterView measured_cluster_view(cloud::Cloud& cloud,

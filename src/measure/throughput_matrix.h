@@ -82,23 +82,22 @@ struct RefreshResult {
 /// volatile — stores the estimates back, and rebuilds the ClusterView from
 /// the cache. Unchanged pairs keep their cached estimate bit-for-bit; on an
 /// empty cache this is exactly a full measurement. The view's pair_epoch
-/// records per-pair provenance.
+/// records per-pair provenance. (core::Choreo refreshes through
+/// forecast::Refresher instead, which plans through the forecast plane; with
+/// forecasting disabled the two agree bit for bit.)
 RefreshResult refresh_cluster_view(cloud::Cloud& cloud,
                                    const std::vector<cloud::VmId>& vms,
                                    const MeasurementPlan& plan, std::uint64_t epoch,
                                    ViewCache& cache, const RefreshPolicy& policy);
 
-/// The same refresh cycle with a caller-supplied probe plan — the primitive
-/// behind refresh_cluster_view (which plans via the cache's fixed policy)
-/// and the forecast plane's PredictivePolicy (which plans by predictability
-/// score). Probes exactly `probe_plan.pairs`, stores the estimates into
-/// `cache` at `epoch`, and rebuilds the ClusterView from the cache.
+/// The ClusterView `cache` stands for at `epoch`: its rates and per-pair
+/// epochs (never-measured pairs read zero), no cross traffic, plus the
+/// tenant topology — traceroute hop counts, co-location groups (hop count 1
+/// => same host, §3.3.1) and CPU capacities from the instance type.
 /// Requires cache.vm_count() == vms.size().
-RefreshResult refresh_cluster_view_with_plan(cloud::Cloud& cloud,
-                                             const std::vector<cloud::VmId>& vms,
-                                             const MeasurementPlan& plan,
-                                             std::uint64_t epoch, ViewCache& cache,
-                                             RefreshPlan probe_plan);
+place::ClusterView cached_cluster_view(cloud::Cloud& cloud,
+                                       const std::vector<cloud::VmId>& vms,
+                                       const ViewCache& cache, std::uint64_t epoch);
 
 /// Builds the tenant's ClusterView from measurements alone: packet-train
 /// rates, traceroute co-location groups (hop count 1 => same host), CPU

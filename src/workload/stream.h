@@ -28,8 +28,8 @@ class ArrivalStream {
   virtual std::optional<place::Application> next() = 0;
 };
 
-/// Adapter for a pre-materialized workload vector (what `Controller::run`
-/// receives). Non-owning: the vector must outlive the stream.
+/// Adapter for a pre-materialized workload vector (sorted by arrival time).
+/// Non-owning: the vector must outlive the stream.
 class VectorArrivalStream final : public ArrivalStream {
  public:
   explicit VectorArrivalStream(const std::vector<place::Application>& apps)

@@ -163,6 +163,41 @@ TEST(AgentFaults, SessionsCompleteUnderFaults) {
   }
 }
 
+TEST(AgentFaults, LostFirstSweepIsReportedAsDefaulted) {
+  // Half of every message is lost, so part of the first sweep never lands:
+  // those never-measured pairs read the fallback rate, and Choreo's report
+  // must say how many — the same count the agent plane itself reports on a
+  // twin run.
+  AgentOptions opts;
+  opts.enabled = true;
+  opts.transport.seed = 3;
+  opts.transport.fault.loss = 0.5;
+  core::ChoreoConfig config = cheap_config();
+  config.agents = opts;
+
+  cloud::Cloud cloud(cloud::ec2_2013(), 12);
+  const auto vms = cloud.allocate_vms(6);
+  core::Choreo choreo(cloud, vms, config);
+  cloud::Cloud twin_cloud(cloud::ec2_2013(), 12);
+  const auto twin_vms = twin_cloud.allocate_vms(6);
+  AgentPlane twin(twin_cloud, twin_vms, config.plan, config.refresh, config.forecast,
+                  opts);
+
+  for (std::uint64_t epoch = 1; epoch <= 4; ++epoch) {
+    SCOPED_TRACE("epoch " + std::to_string(epoch));
+    choreo.measure_network(epoch);
+    const core::Choreo::MeasureReport& rep = choreo.last_measure();
+    const forecast::MeasureReport own = twin.run_cycle(epoch).report;
+    if (epoch == 1) {
+      EXPECT_GT(rep.agent_pairs_missing, 0u);
+      EXPECT_GT(rep.pairs_defaulted, 0u);
+    }
+    EXPECT_EQ(rep.pairs_defaulted, own.pairs_defaulted);
+    EXPECT_EQ(rep.agent_pairs_missing, own.agent_pairs_missing);
+    choreo.view().validate();
+  }
+}
+
 TEST(AgentFaults, FaultyRunsReplayBitForBit) {
   const auto run = [](std::uint64_t seed) {
     cloud::Cloud cloud(cloud::ec2_2013(), 21);
@@ -184,10 +219,12 @@ TEST(AgentFaults, FaultyRunsReplayBitForBit) {
     SCOPED_TRACE("cycle " + std::to_string(i + 1));
     ASSERT_TRUE(reports_a[i].view.rate_bps == reports_b[i].view.rate_bps);
     ASSERT_TRUE(reports_a[i].view.pair_epoch == reports_b[i].view.pair_epoch);
-    ASSERT_EQ(reports_a[i].pairs_planned, reports_b[i].pairs_planned);
-    ASSERT_EQ(reports_a[i].pairs_missing, reports_b[i].pairs_missing);
-    ASSERT_EQ(reports_a[i].pairs_probed, reports_b[i].pairs_probed);
-    ASSERT_EQ(reports_a[i].reports_integrated, reports_b[i].reports_integrated);
+    ASSERT_EQ(reports_a[i].report.agent_pairs_planned,
+              reports_b[i].report.agent_pairs_planned);
+    ASSERT_EQ(reports_a[i].report.agent_pairs_missing,
+              reports_b[i].report.agent_pairs_missing);
+    ASSERT_EQ(reports_a[i].report.pairs_probed, reports_b[i].report.pairs_probed);
+    ASSERT_EQ(reports_a[i].report.agent_reports, reports_b[i].report.agent_reports);
   }
   EXPECT_EQ(stats_a.transport.sent, stats_b.transport.sent);
   EXPECT_EQ(stats_a.transport.dropped, stats_b.transport.dropped);
@@ -233,9 +270,7 @@ TEST(ClusterAgentGuards, DuplicateReportDeliveryIsIdempotent) {
   cloud::Cloud cloud(cloud::ec2_2013(), 4);
   const auto vms = cloud.allocate_vms(3);
   core::ChoreoConfig config = cheap_config();
-  AgentOptions opts;
-  ClusterAgent cluster(cloud, vms, config.plan, config.refresh, config.forecast, opts,
-                       place::RateModel::Hose);
+  ClusterAgent cluster(cloud, vms, config.plan, config.refresh, config.forecast);
   SimTransport t(vms.size() + 1, {});
 
   cluster.begin_cycle(1, 1, t);
@@ -267,16 +302,15 @@ TEST(ClusterAgentGuards, DuplicateReportDeliveryIsIdempotent) {
   EXPECT_EQ(acks, 3u);  // one per delivery, duplicates included
 
   const ClusterAgent::CycleReport rep = cluster.end_cycle(1);
-  EXPECT_EQ(rep.reports_integrated, 1u);
-  EXPECT_EQ(rep.pairs_probed, 2u);
+  EXPECT_EQ(rep.report.agent_reports, 1u);
+  EXPECT_EQ(rep.report.pairs_probed, 2u);
 }
 
 TEST(ClusterAgentGuards, StaleGenerationReportsAreDroppedWithoutAck) {
   cloud::Cloud cloud(cloud::ec2_2013(), 4);
   const auto vms = cloud.allocate_vms(3);
   core::ChoreoConfig config = cheap_config();
-  ClusterAgent cluster(cloud, vms, config.plan, config.refresh, config.forecast,
-                       AgentOptions{}, place::RateModel::Hose);
+  ClusterAgent cluster(cloud, vms, config.plan, config.refresh, config.forecast);
   SimTransport t(vms.size() + 1, {});
 
   cluster.begin_cycle(1, 1, t);
@@ -314,8 +348,7 @@ TEST(ClusterAgentGuards, ReportFromNewerGenerationAdoptsItImplicitly) {
   cloud::Cloud cloud(cloud::ec2_2013(), 4);
   const auto vms = cloud.allocate_vms(3);
   core::ChoreoConfig config = cheap_config();
-  ClusterAgent cluster(cloud, vms, config.plan, config.refresh, config.forecast,
-                       AgentOptions{}, place::RateModel::Hose);
+  ClusterAgent cluster(cloud, vms, config.plan, config.refresh, config.forecast);
   SimTransport t(vms.size() + 1, {});
 
   cluster.begin_cycle(1, 1, t);
@@ -411,9 +444,9 @@ TEST(AgentFaults, CrashRestartResyncReprobesTheAgentsRow) {
   // The resync re-probed agent 2's outgoing row (every row pair not already
   // planned, accounted as stale — with staleness effectively off, the quiet
   // plan holds at most volatile pairs).
-  EXPECT_GE(resync.pairs_planned, vms.size() - 1);
-  EXPECT_GE(resync.stale, 1u);
-  EXPECT_GE(resync.pairs_planned, quiet.pairs_planned);
+  EXPECT_GE(resync.report.agent_pairs_planned, vms.size() - 1);
+  EXPECT_GE(resync.report.stale, 1u);
+  EXPECT_GE(resync.report.agent_pairs_planned, quiet.report.agent_pairs_planned);
   EXPECT_GE(plane.stats().restarts, 1u);
   EXPECT_GE(plane.stats().cluster.resyncs, 1u);
 }

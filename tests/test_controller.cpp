@@ -1,9 +1,9 @@
-#include "core/controller.h"
-
 #include <gtest/gtest.h>
 
+#include "core/runtime.h"
 #include "util/units.h"
 #include "workload/generator.h"
+#include "workload/stream.h"
 
 namespace choreo::core {
 namespace {
@@ -24,6 +24,14 @@ place::Application small_app(const std::string& name, double arrival_s,
   return app;
 }
 
+/// One single-tenant session over a materialized workload.
+SessionLog run_session(cloud::Cloud& cloud, const std::vector<cloud::VmId>& vms,
+                       const ControllerConfig& config,
+                       const std::vector<place::Application>& apps) {
+  workload::VectorArrivalStream stream(apps);
+  return SessionRuntime(cloud, vms, config).run(stream);
+}
+
 class ControllerTest : public ::testing::Test {
  protected:
   ControllerTest() : cloud_(cloud::ec2_2013(), 99), vms_(cloud_.allocate_vms(6)) {
@@ -41,8 +49,7 @@ class ControllerTest : public ::testing::Test {
 TEST_F(ControllerTest, PlacesAndFinishesAllApps) {
   const std::vector<place::Application> apps{
       small_app("a", 0.0), small_app("b", 5.0), small_app("c", 10.0)};
-  Controller controller(cloud_, vms_, config_);
-  const SessionLog log = controller.run(apps);
+  const SessionLog log = run_session(cloud_, vms_, config_, apps);
   ASSERT_EQ(log.apps.size(), 3u);
   for (const AppOutcome& a : log.apps) {
     EXPECT_GE(a.placed_s, a.arrival_s);
@@ -59,8 +66,7 @@ TEST_F(ControllerTest, QueuesWhenClusterFull) {
   for (int i = 0; i < 4; ++i) {
     apps.push_back(small_app("fat" + std::to_string(i), 0.0, 4.0, gigabytes(4)));
   }
-  Controller controller(cloud_, vms_, config_);
-  const SessionLog log = controller.run(apps);
+  const SessionLog log = run_session(cloud_, vms_, config_, apps);
   bool deferred = false;
   for (const SessionEvent& e : log.events) {
     deferred |= (e.kind == SessionEventKind::Deferred);
@@ -76,16 +82,14 @@ TEST_F(ControllerTest, ReevaluatesPeriodically) {
   // One long-running app so several re-evaluation ticks fire.
   const std::vector<place::Application> apps{
       small_app("long", 0.0, 3.0, gigabytes(80))};  // minutes even at vswitch speed
-  Controller controller(cloud_, vms_, config_);
-  const SessionLog log = controller.run(apps);
+  const SessionLog log = run_session(cloud_, vms_, config_, apps);
   EXPECT_GE(log.reevaluations, 3u);
 }
 
 TEST_F(ControllerTest, RejectsUnsortedArrivals) {
   const std::vector<place::Application> apps{small_app("late", 10.0),
                                              small_app("early", 0.0)};
-  Controller controller(cloud_, vms_, config_);
-  EXPECT_THROW(controller.run(apps), PreconditionError);
+  EXPECT_THROW(run_session(cloud_, vms_, config_, apps), PreconditionError);
 }
 
 TEST_F(ControllerTest, RejectsDeterministicallyWhenQueueingDisabledAndFull) {
@@ -98,8 +102,7 @@ TEST_F(ControllerTest, RejectsDeterministicallyWhenQueueingDisabledAndFull) {
   for (int i = 0; i < 4; ++i) {
     apps.push_back(small_app("fat" + std::to_string(i), 0.0, 4.0));
   }
-  Controller controller(cloud_, vms_, config_);
-  const SessionLog log = controller.run(apps);
+  const SessionLog log = run_session(cloud_, vms_, config_, apps);
 
   EXPECT_EQ(log.rejected, 1u);
   std::size_t rejected_events = 0;
@@ -125,8 +128,7 @@ TEST_F(ControllerTest, RejectsDeterministicallyWhenQueueingDisabledAndFull) {
   // Deterministic: an identical session rejects the identical app.
   cloud::Cloud cloud2(cloud::ec2_2013(), 99);
   const auto vms2 = cloud2.allocate_vms(6);
-  Controller controller2(cloud2, vms2, config_);
-  const SessionLog log2 = controller2.run(apps);
+  const SessionLog log2 = run_session(cloud2, vms2, config_, apps);
   EXPECT_EQ(log2.rejected, 1u);
   EXPECT_TRUE(log2.apps.back().rejected);
   EXPECT_DOUBLE_EQ(log.total_runtime_s, log2.total_runtime_s);
@@ -150,8 +152,7 @@ TEST_F(ControllerTest, QueuedAppsRetryInFifoOrderAtEachDeparture) {
         small_app("fat" + std::to_string(i), static_cast<double>(i - 2), 4.0,
                   gigabytes(3)));
   }
-  Controller controller(cloud_, vms_, config_);
-  const SessionLog log = controller.run(apps);
+  const SessionLog log = run_session(cloud_, vms_, config_, apps);
 
   // All six deferred-or-not apps finish.
   for (const AppOutcome& a : log.apps) {
@@ -204,8 +205,7 @@ TEST_F(ControllerTest, RejectionAccountingExactUnderChurn) {
   apps.push_back(small_app("full-b", 2.0, 4.0));
   // This arrives long after wave 1 departed: placed.
   apps.push_back(small_app("late", 4000.0, 4.0));
-  Controller controller(cloud_, vms_, config_);
-  const SessionLog log = controller.run(apps);
+  const SessionLog log = run_session(cloud_, vms_, config_, apps);
 
   std::size_t rejected_outcomes = 0;
   for (const AppOutcome& a : log.apps) {
@@ -247,8 +247,7 @@ TEST_F(ControllerTest, SessionWithTraceWorkload) {
     apps.push_back(std::move(app));
     t += rng.uniform(5.0, 40.0);
   }
-  Controller controller(cloud_, vms_, config_);
-  const SessionLog log = controller.run(apps);
+  const SessionLog log = run_session(cloud_, vms_, config_, apps);
   EXPECT_EQ(log.apps.size(), 5u);
   for (const AppOutcome& a : log.apps) EXPECT_GE(a.finished_s, 0.0);
   // The event stream is time-ordered.

@@ -7,7 +7,10 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <string>
+#include <vector>
 
+#include "core/sharded.h"
 #include "util/units.h"
 #include "workload/stream.h"
 
@@ -121,6 +124,57 @@ TEST(SessionRuntime, RecordingAndStreamingAgreeOnAccounting) {
   EXPECT_EQ(recorded.pairs_probed, streamed.pairs_probed);
   EXPECT_DOUBLE_EQ(recorded.total_runtime_s, streamed.total_runtime_s);
   EXPECT_DOUBLE_EQ(recorded.measurement_wall_s, streamed.measurement_wall_s);
+}
+
+TEST(SessionRuntime, RejectsArrivalsThatGoBackInTime) {
+  // A stream must yield non-decreasing arrival times. One that goes back in
+  // time is a caller error, not an app to place "late": both the
+  // single-tenant runtime and the sharded session (whose epoch-draw
+  // lookahead assumes ordered arrivals) refuse it.
+  workload::GeneratorConfig gen;
+  gen.min_tasks = 3;
+  gen.max_tasks = 3;
+  gen.max_cpu = 1.0;
+  Rng rng(5);
+  std::vector<place::Application> apps;
+  for (const double t : {0.0, 50.0, 20.0, 80.0}) {
+    apps.push_back(workload::generate_app(rng, gen));
+    apps.back().arrival_s = t;
+  }
+  const auto expect_rejected = [](const auto& run) {
+    try {
+      run();
+      ADD_FAILURE() << "a decreasing arrival stream was accepted";
+    } catch (const PreconditionError& e) {
+      EXPECT_NE(std::string(e.what()).find("non-decreasing"), std::string::npos)
+          << e.what();
+    }
+  };
+
+  expect_rejected([&] {
+    cloud::Cloud cloud(cloud::ec2_2013(), 9);
+    const auto vms = cloud.allocate_vms(6);
+    workload::VectorArrivalStream stream(apps);
+    SessionRuntime(cloud, vms, fast_config()).run(stream);
+  });
+  for (const unsigned threads : {1u, 2u}) {
+    SCOPED_TRACE("threads=" + std::to_string(threads));
+    expect_rejected([&] {
+      cloud::Cloud cloud(cloud::ec2_2013(), 9);
+      std::vector<workload::VectorArrivalStream> streams(
+          2, workload::VectorArrivalStream(apps));
+      std::vector<TenantSpec> tenants(2);
+      for (std::size_t i = 0; i < tenants.size(); ++i) {
+        tenants[i].name = "tenant" + std::to_string(i);
+        tenants[i].vms = cloud.allocate_vms(4);
+        tenants[i].config = fast_config();
+        tenants[i].stream = &streams[i];
+      }
+      ShardedOptions options;
+      options.threads = threads;
+      ShardedSession(cloud, std::move(tenants), options).run();
+    });
+  }
 }
 
 TEST(MultiTenant, RejectsOverlappingVmSlices) {

@@ -1,5 +1,5 @@
 // Differential pin for the control-plane refactor: the discrete-event
-// SessionRuntime behind Controller::run must reproduce the historical
+// SessionRuntime over a materialized workload must reproduce the historical
 // hand-rolled merge loop (kept verbatim as run_session_reference)
 // bit-identically — every event, every outcome, every accounting double —
 // over a randomized single-tenant corpus that exercises simultaneous
@@ -12,10 +12,11 @@
 #include <string>
 #include <vector>
 
-#include "core/controller.h"
 #include "core/reference_session.h"
+#include "core/runtime.h"
 #include "util/units.h"
 #include "workload/generator.h"
+#include "workload/stream.h"
 
 namespace choreo::core {
 namespace {
@@ -161,8 +162,8 @@ void run_scenario(const Scenario& sc, const std::string& label,
   const auto vms_run = cloud_run.allocate_vms(sc.vms);
 
   const SessionLog ref = run_session_reference(cloud_ref, vms_ref, config, apps);
-  Controller controller(cloud_run, vms_run, config);
-  const SessionLog got = controller.run(apps);
+  workload::VectorArrivalStream stream(apps);
+  const SessionLog got = SessionRuntime(cloud_run, vms_run, config).run(stream);
   expect_logs_identical(ref, got, label);
   if (coverage != nullptr) coverage->absorb(ref);
 }
@@ -236,8 +237,8 @@ TEST(RuntimeDifferential, SimultaneousArrivalBatches) {
     const auto vms_ref = cloud_ref.allocate_vms(6);
     const auto vms_run = cloud_run.allocate_vms(6);
     const SessionLog ref = run_session_reference(cloud_ref, vms_ref, config, apps);
-    Controller controller(cloud_run, vms_run, config);
-    expect_logs_identical(ref, controller.run(apps),
+    workload::VectorArrivalStream stream(apps);
+    expect_logs_identical(ref, SessionRuntime(cloud_run, vms_run, config).run(stream),
                           "batch seed " + std::to_string(seed));
   }
 }

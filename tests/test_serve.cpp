@@ -13,7 +13,6 @@
 
 #include "cloud/cloud.h"
 #include "cloud/profile.h"
-#include "core/controller.h"
 #include "core/runtime.h"
 #include "place/greedy.h"
 #include "place/rate_model.h"
@@ -336,8 +335,8 @@ core::SessionLog run_with_batch(const std::vector<place::Application>& apps,
   config.batch = batch;
   cloud::Cloud cloud(cloud::ec2_2013(), cloud_seed);
   const auto vms = cloud.allocate_vms(5);
-  core::Controller controller(cloud, vms, config);
-  return controller.run(apps);
+  workload::VectorArrivalStream stream(apps);
+  return core::SessionRuntime(cloud, vms, config).run(stream);
 }
 
 TEST(BatchRuntime, DisabledAndMaxBatchOneAreBitIdenticalToTheFifoDrain) {
