@@ -17,13 +17,14 @@
 //      the sharded control plane (core::ShardedSession) at --threads
 //      1/2/4/8 produces a merged log bit-identical to the single-threaded
 //      oracle at every thread count, while events/sec grows with threads
-//      (near-linear when the host has the cores; asserted only when it
-//      does).
+//      (gated at 0.375x per thread, at the largest swept thread count the
+//      host has cores for).
 //
 // `--smoke` runs the reduced CI sweep (still covering a full 7-day trace
 // and a threads={1,2} determinism check); the exit code is non-zero on any
 // [FAIL] line.
 
+#include <algorithm>
 #include <chrono>
 #include <cstring>
 #include <string>
@@ -183,46 +184,6 @@ ThreadRun run_thread_sweep(std::size_t tenants, std::size_t fleet,
   return out;
 }
 
-/// Full merged-log equality: events, outcomes, placements, accounting
-/// doubles — bitwise, no tolerance. This is the bench-side restatement of
-/// test_sharded_differential's pin.
-bool logs_equal(const core::MultiTenantLog& a, const core::MultiTenantLog& b) {
-  const auto session_equal = [](const core::SessionLog& x, const core::SessionLog& y) {
-    if (x.events.size() != y.events.size() || x.apps.size() != y.apps.size()) {
-      return false;
-    }
-    for (std::size_t i = 0; i < x.events.size(); ++i) {
-      const core::SessionEvent& e = x.events[i];
-      const core::SessionEvent& f = y.events[i];
-      if (e.time_s != f.time_s || e.kind != f.kind || e.app != f.app ||
-          e.tenant != f.tenant || e.tasks_migrated != f.tasks_migrated ||
-          e.adopted != f.adopted) {
-        return false;
-      }
-    }
-    for (std::size_t i = 0; i < x.apps.size(); ++i) {
-      const core::AppOutcome& p = x.apps[i];
-      const core::AppOutcome& q = y.apps[i];
-      if (p.name != q.name || p.arrival_s != q.arrival_s ||
-          p.placed_s != q.placed_s || p.finished_s != q.finished_s ||
-          p.rejected != q.rejected ||
-          p.placement.machine_of_task != q.placement.machine_of_task) {
-        return false;
-      }
-    }
-    return x.reevaluations == y.reevaluations &&
-           x.tasks_migrated == y.tasks_migrated && x.rejected == y.rejected &&
-           x.total_runtime_s == y.total_runtime_s &&
-           x.measurement_wall_s == y.measurement_wall_s &&
-           x.pairs_probed == y.pairs_probed;
-  };
-  if (a.tenants.size() != b.tenants.size()) return false;
-  for (std::size_t i = 0; i < a.tenants.size(); ++i) {
-    if (!session_equal(a.tenants[i], b.tenants[i])) return false;
-  }
-  return session_equal(a.aggregate, b.aggregate);
-}
-
 }  // namespace
 
 int main(int argc, char** argv) {
@@ -298,8 +259,9 @@ int main(int argc, char** argv) {
   // ---- sharded control plane: --threads sweep -----------------------------
   // The oracle (MultiTenantSession) runs once; every sharded configuration
   // must reproduce its merged log bit-identically while events/sec scales
-  // with threads. The speedup assertion only fires on hosts with the cores
-  // to show it — determinism is asserted everywhere, unconditionally.
+  // with threads. The speedup gate is scaled to the host: it runs at the
+  // largest swept thread count the host has cores for — determinism is
+  // asserted everywhere, unconditionally.
   const std::size_t shard_tenants = smoke ? 8 : 100;
   const std::size_t shard_fleet = smoke ? 4 : 6;
   const double shard_duration_s = smoke ? 1200.0 : 1800.0;
@@ -318,11 +280,17 @@ int main(int argc, char** argv) {
           : 0.0;
   sh.add_row({"oracle", std::to_string(oracle.events), fmt(oracle.wall_ms, 1),
               fmt(oracle_eps, 0), "1.00", "-"});
-  double wall_threads_1 = 0.0, wall_threads_max = 0.0;
+  const unsigned cores = std::thread::hardware_concurrency();
+  unsigned gate_threads = 0;  // largest swept count <= cores
+  for (unsigned threads : thread_counts) {
+    if (threads <= cores) gate_threads = std::max(gate_threads, threads);
+  }
+  double wall_threads_1 = 0.0, wall_gate = 0.0;
   for (unsigned threads : thread_counts) {
     const ThreadRun r = run_thread_sweep(shard_tenants, shard_fleet, 30.0,
                                          shard_duration_s, 7, threads);
-    const bool identical = logs_equal(oracle.log, r.log);
+    const bool identical = r.log.tenants == oracle.log.tenants &&
+                           r.log.aggregate == oracle.log.aggregate;
     check(identical, "threads=" + std::to_string(threads) +
                          " merged log is bit-identical to the oracle");
     check(r.events == oracle.events,
@@ -334,14 +302,17 @@ int main(int argc, char** argv) {
                 fmt(r.wall_ms, 1), fmt(eps, 0), fmt(speedup, 2),
                 identical ? "yes" : "NO"});
     if (threads == 1) wall_threads_1 = r.wall_ms;
-    if (threads == thread_counts.back()) wall_threads_max = r.wall_ms;
+    if (threads == gate_threads) wall_gate = r.wall_ms;
   }
   std::cout << sh.to_string();
 
-  const unsigned cores = std::thread::hardware_concurrency();
-  if (!smoke && cores >= 8 && wall_threads_max > 0.0) {
-    check(wall_threads_1 / wall_threads_max >= 3.0,
-          "threads=8 is >= 3x faster than threads=1 at 100 tenants");
+  // 0.375 x threads: 3x at 8 threads, 1.5x at 4.
+  if (!smoke && gate_threads >= 2 && wall_gate > 0.0) {
+    const double bound = 0.375 * gate_threads;
+    check(wall_threads_1 / wall_gate >= bound,
+          "threads=" + std::to_string(gate_threads) + " is >= " + fmt(bound, 2) +
+              "x faster than threads=1 at " + std::to_string(shard_tenants) +
+              " tenants");
   } else {
     std::cout << "[skip] speedup assertion (cores=" << cores
               << (smoke ? ", smoke mode" : "") << ")\n";

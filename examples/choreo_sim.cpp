@@ -85,9 +85,9 @@ int main(int argc, char** argv) {
   args.add_option("duration-hours", "6", "session mode: trace length per tenant");
   args.add_option("apps-per-day", "48", "session mode: per-tenant arrival rate");
   args.add_option("threads", "1",
-                  "session mode: worker threads for the sharded control "
-                  "plane (1 runs inline; output is identical either way)");
-  args.add_option("shards", "0", "session mode: tenant shards (0 = one per thread)");
+                  "session mode: worker threads (one tenant shard each) for "
+                  "the sharded control plane (1 runs inline; output is "
+                  "identical either way)");
   args.add_option("cycles", "8", "agents mode: measurement cycles to run");
   args.add_option("loss", "0", "agents mode: per-message loss probability");
   args.add_option("duplicate", "0", "agents mode: per-message duplicate probability");
@@ -298,16 +298,14 @@ int main(int argc, char** argv) {
     }
 
     // The sharded control plane: its output is bit-identical for any
-    // shard/thread count, and at one thread it runs inline.
+    // thread count, and at one thread it runs inline.
     core::ShardedOptions sharded;
     sharded.threads = static_cast<unsigned>(args.get_int("threads"));
-    sharded.shards = static_cast<std::size_t>(args.get_int("shards"));
     sharded.obs = obsv;
     core::ShardedSession session(cloud, std::move(tenants), sharded);
     const core::MultiTenantLog result = session.run();
     const std::vector<core::SessionRuntime::Stats>& tenant_stats = session.tenant_stats();
-    std::cout << "sharded control plane: " << session.stats().shards << " shards, "
-              << session.stats().threads << " threads, "
+    std::cout << "sharded control plane: " << session.stats().threads << " threads, "
               << session.stats().epoch_grants << " epoch grants\n";
 
     Table t({"tenant", "apps", "rejected", "reevals (adopted)", "migrated",

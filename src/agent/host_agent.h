@@ -34,6 +34,16 @@ class HostAgent {
     std::uint64_t crashes = 0;
     std::uint64_t restarts = 0;
     std::uint64_t samples_deferred = 0;  ///< cycle-end backlog sum (budget pressure)
+
+    Stats& operator+=(const Stats& o) {
+      probes_run += o.probes_run;
+      reports_sent += o.reports_sent;
+      retransmits += o.retransmits;
+      crashes += o.crashes;
+      restarts += o.restarts;
+      samples_deferred += o.samples_deferred;
+      return *this;
+    }
   };
 
   HostAgent(std::uint32_t id, AgentOptions options, ProbeExecutor executor);

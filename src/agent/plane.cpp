@@ -44,14 +44,7 @@ AgentPlane::AgentPlane(cloud::Cloud& cloud, std::vector<std::size_t> vms,
   // A crashing host loses its in-memory counters; the sink folds them into
   // the plane's durable accounting first, so plane totals are conserved.
   for (HostAgent& h : hosts_) {
-    h.set_crash_sink([this](const HostAgent::Stats& dying) {
-      durable_.probes_run += dying.probes_run;
-      durable_.reports_sent += dying.reports_sent;
-      durable_.retransmits += dying.retransmits;
-      durable_.crashes += dying.crashes;
-      durable_.restarts += dying.restarts;
-      durable_.samples_deferred += dying.samples_deferred;
-    });
+    h.set_crash_sink([this](const HostAgent::Stats& dying) { durable_ += dying; });
   }
 }
 
@@ -157,20 +150,8 @@ AgentPlane::Stats AgentPlane::stats() const {
   Stats s;
   s.transport = transport_.stats();
   s.cluster = cluster_.stats();
-  s.probes_run = durable_.probes_run;
-  s.reports_sent = durable_.reports_sent;
-  s.retransmits = durable_.retransmits;
-  s.crashes = durable_.crashes;
-  s.restarts = durable_.restarts;
-  s.samples_deferred = durable_.samples_deferred;
-  for (const HostAgent& h : hosts_) {
-    s.probes_run += h.stats().probes_run;
-    s.reports_sent += h.stats().reports_sent;
-    s.retransmits += h.stats().retransmits;
-    s.crashes += h.stats().crashes;
-    s.restarts += h.stats().restarts;
-    s.samples_deferred += h.stats().samples_deferred;
-  }
+  s += durable_;
+  for (const HostAgent& h : hosts_) s += h.stats();
   return s;
 }
 

@@ -26,15 +26,11 @@ namespace choreo::agent {
 /// the replay-determinism tests pin.
 class AgentPlane {
  public:
-  struct Stats {
+  /// The host-agent counters (probes_run, reports_sent, ...) summed over
+  /// every incarnation, plus the transport's and the controller's.
+  struct Stats : HostAgent::Stats {
     net::SimTransport::Stats transport;
     ClusterAgent::Stats cluster;
-    std::uint64_t probes_run = 0;
-    std::uint64_t reports_sent = 0;
-    std::uint64_t retransmits = 0;
-    std::uint64_t crashes = 0;
-    std::uint64_t restarts = 0;
-    std::uint64_t samples_deferred = 0;
   };
 
   AgentPlane(cloud::Cloud& cloud, std::vector<std::size_t> vms,

@@ -3,13 +3,11 @@
 #include <algorithm>
 #include <atomic>
 #include <cmath>
-#include <exception>
-#include <mutex>
-#include <thread>
 
 #include "packetsim/train_recurrence.h"
 #include "util/require.h"
 #include "util/units.h"
+#include "util/worker_pool.h"
 
 namespace choreo::cloud {
 namespace {
@@ -365,32 +363,12 @@ std::vector<std::vector<packetsim::RecordingSink::Record>> Cloud::run_train_roun
   std::vector<std::vector<packetsim::RecordingSink::Record>> out(pairs.size());
   const unsigned n_workers =
       std::max(1u, std::min<unsigned>(workers, static_cast<unsigned>(pairs.size())));
-  if (n_workers == 1) {
-    for (std::size_t i = 0; i < pairs.size(); ++i) {
+  std::atomic<std::size_t> next{0};
+  util::run_workers(n_workers, [&](unsigned) {
+    for (std::size_t i = next.fetch_add(1); i < pairs.size(); i = next.fetch_add(1)) {
       out[i] = run_train_in_snapshot(pairs[i].first, pairs[i].second, params, snapshot);
     }
-    return out;
-  }
-
-  std::atomic<std::size_t> next{0};
-  std::exception_ptr first_error;
-  std::mutex error_mutex;
-  const auto worker = [&] {
-    for (std::size_t i = next.fetch_add(1); i < pairs.size(); i = next.fetch_add(1)) {
-      try {
-        out[i] = run_train_in_snapshot(pairs[i].first, pairs[i].second, params, snapshot);
-      } catch (...) {
-        const std::lock_guard<std::mutex> lock(error_mutex);
-        if (!first_error) first_error = std::current_exception();
-        return;
-      }
-    }
-  };
-  std::vector<std::thread> threads;
-  threads.reserve(n_workers);
-  for (unsigned w = 0; w < n_workers; ++w) threads.emplace_back(worker);
-  for (std::thread& t : threads) t.join();
-  if (first_error) std::rethrow_exception(first_error);
+  });
   return out;
 }
 

@@ -31,13 +31,13 @@ Choreo::Choreo(cloud::Cloud& cloud, std::vector<cloud::VmId> vms, ChoreoConfig c
 
 Choreo::~Choreo() = default;
 
-void Choreo::scrape_engine_counters() {
-  if (!state_) return;
-  const place::PlacementEngine::Counters& c = state_->engine().counters();
+void Choreo::scrape_engine_counters(const place::PlacementEngine& engine,
+                                    place::PlacementEngine::Counters& seen) {
+  const place::PlacementEngine::Counters& c = engine.counters();
   CHOREO_OBS_ADD(obs_.candidates_walked, config_.obs,
-                 c.candidates_walked - engine_seen_.candidates_walked);
-  CHOREO_OBS_ADD(obs_.txn_ops, config_.obs, c.txn_ops - engine_seen_.txn_ops);
-  engine_seen_ = c;
+                 c.candidates_walked - seen.candidates_walked);
+  CHOREO_OBS_ADD(obs_.txn_ops, config_.obs, c.txn_ops - seen.txn_ops);
+  seen = c;
 }
 
 double Choreo::measure_network(std::uint64_t epoch) {
@@ -121,7 +121,7 @@ Choreo::AppHandle Choreo::place_application(const place::Application& app,
   const place::Placement placement = placer.place(app, *state_);
   state_->commit(app, placement);
   CHOREO_OBS_INC(obs_.apps_placed, config_.obs);
-  scrape_engine_counters();
+  scrape_engine_counters(state_->engine(), engine_seen_);
   const AppHandle handle = next_handle_++;
   running_.emplace(handle, RunningApp{app, placement});
   return handle;
@@ -194,7 +194,9 @@ Choreo::ReevalReport Choreo::reevaluate(std::uint64_t epoch) {
   place::ClusterState scratch = state_->clone_unoccupied();
   std::map<AppHandle, place::Placement> proposal;
   place::GreedyPlacer greedy(config_.rate_model);
-  const place::PlacementEngine::Counters scratch_base = scratch.engine().counters();
+  // The scratch engine's search effort is real work; its deltas are folded
+  // in below (the clone inherits the parent's counter totals).
+  place::PlacementEngine::Counters scratch_seen = scratch.engine().counters();
   try {
     for (const auto& [handle, entry] : running_) {
       const place::Placement p = greedy.place(entry.app, scratch);
@@ -207,14 +209,7 @@ Choreo::ReevalReport Choreo::reevaluate(std::uint64_t epoch) {
     report.infeasible = true;
     CHOREO_OBS_INC(obs_.reeval_infeasible, config_.obs);
   }
-  {
-    // The scratch engine's search effort is real work; fold its deltas in
-    // (the scratch clone inherits the parent's counter totals).
-    const place::PlacementEngine::Counters& sc = scratch.engine().counters();
-    CHOREO_OBS_ADD(obs_.candidates_walked, config_.obs,
-                   sc.candidates_walked - scratch_base.candidates_walked);
-    CHOREO_OBS_ADD(obs_.txn_ops, config_.obs, sc.txn_ops - scratch_base.txn_ops);
-  }
+  scrape_engine_counters(scratch.engine(), scratch_seen);
   if (report.infeasible) {
     span.arg("apps", static_cast<double>(report.apps_considered));
     span.arg("infeasible", 1.0);

@@ -190,9 +190,11 @@ class Choreo {
                                                     double start_s) const;
 
  private:
-  /// Adds the live engine's counter deltas (since last scrape) to the
-  /// registry. Called after every placement-producing operation.
-  void scrape_engine_counters();
+  /// Adds `engine`'s counter deltas since `seen` to the registry and
+  /// advances `seen`. Called after every placement-producing operation, on
+  /// the live engine and on re-evaluation's scratch engine alike.
+  void scrape_engine_counters(const place::PlacementEngine& engine,
+                              place::PlacementEngine::Counters& seen);
 
   double estimated_total_completion(
       const std::vector<std::pair<const place::Application*, const place::Placement*>>&

@@ -6,6 +6,7 @@
 
 #include "place/rate_model.h"
 #include "serve/batch.h"
+#include "util/kway.h"
 #include "util/require.h"
 
 namespace choreo::core {
@@ -28,25 +29,6 @@ constexpr std::uint32_t kPrioSameInstantDeparture = 5;
 
 // The old loop's comparison slack for "due at this instant".
 constexpr double kTimeEps = 1e-9;
-
-// Earliest-first selection with ties to the lowest index — the one
-// comparison both the multi-tenant execution interleave and the aggregate
-// event merge must share, so the merged log's order is the order events
-// actually happened in. `time_of(i)` returns +infinity for exhausted
-// entries; returns `count` when everything is exhausted.
-template <typename TimeOf>
-std::size_t pick_earliest(std::size_t count, TimeOf&& time_of) {
-  std::size_t best = count;
-  double best_time = std::numeric_limits<double>::infinity();
-  for (std::size_t i = 0; i < count; ++i) {
-    const double t = time_of(i);
-    if (t < best_time) {
-      best_time = t;
-      best = i;
-    }
-  }
-  return best;
-}
 
 }  // namespace
 
@@ -232,13 +214,6 @@ bool SessionRuntime::done() {
   CHOREO_REQUIRE_MSG(started_, "call start() first");
   prune();
   return queue_.empty();
-}
-
-double SessionRuntime::next_time() {
-  CHOREO_REQUIRE_MSG(started_, "call start() first");
-  prune();
-  if (queue_.empty()) return std::numeric_limits<double>::infinity();
-  return queue_.top().time_s;
 }
 
 std::optional<SessionRuntime::PendingEvent> SessionRuntime::peek_event() {
@@ -536,13 +511,10 @@ SessionLog SessionRuntime::run(workload::ArrivalStream& stream) {
   return finish();
 }
 
-MultiTenantSession::MultiTenantSession(cloud::Cloud& cloud,
-                                       std::vector<TenantSpec> tenants,
-                                       MultiTenantOptions options)
-    : cloud_(cloud), tenants_(std::move(tenants)), opts_(options) {
-  CHOREO_REQUIRE(!tenants_.empty());
+void validate_tenants(const std::vector<TenantSpec>& tenants) {
+  CHOREO_REQUIRE(!tenants.empty());
   std::unordered_set<cloud::VmId> seen;
-  for (const TenantSpec& t : tenants_) {
+  for (const TenantSpec& t : tenants) {
     CHOREO_REQUIRE_MSG(t.stream != nullptr, "tenant without a workload stream");
     CHOREO_REQUIRE(t.vms.size() >= 2);
     for (cloud::VmId vm : t.vms) {
@@ -550,6 +522,50 @@ MultiTenantSession::MultiTenantSession(cloud::Cloud& cloud,
                          "tenant VM slices must be disjoint");
     }
   }
+}
+
+MultiTenantLog merge_tenant_logs(std::vector<SessionLog> tenants) {
+  MultiTenantLog out;
+  out.tenants = std::move(tenants);
+  SessionLog& agg = out.aggregate;
+  std::vector<std::uint32_t> app_offset(out.tenants.size(), 0);
+  for (std::size_t i = 0; i < out.tenants.size(); ++i) {
+    const SessionLog& log = out.tenants[i];
+    app_offset[i] = static_cast<std::uint32_t>(agg.apps.size());
+    agg.apps.insert(agg.apps.end(), log.apps.begin(), log.apps.end());
+    agg.reevaluations += log.reevaluations;
+    agg.reevaluations_adopted += log.reevaluations_adopted;
+    agg.tasks_migrated += log.tasks_migrated;
+    agg.rejected += log.rejected;
+    agg.total_runtime_s += log.total_runtime_s;
+    agg.measurement_wall_s += log.measurement_wall_s;
+    agg.pairs_probed += log.pairs_probed;
+    agg.pairs_volatile += log.pairs_volatile;
+    agg.pairs_predictable += log.pairs_predictable;
+    agg.pairs_unpredictable += log.pairs_unpredictable;
+    agg.pairs_changepoint += log.pairs_changepoint;
+    agg.pairs_predicted += log.pairs_predicted;
+  }
+  std::vector<std::size_t> cursor(out.tenants.size(), 0);
+  while (true) {
+    const std::size_t best = util::earliest_index(out.tenants.size(), [&](std::size_t i) {
+      return cursor[i] < out.tenants[i].events.size()
+                 ? out.tenants[i].events[cursor[i]].time_s
+                 : std::numeric_limits<double>::infinity();
+    });
+    if (best == out.tenants.size()) break;
+    SessionEvent ev = out.tenants[best].events[cursor[best]++];
+    if (ev.app != SessionEvent::kNoApp) ev.app += app_offset[best];
+    agg.events.push_back(ev);
+  }
+  return out;
+}
+
+MultiTenantSession::MultiTenantSession(cloud::Cloud& cloud,
+                                       std::vector<TenantSpec> tenants,
+                                       MultiTenantOptions options)
+    : cloud_(cloud), tenants_(std::move(tenants)), opts_(options) {
+  validate_tenants(tenants_);
 }
 
 MultiTenantLog MultiTenantSession::run() {
@@ -577,59 +593,22 @@ MultiTenantLog MultiTenantSession::run() {
   // The shared clock: always advance the tenant with the earliest live
   // event; ties break by tenant index. Deterministic for a fixed spec.
   while (true) {
-    const std::size_t best = pick_earliest(runtimes.size(), [&](std::size_t i) {
-      return runtimes[i]->next_time();  // +inf once done
+    const std::size_t best = util::earliest_index(runtimes.size(), [&](std::size_t i) {
+      const std::optional<SessionRuntime::PendingEvent> next = runtimes[i]->peek_event();
+      return next ? next->time_s : std::numeric_limits<double>::infinity();
     });
     if (best == runtimes.size()) break;
     runtimes[best]->step();
   }
 
-  MultiTenantLog out;
-  out.tenants.reserve(runtimes.size());
+  std::vector<SessionLog> logs;
+  logs.reserve(runtimes.size());
   stats_.clear();
   for (auto& rt : runtimes) {
-    out.tenants.push_back(rt->finish());
+    logs.push_back(rt->finish());
     stats_.push_back(rt->stats());
   }
-
-  // Aggregate: counters summed, outcomes concatenated, events k-way merged
-  // on (time, tenant) with app payloads re-based onto the concatenation.
-  std::vector<std::uint32_t> app_offset(out.tenants.size(), 0);
-  std::uint32_t total_apps = 0;
-  for (std::size_t i = 0; i < out.tenants.size(); ++i) {
-    app_offset[i] = total_apps;
-    total_apps += static_cast<std::uint32_t>(out.tenants[i].apps.size());
-  }
-  SessionLog& agg = out.aggregate;
-  for (std::size_t i = 0; i < out.tenants.size(); ++i) {
-    const SessionLog& log = out.tenants[i];
-    agg.apps.insert(agg.apps.end(), log.apps.begin(), log.apps.end());
-    agg.reevaluations += log.reevaluations;
-    agg.reevaluations_adopted += log.reevaluations_adopted;
-    agg.tasks_migrated += log.tasks_migrated;
-    agg.rejected += log.rejected;
-    agg.total_runtime_s += log.total_runtime_s;
-    agg.measurement_wall_s += log.measurement_wall_s;
-    agg.pairs_probed += log.pairs_probed;
-    agg.pairs_volatile += log.pairs_volatile;
-    agg.pairs_predictable += log.pairs_predictable;
-    agg.pairs_unpredictable += log.pairs_unpredictable;
-    agg.pairs_changepoint += log.pairs_changepoint;
-    agg.pairs_predicted += log.pairs_predicted;
-  }
-  std::vector<std::size_t> cursor(out.tenants.size(), 0);
-  while (true) {
-    const std::size_t best = pick_earliest(out.tenants.size(), [&](std::size_t i) {
-      return cursor[i] < out.tenants[i].events.size()
-                 ? out.tenants[i].events[cursor[i]].time_s
-                 : std::numeric_limits<double>::infinity();
-    });
-    if (best == out.tenants.size()) break;
-    SessionEvent ev = out.tenants[best].events[cursor[best]++];
-    if (ev.app != SessionEvent::kNoApp) ev.app += app_offset[best];
-    agg.events.push_back(ev);
-  }
-  return out;
+  return merge_tenant_logs(std::move(logs));
 }
 
 }  // namespace choreo::core

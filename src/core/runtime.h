@@ -118,13 +118,10 @@ class SessionRuntime {
   /// placed — finish() asserts on that.
   bool done();
 
-  /// Time of the next live event; +infinity when done. Multi-tenant
-  /// composition uses this to interleave runtimes on a shared clock.
-  double next_time();
-
   /// The next live event's time and kind (the event step() would process),
-  /// or nullopt when done. The sharded control plane uses the kind to tell
-  /// apart steps that will draw a measurement epoch (MeasureRefresh,
+  /// or nullopt when done. Multi-tenant composition interleaves runtimes on
+  /// a shared clock by the time; the sharded control plane uses the kind to
+  /// tell apart steps that will draw a measurement epoch (MeasureRefresh,
   /// ReevalTick) — which must be sequenced globally — from steps that touch
   /// only tenant-local state.
   struct PendingEvent {
@@ -288,6 +285,18 @@ struct MultiTenantLog {
   /// the concatenation), counters summed.
   SessionLog aggregate;
 };
+
+/// Checks a multi-tenant spec: at least one tenant, every tenant with a
+/// stream and at least two VMs, and VM slices pairwise disjoint. Throws
+/// PreconditionError otherwise.
+void validate_tenants(const std::vector<TenantSpec>& tenants);
+
+/// The one reduction of per-tenant logs (in TenantSpec order) to a
+/// MultiTenantLog: counters summed and outcomes concatenated in tenant
+/// order, events k-way merged on (time, tenant) with app payloads re-based
+/// onto the concatenation (kNoApp passes through). MultiTenantSession and
+/// ShardedSession both call it, so their aggregates cannot drift apart.
+MultiTenantLog merge_tenant_logs(std::vector<SessionLog> tenants);
 
 /// N Choreo instances over disjoint VM slices of one shared cloud::Cloud,
 /// their discrete events interleaved deterministically on a shared clock

@@ -72,6 +72,8 @@ struct SessionEvent {
   std::uint32_t tasks_migrated = 0;
   /// Reevaluation payload: was the candidate plan adopted?
   bool adopted = false;
+
+  bool operator==(const SessionEvent&) const = default;
 };
 
 struct AppOutcome {
@@ -82,6 +84,8 @@ struct AppOutcome {
   double finished_s = -1.0;
   bool rejected = false;    ///< did not fit and queue_when_full was false
   place::Placement placement;
+
+  bool operator==(const AppOutcome&) const = default;
 };
 
 struct SessionLog {
@@ -115,6 +119,10 @@ struct SessionLog {
   /// reevaluations. Requires `e.app` to index into this log's `apps` (i.e.
   /// outcome recording was on) for app events.
   std::string detail(const SessionEvent& e) const;
+
+  /// Field-wise equality over every event, outcome and counter, doubles
+  /// compared exactly (no tolerance): the differential suites' contract.
+  bool operator==(const SessionLog&) const = default;
 };
 
 }  // namespace choreo::core

@@ -2,7 +2,6 @@
 
 #include <algorithm>
 #include <atomic>
-#include <unordered_set>
 #include <utility>
 
 #include "util/kway.h"
@@ -222,16 +221,7 @@ struct ShardedSession::Shard {
 ShardedSession::ShardedSession(cloud::Cloud& cloud, std::vector<TenantSpec> tenants,
                                ShardedOptions options)
     : cloud_(cloud), tenants_(std::move(tenants)), opts_(options) {
-  CHOREO_REQUIRE(!tenants_.empty());
-  std::unordered_set<cloud::VmId> seen;
-  for (const TenantSpec& t : tenants_) {
-    CHOREO_REQUIRE_MSG(t.stream != nullptr, "tenant without a workload stream");
-    CHOREO_REQUIRE(t.vms.size() >= 2);
-    for (cloud::VmId vm : t.vms) {
-      CHOREO_REQUIRE_MSG(seen.insert(vm).second,
-                         "tenant VM slices must be disjoint");
-    }
-  }
+  validate_tenants(tenants_);
 }
 
 ShardedSession::~ShardedSession() = default;
@@ -340,11 +330,7 @@ MultiTenantLog ShardedSession::run() {
 
   const std::size_t n = tenants_.size();
   const unsigned threads = std::max(1u, opts_.threads);
-  const std::size_t shard_count =
-      opts_.shards == 0 ? static_cast<std::size_t>(threads) : opts_.shards;
-  CHOREO_REQUIRE(shard_count >= 1);
   run_stats_ = Stats{};
-  run_stats_.shards = shard_count;
   run_stats_.threads = threads;
 
   arbiter_ = std::make_unique<EpochArbiter>(
@@ -378,9 +364,9 @@ MultiTenantLog ShardedSession::run() {
   for (std::size_t i = 0; i < n; ++i) cells_[i]->start_epoch = cloud_.next_epoch();
 
   shards_.clear();
-  shards_.reserve(shard_count);
-  for (std::size_t s = 0; s < shard_count; ++s) shards_.push_back(std::make_unique<Shard>());
-  for (std::size_t i = 0; i < n; ++i) shards_[i % shard_count]->tenants.push_back(i);
+  shards_.reserve(threads);  // one tenant partition per worker
+  for (unsigned s = 0; s < threads; ++s) shards_.push_back(std::make_unique<Shard>());
+  for (std::size_t i = 0; i < n; ++i) shards_[i % threads]->tenants.push_back(i);
   for (auto& shard : shards_) {
     if (shard->tenants.empty()) shard->done.store(true, std::memory_order_release);
   }
@@ -441,61 +427,20 @@ MultiTenantLog ShardedSession::run() {
     CHOREO_OBS_ADD(idle_waits, opts_.obs, run_stats_.idle_waits);
     run_span.arg("tenants", static_cast<double>(n));
     run_span.arg("threads", static_cast<double>(threads));
-    run_span.arg("shards", static_cast<double>(shard_count));
   }
 
-  MultiTenantLog out;
-  out.tenants.reserve(n);
+  std::vector<SessionLog> logs;
+  logs.reserve(n);
   stats_.clear();
   for (auto& cell : cells_) {
     CHOREO_ASSERT(cell->state == TenantCell::kDone);
-    out.tenants.push_back(std::move(cell->log));
+    logs.push_back(std::move(cell->log));
     stats_.push_back(cell->stats);
   }
   cells_.clear();
   shards_.clear();
   arbiter_.reset();
-
-  // Aggregate reduction — the same deterministic merge the oracle performs:
-  // counters summed and outcomes concatenated in tenant order, events k-way
-  // merged on (time, tenant) with app payloads re-based.
-  std::vector<std::uint32_t> app_offset(out.tenants.size(), 0);
-  std::uint32_t total_apps = 0;
-  for (std::size_t i = 0; i < out.tenants.size(); ++i) {
-    app_offset[i] = total_apps;
-    total_apps += static_cast<std::uint32_t>(out.tenants[i].apps.size());
-  }
-  SessionLog& agg = out.aggregate;
-  for (std::size_t i = 0; i < out.tenants.size(); ++i) {
-    const SessionLog& log = out.tenants[i];
-    agg.apps.insert(agg.apps.end(), log.apps.begin(), log.apps.end());
-    agg.reevaluations += log.reevaluations;
-    agg.reevaluations_adopted += log.reevaluations_adopted;
-    agg.tasks_migrated += log.tasks_migrated;
-    agg.rejected += log.rejected;
-    agg.total_runtime_s += log.total_runtime_s;
-    agg.measurement_wall_s += log.measurement_wall_s;
-    agg.pairs_probed += log.pairs_probed;
-    agg.pairs_volatile += log.pairs_volatile;
-    agg.pairs_predictable += log.pairs_predictable;
-    agg.pairs_unpredictable += log.pairs_unpredictable;
-    agg.pairs_changepoint += log.pairs_changepoint;
-    agg.pairs_predicted += log.pairs_predicted;
-  }
-  std::vector<std::size_t> cursor(out.tenants.size(), 0);
-  while (true) {
-    const std::size_t best =
-        util::earliest_index(out.tenants.size(), [&](std::size_t i) {
-          return cursor[i] < out.tenants[i].events.size()
-                     ? out.tenants[i].events[cursor[i]].time_s
-                     : std::numeric_limits<double>::infinity();
-        });
-    if (best == out.tenants.size()) break;
-    SessionEvent ev = out.tenants[best].events[cursor[best]++];
-    if (ev.app != SessionEvent::kNoApp) ev.app += app_offset[best];
-    agg.events.push_back(ev);
-  }
-  return out;
+  return merge_tenant_logs(std::move(logs));
 }
 
 }  // namespace choreo::core

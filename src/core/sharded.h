@@ -33,7 +33,7 @@ namespace choreo::core {
 /// is conservative (lookahead-based) parallel discrete-event simulation:
 /// thread timing can only delay a grant, never reorder one, so the epoch
 /// sequence — and with it every downstream placement and log entry — is
-/// bit-identical for any shard count and any thread count.
+/// bit-identical for any thread count.
 class EpochArbiter {
  public:
   /// `draw` produces the next shared counter value; it is only ever invoked
@@ -99,13 +99,11 @@ class EpochArbiter {
 
 /// Options for the sharded control plane.
 struct ShardedOptions {
-  /// Tenant partitions, each owning its tenants' runtimes and event queues.
-  /// A shard is the unit of work one thread processes at a time (tenants
-  /// are assigned round-robin for balance). 0 = one shard per thread.
-  /// Shard count never affects output, only scheduling granularity.
-  std::size_t shards = 0;
-  /// Worker threads. 1 runs the whole schedule inline on the calling
-  /// thread (no std::thread is spawned). Thread count never affects output.
+  /// Worker threads, and with them tenant shards: tenants are partitioned
+  /// round-robin into one shard per thread, a shard being the unit of work
+  /// one thread processes at a time. 1 runs the whole schedule inline on
+  /// the calling thread (no std::thread is spawned). Thread count never
+  /// affects output.
   unsigned threads = 1;
   bool record_events = true;
   bool record_outcomes = true;
@@ -119,11 +117,10 @@ struct ShardedOptions {
 };
 
 /// Multi-threaded drop-in for `MultiTenantSession`: the same tenants on
-/// disjoint VM slices of one shared cloud, partitioned across K shards
-/// driven by a worker pool, producing a `MultiTenantLog` that is
-/// bit-identical to the single-threaded oracle for every (shards, threads)
-/// combination — events, outcomes, placements, and accounting doubles
-/// (pinned by test_sharded_differential).
+/// disjoint VM slices of one shared cloud, partitioned into one shard per
+/// worker thread, producing a `MultiTenantLog` that is bit-identical to the
+/// single-threaded oracle for every thread count — events, outcomes,
+/// placements, and accounting doubles (pinned by test_sharded_differential).
 ///
 /// Execution model:
 ///   * Phase 0 (parallel, barrier at the end): every tenant's initial
@@ -162,7 +159,6 @@ class ShardedSession {
   /// deterministic (one per measurement cycle); the rest describe one
   /// particular execution and vary with thread timing.
   struct Stats {
-    std::size_t shards = 0;
     unsigned threads = 0;
     std::uint64_t epoch_grants = 0;  ///< epoch draws sequenced by the arbiter
     std::uint64_t shard_passes = 0;  ///< shard claims that made progress

@@ -26,6 +26,8 @@ struct Placement {
     }
     return !machine_of_task.empty();
   }
+
+  bool operator==(const Placement&) const = default;
 };
 
 /// How rates are estimated when several transfers share the network (§5,

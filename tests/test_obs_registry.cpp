@@ -183,7 +183,6 @@ std::map<std::string, std::uint64_t> run_battery(unsigned threads) {
   World w = build_world(root, kShards);
   core::ShardedOptions opts;
   opts.threads = threads;
-  opts.shards = 0;  // one shard per thread
   opts.obs = root;
   core::ShardedSession session(*w.cloud, std::move(w.tenants), opts);
   session.run();

@@ -7,6 +7,7 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <optional>
 #include <string>
 #include <vector>
 
@@ -46,8 +47,9 @@ TEST(SessionRuntime, StepwiseClockIsMonotone) {
   runtime.start(stream);
   double last = 0.0;
   while (!runtime.done()) {
-    const double t = runtime.next_time();
-    EXPECT_GE(t + 1e-9, runtime.now());
+    const std::optional<SessionRuntime::PendingEvent> next = runtime.peek_event();
+    ASSERT_TRUE(next.has_value());
+    EXPECT_GE(next->time_s + 1e-9, runtime.now());
     runtime.step();
     EXPECT_GE(runtime.now() + 1e-9, last);
     last = runtime.now();
@@ -235,6 +237,90 @@ TEST(MultiTenant, InterleavesTenantsOnSharedClock) {
   }
   EXPECT_TRUE(saw_both_tenants[0]);
   EXPECT_TRUE(saw_both_tenants[1]);
+}
+
+SessionEvent event_at(double time_s, SessionEventKind kind, std::uint32_t app,
+                      std::uint32_t tenant) {
+  SessionEvent e;
+  e.time_s = time_s;
+  e.kind = kind;
+  e.app = app;
+  e.tenant = tenant;
+  return e;
+}
+
+AppOutcome outcome_named(const std::string& name) {
+  AppOutcome a;
+  a.name = name;
+  return a;
+}
+
+TEST(MultiTenant, MergeTenantLogsOnHandBuiltLogs) {
+  SessionLog t0;
+  t0.apps = {outcome_named("a0"), outcome_named("a1")};
+  t0.events = {event_at(1.0, SessionEventKind::Arrival, 0, 0),
+               event_at(5.0, SessionEventKind::Placed, 1, 0),
+               event_at(7.0, SessionEventKind::Reevaluation, SessionEvent::kNoApp, 0)};
+  t0.reevaluations = 1;
+  t0.reevaluations_adopted = 1;
+  t0.tasks_migrated = 2;
+  t0.rejected = 1;
+  t0.total_runtime_s = 10.5;
+  t0.measurement_wall_s = 0.25;
+  t0.pairs_probed = 3;
+  t0.pairs_volatile = 4;
+  t0.pairs_predictable = 5;
+  t0.pairs_unpredictable = 6;
+  t0.pairs_changepoint = 7;
+  t0.pairs_predicted = 8;
+
+  SessionLog t1;
+  t1.apps = {outcome_named("b0")};
+  t1.events = {event_at(5.0, SessionEventKind::Arrival, 0, 1),
+               event_at(5.0, SessionEventKind::Reevaluation, SessionEvent::kNoApp, 1),
+               event_at(6.0, SessionEventKind::Departure, 0, 1)};
+  t1.reevaluations = 10;
+  t1.reevaluations_adopted = 20;
+  t1.tasks_migrated = 30;
+  t1.rejected = 40;
+  t1.total_runtime_s = 1.5;
+  t1.measurement_wall_s = 0.5;
+  t1.pairs_probed = 50;
+  t1.pairs_volatile = 60;
+  t1.pairs_predictable = 70;
+  t1.pairs_unpredictable = 80;
+  t1.pairs_changepoint = 90;
+  t1.pairs_predicted = 100;
+
+  const MultiTenantLog merged = merge_tenant_logs({t0, t1});
+  ASSERT_EQ(merged.tenants.size(), 2u);
+  EXPECT_EQ(merged.tenants[0], t0);
+  EXPECT_EQ(merged.tenants[1], t1);
+
+  SessionLog want;
+  want.apps = {outcome_named("a0"), outcome_named("a1"), outcome_named("b0")};
+  // Tenant 0's 5.0 s event precedes tenant 1's two at the same instant; app
+  // payloads of tenant 1 shift past tenant 0's two outcomes, kNoApp stays.
+  want.events = {event_at(1.0, SessionEventKind::Arrival, 0, 0),
+                 event_at(5.0, SessionEventKind::Placed, 1, 0),
+                 event_at(5.0, SessionEventKind::Arrival, 2, 1),
+                 event_at(5.0, SessionEventKind::Reevaluation, SessionEvent::kNoApp, 1),
+                 event_at(6.0, SessionEventKind::Departure, 2, 1),
+                 event_at(7.0, SessionEventKind::Reevaluation, SessionEvent::kNoApp, 0)};
+  want.reevaluations = 11;
+  want.reevaluations_adopted = 21;
+  want.tasks_migrated = 32;
+  want.rejected = 41;
+  want.total_runtime_s = 12.0;
+  want.measurement_wall_s = 0.75;
+  want.pairs_probed = 53;
+  want.pairs_volatile = 64;
+  want.pairs_predictable = 75;
+  want.pairs_unpredictable = 86;
+  want.pairs_changepoint = 97;
+  want.pairs_predicted = 108;
+  EXPECT_EQ(merged.aggregate, want);
+  EXPECT_EQ(merged.aggregate.detail(merged.aggregate.events[4]), "b0");
 }
 
 TEST(MultiTenant, DeterministicAcrossRuns) {

@@ -1,7 +1,7 @@
 // Differential pin for the sharded control plane: core::ShardedSession must
 // reproduce the single-threaded MultiTenantSession bit-identically — every
 // event, outcome, placement, and accounting double, per tenant and in the
-// aggregate — for every shard count and thread count, over a randomized
+// aggregate — for every thread count, over a randomized
 // multi-tenant corpus that exercises bursty MMPP arrivals, streaming traces,
 // queueing, rejection, and migration. The oracle is kept verbatim; any
 // divergence is a bug in the arbiter's conservative draw ordering.
@@ -67,8 +67,12 @@ void expect_multi_identical(const MultiTenantLog& ref, const MultiTenantLog& got
   for (std::size_t i = 0; i < ref.tenants.size(); ++i) {
     expect_logs_identical(ref.tenants[i], got.tenants[i],
                           label + " tenant " + std::to_string(i));
+    // Whole-log equality: a SessionLog field added later cannot escape the
+    // pin by being missing from the field-wise listing above.
+    EXPECT_TRUE(ref.tenants[i] == got.tenants[i]) << label << " tenant " << i;
   }
   expect_logs_identical(ref.aggregate, got.aggregate, label + " aggregate");
+  EXPECT_TRUE(ref.aggregate == got.aggregate) << label << " aggregate";
 }
 
 void expect_stats_identical(const std::vector<SessionRuntime::Stats>& ref,
@@ -238,10 +242,9 @@ struct ShardedRun {
   std::uint64_t final_epoch = 0;
 };
 
-ShardedRun run_sharded(const WorldSpec& spec, std::size_t shards, unsigned threads) {
+ShardedRun run_sharded(const WorldSpec& spec, unsigned threads) {
   World w = build_world(spec);
   ShardedOptions opts;
-  opts.shards = shards;
   opts.threads = threads;
   ShardedSession session(*w.cloud, std::move(w.tenants), opts);
   ShardedRun out;
@@ -270,34 +273,32 @@ struct Coverage {
   }
 };
 
-void check_spec(const WorldSpec& spec,
-                const std::vector<std::pair<std::size_t, unsigned>>& combos,
+void check_spec(const WorldSpec& spec, const std::vector<unsigned>& thread_counts,
                 const std::string& label, Coverage* coverage = nullptr) {
   const OracleRun oracle = run_oracle(spec);
   if (coverage != nullptr) coverage->absorb(oracle.log);
-  for (const auto& [shards, threads] : combos) {
-    const std::string tag = label + " shards=" + std::to_string(shards) +
-                            " threads=" + std::to_string(threads);
-    const ShardedRun got = run_sharded(spec, shards, threads);
+  for (const unsigned threads : thread_counts) {
+    const std::string tag = label + " threads=" + std::to_string(threads);
+    const ShardedRun got = run_sharded(spec, threads);
     expect_multi_identical(oracle.log, got.log, tag);
     expect_stats_identical(oracle.stats, got.stats, tag);
     // The shared counter must land in exactly the same place: same number
     // of draws happened, in a provably identical order.
     EXPECT_EQ(oracle.final_epoch, got.final_epoch) << tag;
-    EXPECT_EQ(got.sched.shards, shards == 0 ? threads : shards) << tag;
+    EXPECT_EQ(got.sched.threads, threads) << tag;
   }
 }
 
 TEST(ShardedDifferential, RandomizedCorpus) {
-  // Tenant counts sweep 1..13, shard counts 1..8, thread counts 1..8; the
-  // combos rotate with the seed so the whole grid is covered across the
-  // corpus without running every cell on every seed.
+  // Tenant counts sweep 1..13, thread counts 1..8; the thread counts
+  // rotate with the seed so the whole range is covered across the corpus
+  // without running every count on every seed.
   Coverage cov;
-  const std::vector<std::vector<std::pair<std::size_t, unsigned>>> rotations = {
-      {{1, 1}, {2, 2}, {8, 8}},
-      {{1, 8}, {3, 2}, {4, 4}},
-      {{2, 1}, {5, 3}, {8, 4}},
-      {{1, 2}, {6, 6}, {7, 8}},
+  const std::vector<std::vector<unsigned>> rotations = {
+      {1, 2, 8},
+      {8, 2, 4},
+      {1, 3, 4},
+      {2, 6, 8},
   };
   const std::size_t tenant_counts[] = {1, 2, 3, 5, 8, 13};
   for (std::uint64_t seed = 1; seed <= 6; ++seed) {
@@ -327,24 +328,24 @@ TEST(ShardedDifferential, MeasuredViewDrawsSharedEpochs) {
     spec.vms_per_tenant = 4;
     spec.apps_per_tenant = 3;
     spec.use_measured_view = true;
-    check_spec(spec, {{0, 2}, {1, 1}, {4, 3}},
+    check_spec(spec, {2, 1, 3},
                "measured seed " + std::to_string(seed));
   }
 }
 
 TEST(ShardedDifferential, ManyTenantsWideGrid) {
-  // The ISSUE's upper corner: 64 tenants. One seed, tiny per-tenant work,
-  // shard/thread counts on both sides of the tenant count.
+  // The upper corner: 64 tenants. One seed, tiny per-tenant work, several
+  // tenants per shard at every thread count.
   WorldSpec spec;
   spec.seed = 77;
   spec.tenants = 64;
   spec.vms_per_tenant = 4;
   spec.apps_per_tenant = 2;
-  check_spec(spec, {{8, 8}, {3, 5}}, "wide");
+  check_spec(spec, {8, 5}, "wide");
 }
 
 TEST(ShardedDifferential, RepeatedRunsAreBitIdentical) {
-  // Same seed, same shards, same threads, run twice: thread scheduling must
+  // Same seed, same thread count, run twice: thread scheduling must
   // not leak into the output (this is the determinism half of the pin; the
   // oracle half is covered above).
   WorldSpec spec;
@@ -352,8 +353,8 @@ TEST(ShardedDifferential, RepeatedRunsAreBitIdentical) {
   spec.tenants = 6;
   spec.vms_per_tenant = 4;
   spec.apps_per_tenant = 5;
-  const ShardedRun a = run_sharded(spec, 4, 4);
-  const ShardedRun b = run_sharded(spec, 4, 4);
+  const ShardedRun a = run_sharded(spec, 4);
+  const ShardedRun b = run_sharded(spec, 4);
   expect_multi_identical(a.log, b.log, "repeat");
   expect_stats_identical(a.stats, b.stats, "repeat");
   EXPECT_EQ(a.final_epoch, b.final_epoch);

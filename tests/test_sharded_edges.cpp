@@ -1,5 +1,5 @@
-// Edge cases of the sharded control plane: degenerate tenant/shard/thread
-// shapes (single tenant, K == 1, K > tenant count, more threads than work),
+// Edge cases of the sharded control plane: degenerate tenant/thread shapes
+// (single tenant, one thread, more threads — and so shards — than tenants),
 // a tenant whose stream never produces an arrival, tenants that all hit the
 // same epoch-boundary instant, and the EpochArbiter's grant protocol probed
 // directly (order, bound gating, cascades, completion).
@@ -165,7 +165,7 @@ MultiTenantLog run_oracle(std::uint64_t seed, const TenantApps& per_tenant,
 }
 
 MultiTenantLog run_sharded(std::uint64_t seed, const TenantApps& per_tenant,
-                           double period_s, std::size_t shards, unsigned threads) {
+                           double period_s, unsigned threads) {
   cloud::Cloud cloud(cloud::ec2_2013(), seed);
   std::vector<std::unique_ptr<workload::VectorArrivalStream>> streams;
   std::vector<TenantSpec> tenants;
@@ -178,7 +178,6 @@ MultiTenantLog run_sharded(std::uint64_t seed, const TenantApps& per_tenant,
     tenants.push_back(std::move(t));
   }
   ShardedOptions opts;
-  opts.shards = shards;
   opts.threads = threads;
   ShardedSession session(cloud, std::move(tenants), opts);
   return session.run();
@@ -198,55 +197,23 @@ TenantApps busy_tenants(std::size_t count) {
 }
 
 TEST(ShardedEdges, SingleTenantEveryShape) {
-  // One tenant: K == 1, K > tenant count, threads > work. Everything
-  // degenerates to the oracle schedule.
+  // One tenant: one shard, then more shards (threads) than tenants, so
+  // every extra thread finds no work. Everything degenerates to the oracle
+  // schedule.
   const TenantApps apps = busy_tenants(1);
   const MultiTenantLog oracle = run_oracle(5, apps, 60.0);
-  for (const auto& [shards, threads] :
-       std::vector<std::pair<std::size_t, unsigned>>{
-           {1, 1}, {1, 4}, {8, 2}, {8, 8}}) {
-    expect_multi_equal(oracle, run_sharded(5, apps, 60.0, shards, threads),
-                       "single shards=" + std::to_string(shards) +
-                           " threads=" + std::to_string(threads));
+  for (const unsigned threads : {1u, 2u, 4u, 8u}) {
+    expect_multi_equal(oracle, run_sharded(5, apps, 60.0, threads),
+                       "single threads=" + std::to_string(threads));
   }
 }
 
 TEST(ShardedEdges, MoreShardsThanTenants) {
+  // One shard per thread, so threads > tenants leaves shards empty.
   const TenantApps apps = busy_tenants(3);
   const MultiTenantLog oracle = run_oracle(11, apps, 60.0);
-  expect_multi_equal(oracle, run_sharded(11, apps, 60.0, 8, 4), "K>n");
-  expect_multi_equal(oracle, run_sharded(11, apps, 60.0, 8, 8), "K>n wide");
-}
-
-TEST(ShardedEdges, SingleShardManyThreads) {
-  // K == 1 serializes all tenants onto one shard; extra threads can only
-  // idle-wait, never reorder.
-  const TenantApps apps = busy_tenants(4);
-  const MultiTenantLog oracle = run_oracle(13, apps, 60.0);
-  expect_multi_equal(oracle, run_sharded(13, apps, 60.0, 1, 1), "K=1 T=1");
-  expect_multi_equal(oracle, run_sharded(13, apps, 60.0, 1, 8), "K=1 T=8");
-}
-
-TEST(ShardedEdges, ShardsDefaultToThreadCount) {
-  const TenantApps apps = busy_tenants(4);
-  cloud::Cloud cloud(cloud::ec2_2013(), 17);
-  std::vector<std::unique_ptr<workload::VectorArrivalStream>> streams;
-  std::vector<TenantSpec> tenants;
-  for (const auto& a : apps) {
-    TenantSpec t;
-    t.vms = cloud.allocate_vms(4);
-    t.config = fast_config();
-    streams.push_back(std::make_unique<workload::VectorArrivalStream>(a));
-    t.stream = streams.back().get();
-    tenants.push_back(std::move(t));
-  }
-  ShardedOptions opts;
-  opts.shards = 0;  // one shard per thread
-  opts.threads = 3;
-  ShardedSession session(cloud, std::move(tenants), opts);
-  session.run();
-  EXPECT_EQ(session.stats().shards, 3u);
-  EXPECT_EQ(session.stats().threads, 3u);
+  expect_multi_equal(oracle, run_sharded(11, apps, 60.0, 4), "threads>n");
+  expect_multi_equal(oracle, run_sharded(11, apps, 60.0, 8), "threads>n wide");
 }
 
 TEST(ShardedEdges, TenantWithZeroArrivals) {
@@ -258,8 +225,8 @@ TEST(ShardedEdges, TenantWithZeroArrivals) {
   const MultiTenantLog oracle = run_oracle(23, apps, 60.0);
   EXPECT_TRUE(oracle.tenants[1].apps.empty());
   EXPECT_TRUE(oracle.tenants[1].events.empty());
-  expect_multi_equal(oracle, run_sharded(23, apps, 60.0, 2, 2), "zero-arrival");
-  expect_multi_equal(oracle, run_sharded(23, apps, 60.0, 3, 8), "zero-arrival wide");
+  expect_multi_equal(oracle, run_sharded(23, apps, 60.0, 2), "zero-arrival");
+  expect_multi_equal(oracle, run_sharded(23, apps, 60.0, 8), "zero-arrival wide");
 }
 
 TEST(ShardedEdges, TenantsFinishingAtTheSameEpochBoundary) {
@@ -282,9 +249,9 @@ TEST(ShardedEdges, TenantsFinishingAtTheSameEpochBoundary) {
     if (e.time_s == 60.0) ++boundary_events;
   }
   EXPECT_GT(boundary_events, 8u);  // the instant is genuinely contended
-  expect_multi_equal(oracle, run_sharded(29, per_tenant, 60.0, 2, 4), "boundary");
-  expect_multi_equal(oracle, run_sharded(29, per_tenant, 60.0, 4, 2),
-                     "boundary transposed");
+  expect_multi_equal(oracle, run_sharded(29, per_tenant, 60.0, 4), "boundary");
+  expect_multi_equal(oracle, run_sharded(29, per_tenant, 60.0, 2),
+                     "boundary two threads");
 }
 
 }  // namespace
