@@ -174,7 +174,7 @@ ThreadRun run_thread_sweep(std::size_t tenants, std::size_t fleet,
     for (const auto& s : session.tenant_stats()) out.events += s.events_processed;
   } else {
     core::ShardedOptions options;
-    options.threads = threads;  // shards default to one per thread
+    options.threads = threads;
     core::ShardedSession session(cloud, std::move(specs), options);
     out.log = session.run();
     for (const auto& s : session.tenant_stats()) out.events += s.events_processed;

@@ -85,9 +85,9 @@ int main(int argc, char** argv) {
   args.add_option("duration-hours", "6", "session mode: trace length per tenant");
   args.add_option("apps-per-day", "48", "session mode: per-tenant arrival rate");
   args.add_option("threads", "1",
-                  "session mode: worker threads (one tenant shard each) for "
-                  "the sharded control plane (1 runs inline; output is "
-                  "identical either way)");
+                  "session mode: worker threads sharing one ready queue of "
+                  "tenants in the sharded control plane (1 runs inline; "
+                  "output is identical either way)");
   args.add_option("cycles", "8", "agents mode: measurement cycles to run");
   args.add_option("loss", "0", "agents mode: per-message loss probability");
   args.add_option("duplicate", "0", "agents mode: per-message duplicate probability");

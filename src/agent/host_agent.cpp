@@ -6,6 +6,12 @@
 #include "util/require.h"
 
 namespace choreo::agent {
+namespace {
+
+/// Retransmit backoff cap: timeout * 2^attempt stops doubling here.
+constexpr std::uint32_t kMaxBackoffExponent = 6;
+
+}  // namespace
 
 HostAgent::HostAgent(std::uint32_t id, AgentOptions options, ProbeExecutor executor)
     : id_(id), opts_(std::move(options)), executor_(std::move(executor)) {
@@ -85,12 +91,12 @@ void HostAgent::tick(std::uint64_t cycle, net::SimTransport& transport) {
   }
 
   // Retransmit due unacked reports first — oldest data has priority on the
-  // wire — with exponential backoff capped at max_backoff_exponent doublings.
+  // wire — with exponential backoff capped at kMaxBackoffExponent doublings.
   for (auto& p : pending_) {
     if (p.next_retry > cycle) continue;
     send_report(p.report, cycle, transport);
     ++stats_.retransmits;
-    const std::uint32_t exponent = std::min(p.attempts, opts_.max_backoff_exponent);
+    const std::uint32_t exponent = std::min(p.attempts, kMaxBackoffExponent);
     p.next_retry = cycle + (opts_.retry_timeout_cycles << exponent);
     ++p.attempts;
   }

@@ -34,9 +34,8 @@ struct AgentOptions {
 
   /// Sender-side reliability: a report is retransmitted when unacked for
   /// `retry_timeout_cycles`, backing off exponentially (timeout * 2^attempt)
-  /// up to `max_backoff_exponent` doublings.
+  /// up to six doublings.
   std::uint64_t retry_timeout_cycles = 1;
-  std::uint32_t max_backoff_exponent = 6;
 
   /// Crash injection: each live agent crashes with `crash_rate` probability
   /// per cycle (seed-keyed by (crash_seed, cycle, agent)), loses all

@@ -2,6 +2,7 @@
 
 #include <condition_variable>
 #include <cstdint>
+#include <deque>
 #include <functional>
 #include <limits>
 #include <memory>
@@ -26,7 +27,7 @@ namespace choreo::core {
 /// tenant index, so its global draw sequence is the per-tenant draw
 /// sequences merged by the lexicographic key (draw time, tenant index).
 /// The arbiter reproduces that merge without a global clock: a tenant that
-/// reaches a draw blocks with its exact key, every tenant that is still
+/// reaches a draw parks with its exact key, every tenant that is still
 /// running advertises a conservative lower bound on its own next draw key,
 /// and the pending draw with the smallest key is granted the next counter
 /// value as soon as every other tenant provably cannot draw earlier. This
@@ -34,76 +35,89 @@ namespace choreo::core {
 /// thread timing can only delay a grant, never reorder one, so the epoch
 /// sequence — and with it every downstream placement and log entry — is
 /// bit-identical for any thread count.
+///
+/// The arbiter is also the one monitor that schedules tenants onto worker
+/// threads: it keeps a FIFO of ready tenants and a count of checked-out ones
+/// behind the same mutex and condition variable that guard the grants.
 class EpochArbiter {
  public:
   /// `draw` produces the next shared counter value; it is only ever invoked
   /// under the arbiter's lock, in grant order.
   EpochArbiter(std::size_t tenants, std::function<std::uint64_t()> draw);
 
-  /// Raises tenant `i`'s advertised bound: no draw by `i` will happen at a
-  /// key earlier than (bound, i). Bounds must be non-decreasing.
+  /// A tenant checked out to one worker by acquire().
+  struct Ticket {
+    std::size_t tenant = 0;
+    /// The epoch granted while the tenant was parked; nullopt on its first
+    /// checkout.
+    std::optional<std::uint64_t> epoch;
+  };
+
+  /// Blocks until a tenant is ready and checks it out to the caller. Every
+  /// tenant starts ready, in index order; a parked tenant becomes ready again
+  /// when its grant fires. Returns nullopt once every tenant is done or after
+  /// abort(). Throws when nothing is ready, nothing is checked out and some
+  /// tenant is not done: the grant protocol wedged, and waiting would hang.
+  std::optional<Ticket> acquire();
+
+  /// Raises checked-out tenant `i`'s advertised bound: no draw by `i` will
+  /// happen at a key earlier than (bound, i). Bounds must be non-decreasing.
   void set_bound(std::size_t tenant, double bound);
 
-  /// Tenant `i`'s next step draws at `time_s`. `post_bound` is the caller's
-  /// lower bound on the tenant's *following* draw (its advertised bound the
-  /// moment this one is granted). Returns the epoch immediately when the
-  /// grant condition already holds; otherwise registers the request —
-  /// collect the grant later via poll().
+  /// Checked-out tenant `i`'s next step draws at `time_s`. `post_bound` is
+  /// the caller's lower bound on the tenant's *following* draw (its
+  /// advertised bound the moment this one is granted). Returns the epoch
+  /// when the grant condition already holds; otherwise parks the tenant,
+  /// returning it to the pool — the grant arrives with a later ticket.
   std::optional<std::uint64_t> request(std::size_t tenant, double time_s,
                                        double post_bound);
 
-  /// Collects a previously requested grant, if it has fired.
-  std::optional<std::uint64_t> poll(std::size_t tenant);
-
-  /// Tenant `i` finished its session and will never draw again.
+  /// Checked-out tenant `i` finished its session and will never draw again.
   void mark_done(std::size_t tenant);
 
-  /// Fails every waiter (a worker hit an exception); wait_change returns.
+  /// Fails every waiter (a worker hit an exception): acquire() returns
+  /// nullopt from now on.
   void abort();
-  bool aborted() const;
 
-  /// Blocks until the arbiter's state version differs from `seen` (a grant
-  /// or completion happened), every tenant is done, or abort() was called.
-  /// Returns the current version.
-  std::uint64_t wait_change(std::uint64_t seen);
-  std::uint64_t version() const;
-
-  bool all_done() const;
   std::uint64_t grants() const;
+  /// Times acquire() slept because no tenant was ready.
+  std::uint64_t idle_waits() const;
 
  private:
-  enum class State : std::uint8_t { Running, Waiting, Granted, Done };
+  enum class State : std::uint8_t { Ready, Running, Waiting, Done };
   struct Slot {
-    State state = State::Running;
-    /// Running/Granted: no future draw earlier than (bound, index).
+    State state = State::Ready;
+    /// Ready/Running: no future draw earlier than (bound, index).
     double bound = -std::numeric_limits<double>::infinity();
     /// Waiting: the exact key time of the pending draw.
     double request_time = 0.0;
     double post_bound = 0.0;
-    std::uint64_t epoch = 0;
   };
 
-  /// Grants every currently safe request (cascading), under lock.
-  void try_grants_locked();
-  void bump_locked();
+  /// Grants every currently safe request (cascading), under lock. A grant
+  /// to `caller` is returned; every other one re-queues its tenant.
+  std::optional<std::uint64_t> try_grants_locked(std::size_t caller);
+  /// Returns a checked-out tenant to the pool (parked or done), under lock.
+  void check_in_locked(Slot& slot, State state);
 
   mutable std::mutex mu_;
   std::condition_variable cv_;
   std::vector<Slot> slots_;
+  std::deque<Ticket> ready_;
   std::function<std::uint64_t()> draw_;
+  std::size_t checked_out_ = 0;
   std::size_t done_count_ = 0;
-  std::uint64_t version_ = 0;
   std::uint64_t grants_ = 0;
+  std::uint64_t idle_waits_ = 0;
   bool aborted_ = false;
 };
 
 /// Options for the sharded control plane.
 struct ShardedOptions {
-  /// Worker threads, and with them tenant shards: tenants are partitioned
-  /// round-robin into one shard per thread, a shard being the unit of work
-  /// one thread processes at a time. 1 runs the whole schedule inline on
-  /// the calling thread (no std::thread is spawned). Thread count never
-  /// affects output.
+  /// Worker threads. Each takes the next ready tenant from the arbiter and
+  /// runs it until it parks on a draw or finishes. 1 runs the whole schedule
+  /// inline on the calling thread (no std::thread is spawned). Thread count
+  /// never affects output.
   unsigned threads = 1;
   bool record_events = true;
   bool record_outcomes = true;
@@ -117,24 +131,23 @@ struct ShardedOptions {
 };
 
 /// Multi-threaded drop-in for `MultiTenantSession`: the same tenants on
-/// disjoint VM slices of one shared cloud, partitioned into one shard per
-/// worker thread, producing a `MultiTenantLog` that is bit-identical to the
+/// disjoint VM slices of one shared cloud, run by a pool of worker threads,
+/// producing a `MultiTenantLog` that is bit-identical to the
 /// single-threaded oracle for every thread count — events, outcomes,
 /// placements, and accounting doubles (pinned by test_sharded_differential).
 ///
 /// Execution model:
-///   * Phase 0 (parallel, barrier at the end): every tenant's initial
-///     measurement sweep runs concurrently — their epoch values are
+///   * Start: every tenant's initial measurement sweep runs on its first
+///     checkout, concurrently with the others — their epoch values are
 ///     pre-drawn in tenant order, exactly the oracle's start() sequence.
-///     No event can be processed before the sweep epoch barrier because a
-///     session's first event is always a measurement refresh.
-///   * Event phase: worker threads claim shards and step their tenants'
-///     runtimes back-to-back. Steps that touch only tenant-local state
-///     (arrivals, departures, retries) run freely in parallel; steps that
-///     draw a measurement epoch (MeasureRefresh, ReevalTick) are sequenced
-///     by the `EpochArbiter` so the shared counter is observed in the
+///   * Event phase: each worker loops on `EpochArbiter::acquire()` and steps
+///     the tenant it gets back-to-back. Steps that touch only tenant-local
+///     state (arrivals, departures, retries) run freely in parallel; steps
+///     that draw a measurement epoch (MeasureRefresh, ReevalTick) are
+///     sequenced by the arbiter so the shared counter is observed in the
 ///     oracle's deterministic (time, tenant) order. A tenant blocked on a
-///     draw parks; its shard moves on to its other tenants.
+///     draw parks and its worker takes the next ready tenant; the grant
+///     puts the parked tenant back on the ready queue.
 ///   * Merge: per-tenant logs are reduced to the aggregate with the same
 ///     deterministic k-way merge the oracle uses.
 ///
@@ -146,7 +159,7 @@ class ShardedSession {
  public:
   ShardedSession(cloud::Cloud& cloud, std::vector<TenantSpec> tenants,
                  ShardedOptions options = {});
-  ~ShardedSession();  // out-of-line: TenantCell/Shard are incomplete here
+  ~ShardedSession();  // out-of-line: TenantCell is incomplete here
 
   /// Runs every tenant session to completion. Call once.
   MultiTenantLog run();
@@ -161,17 +174,14 @@ class ShardedSession {
   struct Stats {
     unsigned threads = 0;
     std::uint64_t epoch_grants = 0;  ///< epoch draws sequenced by the arbiter
-    std::uint64_t shard_passes = 0;  ///< shard claims that made progress
-    std::uint64_t idle_waits = 0;    ///< times a worker slept awaiting a grant
+    std::uint64_t idle_waits = 0;    ///< times a worker slept awaiting a ready tenant
   };
   const Stats& stats() const { return run_stats_; }
 
  private:
   struct TenantCell;
-  struct Shard;
 
-  bool run_shard_pass(Shard& shard);
-  void run_tenant(TenantCell& cell);
+  void run_tenant(TenantCell& cell, std::optional<std::uint64_t> epoch);
   double running_bound(const TenantCell& cell) const;
   double post_draw_bound(const TenantCell& cell,
                          const SessionRuntime::PendingEvent& ev) const;
@@ -184,7 +194,6 @@ class ShardedSession {
 
   // Live only during run().
   std::vector<std::unique_ptr<TenantCell>> cells_;
-  std::vector<std::unique_ptr<Shard>> shards_;
   std::unique_ptr<EpochArbiter> arbiter_;
   bool ran_ = false;
 };

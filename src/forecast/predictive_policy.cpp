@@ -14,15 +14,22 @@ namespace {
 /// blow up the error tracks.
 inline double error_base(double bps) { return std::max(bps, 1.0); }
 
+/// Retained probe results per ordered pair (the RateHistory ring size).
+constexpr std::size_t kHistoryCapacity = 16;
+/// Smoothing of each predictor's per-pair relative-error track.
+constexpr double kErrorEwmaAlpha = 0.4;
+/// Recent best-predictor errors kept per pair for the discount quantile.
+constexpr std::size_t kErrorWindow = 8;
+static_assert(kHistoryCapacity >= 2);
+static_assert(kErrorWindow >= 1);
+static_assert(kErrorEwmaAlpha > 0.0 && kErrorEwmaAlpha <= 1.0);
+
 }  // namespace
 
 PredictivePolicy::PredictivePolicy(ForecastOptions options)
     : options_(std::move(options)),
-      history_(0, options_.history_capacity),
-      predictors_(default_predictor_set(options_.predictors)) {
-  CHOREO_REQUIRE(options_.history_capacity >= 2);
-  CHOREO_REQUIRE(options_.error_window >= 1);
-  CHOREO_REQUIRE(options_.error_ewma_alpha > 0.0 && options_.error_ewma_alpha <= 1.0);
+      history_(0, kHistoryCapacity),
+      predictors_(default_predictor_set({})) {
   CHOREO_REQUIRE(options_.probe_budget_fraction >= 0.0 &&
                  options_.probe_budget_fraction <= 1.0);
   CHOREO_REQUIRE(options_.discount_quantile >= 0.0 && options_.discount_quantile <= 1.0);
@@ -33,7 +40,7 @@ void PredictivePolicy::resize(std::size_t vm_count) {
   const std::size_t pairs = vm_count * vm_count;
   const std::size_t P = predictors_.size();
   std::vector<double> ewma(pairs * P, -1.0);
-  std::vector<double> recent(pairs * options_.error_window, 0.0);
+  std::vector<double> recent(pairs * kErrorWindow, 0.0);
   std::vector<std::size_t> rhead(pairs, 0), rcount(pairs, 0);
   std::vector<double> base(pairs, -1.0);
   std::vector<CusumDetector> cusum(pairs, CusumDetector(options_.cusum));
@@ -46,9 +53,8 @@ void PredictivePolicy::resize(std::size_t vm_count) {
       for (std::size_t p = 0; p < P; ++p) {
         ewma[newp * P + p] = error_ewma_[oldp * P + p];
       }
-      for (std::size_t w = 0; w < options_.error_window; ++w) {
-        recent[newp * options_.error_window + w] =
-            recent_errors_[oldp * options_.error_window + w];
+      for (std::size_t w = 0; w < kErrorWindow; ++w) {
+        recent[newp * kErrorWindow + w] = recent_errors_[oldp * kErrorWindow + w];
       }
       rhead[newp] = recent_head_[oldp];
       rcount[newp] = recent_count_[oldp];
@@ -162,13 +168,12 @@ void PredictivePolicy::observe(std::size_t src, std::size_t dst, double rate_bps
       err[p] = std::abs(pred - rate_bps) / error_base(rate_bps);
       double& track = error_ewma_[pair * P + p];
       track = track < 0.0 ? err[p]
-                          : options_.error_ewma_alpha * err[p] +
-                                (1.0 - options_.error_ewma_alpha) * track;
+                          : kErrorEwmaAlpha * err[p] + (1.0 - kErrorEwmaAlpha) * track;
     }
     // Recent-error ring feeds the discount quantile with the error of the
     // pair's (post-update) best predictor.
     const std::size_t best_now = best_predictor(src, dst);
-    const std::size_t W = options_.error_window;
+    const std::size_t W = kErrorWindow;
     double* ring = &recent_errors_[pair * W];
     if (recent_count_[pair] < W) {
       ring[(recent_head_[pair] + recent_count_[pair]) % W] = err[best_now];
@@ -236,7 +241,7 @@ double PredictivePolicy::error_quantile(std::size_t src, std::size_t dst) const 
   CHOREO_REQUIRE(src < vm_count_ && dst < vm_count_);
   const std::size_t pair = pair_index(src, dst);
   if (recent_count_[pair] == 0) return 0.0;
-  const std::size_t W = options_.error_window;
+  const std::size_t W = kErrorWindow;
   std::vector<double> errs(recent_count_[pair]);
   for (std::size_t k = 0; k < recent_count_[pair]; ++k) {
     errs[k] = recent_errors_[pair * W + (recent_head_[pair] + k) % W];
@@ -254,19 +259,16 @@ void PredictivePolicy::apply_to_view(place::ClusterView& view,
                                      const measure::RefreshPlan& plan,
                                      std::uint64_t epoch) {
   if (!options_.enabled) return;
-  if (!options_.use_predictions_in_view && !options_.discount_rates) return;
   const std::size_t n = view.machine_count();
   CHOREO_REQUIRE(cache.vm_count() == n && vm_count_ == n);
   std::vector<std::uint8_t> probed(n * n, 0);
   for (const measure::ProbePair& p : plan.pairs) probed[p.src * n + p.dst] = 1;
-  if (options_.use_predictions_in_view) {
-    for (std::size_t i = 0; i < n; ++i) {
-      for (std::size_t j = 0; j < n; ++j) {
-        if (i == j || probed[i * n + j] || !cache.at(i, j).valid()) continue;
-        if (history_.sample_count(i, j) == 0) continue;
-        view.rate_bps(i, j) = predict(i, j, epoch);
-        ++last_plan_.predicted;
-      }
+  for (std::size_t i = 0; i < n; ++i) {
+    for (std::size_t j = 0; j < n; ++j) {
+      if (i == j || probed[i * n + j] || !cache.at(i, j).valid()) continue;
+      if (history_.sample_count(i, j) == 0) continue;
+      view.rate_bps(i, j) = predict(i, j, epoch);
+      ++last_plan_.predicted;
     }
   }
   if (options_.discount_rates) {

@@ -20,14 +20,6 @@ struct ForecastOptions {
   /// Master switch. Off: plan_refresh() == ViewCache::plan_refresh() and no
   /// history, scoring, or view rewriting happens anywhere.
   bool enabled = false;
-  /// Retained probe results per ordered pair (the RateHistory ring size).
-  std::size_t history_capacity = 16;
-  /// Knobs of the competing predictor set (EWMA alpha, diurnal period).
-  PredictorParams predictors;
-  /// Smoothing of each predictor's per-pair relative-error track.
-  double error_ewma_alpha = 0.4;
-  /// Recent best-predictor errors kept per pair for the discount quantile.
-  std::size_t error_window = 8;
   /// Pairs with fewer lifetime probes than this are always re-probed
   /// (warm-up: no meaningful error track yet).
   std::uint64_t min_observations = 3;
@@ -50,9 +42,6 @@ struct ForecastOptions {
   /// is a full sweep: the network shifted regime, all forecasts are suspect.
   double changepoint_sweep_fraction = 0.5;
   std::size_t changepoint_sweep_min_probes = 4;
-  /// Rewrite unprobed measured pairs of the refreshed view with the best
-  /// predictor's forecast (instead of the last, possibly stale, sample).
-  bool use_predictions_in_view = true;
   /// Uncertainty-aware placement: scale every measured pair's view rate by
   /// 1 / (1 + q) where q is the discount_quantile of the pair's recent
   /// prediction errors — placers stop trusting point estimates on pairs the
@@ -74,6 +63,9 @@ struct ForecastOptions {
 ///      error tracks and CUSUM, then records the sample into the history;
 ///   4. apply_to_view(view, cache, plan, epoch) — forecasts for unprobed
 ///      pairs, error-quantile rate discounts for placement.
+///
+/// The predictor set is `default_predictor_set({})`; the history ring,
+/// error smoothing and error window are fixed constants (predictive_policy.cpp).
 ///
 /// With options.enabled == false, step 1 delegates to the fixed policy
 /// verbatim and steps 3-4 are no-ops — the bit-identical oracle path.
@@ -136,10 +128,11 @@ class PredictivePolicy {
   /// has not been re-probed since.
   bool changepoint_flagged(std::size_t src, std::size_t dst) const;
 
-  /// Post-refresh view rewrite: unprobed measured pairs get the forecast
-  /// (options.use_predictions_in_view), every measured pair's rate is
-  /// discounted by its error quantile (options.discount_rates). `plan` must
-  /// be the plan this cycle probed. No-op when disabled.
+  /// Post-refresh view rewrite: unprobed measured pairs get the best
+  /// predictor's forecast instead of their last, possibly stale, sample, and
+  /// every measured pair's rate is discounted by its error quantile
+  /// (options.discount_rates). `plan` must be the plan this cycle probed.
+  /// No-op when disabled.
   void apply_to_view(place::ClusterView& view, const measure::ViewCache& cache,
                      const measure::RefreshPlan& plan, std::uint64_t epoch);
 
@@ -159,7 +152,7 @@ class PredictivePolicy {
   /// Per (pair, predictor): EWMA of |prediction - observed| / observed;
   /// negative means "not scored yet".
   std::vector<double> error_ewma_;
-  /// Per pair: ring of the last error_window best-predictor errors.
+  /// Per pair: ring of the last kErrorWindow best-predictor errors.
   std::vector<double> recent_errors_;
   std::vector<std::size_t> recent_head_;
   std::vector<std::size_t> recent_count_;

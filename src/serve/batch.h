@@ -18,7 +18,8 @@ namespace choreo::serve {
 struct BatchArrivalOptions {
   bool enabled = false;
   /// Most waiting applications planned in one joint placement. On joint
-  /// infeasibility the batch is halved down to 1 (one-at-a-time semantics).
+  /// infeasibility the batch shrinks one size at a time down to 1
+  /// (one-at-a-time semantics; see SessionRuntime::handle_retry).
   std::size_t max_batch = 4;
   /// Combined task count at or below which the §5.2 ILP places the joint
   /// application instead of the greedy — the fig09-style quality oracle for

@@ -149,7 +149,8 @@ World build_world(Observer root, std::uint32_t shards) {
   w.cloud = std::make_unique<cloud::Cloud>(cloud::ec2_2013(), 97);
   for (std::size_t i = 0; i < 3; ++i) {
     core::TenantSpec tenant;
-    tenant.name = "t" + std::to_string(i);
+    tenant.name = "t";
+    tenant.name += std::to_string(i);
     tenant.vms = w.cloud->allocate_vms(4);
     tenant.config.choreo.plan.train.bursts = 3;
     tenant.config.choreo.plan.train.burst_length = 60;

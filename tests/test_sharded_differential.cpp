@@ -158,7 +158,8 @@ World build_world(const WorldSpec& spec) {
   w.vectors.reserve(spec.tenants);  // VectorArrivalStream is non-owning
   for (std::size_t i = 0; i < spec.tenants; ++i) {
     TenantSpec tenant;
-    tenant.name = "t" + std::to_string(i);
+    tenant.name = "t";
+    tenant.name += std::to_string(i);
     tenant.vms = w.cloud->allocate_vms(spec.vms_per_tenant);
     tenant.config.choreo.use_measured_view = spec.use_measured_view;
     tenant.config.choreo.plan.train.bursts = 3;
@@ -335,7 +336,7 @@ TEST(ShardedDifferential, MeasuredViewDrawsSharedEpochs) {
 
 TEST(ShardedDifferential, ManyTenantsWideGrid) {
   // The upper corner: 64 tenants. One seed, tiny per-tenant work, several
-  // tenants per shard at every thread count.
+  // tenants per worker at every thread count.
   WorldSpec spec;
   spec.seed = 77;
   spec.tenants = 64;

@@ -1,13 +1,15 @@
 // Edge cases of the sharded control plane: degenerate tenant/thread shapes
-// (single tenant, one thread, more threads — and so shards — than tenants),
+// (single tenant, one thread, more threads than tenants),
 // a tenant whose stream never produces an arrival, tenants that all hit the
 // same epoch-boundary instant, and the EpochArbiter's grant protocol probed
-// directly (order, bound gating, cascades, completion).
+// directly (order, bound gating, cascades, completion, abort).
 
 #include <gtest/gtest.h>
 
 #include <memory>
+#include <optional>
 #include <string>
+#include <thread>
 #include <vector>
 
 #include "core/sharded.h"
@@ -25,18 +27,32 @@ std::function<std::uint64_t()> counter_draw(std::uint64_t& next) {
   return [&next] { return next++; };
 }
 
+/// Checks out every tenant, as the first workers would: in index order,
+/// with no epoch yet.
+void check_out_all(EpochArbiter& arb, std::size_t tenants) {
+  for (std::size_t i = 0; i < tenants; ++i) {
+    const auto ticket = arb.acquire();
+    ASSERT_TRUE(ticket.has_value());
+    EXPECT_EQ(ticket->tenant, i);
+    EXPECT_FALSE(ticket->epoch.has_value());
+  }
+}
+
 TEST(EpochArbiter, GrantsFollowTimeThenTenantOrder) {
   std::uint64_t next = 1;
   EpochArbiter arb(2, counter_draw(next));
+  check_out_all(arb, 2);
   // Tenant 1 asks first but tenant 0's bound (-inf) still allows an earlier
   // draw: the request parks.
   EXPECT_FALSE(arb.request(1, 5.0, 10.0).has_value());
-  EXPECT_FALSE(arb.poll(1).has_value());
-  // Tenant 0 advances past 5.0: tenant 1's draw is now provably next.
+  // Tenant 0 advances past 5.0: tenant 1's draw is now provably next, and
+  // tenant 1 is ready again with its epoch.
   arb.set_bound(0, 6.0);
-  const auto epoch = arb.poll(1);
-  ASSERT_TRUE(epoch.has_value());
-  EXPECT_EQ(*epoch, 1u);
+  const auto ticket = arb.acquire();
+  ASSERT_TRUE(ticket.has_value());
+  EXPECT_EQ(ticket->tenant, 1u);
+  ASSERT_TRUE(ticket->epoch.has_value());
+  EXPECT_EQ(*ticket->epoch, 1u);
   // Tenant 0 requests at its bound; tenant 1 now runs with bound 10.0.
   const auto second = arb.request(0, 6.0, 20.0);
   ASSERT_TRUE(second.has_value());
@@ -47,6 +63,7 @@ TEST(EpochArbiter, GrantsFollowTimeThenTenantOrder) {
 TEST(EpochArbiter, EqualTimesBreakTiesByTenantIndex) {
   std::uint64_t next = 1;
   EpochArbiter arb(3, counter_draw(next));
+  check_out_all(arb, 3);
   arb.set_bound(2, 100.0);  // tenant 2 is far in the future
   // Tenant 1 registers at t=7 first, then tenant 0 at the same instant:
   // tenant 0 must draw first (the oracle advances the lowest index).
@@ -56,32 +73,38 @@ TEST(EpochArbiter, EqualTimesBreakTiesByTenantIndex) {
   EXPECT_EQ(*first, 1u);
   // Granting tenant 0 re-publishes its post-bound (8.0 > 7.0), which
   // cascades the grant to tenant 1 in the same pass.
-  const auto second = arb.poll(1);
+  const auto second = arb.acquire();
   ASSERT_TRUE(second.has_value());
-  EXPECT_EQ(*second, 2u);
+  EXPECT_EQ(second->tenant, 1u);
+  ASSERT_TRUE(second->epoch.has_value());
+  EXPECT_EQ(*second->epoch, 2u);
 }
 
 TEST(EpochArbiter, DoneTenantsStopGatingGrants) {
   std::uint64_t next = 1;
   EpochArbiter arb(2, counter_draw(next));
+  check_out_all(arb, 2);
   EXPECT_FALSE(arb.request(1, 3.0, 4.0).has_value());
-  EXPECT_FALSE(arb.all_done());
   arb.mark_done(0);  // tenant 0 will never draw: tenant 1 unblocks
-  const auto epoch = arb.poll(1);
-  ASSERT_TRUE(epoch.has_value());
-  EXPECT_EQ(*epoch, 1u);
+  const auto ticket = arb.acquire();
+  ASSERT_TRUE(ticket.has_value());
+  EXPECT_EQ(ticket->tenant, 1u);
+  ASSERT_TRUE(ticket->epoch.has_value());
+  EXPECT_EQ(*ticket->epoch, 1u);
   arb.mark_done(1);
-  EXPECT_TRUE(arb.all_done());
+  EXPECT_FALSE(arb.acquire().has_value());  // every tenant is done
 }
 
-TEST(EpochArbiter, VersionBumpsOnGrantAndCompletion) {
+TEST(EpochArbiter, AbortWakesABlockedAcquire) {
   std::uint64_t next = 1;
-  EpochArbiter arb(2, counter_draw(next));
-  const std::uint64_t v0 = arb.version();
-  EXPECT_FALSE(arb.request(1, 2.0, 3.0).has_value());
-  arb.set_bound(0, 5.0);  // fires the grant
-  EXPECT_NE(arb.version(), v0);
-  EXPECT_EQ(arb.wait_change(v0), arb.version());  // returns without blocking
+  EpochArbiter arb(1, counter_draw(next));
+  check_out_all(arb, 1);  // tenant 0 runs, so a second acquire must sleep
+  std::optional<EpochArbiter::Ticket> got = EpochArbiter::Ticket{};
+  std::thread waiter([&] { got = arb.acquire(); });
+  while (arb.idle_waits() == 0) std::this_thread::yield();  // waiter is asleep
+  arb.abort();
+  waiter.join();
+  EXPECT_FALSE(got.has_value());
 }
 
 // ---- degenerate session shapes ---------------------------------------------
@@ -197,8 +220,8 @@ TenantApps busy_tenants(std::size_t count) {
 }
 
 TEST(ShardedEdges, SingleTenantEveryShape) {
-  // One tenant: one shard, then more shards (threads) than tenants, so
-  // every extra thread finds no work. Everything degenerates to the oracle
+  // One tenant: one thread, then more threads than tenants, so every extra
+  // thread finds the ready queue empty. Everything degenerates to the oracle
   // schedule.
   const TenantApps apps = busy_tenants(1);
   const MultiTenantLog oracle = run_oracle(5, apps, 60.0);
@@ -209,7 +232,7 @@ TEST(ShardedEdges, SingleTenantEveryShape) {
 }
 
 TEST(ShardedEdges, MoreShardsThanTenants) {
-  // One shard per thread, so threads > tenants leaves shards empty.
+  // More threads than tenants: some workers never get a tenant.
   const TenantApps apps = busy_tenants(3);
   const MultiTenantLog oracle = run_oracle(11, apps, 60.0);
   expect_multi_equal(oracle, run_sharded(11, apps, 60.0, 4), "threads>n");
