@@ -11,6 +11,7 @@
 #include "measure/probe_scheduler.h"
 #include "measure/view_cache.h"
 #include "net/topology.h"
+#include "oracles/exhaustive_greedy.h"
 #include "packetsim/event_queue.h"
 #include "packetsim/sink.h"
 #include "packetsim/token_bucket.h"

@@ -54,7 +54,7 @@ int main(int argc, char** argv) {
   const double rs_wall = measure::measurement_wall_time_s(rs_plan, 9);
   // netperf cannot run two probes out of one VM either: 9 rounds of 10 s.
   const double netperf_wall =
-      ec2_plan.setup_overhead_s + 9.0 * (10.0 + ec2_plan.round_overhead_s);
+      measure::kSetupOverheadS + 9.0 * (10.0 + measure::kRoundOverheadS);
 
   Table t({"method", "per-probe (s)", "90-pair wall clock (s)"});
   t.add_row({"packet train (EC2 10x200)", fmt(ec2_train, 3), fmt(ec2_wall, 1)});

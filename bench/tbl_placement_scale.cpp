@@ -28,6 +28,7 @@
 #include <utility>
 
 #include "bench_common.h"
+#include "oracles/exhaustive_greedy.h"
 #include "place/engine.h"
 #include "place/greedy.h"
 #include "place/rate_model.h"

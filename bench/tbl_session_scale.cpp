@@ -33,6 +33,7 @@
 
 #include "bench_common.h"
 #include "core/sharded.h"
+#include "oracles/multi_tenant_session.h"
 #include "workload/stream.h"
 
 namespace {

@@ -1,4 +1,4 @@
-#include "core/reference_session.h"
+#include "oracles/reference_session.h"
 
 #include <algorithm>
 #include <cmath>

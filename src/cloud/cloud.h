@@ -173,8 +173,7 @@ class Cloud {
   /// Noise-free fair-share rate a fresh probe src->dst would get right now.
   double true_path_rate_bps(VmId src, VmId dst, std::uint64_t epoch);
 
-  // ---- fluid-simulation factory (advanced experiments) --------------------
-
+ private:
   /// A fluid simulation of this cloud with per-VM hose resources, per-host
   /// vswitch resources and (optionally) background tenant flows installed.
   struct SimBundle {
@@ -191,7 +190,6 @@ class Cloud {
   flowsim::FlowSpec tenant_flow(const SimBundle& bundle, VmId src, VmId dst, double bytes,
                                 double start_s, std::uint64_t flow_key) const;
 
- private:
   struct VmRecord {
     net::NodeId host;
     double hose_bps;

@@ -350,22 +350,18 @@ void SessionRuntime::handle_arrival() {
 
 void SessionRuntime::handle_retry() {
   ++stats_.retries;
-  if (!config_.batch.enabled || config_.batch.max_batch <= 1) {
-    // The historical FIFO drain, kept verbatim: place the head, stop at the
-    // first application that does not fit (head-of-line blocking preserves
-    // arrival fairness).
-    while (!waiting_.empty() && try_place(waiting_.front())) waiting_.pop_front();
-    return;
-  }
-  // Batched drain: plan up to max_batch queued applications jointly; on
-  // joint infeasibility step the batch size down one at a time to the plain
+  // Plan up to max_batch queued applications jointly; on joint
+  // infeasibility step the batch size down one at a time to the plain
   // single-app attempt. Stepping (not halving) matters: joint feasibility is
   // not monotone in any coarser stride — k == 3 infeasible says nothing
   // about k == 2, and halving used to skip it outright. Head-of-line
   // blocking is preserved — the queue head is part of every attempted
-  // batch, and the drain stops when even it alone does not fit.
+  // batch, and the drain stops when even it alone does not fit. With
+  // batching off (max_batch 1) no batch is attempted, so this is the FIFO
+  // drain: place the head, stop at the first application that does not fit.
+  const std::size_t max_batch = config_.batch.enabled ? config_.batch.max_batch : 1;
   while (!waiting_.empty()) {
-    std::size_t k = std::min(config_.batch.max_batch, waiting_.size());
+    std::size_t k = std::min(max_batch, waiting_.size());
     bool placed = false;
     while (k > 1) {
       stats_.batch_attempts.push_back(k);
@@ -559,56 +555,6 @@ MultiTenantLog merge_tenant_logs(std::vector<SessionLog> tenants) {
     agg.events.push_back(ev);
   }
   return out;
-}
-
-MultiTenantSession::MultiTenantSession(cloud::Cloud& cloud,
-                                       std::vector<TenantSpec> tenants,
-                                       MultiTenantOptions options)
-    : cloud_(cloud), tenants_(std::move(tenants)), opts_(options) {
-  validate_tenants(tenants_);
-}
-
-MultiTenantLog MultiTenantSession::run() {
-  CHOREO_REQUIRE_MSG(!ran_, "run() may be called once");
-  ran_ = true;
-
-  std::vector<std::unique_ptr<SessionRuntime>> runtimes;
-  runtimes.reserve(tenants_.size());
-  for (std::size_t i = 0; i < tenants_.size(); ++i) {
-    RuntimeOptions options;
-    options.record_events = opts_.record_events;
-    options.record_outcomes = opts_.record_outcomes;
-    options.tenant = static_cast<std::uint32_t>(i);
-    // The epoch plumbing that couples tenants: every measurement cycle draws
-    // from the shared cloud's counter, so each cycle observes the cloud's
-    // background realization as of its position in the global event order.
-    options.epoch_source = [this] { return cloud_.next_epoch(); };
-    runtimes.push_back(std::make_unique<SessionRuntime>(
-        cloud_, tenants_[i].vms, tenants_[i].config, std::move(options)));
-  }
-  for (std::size_t i = 0; i < tenants_.size(); ++i) {
-    runtimes[i]->start(*tenants_[i].stream);
-  }
-
-  // The shared clock: always advance the tenant with the earliest live
-  // event; ties break by tenant index. Deterministic for a fixed spec.
-  while (true) {
-    const std::size_t best = util::earliest_index(runtimes.size(), [&](std::size_t i) {
-      const std::optional<SessionRuntime::PendingEvent> next = runtimes[i]->peek_event();
-      return next ? next->time_s : std::numeric_limits<double>::infinity();
-    });
-    if (best == runtimes.size()) break;
-    runtimes[best]->step();
-  }
-
-  std::vector<SessionLog> logs;
-  logs.reserve(runtimes.size());
-  stats_.clear();
-  for (auto& rt : runtimes) {
-    logs.push_back(rt->finish());
-    stats_.push_back(rt->stats());
-  }
-  return merge_tenant_logs(std::move(logs));
 }
 
 }  // namespace choreo::core

@@ -68,7 +68,7 @@ struct RuntimeOptions {
 /// instant's departure phase, exactly like the historical merge loop.
 /// test_runtime_differential pins the whole SessionLog — events, outcomes,
 /// accounting — bit-identical to run_session_reference (the pre-refactor
-/// loop kept verbatim as the oracle).
+/// loop kept verbatim as the oracle in oracles/).
 ///
 /// One documented exclusion from that contract: the old loop merged every
 /// event within 1e-9 s of the iteration instant into that iteration, so two
@@ -294,39 +294,9 @@ void validate_tenants(const std::vector<TenantSpec>& tenants);
 /// The one reduction of per-tenant logs (in TenantSpec order) to a
 /// MultiTenantLog: counters summed and outcomes concatenated in tenant
 /// order, events k-way merged on (time, tenant) with app payloads re-based
-/// onto the concatenation (kNoApp passes through). MultiTenantSession and
-/// ShardedSession both call it, so their aggregates cannot drift apart.
+/// onto the concatenation (kNoApp passes through). ShardedSession and its
+/// single-threaded oracle MultiTenantSession (oracles/) both call it, so
+/// their aggregates cannot drift apart.
 MultiTenantLog merge_tenant_logs(std::vector<SessionLog> tenants);
-
-/// N Choreo instances over disjoint VM slices of one shared cloud::Cloud,
-/// their discrete events interleaved deterministically on a shared clock
-/// (earliest next event wins; ties break by tenant index). All tenants draw
-/// measurement epochs from the shared cloud's counter, so each measurement
-/// cycle observes the cloud as of its position in the global session order —
-/// the §7.2 multi-user regime, where every tenant measures individually
-/// under whatever the others are doing.
-struct MultiTenantOptions {
-  bool record_events = true;
-  bool record_outcomes = true;
-};
-
-class MultiTenantSession {
- public:
-  MultiTenantSession(cloud::Cloud& cloud, std::vector<TenantSpec> tenants,
-                     MultiTenantOptions options = {});
-
-  /// Runs every tenant session to completion. Call once.
-  MultiTenantLog run();
-
-  /// Per-tenant runtime stats, valid after run().
-  const std::vector<SessionRuntime::Stats>& tenant_stats() const { return stats_; }
-
- private:
-  cloud::Cloud& cloud_;
-  std::vector<TenantSpec> tenants_;
-  MultiTenantOptions opts_;
-  std::vector<SessionRuntime::Stats> stats_;
-  bool ran_ = false;
-};
 
 }  // namespace choreo::core

@@ -27,8 +27,8 @@ struct ControllerConfig {
   /// Opt-in batched drain of the retry queue: after departures free
   /// capacity, up to batch.max_batch waiting applications are planned
   /// jointly (place::combine + one placement) instead of one at a time.
-  /// Disabled by default; disabled (and max_batch == 1) is bit-identical to
-  /// the historical FIFO drain.
+  /// Disabled by default; disabled runs the same drain at max_batch == 1,
+  /// which is the FIFO drain.
   serve::BatchArrivalOptions batch;
   /// Opt-in distributed measurement: when agents.enabled, the controller's
   /// measurement cycles run as host-agent/cluster-agent exchanges over a

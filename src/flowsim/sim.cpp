@@ -322,9 +322,4 @@ std::vector<Sim::LinkLoad> Sim::link_loads() const {
   return loads;
 }
 
-double run_makespan(Sim& sim, double t_max) {
-  sim.run_to_completion(t_max);
-  return sim.makespan();
-}
-
 }  // namespace choreo::flowsim

@@ -148,7 +148,6 @@ class Sim {
   /// Latest completion time among finished finite flows; -1 if none.
   double makespan() const { return makespan_; }
 
-  KernelMode kernel_mode() const { return mode_; }
   /// Incremental-kernel counters (recomputes, region sizes, waterfill
   /// rounds); all zero in Reference mode.
   const MaxMinKernel::Stats& kernel_stats() const { return kernel_.stats(); }
@@ -218,9 +217,5 @@ class Sim {
   std::vector<ResourceId> row_scratch_;   // add_flow row staging
   std::vector<FlowId> finish_scratch_;    // finish_due_flows staging
 };
-
-/// Convenience: simulate the given finite flows (all resources/routes per
-/// `sim`) and return the completion time of the whole set (the makespan).
-double run_makespan(Sim& sim, double t_max = 1e9);
 
 }  // namespace choreo::flowsim

@@ -10,9 +10,8 @@ namespace choreo::measure {
 
 double measurement_wall_time_s(const MeasurementPlan& plan, std::size_t rounds) {
   if (rounds == 0) return 0.0;
-  return plan.setup_overhead_s +
-         static_cast<double>(rounds) *
-             (train_duration_s(plan.train) + plan.round_overhead_s);
+  return kSetupOverheadS +
+         static_cast<double>(rounds) * (train_duration_s(plan.train) + kRoundOverheadS);
 }
 
 PairsResult measure_rate_pairs(cloud::Cloud& cloud, const std::vector<cloud::VmId>& vms,

@@ -12,18 +12,19 @@
 
 namespace choreo::measure {
 
+/// Fixed per-round cost in seconds of a measurement phase: starting
+/// receivers, collecting timestamp logs, shipping them to the coordinator.
+inline constexpr double kRoundOverheadS = 8.0;
+/// One-off cost in seconds of setting up / tearing down the measurement
+/// servers.
+inline constexpr double kSetupOverheadS = 30.0;
+
 /// How Choreo measures a tenant's N VMs (§2.2, §4.1): one packet train per
 /// ordered pair, edge-colored by ProbeScheduler into conflict-free rounds
 /// (no VM is source or sink of two simultaneous trains) that execute their
 /// trains concurrently.
 struct MeasurementPlan {
   packetsim::TrainParams train;  ///< calibrated per provider (§4.1, Fig 6)
-  /// Fixed per-round cost in seconds: starting receivers, collecting
-  /// timestamp logs, shipping them to the coordinator.
-  double round_overhead_s = 8.0;
-  /// One-off cost in seconds of setting up / tearing down the measurement
-  /// servers.
-  double setup_overhead_s = 30.0;
   /// Local worker threads simulating one round's concurrent trains; purely
   /// a simulation-speed knob — results are byte-identical for any value
   /// (pinned by test_determinism) and the modeled wall-clock always assumes

@@ -83,6 +83,10 @@ void Hist::observe(double value, std::uint32_t shard) const {
   }
 }
 
+namespace {
+
+/// Quantile extraction from raw bucket counts: the midpoint of the bucket
+/// containing the ceil(q * count)-th sample.
 double hist_quantile(const std::uint64_t* buckets, std::size_t n_buckets,
                      std::uint64_t count, double q) {
   if (count == 0) return 0.0;
@@ -99,8 +103,6 @@ double hist_quantile(const std::uint64_t* buckets, std::size_t n_buckets,
 }
 
 // --- Registry --------------------------------------------------------------
-
-namespace {
 
 enum class Kind { Counter, Gauge, Hist };
 

@@ -140,12 +140,6 @@ struct MetricsSnapshot {
   const HistValue* find_hist(const std::string& name) const;
 };
 
-/// Quantile extraction from raw bucket counts (exposed for the serve-QPS
-/// bench, which wants p50/p99 from one merged histogram). Returns the
-/// midpoint of the bucket containing the ceil(q * count)-th sample.
-double hist_quantile(const std::uint64_t* buckets, std::size_t n_buckets,
-                     std::uint64_t count, double q);
-
 /// The metric store. Thread-safety: registration takes a mutex and may
 /// allocate; recording through handles is lock-free, allocation-free, and
 /// safe from any thread. Registering the same name twice returns the same

@@ -4,19 +4,16 @@
 
 namespace choreo::packetsim {
 
-/// A simulated packet. One struct serves UDP probe traffic and TCP segments;
-/// unused fields are zero.
+/// A simulated UDP probe packet.
 struct Packet {
   std::uint64_t flow = 0;       ///< flow identifier
-  std::uint64_t seq = 0;        ///< UDP probe sequence / TCP segment number
+  std::uint64_t seq = 0;        ///< probe sequence number
   std::uint32_t wire_bytes = 0; ///< size on the wire, headers included
   std::uint32_t burst = 0;      ///< packet-train burst index (§3.1)
   double sent_time = 0.0;       ///< emission timestamp at the original source
-  bool is_ack = false;          ///< TCP pure ACK travelling the reverse path
-  std::uint64_t ack_seq = 0;    ///< cumulative ACK: next expected segment
 };
 
-/// Anything that can accept a packet: links, shapers, sinks, TCP endpoints.
+/// Anything that can accept a packet: links, shapers, sinks.
 class Element {
  public:
   virtual ~Element() = default;

@@ -30,9 +30,8 @@ struct ShaperSpec {
 ///
 ///   entry -> [token-bucket shaper] -> hop_1 -> ... -> hop_n -> terminal
 ///
-/// The terminal element is supplied by the caller (RecordingSink,
-/// TcpReceiver, ...). Hops expose their Link objects so that cross-traffic
-/// sources can be attached mid-path.
+/// The terminal element is supplied by the caller (a RecordingSink for
+/// probe trains). Hops expose their Link objects for inspection.
 class Path {
  public:
   Path(EventQueue& events, const ShaperSpec& shaper, const std::vector<HopSpec>& hops,
@@ -41,7 +40,7 @@ class Path {
   /// First element of the chain; feed packets here.
   Element& entry();
 
-  /// The i-th hop's link (0-based), e.g. to attach cross traffic.
+  /// The i-th hop's link (0-based).
   Link& hop(std::size_t i);
   std::size_t hop_count() const { return links_.size(); }
 

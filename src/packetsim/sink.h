@@ -43,14 +43,4 @@ class RecordingSink : public Element {
   std::vector<Record> records_;
 };
 
-/// Terminal element that silently discards packets (for cross traffic).
-class NullSink : public Element {
- public:
-  void receive(const Packet&, double) override { ++count_; }
-  std::uint64_t count() const { return count_; }
-
- private:
-  std::uint64_t count_ = 0;
-};
-
 }  // namespace choreo::packetsim

@@ -18,7 +18,7 @@ namespace choreo::place {
 /// residual rates and a lazy best-first walk over statically ranked
 /// candidate lists, stopping as soon as the next static upper bound cannot
 /// beat the best exact rate found. Results are bit-identical to the
-/// exhaustive scan (ExhaustiveGreedyPlacer below), pinned by
+/// exhaustive scan (ExhaustiveGreedyPlacer in oracles/), pinned by
 /// test_engine_differential.
 ///
 /// Under the forecast plane the view's rates may already carry an
@@ -33,25 +33,6 @@ class GreedyPlacer : public Placer {
   explicit GreedyPlacer(RateModel model = RateModel::Hose) : model_(model) {}
 
   std::string name() const override { return std::string("choreo-greedy-") + to_string(model_); }
-
-  Placement place(const Application& app, const ClusterState& state) override;
-
- private:
-  RateModel model_;
-};
-
-/// The original Algorithm 1 implementation: a full scan over every
-/// (machine, machine) candidate per transfer, with rates evaluated from
-/// scratch. O(transfers · n^2 · n) per application — kept verbatim as the
-/// reference oracle the engine-backed GreedyPlacer is differentially tested
-/// against, and as the baseline column of bench/tbl_placement_scale.
-class ExhaustiveGreedyPlacer : public Placer {
- public:
-  explicit ExhaustiveGreedyPlacer(RateModel model = RateModel::Hose) : model_(model) {}
-
-  std::string name() const override {
-    return std::string("choreo-greedy-") + to_string(model_) + "-exhaustive";
-  }
 
   Placement place(const Application& app, const ClusterState& state) override;
 

@@ -13,8 +13,8 @@ namespace choreo::serve {
 /// `max_batch` waiting applications and places them *jointly* — the fig10a
 /// all-at-once mechanism (place::combine + one placement of the union of
 /// transfers) applied online to whatever is queued. Disabled by default; the
-/// disabled path (and enabled with max_batch == 1) is bit-identical to the
-/// historical one-at-a-time drain, pinned by test_serve.
+/// runtime then drains at max_batch == 1, the one-at-a-time FIFO drain
+/// (pinned by test_serve).
 struct BatchArrivalOptions {
   bool enabled = false;
   /// Most waiting applications planned in one joint placement. On joint

@@ -46,23 +46,6 @@ std::optional<place::Application> GeneratorArrivalStream::next() {
   return app;
 }
 
-PhasedArrivalStream::PhasedArrivalStream(std::uint64_t seed, Config config)
-    : config_(std::move(config)), rng_(seed) {
-  CHOREO_REQUIRE(config_.mean_gap_s > 0.0);
-}
-
-std::optional<place::Application> PhasedArrivalStream::next() {
-  if (config_.max_apps > 0 && emitted_ >= config_.max_apps) return std::nullopt;
-  t_s_ += rng_.exponential(config_.mean_gap_s);
-  if (config_.duration_s > 0.0 && t_s_ >= config_.duration_s) return std::nullopt;
-  const place::PhasedApplication phased = generate_phased_app(rng_, config_.phased);
-  place::Application app = phased.aggregate();
-  app.name = "phased-";
-  app.name += std::to_string(emitted_++);
-  app.arrival_s = t_s_;
-  return app;
-}
-
 MmppArrivalStream::MmppArrivalStream(ArrivalStream& inner, std::uint64_t seed,
                                      Config config)
     : inner_(&inner), config_(std::move(config)), rng_(seed) {

@@ -7,7 +7,6 @@
 #include "place/app.h"
 #include "util/rng.h"
 #include "workload/generator.h"
-#include "workload/phased.h"
 #include "workload/trace.h"
 
 namespace choreo::workload {
@@ -79,28 +78,6 @@ class GeneratorArrivalStream final : public ArrivalStream {
   };
 
   GeneratorArrivalStream(std::uint64_t seed, Config config);
-
-  std::optional<place::Application> next() override;
-
- private:
-  Config config_;
-  Rng rng_;
-  double t_s_ = 0.0;
-  std::uint64_t emitted_ = 0;
-};
-
-/// §7.2 phased applications, flattened to their aggregate traffic matrix
-/// (what vanilla Choreo places), arriving as a homogeneous Poisson process.
-class PhasedArrivalStream final : public ArrivalStream {
- public:
-  struct Config {
-    PhasedConfig phased;
-    double mean_gap_s = 60.0;
-    double duration_s = 0.0;
-    std::uint64_t max_apps = 0;
-  };
-
-  PhasedArrivalStream(std::uint64_t seed, Config config);
 
   std::optional<place::Application> next() override;
 

@@ -18,6 +18,7 @@
 #include <utility>
 #include <vector>
 
+#include "oracles/exhaustive_greedy.h"
 #include "place/baselines.h"
 #include "place/engine.h"
 #include "place/greedy.h"

@@ -7,6 +7,7 @@
 #include "forecast/predictor.h"
 #include "forecast/rate_history.h"
 #include "measure/view_cache.h"
+#include "oracles/exhaustive_greedy.h"
 #include "place/greedy.h"
 #include "util/rng.h"
 #include "util/stats.h"

@@ -154,8 +154,8 @@ TEST(MatrixMeasurement, TenVmSnapshotUnderThreeMinutes) {
   plan.train.bursts = 10;
   plan.train.burst_length = 200;
   plan.train.line_rate_bps = 4e9;
-  const double wall = plan.setup_overhead_s +
-                      9.0 * (train_duration_s(plan.train) + plan.round_overhead_s);
+  const double wall =
+      kSetupOverheadS + 9.0 * (train_duration_s(plan.train) + kRoundOverheadS);
   EXPECT_LT(wall, 180.0);
 }
 

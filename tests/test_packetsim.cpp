@@ -1,6 +1,5 @@
 #include <gtest/gtest.h>
 
-#include "packetsim/cross_traffic.h"
 #include "packetsim/event_queue.h"
 #include "packetsim/link.h"
 #include "packetsim/path.h"
@@ -190,37 +189,6 @@ TEST(UdpTrain, ThroughTokenBucketApproachesTokenRate) {
   const double burst_bytes = 199.0 * 1500.0;  // first-to-last spans B-1 packets
   const double rate = burst_bytes * 8.0 / (t1 - t0);
   EXPECT_NEAR(rate, 100e6, 8e6);
-}
-
-TEST(CrossTrafficSource, RespectsLoadWhenAlwaysOn) {
-  EventQueue q;
-  NullSink sink;
-  CrossTrafficSource::Params params;
-  params.load_bps = 80e6;
-  params.packet_bytes = 1000;
-  params.always_on = true;
-  CrossTrafficSource src(q, &sink, params, 7);
-  src.start(0.0);
-  q.run_until(1.0);
-  src.stop();
-  // 80 Mbit/s = 10k packets/s of 1000 B.
-  EXPECT_NEAR(static_cast<double>(sink.count()), 10000.0, 600.0);
-}
-
-TEST(CrossTrafficSource, OnOffProducesFewerPackets) {
-  EventQueue q;
-  NullSink sink;
-  CrossTrafficSource::Params params;
-  params.load_bps = 80e6;
-  params.packet_bytes = 1000;
-  params.mean_on_s = 0.1;
-  params.mean_off_s = 0.1;
-  CrossTrafficSource src(q, &sink, params, 7);
-  src.start(0.0);
-  q.run_until(2.0);
-  src.stop();
-  // Duty cycle ~50%: roughly half the always-on packet count.
-  EXPECT_NEAR(static_cast<double>(sink.count()), 10000.0, 3500.0);
 }
 
 TEST(Path, BuildsChainEntryToSink) {

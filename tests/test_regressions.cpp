@@ -7,6 +7,7 @@
 #include "core/runtime.h"
 #include "lp/simplex.h"
 #include "obs/metrics.h"
+#include "oracles/multi_tenant_session.h"
 #include "packetsim/event_queue.h"
 #include "packetsim/sink.h"
 #include "packetsim/token_bucket.h"

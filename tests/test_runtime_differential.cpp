@@ -12,8 +12,8 @@
 #include <string>
 #include <vector>
 
-#include "core/reference_session.h"
 #include "core/runtime.h"
+#include "oracles/reference_session.h"
 #include "util/units.h"
 #include "workload/generator.h"
 #include "workload/stream.h"

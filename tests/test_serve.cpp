@@ -340,11 +340,18 @@ core::SessionLog run_with_batch(const std::vector<place::Application>& apps,
 }
 
 TEST(BatchRuntime, DisabledAndMaxBatchOneAreBitIdenticalToTheFifoDrain) {
+  std::size_t drained_by_retry = 0;
   for (std::uint64_t seed = 1; seed <= 8; ++seed) {
     Rng rng(seed);
     const std::vector<place::Application> apps = queueing_workload(rng, 7);
 
     const core::SessionLog base = run_with_batch(apps, seed * 31 + 7, {});
+    // A deferred app only ever leaves the queue through a retry drain.
+    for (const core::SessionEvent& e : base.events) {
+      if (e.kind == core::SessionEventKind::Deferred && base.apps[e.app].placed_s >= 0.0) {
+        ++drained_by_retry;
+      }
+    }
 
     BatchArrivalOptions enabled_k1;
     enabled_k1.enabled = true;
@@ -358,6 +365,9 @@ TEST(BatchRuntime, DisabledAndMaxBatchOneAreBitIdenticalToTheFifoDrain) {
     const core::SessionLog off = run_with_batch(apps, seed * 31 + 7, disabled_k4);
     expect_logs_identical(base, off, "disabled seed " + std::to_string(seed));
   }
+  // The equivalence means nothing on a corpus whose retries never place a
+  // queued app.
+  EXPECT_GT(drained_by_retry, 0u);
 }
 
 TEST(BatchRuntime, BatchedDrainProducesAValidSession) {

@@ -13,6 +13,7 @@
 #include <vector>
 
 #include "core/sharded.h"
+#include "oracles/multi_tenant_session.h"
 #include "util/units.h"
 #include "workload/generator.h"
 #include "workload/stream.h"

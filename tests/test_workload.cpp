@@ -226,22 +226,6 @@ TEST(Streams, GeneratorStreamHonorsCaps) {
   while (const auto app = stream2.next()) EXPECT_LT(app->arrival_s, 600.0);
 }
 
-TEST(Streams, PhasedStreamAggregatesPhases) {
-  PhasedArrivalStream::Config cfg;
-  cfg.max_apps = 6;
-  PhasedArrivalStream stream(11, cfg);
-  std::size_t count = 0;
-  double last = 0.0;
-  while (const auto app = stream.next()) {
-    app->validate();
-    EXPECT_GT(app->traffic_bytes.total(), 0.0);
-    EXPECT_GE(app->arrival_s, last);
-    last = app->arrival_s;
-    ++count;
-  }
-  EXPECT_EQ(count, 6u);
-}
-
 TEST(Streams, MmppModulatorIsBurstierThanPoisson) {
   // Payloads come from the inner stream; timing is replaced by a two-state
   // MMPP whose rate contrast makes inter-arrival gaps over-dispersed
