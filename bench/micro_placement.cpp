@@ -103,11 +103,11 @@ void BM_GreedyPlacementExhaustive(benchmark::State& state) {
 BENCHMARK(BM_GreedyPlacementExhaustive)->Args({40, 10})->Args({200, 10});
 
 // One measurement cycle's placement-plane cost at scale: swapping a fresh
-// view into an occupied state (bounds recomputed, ranked lists re-sorted
-// where a bound moved, residuals kept). The second argument is the share of
-// pairs (%) each new view changes; iterations alternate between two views
-// that differ in exactly those pairs, so 0 prices the no-change path and
-// 100 a full re-rank.
+// view into an occupied state (static bounds rebuilt from the view,
+// residuals kept). The second argument is the share of pairs (%) each new
+// view changes; iterations alternate between two views that differ in
+// exactly those pairs. Every update rebuilds the whole block, so the share
+// should not move the cost.
 void BM_EngineUpdateView(benchmark::State& state) {
   Rng rng(42);
   const auto machines = static_cast<std::size_t>(state.range(0));

@@ -1,23 +1,21 @@
 // Placement-plane scaling: the incremental PlacementEngine vs the
 // exhaustive-scan greedy across 10 -> 500 VM fleets.
 //
-// Four claims are enforced:
+// Three claims are enforced, and one cost is reported:
 //   1. Fidelity: the engine-backed greedy produces the SAME placements as
 //      the exhaustive scan on every fleet size both run at (the bench-level
 //      echo of test_engine_differential's bit-identity pin).
 //   2. Scale: engine placement wall-clock grows sub-quadratically in fleet
-//      size (the lazy best-first search does near-linear work per app once
-//      the static indexes are built), while the exhaustive scan's
+//      size (the bound-pruned scan does near-linear work per app once the
+//      static indexes are built), while the exhaustive scan's
 //      O(transfers * n^2 * n) blows up — that is why it only runs up to a
 //      cap here.
 //   3. Amortization: the one-off static index build (ClusterState
 //      construction / update_view) stays far below a single exhaustive
 //      placement at the largest common fleet size.
-//   4. Incremental refresh: at the largest fleet, an update_view whose new
-//      view moves 1% of the pairs costs at most a fixed fraction of a
-//      from-scratch build of the same view — only the ranked lists whose
-//      bounds moved are re-sorted. A ratio of two timings on one host, so
-//      the gate carries across hosts.
+//   4. Refresh (reported, not gated): an update_view whose new view moves 1%
+//      of the pairs, and its ratio to a from-scratch build of the same view.
+//      Both build the same O(n^2) static block, so the ratio sits near 1.
 //
 // `--smoke` runs a reduced sweep for CI; the exit code is non-zero on any
 // [FAIL], which lets CI enforce the scaling claim continuously.
@@ -69,11 +67,6 @@ place::ClusterView synthetic_fleet(Rng& rng, std::size_t machines) {
   view.cores.assign(machines, 8.0);
   return view;
 }
-
-// Claim 4's gate on update_view(1% of pairs moved) / fresh build. Measured
-// 0.08-0.20 optimized and 0.24-0.30 in Debug at 120 VMs (4-vCPU Xeon VM);
-// a full re-sort on every update would read about 1.0.
-constexpr double kUpdateRatioGate = 0.9;
 
 /// `view` with 1% of its pair rates re-drawn: a typical steady-state
 /// measurement cycle, which moves only the pairs it re-probed.
@@ -222,9 +215,9 @@ int main(int argc, char** argv) {
       if (n == exhaustive_cap) exhaustive_ms_at_cap = oracle_ms;
     }
 
-    // Incremental refresh against a from-scratch build of the same view:
-    // the state alternates between `view` and a copy with 1% of its pairs
-    // moved, so every update moves exactly those pairs.
+    // Refresh against a from-scratch build of the same view: the state
+    // alternates between `view` and a copy with 1% of its pairs moved, so
+    // every update moves exactly those pairs.
     const double fresh_ms = mean_ms({view}, min_timed_s, [](place::ClusterView v) {
       const place::PlacementEngine fresh(std::move(v));
       return fresh.machine_count();
@@ -252,8 +245,9 @@ int main(int argc, char** argv) {
 
   // Scaling: wall-clock per app from the smallest to the largest fleet must
   // grow clearly slower than the quadratic candidate-count ratio. (The
-  // engine's per-app work is near-linear — ranked-list walks plus a heap
-  // merge — so this holds with a wide margin; the exhaustive scan would be
+  // engine's per-app work is near-linear — the co-located candidate, then at
+  // most one row or column of bounds per transfer in the common case — so
+  // this holds with a wide margin; the exhaustive scan would be
   // super-quadratic and fails this by construction at scale.)
   const double grow = per_app_ms.back() / per_app_ms.front();
   const double nmin = static_cast<double>(fleet_sizes.front());
@@ -271,13 +265,10 @@ int main(int argc, char** argv) {
         "static index build is amortized (cheaper than a handful of exhaustive "
         "placements)");
 
-  // Incremental refresh: 1% of pairs moved costs a fraction of a fresh
-  // build at the largest fleet.
+  // Refresh cost, reported: a 1% update rebuilds the whole static block,
+  // like a fresh build.
   std::cout << "1% update / fresh build at " << fleet_sizes.back() << " VMs: "
             << fmt(update_ratio, 3) << "\n";
-  check(update_ratio <= kUpdateRatioGate,
-        "an update_view moving 1% of pairs costs at most " + fmt(kUpdateRatioGate, 2) +
-            "x a from-scratch index build at the largest fleet");
 
   if (!json_path.empty()) json.write(json_path);
   return finish();

@@ -66,23 +66,15 @@ double Choreo::measure_network(std::uint64_t epoch) {
     last_measure_ = MeasureReport{};
   }
 
-  // Preserve existing commitments. After the first cycle the fleet is fixed,
-  // so the new view is swapped into the existing state in place: the
-  // PlacementEngine re-ranks only the candidate lists whose bounds moved and
-  // keeps the residual occupancy (CPU, transfer counts), instead of
-  // reconstructing the state and replaying every running application on
-  // each arrival/re-evaluation.
-  if (state_ && state_->machine_count() == view.machine_count()) {
+  // The first cycle builds the state; every later one swaps the new view of
+  // the same fleet into it, keeping the residual occupancy (CPU, transfer
+  // counts) of the running applications, so nothing is replayed. Nothing
+  // runs before the first cycle: placing and adopting require a measurement.
+  if (state_) {
+    CHOREO_REQUIRE(view.machine_count() == state_->machine_count());
     state_->update_view(std::move(view));
   } else {
-    auto fresh = std::make_unique<place::ClusterState>(std::move(view));
-    for (const auto& [handle, entry] : running_) {
-      fresh->commit(entry.app, entry.placement);
-    }
-    state_ = std::move(fresh);
-    // Fresh state means a fresh engine whose counters restart at zero;
-    // re-baseline so the next scrape's delta doesn't wrap.
-    engine_seen_ = state_->engine().counters();
+    state_ = std::make_unique<place::ClusterState>(std::move(view));
   }
   measured_ = true;
 

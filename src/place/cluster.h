@@ -160,9 +160,8 @@ class ClusterState {
 
   /// Swaps in a freshly measured view of the SAME fleet while keeping the
   /// residual occupancy (committed CPU and transfer counts) — what makes a
-  /// §2.4 measurement refresh an index update (bounds recomputed, only the
-  /// ranked lists whose bounds moved re-sorted) instead of a full replay of
-  /// every running application.
+  /// §2.4 measurement refresh an O(n^2) rebuild of the static bounds instead
+  /// of a full replay of every running application.
   void update_view(ClusterView view);
 
   /// Discounts the current view's pair rates in place (see the free

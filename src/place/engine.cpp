@@ -7,60 +7,6 @@ namespace choreo::place {
 
 namespace {
 
-using RankEntry = PlacementEngine::RankEntry;
-
-// The ranked-list order: bound desc, ties toward the lower index (the
-// exhaustive scan's tie-break direction). Peers are distinct, so this is a
-// strict total order and any list has exactly one sorted arrangement —
-// which is what makes a merge of kept and re-sorted entries equal to a
-// full sort.
-bool ranks_before(const RankEntry& a, const RankEntry& b) {
-  return a.bound != b.bound ? a.bound > b.bound : a.peer < b.peer;
-}
-
-// Working buffers of a static build, kept per thread so a steady-state view
-// update allocates nothing beyond the new block itself.
-struct RankScratch {
-  // 1 where a bound changed, machine_count^2 each: row-major by source, and
-  // the same flags row-major by destination so a source list reads its
-  // flags from one row too.
-  std::vector<std::uint8_t> moved;
-  std::vector<std::uint8_t> moved_to;
-  std::vector<RankEntry> fresh;
-};
-thread_local RankScratch rank_scratch;
-
-// Writes one ranked list of M entries to `out`: the entries of the previous
-// list `old` whose bound did not move (already in order), merged with the
-// moved peers (`moved[p]` set) sorted under their new bounds `bound(p)`.
-// Without an old list every peer has moved and this is a full sort.
-template <typename Bound>
-void rank_list(RankEntry* out, const RankEntry* old, const std::uint8_t* moved,
-               std::size_t M, Bound bound) {
-  if (old != nullptr && std::find(moved, moved + M, 1) == moved + M) {
-    // Nothing moved: the merge below would reproduce the old list.
-    std::copy(old, old + M, out);
-    return;
-  }
-  std::vector<RankEntry>& fresh = rank_scratch.fresh;
-  fresh.clear();
-  for (std::size_t p = 0; p < M; ++p) {
-    if (moved[p] != 0) fresh.push_back(RankEntry{bound(p), static_cast<std::uint32_t>(p)});
-  }
-  std::sort(fresh.begin(), fresh.end(), ranks_before);
-  // std::merge of the kept entries with `fresh`, the kept ones filtered out
-  // of `old` on the fly.
-  const RankEntry* f = fresh.data();
-  const RankEntry* const f_end = f + fresh.size();
-  for (std::size_t k = 0; old != nullptr && k < M; ++k) {
-    const RankEntry& kept = old[k];
-    if (moved[kept.peer] != 0) continue;
-    while (f != f_end && ranks_before(*f, kept)) *out++ = *f++;
-    *out++ = kept;
-  }
-  std::copy(f, f_end, out);
-}
-
 ClusterView validated(ClusterView view) {
   view.validate();
   return view;
@@ -69,7 +15,7 @@ ClusterView validated(ClusterView view) {
 }  // namespace
 
 PlacementEngine::PlacementEngine(ClusterView view)
-    : PlacementEngine(std::make_shared<const Static>(validated(std::move(view)), nullptr)) {}
+    : PlacementEngine(std::make_shared<const Static>(validated(std::move(view)))) {}
 
 PlacementEngine::PlacementEngine(std::shared_ptr<const Static> statics)
     : static_(std::move(statics)),
@@ -77,10 +23,8 @@ PlacementEngine::PlacementEngine(std::shared_ptr<const Static> statics)
       on_path_(machine_count() * machine_count(), 0.0),
       out_of_(machine_count(), 0.0) {}
 
-PlacementEngine::Static::Static(ClusterView v, const Static* prev) : view(std::move(v)) {
+PlacementEngine::Static::Static(ClusterView v) : view(std::move(v)) {
   const std::size_t M = view.machine_count();
-  CHOREO_ASSERT(prev == nullptr || prev->view.machine_count() == M);
-  CHOREO_ASSERT(M <= std::numeric_limits<std::uint32_t>::max());
   hose.resize(M);
   cross_out.resize(M);
   for (std::size_t m = 0; m < M; ++m) {
@@ -95,20 +39,17 @@ PlacementEngine::Static::Static(ClusterView v, const Static* prev) : view(std::m
   // vswitch and hose branches (the min caps the hose at R), and the
   // literally computed R*(c+1)/(c+1) for the pipe branch, whose roundings
   // can exceed R by an ulp — take the max so the bound is exact, not
-  // merely mathematical. Each bound is diffed against the previous block's
-  // as it is computed; that diff is the whole change detection, so it is
-  // exact for any caller (new measurements, rate discounts, regrouped
-  // colocation).
-  RankScratch& scratch = rank_scratch;
-  scratch.moved.assign(M * M, prev == nullptr ? 1 : 0);
-  scratch.moved_to.assign(M * M, prev == nullptr ? 1 : 0);
+  // merely mathematical.
   ub = DoubleMatrix(M, M, 0.0);
+  peer_max.assign(M, -std::numeric_limits<double>::infinity());
   for (std::size_t m = 0; m < M; ++m) {
     for (std::size_t n = 0; n < M; ++n) {
-      double bound;
       if (m == n) {
-        bound = kIntraMachineRate;
-      } else if (view.colocated(m, n)) {
+        ub(m, n) = kIntraMachineRate;
+        continue;
+      }
+      double bound;
+      if (view.colocated(m, n)) {
         bound = view.rate_bps(m, n);
       } else {
         // The cross-traffic share is fetched once and the path capacity
@@ -121,26 +62,8 @@ PlacementEngine::Static::Static(ClusterView v, const Static* prev) : view(std::m
         bound = std::max(r, residual::pipe_rate_bps(r * (c + 1.0), c, 0.0));
       }
       ub(m, n) = bound;
-      if (prev != nullptr && bound != prev->ub(m, n)) {
-        scratch.moved[m * M + n] = 1;
-        scratch.moved_to[n * M + m] = 1;
-      }
+      peer_max[m] = std::max(peer_max[m], bound);
     }
-  }
-
-  // Ranked candidate lists: for each machine, peers ordered by ranks_before
-  // on their static bound. Peer and bound live side by side (SoA rows of
-  // RankEntry) so the best-first walks stream one contiguous array.
-  dest_rank.resize(M * M);
-  src_rank.resize(M * M);
-  for (std::size_t m = 0; m < M; ++m) {
-    const std::size_t row = m * M;
-    rank_list(dest_rank.data() + row, prev != nullptr ? prev->dest_rank.data() + row : nullptr,
-              scratch.moved.data() + row, M,
-              [&](std::size_t p) { return ub(m, p); });
-    rank_list(src_rank.data() + row, prev != nullptr ? prev->src_rank.data() + row : nullptr,
-              scratch.moved_to.data() + row, M,
-              [&](std::size_t p) { return ub(p, m); });
   }
 }
 
@@ -199,7 +122,7 @@ void PlacementEngine::update_view(ClusterView view) {
   CHOREO_REQUIRE_MSG(view.machine_count() == machine_count(),
                      "update_view needs the same fleet; rebuild the state otherwise");
   view.validate();
-  static_ = std::make_shared<const Static>(std::move(view), static_.get());
+  static_ = std::make_shared<const Static>(std::move(view));
   // Out-of-hose counts depend on the (possibly re-clustered) colocation
   // groups; re-derive them from the per-path counts. Counts are sums of
   // +/-1.0, i.e. exactly-represented integers, so this equals what a full
@@ -222,7 +145,7 @@ void PlacementEngine::apply_rate_discount(const DoubleMatrix& factor) {
   // the rate-derived static indexes change.
   ClusterView discounted = view();
   place::apply_rate_discount(discounted, factor);
-  static_ = std::make_shared<const Static>(std::move(discounted), static_.get());
+  static_ = std::make_shared<const Static>(std::move(discounted));
 }
 
 PlacementEngine PlacementEngine::clone_unoccupied() const {

@@ -18,20 +18,19 @@ namespace choreo::place {
 /// share are max-scans over the row), so placing one application is
 /// O(transfers · n^2 · n) — fine at the paper's ten VMs, hopeless at the
 /// fleet sizes the measurement plane now handles. The engine makes every
-/// rate query O(1) and candidate selection lazy:
+/// rate query O(1) and lets the greedy skip most candidates unevaluated:
 ///
 ///   * **Static per-machine indexes**, a function of the view alone:
-///     cached `hose_bps`, cached hose cross-traffic share, and *ranked
-///     candidate lists* — for each machine its destinations (and sources)
-///     sorted by the static upper bound on any residual rate the pair can
-///     ever achieve. Placed transfer counts only ever divide a rate down, so
-///     the measured single-connection rate R(m,n) (and kIntraMachineRate on
-///     the diagonal) bounds every model from above; a best-first search over
-///     the ranked lists can stop as soon as the next upper bound drops below
-///     the best exact rate found (top-k pruning). The view and these indexes
-///     form one immutable `Static` block shared by every clone: a view change
-///     builds a new block (never touching a published one) and re-ranks only
-///     the rows and columns whose bounds moved.
+///     cached `hose_bps`, cached hose cross-traffic share, and a static
+///     upper bound on any residual rate each pair can ever achieve, with
+///     each row's largest off-diagonal bound. Placed transfer counts only
+///     ever divide a rate down, so the measured single-connection rate
+///     R(m,n) (and kIntraMachineRate on the diagonal) bounds every model
+///     from above; the greedy skips any candidate whose bound cannot beat
+///     the best exact rate found so far, and any whole row whose largest
+///     bound cannot. The view and these indexes form one immutable `Static`
+///     block shared by every clone: a view change builds a new block and
+///     never touches a published one.
 ///
 ///   * **Residual indexes as first-class mutable state**: CPU slack,
 ///     per-path placed-transfer counts and per-source out-of-hose counts,
@@ -62,7 +61,7 @@ class PlacementEngine {
   /// Cloned engines carry their parent's totals; scrape deltas, not values.
   struct Counters {
     std::uint64_t txn_ops = 0;            ///< tentative apply_task/apply_transfer
-    std::uint64_t candidates_walked = 0;  ///< best-first candidates evaluated
+    std::uint64_t candidates_walked = 0;  ///< greedy candidates not skipped by bound
     std::uint64_t placements = 0;         ///< greedy place() searches run
   };
   Counters& counters() const { return counters_; }
@@ -99,42 +98,22 @@ class PlacementEngine {
   /// single-connection rate joined with the pipe model's zero-load rate.
   /// (The latter is mathematically R but its two roundings can land an ulp
   /// above it, so the bound is taken over the literally computed value —
-  /// the lazy search's pruning must never cut a candidate whose exact rate
-  /// ties the best.) What the ranked candidate lists are ordered by.
+  /// the greedy's pruning must never skip a candidate whose exact rate ties
+  /// the best.)
   double upper_bound_bps(std::size_t m, std::size_t n) const {
     return static_->ub(m, n);
   }
-
-  /// One entry of a ranked candidate list: the peer machine and its static
-  /// rate ceiling, stored together so the hot best-first walks read both
-  /// from one contiguous array instead of gathering bounds through the ub
-  /// matrix. `bound` is exactly upper_bound_bps(row machine, peer) — same
-  /// double, copied when the list is built — so pruning on it is
-  /// bit-identical to pruning through the matrix.
-  struct RankEntry {
-    double bound = 0.0;
-    std::uint32_t peer = 0;
-  };
-  /// Destination list of source m: machine_count() entries ordered by
-  /// (bound desc, peer asc). Valid until this engine's next update_view /
-  /// apply_rate_discount (clones keep their own lists alive).
-  const RankEntry* ranked_dest_row(std::size_t m) const {
-    return static_->dest_rank.data() + m * machine_count();
+  /// Row m of the upper bounds (machine_count() entries, indexed by
+  /// destination), for scans that read many bounds without a per-entry
+  /// bounds check. Valid until this engine's next update_view /
+  /// apply_rate_discount (clones keep their own block alive).
+  const double* upper_bound_row(std::size_t m) const {
+    return static_->ub.data().data() + m * machine_count();
   }
-  /// Source list toward destination n, same ordering contract.
-  const RankEntry* ranked_src_row(std::size_t n) const {
-    return static_->src_rank.data() + n * machine_count();
-  }
-  /// k-th best destination of source m by (upper bound desc, index asc);
-  /// k in [0, machine_count()). Position 0 is m itself unless some measured
-  /// rate exceeds kIntraMachineRate.
-  std::size_t ranked_dest(std::size_t m, std::size_t k) const {
-    return ranked_dest_row(m)[k].peer;
-  }
-  /// k-th best source toward destination n by (upper bound desc, index asc).
-  std::size_t ranked_src(std::size_t n, std::size_t k) const {
-    return ranked_src_row(n)[k].peer;
-  }
+  /// Largest off-diagonal upper bound in row m; -infinity for a one-machine
+  /// fleet. A both-endpoints-free greedy search skips row m when this cannot
+  /// beat the best exact rate found.
+  double peer_bound_max(std::size_t m) const { return static_->peer_max[m]; }
 
   // ---- Committed mutations ----
 
@@ -145,22 +124,22 @@ class PlacementEngine {
   void release(const Application& app, const Placement& placement);
 
   /// Swaps in a new view of the same fleet, keeping the residual occupancy.
-  /// Builds a new static block from the old one: bounds are recomputed, and
-  /// only the ranked rows and columns where a bound moved are re-sorted.
-  /// Out-of-hose counts are re-derived from the per-path counts (exact: they
-  /// are integer-valued), so even a changed colocation clustering needs no
-  /// replay of running applications.
+  /// Builds a new static block from the view, exactly as the constructor
+  /// does (O(n^2)); clones keep the old one. Out-of-hose counts are
+  /// re-derived from the per-path counts (exact: they are integer-valued),
+  /// so even a changed colocation clustering needs no replay of running
+  /// applications.
   void update_view(ClusterView view);
 
   /// Uncertainty-aware placement hook (the forecast plane): scales the
   /// view's pair rates entry-wise by `factor` (n x n; diagonal ignored) and
-  /// builds new static indexes as update_view does, keeping the residual
-  /// occupancy. Because the discount lands in the view itself, every rate
-  /// consumer — the engine's cached lookups, the exhaustive oracle, and the
-  /// completion-time objective — sees the same discounted rates, so the
-  /// engine/oracle bit-identity is preserved under any discount. Strong
-  /// guarantee: every factor is checked before anything changes, so a
-  /// negative one throws with the engine untouched.
+  /// builds a new static block from the discounted view, keeping the
+  /// residual occupancy. Because the discount lands in the view itself,
+  /// every rate consumer — the engine's cached lookups, the exhaustive
+  /// oracle, and the completion-time objective — sees the same discounted
+  /// rates, so the engine/oracle bit-identity is preserved under any
+  /// discount. Strong guarantee: every factor is checked before anything
+  /// changes, so a negative one throws with the engine untouched.
   void apply_rate_discount(const DoubleMatrix& factor);
 
   /// Copy sharing the view and static indexes, with zero occupancy.
@@ -244,15 +223,9 @@ class PlacementEngine {
     std::vector<double> hose;
     std::vector<double> cross_out;
     DoubleMatrix ub;
-    std::vector<RankEntry> dest_rank;  // machine_count^2, row-major by source
-    std::vector<RankEntry> src_rank;   // machine_count^2, row-major by destination
+    std::vector<double> peer_max;  // per row: max of ub(m, n) over n != m
 
-    /// Builds the block for `view`. With `prev` (the same fleet's previous
-    /// block) the ranked lists are derived from prev's: a row or column
-    /// keeps the entries whose bound is unchanged, in their order, and
-    /// merges in the re-sorted moved ones. Without it every bound counts as
-    /// moved, which is a full sort through the same code.
-    Static(ClusterView view, const Static* prev);
+    explicit Static(ClusterView view);
   };
 
   /// An unoccupied engine over an already built static block.

@@ -27,21 +27,6 @@ struct BestCandidate {
   }
 };
 
-/// Frontier of one source's ranked destination list in the two-sided
-/// best-first search: the next unexplored candidate and its static upper
-/// bound. Max-heap by bound (tie order irrelevant — every entry whose bound
-/// ties the best exact rate still gets evaluated before the search stops).
-/// `row` points at the source's contiguous RankEntry list, so advancing a
-/// frontier reads the next bound and peer from one cache line.
-struct Frontier {
-  double bound = 0.0;
-  const PlacementEngine::RankEntry* row = nullptr;
-  std::size_t m = 0;
-  std::size_t k = 0;  // position in row
-
-  bool operator<(const Frontier& other) const { return bound < other.bound; }
-};
-
 }  // namespace
 
 Placement GreedyPlacer::place(const Application& app, const ClusterState& state) {
@@ -72,7 +57,6 @@ Placement GreedyPlacer::place(const Application& app, const ClusterState& state)
     txn.apply_task(machine, app.cpu_demand[task]);
   };
 
-  std::vector<Frontier> heap;  // reused across transfers
   for (const TransferDemand& tr : sorted_transfers(app)) {
     const std::size_t i = tr.src_task;
     const std::size_t j = tr.dst_task;
@@ -112,40 +96,30 @@ Placement GreedyPlacer::place(const Application& app, const ClusterState& state)
       best.offer(eng.rate_bps(m, n, model_), m, n);
     };
 
-    // Lazy best-first enumeration: walk candidates in descending static
-    // upper bound and stop once the next bound cannot reach the best exact
-    // rate found (ties keep going — a tying candidate with a lower index
-    // would win the tie-break).
+    // Pruned scan over the static bounds: a candidate whose bound is below
+    // the best exact rate found so far can neither beat nor tie the final
+    // best, so it is skipped unevaluated (ties are still evaluated — a tying
+    // candidate with a lower index wins the tie-break, whatever the visit
+    // order). The co-located candidate goes first: its rate is
+    // kIntraMachineRate, which usually leaves nothing else to evaluate.
     if (mi != kUnplaced) {
-      const PlacementEngine::RankEntry* row = eng.ranked_dest_row(mi);
-      for (std::size_t k = 0; k < M; ++k) {
-        if (row[k].bound < best.rate) break;
-        consider(mi, row[k].peer);
+      consider(mi, mi);
+      const double* ub = eng.upper_bound_row(mi);
+      for (std::size_t n = 0; n < M; ++n) {
+        if (n != mi && ub[n] >= best.rate) consider(mi, n);
       }
     } else if (mj != kUnplaced) {
-      const PlacementEngine::RankEntry* row = eng.ranked_src_row(mj);
-      for (std::size_t k = 0; k < M; ++k) {
-        if (row[k].bound < best.rate) break;
-        consider(row[k].peer, mj);
+      consider(mj, mj);
+      for (std::size_t m = 0; m < M; ++m) {
+        if (m != mj && eng.upper_bound_row(m)[mj] >= best.rate) consider(m, mj);
       }
     } else {
-      // Both endpoints free: merge the M ranked destination lists through a
-      // frontier heap — top-k pruning over the M^2 pair candidates.
-      heap.clear();
+      for (std::size_t m = 0; m < M; ++m) consider(m, m);
       for (std::size_t m = 0; m < M; ++m) {
-        const PlacementEngine::RankEntry* row = eng.ranked_dest_row(m);
-        heap.push_back(Frontier{row[0].bound, row, m, 0});
-      }
-      std::make_heap(heap.begin(), heap.end());
-      while (!heap.empty() && heap.front().bound >= best.rate) {
-        std::pop_heap(heap.begin(), heap.end());
-        Frontier f = heap.back();
-        heap.pop_back();
-        consider(f.m, f.row[f.k].peer);
-        if (++f.k < M) {
-          f.bound = f.row[f.k].bound;
-          heap.push_back(f);
-          std::push_heap(heap.begin(), heap.end());
+        if (eng.peer_bound_max(m) < best.rate) continue;
+        const double* ub = eng.upper_bound_row(m);
+        for (std::size_t n = 0; n < M; ++n) {
+          if (n != m && ub[n] >= best.rate) consider(m, n);
         }
       }
     }

@@ -15,18 +15,18 @@ namespace choreo::place {
 /// previously committed ones) under the configured rate model.
 ///
 /// Candidate selection runs on the state's PlacementEngine: O(1) cached
-/// residual rates and a lazy best-first walk over statically ranked
-/// candidate lists, stopping as soon as the next static upper bound cannot
-/// beat the best exact rate found. Results are bit-identical to the
-/// exhaustive scan (ExhaustiveGreedyPlacer in oracles/), pinned by
-/// test_engine_differential.
+/// residual rates, the co-located candidate first, then a scan of the
+/// static upper bounds that skips every candidate (and, with both endpoints
+/// free, every row) whose bound cannot beat the best exact rate found.
+/// Results are bit-identical to the exhaustive scan (ExhaustiveGreedyPlacer
+/// in oracles/), pinned by test_engine_differential.
 ///
 /// Under the forecast plane the view's rates may already carry an
 /// uncertainty discount (place::apply_rate_discount /
 /// PlacementEngine::apply_rate_discount): pairs whose recent prediction
 /// error is high are derated by a configurable error quantile, so this
-/// search ranks candidates by pessimistic rather than point-estimate rates.
-/// The discount lives in the view, so the engine walk and the exhaustive
+/// search compares candidates by pessimistic rather than point-estimate rates.
+/// The discount lives in the view, so the engine scan and the exhaustive
 /// oracle stay bit-identical under any discount.
 class GreedyPlacer : public Placer {
  public:

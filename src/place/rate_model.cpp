@@ -54,39 +54,44 @@ double estimate_completion_s(const Application& app, const Placement& placement,
   app.validate();
   CHOREO_REQUIRE(placement.machine_of_task.size() == app.task_count());
   CHOREO_REQUIRE(placement.complete());
-  const std::size_t M = view.machine_count();
 
   // Aggregate bytes per machine path — the same inter-machine transfer
   // enumeration the residual indexes are maintained with (intra-machine
-  // traffic is free and never counted).
-  DoubleMatrix data(M, M, 0.0);
-  for_each_placed_transfer(app, placement,
-                           [&](std::size_t m, std::size_t n, double b) { data(m, n) += b; });
-
-  double worst = 0.0;
-  if (model == RateModel::Pipe) {
-    for (std::size_t m = 0; m < M; ++m) {
-      for (std::size_t n = 0; n < M; ++n) {
-        if (m == n || data(m, n) <= 0.0) continue;
-        worst = std::max(worst, data(m, n) * 8.0 / view.rate_bps(m, n));
-      }
-    }
-    return worst;
-  }
+  // traffic is free and never counted). Only the app's own paths are kept,
+  // sorted by (source, destination); the stable sort keeps each path's bytes
+  // in enumeration order, so every sum below adds the same doubles in the
+  // same order a dense machine x machine accumulation would.
+  struct PathBytes {
+    std::size_t m, n;
+    double bytes;
+  };
+  std::vector<PathBytes> paths;
+  for_each_placed_transfer(app, placement, [&](std::size_t m, std::size_t n, double b) {
+    paths.push_back({m, n, b});
+  });
+  std::stable_sort(paths.begin(), paths.end(), [](const PathBytes& a, const PathBytes& b) {
+    return a.m != b.m ? a.m < b.m : a.n < b.n;
+  });
 
   // Hose model: everything leaving machine m for another host drains through
   // m's hose; colocated-destination traffic drains through the vswitch path.
   // Each individual path additionally cannot drain faster than its measured
   // single-connection rate (slow fabric paths stay slow even on an idle
-  // hose).
-  for (std::size_t m = 0; m < M; ++m) {
+  // hose). Pipe model: the paths alone.
+  double worst = 0.0;
+  for (std::size_t k = 0; k < paths.size();) {
+    const std::size_t m = paths[k].m;
     double hose_bytes = 0.0;
-    for (std::size_t n = 0; n < M; ++n) {
-      if (m == n || data(m, n) <= 0.0) continue;
-      worst = std::max(worst, data(m, n) * 8.0 / view.rate_bps(m, n));
-      if (!view.colocated(m, n)) hose_bytes += data(m, n);
+    while (k < paths.size() && paths[k].m == m) {
+      const std::size_t n = paths[k].n;
+      double data = 0.0;
+      for (; k < paths.size() && paths[k].m == m && paths[k].n == n; ++k) {
+        data += paths[k].bytes;
+      }
+      worst = std::max(worst, data * 8.0 / view.rate_bps(m, n));
+      if (!view.colocated(m, n)) hose_bytes += data;
     }
-    if (hose_bytes > 0.0) {
+    if (model == RateModel::Hose && hose_bytes > 0.0) {
       worst = std::max(worst, hose_bytes * 8.0 / view.hose_bps(m));
     }
   }

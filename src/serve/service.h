@@ -35,7 +35,7 @@ struct ClusterSnapshot {
 /// reuse it across queries, refreshing only when the service publishes a
 /// new epoch. In the steady state a query costs a pointer comparison; a
 /// refresh copies the residuals (O(n^2) per-path counts), never the view or
-/// the ranked lists. Each thread owns its Scratch exclusively; a Scratch is
+/// the static bounds. Each thread owns its Scratch exclusively; a Scratch is
 /// never shared.
 class Scratch {
  public:
@@ -123,8 +123,8 @@ class PlacementService {
   // ---- Writer path (single-threaded by contract) ----
 
   /// Publishes a freshly measured view of the same fleet: next snapshot
-  /// keeps the committed occupancy; its static rate indexes are re-ranked
-  /// only where the new view moved a bound.
+  /// keeps the committed occupancy over static rate indexes built from the
+  /// new view.
   void publish_view(place::ClusterView view);
   /// Publishes the snapshot with `app` committed at `placement`.
   void commit(const place::Application& app, const place::Placement& placement);
