@@ -196,7 +196,8 @@ int main(int argc, char** argv) {
     tp.hosts_per_rack = 4;
     const net::Topology topo = net::make_multi_rooted_tree(tp);
     const auto hosts = topo.nodes_of_kind(net::NodeKind::Host);
-    flowsim::Sim sim(topo);
+    const net::Router router(topo);
+    flowsim::Sim sim(router);
     Rng trng(7);
     for (int i = 0; i < (smoke ? 32 : 128); ++i) {
       flowsim::FlowSpec spec;
@@ -236,7 +237,8 @@ int main(int argc, char** argv) {
     Table ct({"mode", "flows", "wall (ms)", "flows/s"});
     double incr_wall_ms = 0.0, ref_wall_ms = 0.0;
     for (const bool incremental : {true, false}) {
-      flowsim::Sim sim(topo, 400e9,
+      const net::Router router(topo);
+      flowsim::Sim sim(router, 400e9,
                        incremental ? flowsim::KernelMode::Incremental
                                    : flowsim::KernelMode::Reference);
       sim.set_auto_retire(incremental);  // reference predates retirement

@@ -4,7 +4,11 @@
 // hops, receiver — so packetsim::simulate_train computes its receiver log by
 // a direct per-packet recurrence, where the event-driven Path + EventQueue
 // (kept as the differential oracle) pays a heap push/pop and a
-// std::function per hop event. Two train shapes are timed both ways:
+// std::function per hop event. Its summary form goes further: it leaves
+// only what the §3.1 estimator reads per burst (count, first and last time
+// and seq), drawing timestamp jitter only near each burst's ends, where the
+// recording form draws one per packet. Two train shapes are timed all three
+// ways:
 //
 //   * ec2 chain: the ec2_2013 inter-host chain a measurement round probes
 //     (hose bucket plus the routed fabric hops, built by the cloud itself),
@@ -12,8 +16,10 @@
 //   * bucket only: the same bucket feeding the receiver directly, 10 x 200.
 //
 // Enforced: the recurrence is at least 10x faster per ec2 train, its records
-// equal the event path's, and a warm train (reused sink, per-thread scratch)
-// performs zero heap allocations — counted by interposing operator new.
+// equal the event path's, the summary equals summarize() of those records
+// and is faster than recording them, and a warm train (reused sink or
+// summary, per-thread scratch) performs zero heap allocations either way —
+// counted by interposing operator new.
 //
 // `--smoke` runs fewer repetitions for CI; `--json[=PATH]` emits the metrics
 // as a BenchJson document (gated by bench/check_bench_json.py in CI).
@@ -83,9 +89,12 @@ Shape ec2_chain() {
 struct Timing {
   double event_us = 0.0;
   double recurrence_us = 0.0;
-  std::size_t event_allocs = 0;  // per train
-  std::size_t warm_allocs = 0;   // across all warm recurrence trains
+  double summary_us = 0.0;
+  std::size_t event_allocs = 0;          // per train
+  std::size_t warm_allocs = 0;           // across all warm recurrence trains
+  std::size_t summary_warm_allocs = 0;   // across all warm summary trains
   bool same = false;
+  bool same_summary = false;
 };
 
 Timing time_shape(const Shape& s, int reps) {
@@ -103,10 +112,19 @@ Timing time_shape(const Shape& s, int reps) {
     sink.clear();
     if (!packetsim::simulate_train(s.shaper, s.hops, s.params, sink)) std::abort();
   };
+  packetsim::TrainSummary summary;
+  const auto run_summary = [&] {
+    if (!packetsim::simulate_train(s.shaper, s.hops, s.params, s.jitter_s, 1, summary)) {
+      std::abort();
+    }
+  };
 
-  // Equal records on the first train (same sink seed, same jitter draws).
+  // Equal records on the first train (same sink seed, same jitter draws),
+  // and the summary of those records.
   run_event();
   run_recurrence();
+  run_summary();
+  t.same_summary = packetsim::summarize(sink.records(), s.params) == summary;
   const auto& a = event_sink.records();
   const auto& b = sink.records();
   t.same = a.size() == b.size();
@@ -126,6 +144,12 @@ Timing time_shape(const Shape& s, int reps) {
   for (int i = 0; i < reps; ++i) run_recurrence();
   t.recurrence_us = us_since(t0) / reps;
   t.warm_allocs = g_alloc_count - before;
+
+  const std::size_t before_summary = g_alloc_count;
+  t0 = Clock::now();
+  for (int i = 0; i < reps; ++i) run_summary();
+  t.summary_us = us_since(t0) / reps;
+  t.summary_warm_allocs = g_alloc_count - before_summary;
   return t;
 }
 
@@ -145,24 +169,31 @@ int main(int argc, char** argv) {
   shapes.back().hops.clear();
   const int reps = smoke ? 20 : 200;
 
-  header(std::string("Packet train: event queue vs per-packet recurrence") +
+  header(std::string("Packet train: event queue vs per-packet recurrence vs summary") +
          (smoke ? " [smoke]" : ""));
   Table table({"shape", "packets", "hops", "event (us)", "recurrence (us)", "speed-up",
-               "event allocs/train", "warm allocs"});
+               "summary (us)", "event allocs/train", "warm allocs", "summary warm allocs"});
   double ec2_speedup = 0.0;
   bool all_same = true;
+  bool all_same_summary = true;
+  bool summary_faster = true;
   std::size_t warm_allocs = 0;
+  std::size_t summary_warm_allocs = 0;
   for (const Shape& shape : shapes) {
     const Timing t = time_shape(shape, reps);
     const double speedup = t.event_us / t.recurrence_us;
     if (&shape == &shapes.front()) ec2_speedup = speedup;
     all_same = all_same && t.same;
+    all_same_summary = all_same_summary && t.same_summary;
+    summary_faster = summary_faster && t.summary_us < t.recurrence_us;
     warm_allocs += t.warm_allocs;
+    summary_warm_allocs += t.summary_warm_allocs;
     const double packets = static_cast<double>(shape.params.bursts) * shape.params.burst_length;
     table.add_row({shape.name, fmt(packets, 0), fmt(static_cast<double>(shape.hops.size()), 0),
                    fmt(t.event_us, 1), fmt(t.recurrence_us, 1), fmt(speedup, 1) + "x",
-                   fmt(static_cast<double>(t.event_allocs), 0),
-                   fmt(static_cast<double>(t.warm_allocs), 0)});
+                   fmt(t.summary_us, 1), fmt(static_cast<double>(t.event_allocs), 0),
+                   fmt(static_cast<double>(t.warm_allocs), 0),
+                   fmt(static_cast<double>(t.summary_warm_allocs), 0)});
     json.row()
         .row("shape", shape.name)
         .row("packets", packets)
@@ -170,13 +201,18 @@ int main(int argc, char** argv) {
         .row("event_us", t.event_us)
         .row("recurrence_us", t.recurrence_us)
         .row("speedup", speedup)
+        .row("summary_us", t.summary_us)
         .row("event_allocs_per_train", static_cast<double>(t.event_allocs))
-        .row("warm_allocs", static_cast<double>(t.warm_allocs));
+        .row("warm_allocs", static_cast<double>(t.warm_allocs))
+        .row("summary_warm_allocs", static_cast<double>(t.summary_warm_allocs));
   }
   std::cout << table.to_string();
   check(all_same, "the recurrence's records equal the event path's on both shapes");
   check(ec2_speedup >= 10.0, "the recurrence is at least 10x faster per ec2 train");
   check(warm_allocs == 0, "warm recurrence trains allocate nothing");
+  check(all_same_summary, "the summary equals summarize() of the records on both shapes");
+  check(summary_faster, "the summary is faster than recording the train on both shapes");
+  check(summary_warm_allocs == 0, "warm summary trains allocate nothing");
 
   const std::string json_path = json_path_from_args(argc, argv, "micro_packetsim");
   if (!json_path.empty()) json.write(json_path);

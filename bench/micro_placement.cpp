@@ -295,7 +295,8 @@ void BM_FluidSimTenFlows(benchmark::State& state) {
   const net::Topology topo = make_multi_rooted_tree(params);
   const auto hosts = topo.nodes_of_kind(net::NodeKind::Host);
   for (auto _ : state) {
-    flowsim::Sim sim(topo);
+    const net::Router router(topo);
+    flowsim::Sim sim(router);
     for (std::size_t f = 0; f < 10; ++f) {
       flowsim::FlowSpec spec;
       spec.src = hosts[f % hosts.size()];

@@ -72,10 +72,10 @@ double AgentPlane::execute_probe(std::uint32_t src, std::uint32_t dst,
   if (it == snapshots_.end()) {
     it = snapshots_.emplace(snap_epoch, cloud_.traffic_snapshot(snap_epoch)).first;
   }
-  const auto records =
+  const packetsim::TrainSummary summary =
       cloud_.run_train_in_snapshot(vms_[src], vms_[dst], mplan_.train, it->second);
   const double rtt = cloud_.ping_rtt_s(vms_[src], vms_[dst]);
-  return measure::estimate_train_throughput(records, mplan_.train, rtt).throughput_bps;
+  return measure::estimate_train_throughput(summary, mplan_.train, rtt).throughput_bps;
 }
 
 void AgentPlane::crash_agent(std::uint32_t id) {

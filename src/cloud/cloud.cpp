@@ -27,14 +27,11 @@ std::uint64_t pair_salt(VmId src, VmId dst, std::uint64_t lane) {
   return 0x5851f42d4c957f2dULL + src * 1000003ULL + dst * 8191ULL + lane;
 }
 
-/// A train's receiver log: the per-packet recurrence, or — on a tie it
-/// cannot order, which it reports before touching the sink — the event
-/// queue, which orders ties by insertion.
-std::vector<packetsim::RecordingSink::Record> run_chain(const Cloud::TrainChain& chain) {
+/// A train's receiver log through the event queue, which orders the
+/// same-instant ties the recurrence declines by insertion.
+std::vector<packetsim::RecordingSink::Record> event_path_records(
+    const Cloud::TrainChain& chain) {
   packetsim::RecordingSink sink(chain.timestamp_jitter_s, chain.sink_seed);
-  if (packetsim::simulate_train(chain.shaper, chain.hops, chain.params, sink)) {
-    return sink.records();
-  }
   packetsim::EventQueue events;
   packetsim::Path path(events, chain.shaper, chain.hops, &sink);
   packetsim::send_train(events, path.entry(), chain.params, /*flow_id=*/1,
@@ -43,7 +40,26 @@ std::vector<packetsim::RecordingSink::Record> run_chain(const Cloud::TrainChain&
   return sink.records();
 }
 
+/// A train's receiver log: the per-packet recurrence, or — on a tie it
+/// cannot order, which it reports before touching the sink — the event path.
+std::vector<packetsim::RecordingSink::Record> record_chain(const Cloud::TrainChain& chain) {
+  packetsim::RecordingSink sink(chain.timestamp_jitter_s, chain.sink_seed);
+  if (packetsim::simulate_train(chain.shaper, chain.hops, chain.params, sink)) {
+    return sink.records();
+  }
+  return event_path_records(chain);
+}
+
 }  // namespace
+
+packetsim::TrainSummary Cloud::summarize_chain(const TrainChain& chain) {
+  packetsim::TrainSummary summary;
+  if (packetsim::simulate_train(chain.shaper, chain.hops, chain.params,
+                                chain.timestamp_jitter_s, chain.sink_seed, summary)) {
+    return summary;
+  }
+  return packetsim::summarize(event_path_records(chain), chain.params);
+}
 
 Cloud::Cloud(ProviderProfile profile, std::uint64_t seed)
     : profile_(std::move(profile)),
@@ -128,7 +144,7 @@ double Cloud::ping_rtt_s(VmId a, VmId b) const {
 
 std::unique_ptr<Cloud::SimBundle> Cloud::make_sim(std::uint64_t epoch,
                                                   bool with_background) const {
-  auto bundle = std::make_unique<SimBundle>(topo_);
+  auto bundle = std::make_unique<SimBundle>(router_);
   bundle->vm_egress.reserve(vms_.size());
   for (const VmRecord& vm : vms_) {
     bundle->vm_egress.push_back(bundle->sim.add_resource(vm.hose_bps));
@@ -298,7 +314,7 @@ Cloud::TrainChain Cloud::train_chain(VmId src, VmId dst,
 
 std::vector<packetsim::RecordingSink::Record> Cloud::run_train(
     VmId src, VmId dst, const packetsim::TrainParams& params, std::uint64_t epoch) {
-  return run_chain(train_chain(
+  return record_chain(train_chain(
       src, dst, params, substream(seed_, epoch, 21), substream(seed_, epoch, 22),
       [this] { return noise_rng_.normal(0.0, profile_.train_rate_jitter_frac); },
       /*snapshot=*/nullptr));
@@ -331,20 +347,20 @@ Cloud::TrainChain Cloud::train_chain_in_snapshot(VmId src, VmId dst,
   // hop capacities come from the round's cross-traffic snapshot.
   const std::uint64_t epoch = snapshot.epoch;
   const auto jitter = [&] {
-    Rng rng(substream(seed_, epoch, pair_salt(src, dst, 1)));
-    return rng.normal(0.0, profile_.train_rate_jitter_frac);
+    return profile_.train_rate_jitter_frac *
+           keyed_normal(substream(seed_, epoch, pair_salt(src, dst, 1)), 0);
   };
   return train_chain(src, dst, params, substream(seed_, epoch, pair_salt(src, dst, 0)),
                      substream(seed_, epoch, pair_salt(src, dst, 2)), jitter, &snapshot);
 }
 
-std::vector<packetsim::RecordingSink::Record> Cloud::run_train_in_snapshot(
-    VmId src, VmId dst, const packetsim::TrainParams& params,
-    const TrafficSnapshot& snapshot) const {
-  return run_chain(train_chain_in_snapshot(src, dst, params, snapshot));
+packetsim::TrainSummary Cloud::run_train_in_snapshot(VmId src, VmId dst,
+                                                     const packetsim::TrainParams& params,
+                                                     const TrafficSnapshot& snapshot) const {
+  return summarize_chain(train_chain_in_snapshot(src, dst, params, snapshot));
 }
 
-std::vector<std::vector<packetsim::RecordingSink::Record>> Cloud::run_train_round(
+std::vector<packetsim::TrainSummary> Cloud::run_train_round(
     const std::vector<std::pair<VmId, VmId>>& pairs,
     const packetsim::TrainParams& params, const TrafficSnapshot& snapshot,
     unsigned workers) const {
@@ -360,7 +376,7 @@ std::vector<std::vector<packetsim::RecordingSink::Record>> Cloud::run_train_roun
     src_busy[s] = dst_busy[d] = 1;
   }
 
-  std::vector<std::vector<packetsim::RecordingSink::Record>> out(pairs.size());
+  std::vector<packetsim::TrainSummary> out(pairs.size());
   const unsigned n_workers =
       std::max(1u, std::min<unsigned>(workers, static_cast<unsigned>(pairs.size())));
   std::atomic<std::size_t> next{0};

@@ -110,13 +110,15 @@ class Cloud {
   /// Builds the cross-traffic snapshot for `epoch` (deterministic; const).
   TrafficSnapshot traffic_snapshot(std::uint64_t epoch) const;
 
-  /// Order-independent packet train: identical (src, dst, params, snapshot)
-  /// always produce identical records, no matter how many other trains ran
-  /// before or run concurrently — all jitter derives from (seed, epoch, src,
-  /// dst). Thread-safe: const, touches no mutable state.
-  std::vector<packetsim::RecordingSink::Record> run_train_in_snapshot(
-      VmId src, VmId dst, const packetsim::TrainParams& params,
-      const TrafficSnapshot& snapshot) const;
+  /// Order-independent packet train, returned as what the §3.1 estimator
+  /// reads of the receiver's log (packetsim::summarize of it): identical
+  /// (src, dst, params, snapshot) always produce identical summaries, no
+  /// matter how many other trains ran before or run concurrently — all
+  /// jitter derives from (seed, epoch, src, dst). Thread-safe: const,
+  /// touches no mutable state.
+  packetsim::TrainSummary run_train_in_snapshot(VmId src, VmId dst,
+                                                const packetsim::TrainParams& params,
+                                                const TrafficSnapshot& snapshot) const;
 
   /// The packet-level chain one train src->dst runs through, plus the
   /// receiver's timestamp noise: exactly what run_train_in_snapshot
@@ -132,11 +134,16 @@ class Cloud {
   TrainChain train_chain_in_snapshot(VmId src, VmId dst, const packetsim::TrainParams& params,
                                      const TrafficSnapshot& snapshot) const;
 
+  /// The summary of one chain's train, as run_train_in_snapshot returns it:
+  /// the summary recurrence, or — on a same-instant tie it declines — the
+  /// event-driven packetsim::Path's receiver log, summarized.
+  static packetsim::TrainSummary summarize_chain(const TrainChain& chain);
+
   /// Runs one conflict-free round of trains — no VM may appear twice as a
   /// source or twice as a destination — on up to `workers` threads. Results
   /// are parallel to `pairs` and byte-identical for any worker count
   /// (pinned by test_determinism).
-  std::vector<std::vector<packetsim::RecordingSink::Record>> run_train_round(
+  std::vector<packetsim::TrainSummary> run_train_round(
       const std::vector<std::pair<VmId, VmId>>& pairs,
       const packetsim::TrainParams& params, const TrafficSnapshot& snapshot,
       unsigned workers = 1) const;
@@ -177,7 +184,7 @@ class Cloud {
   /// A fluid simulation of this cloud with per-VM hose resources, per-host
   /// vswitch resources and (optionally) background tenant flows installed.
   struct SimBundle {
-    explicit SimBundle(const net::Topology& topo) : sim(topo) {}
+    explicit SimBundle(const net::Router& router) : sim(router) {}
     flowsim::Sim sim;
     std::vector<flowsim::ResourceId> vm_egress;                       ///< per VmId
     std::unordered_map<net::NodeId, flowsim::ResourceId> host_vswitch;
@@ -208,6 +215,8 @@ class Cloud {
   ProviderProfile profile_;
   std::uint64_t seed_;
   net::Topology topo_;
+  /// The one router of this cloud: trains and every Sim make_sim builds
+  /// route through it, so its BFS cache outlives each snapshot and execute.
   net::Router router_;
   std::vector<net::NodeId> hosts_;
   std::vector<VmRecord> vms_;

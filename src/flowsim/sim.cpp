@@ -13,15 +13,15 @@ constexpr double kByteEpsilon = 1e-3;
 constexpr double kTimeEpsilon = 1e-12;
 }  // namespace
 
-Sim::Sim(const net::Topology& topo, double unconstrained_rate, KernelMode mode)
-    : topo_(topo),
-      router_(topo),
+Sim::Sim(const net::Router& router, double unconstrained_rate, KernelMode mode)
+    : topo_(router.topology()),
+      router_(router),
       unconstrained_rate_(unconstrained_rate),
       mode_(mode),
       kernel_(unconstrained_rate) {
   CHOREO_REQUIRE(unconstrained_rate > 0.0);
-  resource_capacity_.reserve(topo.link_count());
-  for (const net::Link& l : topo.links()) {
+  resource_capacity_.reserve(topo_.link_count());
+  for (const net::Link& l : topo_.links()) {
     resource_capacity_.push_back(l.capacity_bps);
     kernel_.add_resource(l.capacity_bps);
   }

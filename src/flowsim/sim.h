@@ -86,9 +86,12 @@ enum class KernelMode {
 /// all three).
 class Sim {
  public:
-  /// `unconstrained_rate` is the rate given to flows that cross no resource
-  /// at all (e.g., two tasks co-located on one machine with no vswitch cap).
-  explicit Sim(const net::Topology& topo, double unconstrained_rate = 400e9,
+  /// Flows are routed through `router` (and over its topology), which must
+  /// outlive the Sim; a cloud shares one router, and so one BFS cache,
+  /// among all the Sims it builds. `unconstrained_rate` is the rate given to
+  /// flows that cross no resource at all (e.g., two tasks co-located on one
+  /// machine with no vswitch cap).
+  explicit Sim(const net::Router& router, double unconstrained_rate = 400e9,
                KernelMode mode = KernelMode::Incremental);
 
   /// Registers a shared resource (e.g., a hose-model egress cap). Returned
@@ -195,7 +198,7 @@ class Sim {
   void finish_due_flows();
 
   const net::Topology& topo_;
-  net::Router router_;
+  const net::Router& router_;
   double unconstrained_rate_;
   KernelMode mode_;
   double now_ = 0.0;

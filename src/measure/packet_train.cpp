@@ -14,41 +14,21 @@ double train_duration_s(const packetsim::TrainParams& p) {
   return p.bursts * burst_s + (p.bursts - 1) * p.inter_burst_gap_s;
 }
 
-TrainEstimate estimate_train_throughput(
-    const std::vector<packetsim::RecordingSink::Record>& records,
-    const packetsim::TrainParams& params, double rtt_s) {
+TrainEstimate estimate_train_throughput(const packetsim::TrainSummary& summary,
+                                        const packetsim::TrainParams& params, double rtt_s) {
   CHOREO_REQUIRE(rtt_s > 0.0);
+  CHOREO_REQUIRE(summary.bursts.size() == params.bursts);
   TrainEstimate out;
-  out.packets_received = records.size();
-  if (records.empty()) return out;
+  out.packets_received = summary.received();
+  if (out.packets_received == 0) return out;
 
   const std::uint32_t B = params.burst_length;
   const double P = params.packet_bytes;
 
-  // Group by burst (records are in arrival order; bursts may interleave only
-  // pathologically, so a simple pass per burst index is safe).
-  struct BurstAgg {
-    std::size_t count = 0;
-    double t_first = 0.0, t_last = 0.0;
-    std::uint64_t seq_first = 0, seq_last = 0;
-  };
-  std::vector<BurstAgg> bursts(params.bursts);
-  for (const auto& r : records) {
-    CHOREO_REQUIRE(r.burst < params.bursts);
-    BurstAgg& b = bursts[r.burst];
-    if (b.count == 0) {
-      b.t_first = r.time;
-      b.seq_first = r.seq;
-    }
-    b.t_last = r.time;
-    b.seq_last = r.seq;
-    ++b.count;
-  }
-
   double sum_n = 0.0;
   double sum_t = 0.0;
   for (std::uint32_t k = 0; k < params.bursts; ++k) {
-    const BurstAgg& b = bursts[k];
+    const packetsim::BurstSummary& b = summary.bursts[k];
     if (b.count < 2) continue;  // nothing to time
     ++out.bursts_used;
     double t = b.t_last - b.t_first;
@@ -65,7 +45,7 @@ TrainEstimate estimate_train_throughput(
   if (sum_t <= 0.0) return out;
 
   out.loss_rate =
-      1.0 - static_cast<double>(records.size()) /
+      1.0 - static_cast<double>(out.packets_received) /
                 (static_cast<double>(params.bursts) * static_cast<double>(B));
   out.loss_rate = std::max(0.0, out.loss_rate);
 
@@ -81,6 +61,12 @@ TrainEstimate estimate_train_throughput(
   }
   out.throughput_bps = std::min(out.rate_term_bps, out.mathis_term_bps);
   return out;
+}
+
+TrainEstimate estimate_train_throughput(
+    const std::vector<packetsim::RecordingSink::Record>& records,
+    const packetsim::TrainParams& params, double rtt_s) {
+  return estimate_train_throughput(packetsim::summarize(records, params), params, rtt_s);
 }
 
 }  // namespace choreo::measure

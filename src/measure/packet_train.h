@@ -17,7 +17,8 @@ struct TrainEstimate {
   std::size_t bursts_used = 0;   ///< bursts with at least two packets
 };
 
-/// Implements the §3.1 estimator over the receiver's SO_TIMESTAMPNS log:
+/// Implements the §3.1 estimator over the receiver's SO_TIMESTAMPNS log,
+/// reduced to what it reads of each burst (packetsim::TrainSummary):
 ///
 ///   * per burst i: n_i received packets, t_i = time from first to last
 ///     packet of the burst; if head/tail packets were lost, t_i is scaled to
@@ -26,6 +27,10 @@ struct TrainEstimate {
 ///   * loss term: MSS * C / (RTT * sqrt(l)), C = sqrt(3/2) [Mathis et al.];
 ///   * estimate: min of the two (the Mathis term is an upper bound that is
 ///     only informative when loss is non-negligible).
+TrainEstimate estimate_train_throughput(const packetsim::TrainSummary& summary,
+                                        const packetsim::TrainParams& params, double rtt_s);
+
+/// The same estimator over a full receiver log: summarize, then the above.
 TrainEstimate estimate_train_throughput(
     const std::vector<packetsim::RecordingSink::Record>& records,
     const packetsim::TrainParams& params, double rtt_s);

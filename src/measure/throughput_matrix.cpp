@@ -40,12 +40,12 @@ PairsResult measure_rate_pairs(cloud::Cloud& cloud, const std::vector<cloud::VmI
     std::vector<std::pair<cloud::VmId, cloud::VmId>> vm_pairs;
     vm_pairs.reserve(round.size());
     for (const ProbePair& p : round) vm_pairs.emplace_back(vms[p.src], vms[p.dst]);
-    const auto records =
+    const std::vector<packetsim::TrainSummary> summaries =
         cloud.run_train_round(vm_pairs, plan.train, snapshot, plan.workers);
     for (std::size_t k = 0; k < round.size(); ++k) {
       const ProbePair& p = round[k];
       const double rtt = cloud.ping_rtt_s(vms[p.src], vms[p.dst]);
-      const TrainEstimate est = estimate_train_throughput(records[k], plan.train, rtt);
+      const TrainEstimate est = estimate_train_throughput(summaries[k], plan.train, rtt);
       out.rate_bps[position.at(p.src * n + p.dst)] = est.throughput_bps;
     }
   }

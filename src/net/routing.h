@@ -38,6 +38,9 @@ class Router {
  public:
   explicit Router(const Topology& topo);
 
+  /// The topology routed over.
+  const Topology& topology() const { return topo_; }
+
   /// Shortest route from src to dst; `flow_key` selects among ECMP paths.
   /// Throws PreconditionError if dst is unreachable from src.
   Route route(NodeId src, NodeId dst, std::uint64_t flow_key = 0) const;

@@ -28,6 +28,11 @@ struct Scratch {
   std::vector<double> start;  // service start of each packet a hop accepted
 };
 
+Scratch& scratch() {
+  thread_local Scratch s;
+  return s;
+}
+
 /// TokenBucket, replayed: emissions merged with the one pending wake-up, an
 /// emission first at a shared instant (its seq is lower). Every refill the
 /// event path makes is made here, in the same order, with the same operands.
@@ -136,10 +141,10 @@ bool forward(const HopSpec& spec, std::size_t hop, std::uint32_t wire, const Sta
   return true;
 }
 
-}  // namespace
-
-bool simulate_train(const ShaperSpec& shaper, const std::vector<HopSpec>& hops,
-                    const TrainParams& params, RecordingSink& sink, TrainTies* ties) {
+/// Runs `params` through the tandem, leaving the receiver's arrivals, in
+/// order, in `s.in`. Returns false on a tie forward() declines.
+bool run_tandem(const ShaperSpec& shaper, const std::vector<HopSpec>& hops,
+                const TrainParams& params, Scratch& s, TrainTies* ties) {
   CHOREO_REQUIRE(params.bursts >= 1 && params.burst_length >= 2);
   CHOREO_REQUIRE(params.packet_bytes >= 1);
   CHOREO_REQUIRE(params.line_rate_bps > 0.0);
@@ -150,7 +155,6 @@ bool simulate_train(const ShaperSpec& shaper, const std::vector<HopSpec>& hops,
   }
   if (ties) *ties = TrainTies{};
 
-  thread_local Scratch s;
   const std::uint32_t wire = params.packet_bytes + params.header_bytes;
 
   // Emission times: send_train's running sums, term for term.
@@ -178,7 +182,16 @@ bool simulate_train(const ShaperSpec& shaper, const std::vector<HopSpec>& hops,
     if (!forward(hops[h], h, wire, s.in, s.out, s.start, ties)) return false;
     std::swap(s.in, s.out);
   }
+  return true;
+}
 
+}  // namespace
+
+bool simulate_train(const ShaperSpec& shaper, const std::vector<HopSpec>& hops,
+                    const TrainParams& params, RecordingSink& sink, TrainTies* ties) {
+  Scratch& s = scratch();
+  if (!run_tandem(shaper, hops, params, s, ties)) return false;
+  const std::uint32_t wire = params.packet_bytes + params.header_bytes;
   for (const Arrival& a : s.in) {
     const std::uint32_t p = a.packet;
     Packet pkt;
@@ -188,6 +201,48 @@ bool simulate_train(const ShaperSpec& shaper, const std::vector<HopSpec>& hops,
     pkt.burst = p / params.burst_length;
     pkt.sent_time = s.emission[p];
     sink.receive(pkt, a.time);
+  }
+  return true;
+}
+
+bool simulate_train(const ShaperSpec& shaper, const std::vector<HopSpec>& hops,
+                    const TrainParams& params, double timestamp_jitter_s,
+                    std::uint64_t sink_seed, TrainSummary& out, TrainTies* ties) {
+  Scratch& s = scratch();
+  if (!run_tandem(shaper, hops, params, s, ties)) return false;
+  const Stage& arrivals = s.in;
+  // No jittered time exceeds its arrival by more than `reach` — in floating
+  // point too, since a + jitter_s * z rounds monotonically in z.
+  const double reach = timestamp_jitter_s > 0.0 ? timestamp_jitter_s * kJitterBoundSigmas : 0.0;
+  // The sink's logged time of arrival i, max over k <= i of the jittered
+  // times. An arrival k with a_k + reach <= best cannot raise the max, and
+  // neither can any earlier one (arrivals are non-decreasing).
+  const auto logged = [&](std::size_t i) {
+    double best = -std::numeric_limits<double>::infinity();
+    for (std::size_t k = i + 1; k-- > 0;) {
+      const Arrival& a = arrivals[k];
+      if (a.time + reach <= best) break;
+      best = std::max(best, jittered_time(a.time, timestamp_jitter_s, sink_seed, a.packet));
+    }
+    return best;
+  };
+
+  out.bursts.assign(params.bursts, BurstSummary{});
+  // Arrivals keep packet order (every element is FIFO), so each burst's
+  // arrivals are one contiguous run.
+  for (auto first = arrivals.begin(); first != arrivals.end();) {
+    const std::uint32_t burst = first->packet / params.burst_length;
+    const std::uint32_t next_burst_seq = (burst + 1) * params.burst_length;
+    const auto end = std::partition_point(
+        first, arrivals.end(), [&](const Arrival& a) { return a.packet < next_burst_seq; });
+    const auto last = end - 1;
+    BurstSummary& b = out.bursts[burst];
+    b.count = static_cast<std::uint32_t>(end - first);
+    b.seq_first = first->packet;
+    b.seq_last = last->packet;
+    b.t_first = logged(static_cast<std::size_t>(first - arrivals.begin()));
+    b.t_last = logged(static_cast<std::size_t>(last - arrivals.begin()));
+    first = end;
   }
   return true;
 }

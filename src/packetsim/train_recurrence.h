@@ -48,4 +48,21 @@ bool simulate_train(const ShaperSpec& shaper, const std::vector<HopSpec>& hops,
                     const TrainParams& params, RecordingSink& sink,
                     TrainTies* ties = nullptr);
 
+/// The same train, summarized: leaves in `out` exactly
+/// summarize(sink.records(), params) for the RecordingSink(timestamp_jitter_s,
+/// sink_seed) the overload above would fill, without building that log.
+///
+/// A logged time is the prefix maximum r_i = max over k <= i of the jittered
+/// arrival times a_k + J(seq_k). The tandem's arrivals are non-decreasing and
+/// |J| < kJitterBoundSigmas * sigma, so r_i at a burst's first and last
+/// arrival needs only the jitters of arrivals k walking back from i while
+/// a_k + kJitterBoundSigmas * sigma exceeds the best time seen: a few per
+/// burst end instead of one per packet.
+///
+/// Returns false, leaving `out` untouched, on the same declined ties as the
+/// overload above. Warm calls into a reused `out` allocate nothing.
+bool simulate_train(const ShaperSpec& shaper, const std::vector<HopSpec>& hops,
+                    const TrainParams& params, double timestamp_jitter_s,
+                    std::uint64_t sink_seed, TrainSummary& out, TrainTies* ties = nullptr);
+
 }  // namespace choreo::packetsim

@@ -84,4 +84,36 @@ class Rng {
   std::mt19937_64 engine_;
 };
 
+/// Word `index` of the splitmix64 stream seeded with `key`: the generator's
+/// state after index + 1 steps, mixed. Counter-based — any word is computed
+/// directly, with no state to carry from one draw to the next.
+inline std::uint64_t splitmix64_at(std::uint64_t key, std::uint64_t index) {
+  std::uint64_t z = key + (index + 1) * 0x9e3779b97f4a7c15ULL;
+  z = (z ^ (z >> 30)) * 0xbf58476d1ce4e5b9ULL;
+  z = (z ^ (z >> 27)) * 0x94d049bb133111ebULL;
+  return z ^ (z >> 31);
+}
+
+/// Box–Muller over two uniform words: u1 = ((w1 >> 11) + 1) * 2^-53 in
+/// (0, 1], u2 = (w2 >> 11) * 2^-53 in [0, 1), and the standard normal
+/// sqrt(-2 ln u1) * cos(2 pi u2), or its sine half when `sine_half`. Because
+/// u1 >= 2^-53, |result| <= sqrt(106 ln 2) ~= 8.5717: a hard bound.
+inline double box_muller(std::uint64_t w1, std::uint64_t w2, bool sine_half) {
+  constexpr double kTwoPi = 6.283185307179586;
+  const double u1 = static_cast<double>((w1 >> 11) + 1) * 0x1p-53;
+  const double u2 = static_cast<double>(w2 >> 11) * 0x1p-53;
+  const double r = std::sqrt(-2.0 * std::log(u1));
+  return r * (sine_half ? std::sin(kTwoPi * u2) : std::cos(kTwoPi * u2));
+}
+
+/// Standard normal number `index` of the counter-keyed stream `key`: paired
+/// Box–Muller, so indices 2p and 2p + 1 share splitmix64 words 2p and
+/// 2p + 1, the even index taking the cosine half and the odd one the sine
+/// half. Same (key, index), same value, in any order and on any thread.
+inline double keyed_normal(std::uint64_t key, std::uint64_t index) {
+  const std::uint64_t pair = index >> 1;
+  return box_muller(splitmix64_at(key, 2 * pair), splitmix64_at(key, 2 * pair + 1),
+                    (index & 1) != 0);
+}
+
 }  // namespace choreo

@@ -31,7 +31,8 @@ TEST_P(ConservationSweep, FiniteFlowsDeliverExactly) {
   Rng rng(GetParam());
   const net::Topology topo = random_tree(rng);
   const auto hosts = topo.nodes_of_kind(net::NodeKind::Host);
-  Sim sim(topo);
+  const net::Router router(topo);
+  Sim sim(router);
 
   struct Expect {
     FlowId id;
@@ -79,7 +80,8 @@ TEST_P(ConservationSweep, RatesRespectLinkCapacities) {
   Rng rng(GetParam() + 400);
   const net::Topology topo = random_tree(rng);
   const auto hosts = topo.nodes_of_kind(net::NodeKind::Host);
-  Sim sim(topo);
+  const net::Router router(topo);
+  Sim sim(router);
   std::vector<FlowId> flows;
   for (std::size_t f = 0; f < 8; ++f) {
     FlowSpec spec;
@@ -116,7 +118,8 @@ TEST(Conservation, ZeroLengthWindowNoBytes) {
   const auto a = topo.add_node(net::NodeKind::Host, "a");
   const auto b = topo.add_node(net::NodeKind::Host, "b");
   topo.add_duplex_link(a, b, 1e9, 1e-6);
-  Sim sim(topo);
+  const net::Router router(topo);
+  Sim sim(router);
   FlowSpec spec;
   spec.src = a;
   spec.dst = b;

@@ -87,7 +87,8 @@ TEST(TrainEstimator, MathisTermCapsLossyPaths) {
 
 TEST(TrainEstimator, EmptyLog) {
   TrainParams p;
-  const TrainEstimate est = estimate_train_throughput({}, p, 1e-3);
+  const TrainEstimate est =
+      estimate_train_throughput(std::vector<RecordingSink::Record>{}, p, 1e-3);
   EXPECT_DOUBLE_EQ(est.throughput_bps, 0.0);
   EXPECT_EQ(est.packets_received, 0u);
 }

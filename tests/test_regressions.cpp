@@ -160,13 +160,15 @@ TEST(Regression, TokenBucketRateExactUnderLongLoad) {
 // tenant 3 at t = 600 s). The configuration is the "Known crash" recipe of
 // bench/e2e/README.md: 4 tenants x 5 ec2_2013 VMs for 0.2 h, 6 250 apps/day
 // each with 4.8 GB median transfers, at the seeds choreo_bench
-// --workload=session_fixed --seed=8 derives for its first input. The re-plan
-// now keeps the current placements and is counted as infeasible.
+// --workload=session_fixed --seed=32 derives for its first input. (The
+// recipe's seed 8 no longer reaches an infeasible re-plan under the
+// counter-keyed timestamp jitter; 32 is the first seed after it that does.)
+// The re-plan now keeps the current placements and is counted as infeasible.
 
 TEST(Regression, InfeasibleReevaluationKeepsTheCurrentPlan) {
-  cloud::Cloud cl(cloud::ec2_2013(), 0x9e3004e40a27f420ull);
-  const std::uint64_t stream_seeds[] = {0x634e373f78d30e74ull, 0x32ac34eb4d181a8cull,
-                                        0xc491f52b2660c789ull, 0x5ed11e7c5a2b0274ull};
+  cloud::Cloud cl(cloud::ec2_2013(), 0xfac5c92dab67dc56ull);
+  const std::uint64_t stream_seeds[] = {0x21efb90f2dfa93d4ull, 0xce3c529946a2568dull,
+                                        0xe9110a0d85a83f9full, 0xe0d994354c17a4c2ull};
   workload::TraceConfig trace;
   trace.duration_hours = 0.2;
   trace.apps_per_day = 6250;
