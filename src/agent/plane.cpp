@@ -72,8 +72,8 @@ double AgentPlane::execute_probe(std::uint32_t src, std::uint32_t dst,
   if (it == snapshots_.end()) {
     it = snapshots_.emplace(snap_epoch, cloud_.traffic_snapshot(snap_epoch)).first;
   }
-  const packetsim::TrainSummary summary =
-      cloud_.run_train_in_snapshot(vms_[src], vms_[dst], mplan_.train, it->second);
+  thread_local packetsim::TrainSummary summary;  // reused: warm probes allocate none
+  cloud_.run_train_in_snapshot(vms_[src], vms_[dst], mplan_.train, it->second, summary);
   const double rtt = cloud_.ping_rtt_s(vms_[src], vms_[dst]);
   return measure::estimate_train_throughput(summary, mplan_.train, rtt).throughput_bps;
 }

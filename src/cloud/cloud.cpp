@@ -40,25 +40,13 @@ std::vector<packetsim::RecordingSink::Record> event_path_records(
   return sink.records();
 }
 
-/// A train's receiver log: the per-packet recurrence, or — on a tie it
-/// cannot order, which it reports before touching the sink — the event path.
-std::vector<packetsim::RecordingSink::Record> record_chain(const Cloud::TrainChain& chain) {
-  packetsim::RecordingSink sink(chain.timestamp_jitter_s, chain.sink_seed);
-  if (packetsim::simulate_train(chain.shaper, chain.hops, chain.params, sink)) {
-    return sink.records();
-  }
-  return event_path_records(chain);
-}
-
 }  // namespace
 
-packetsim::TrainSummary Cloud::summarize_chain(const TrainChain& chain) {
-  packetsim::TrainSummary summary;
-  if (packetsim::simulate_train(chain.shaper, chain.hops, chain.params,
-                                chain.timestamp_jitter_s, chain.sink_seed, summary)) {
-    return summary;
+void Cloud::summarize_chain(const TrainChain& chain, packetsim::TrainSummary& out) {
+  if (!packetsim::simulate_train(chain.shaper, chain.hops, chain.params,
+                                 chain.timestamp_jitter_s, chain.sink_seed, out)) {
+    out = packetsim::summarize(event_path_records(chain), chain.params);
   }
-  return packetsim::summarize(event_path_records(chain), chain.params);
 }
 
 Cloud::Cloud(ProviderProfile profile, std::uint64_t seed)
@@ -312,12 +300,15 @@ Cloud::TrainChain Cloud::train_chain(VmId src, VmId dst,
   return chain;
 }
 
-std::vector<packetsim::RecordingSink::Record> Cloud::run_train(
-    VmId src, VmId dst, const packetsim::TrainParams& params, std::uint64_t epoch) {
-  return record_chain(train_chain(
-      src, dst, params, substream(seed_, epoch, 21), substream(seed_, epoch, 22),
-      [this] { return noise_rng_.normal(0.0, profile_.train_rate_jitter_frac); },
-      /*snapshot=*/nullptr));
+packetsim::TrainSummary Cloud::run_train(VmId src, VmId dst,
+                                         const packetsim::TrainParams& params,
+                                         std::uint64_t epoch) {
+  const auto jitter = [this] { return noise_rng_.normal(0.0, profile_.train_rate_jitter_frac); };
+  packetsim::TrainSummary out;
+  summarize_chain(train_chain(src, dst, params, substream(seed_, epoch, 21),
+                              substream(seed_, epoch, 22), jitter, /*snapshot=*/nullptr),
+                  out);
+  return out;
 }
 
 Cloud::TrafficSnapshot Cloud::traffic_snapshot(std::uint64_t epoch) const {
@@ -354,16 +345,17 @@ Cloud::TrainChain Cloud::train_chain_in_snapshot(VmId src, VmId dst,
                      substream(seed_, epoch, pair_salt(src, dst, 2)), jitter, &snapshot);
 }
 
-packetsim::TrainSummary Cloud::run_train_in_snapshot(VmId src, VmId dst,
-                                                     const packetsim::TrainParams& params,
-                                                     const TrafficSnapshot& snapshot) const {
-  return summarize_chain(train_chain_in_snapshot(src, dst, params, snapshot));
+void Cloud::run_train_in_snapshot(VmId src, VmId dst, const packetsim::TrainParams& params,
+                                  const TrafficSnapshot& snapshot,
+                                  packetsim::TrainSummary& out) const {
+  summarize_chain(train_chain_in_snapshot(src, dst, params, snapshot), out);
 }
 
-std::vector<packetsim::TrainSummary> Cloud::run_train_round(
-    const std::vector<std::pair<VmId, VmId>>& pairs,
-    const packetsim::TrainParams& params, const TrafficSnapshot& snapshot,
-    unsigned workers) const {
+void Cloud::run_train_round(const std::vector<std::pair<VmId, VmId>>& pairs,
+                            const packetsim::TrainParams& params,
+                            const TrafficSnapshot& snapshot,
+                            std::vector<packetsim::TrainSummary>& out,
+                            unsigned workers) const {
   CHOREO_REQUIRE(!pairs.empty());
   // Enforce the conflict-free contract: a VM sourcing (or sinking) two
   // simultaneous trains would share its hose (vNIC) between them and bias
@@ -376,16 +368,15 @@ std::vector<packetsim::TrainSummary> Cloud::run_train_round(
     src_busy[s] = dst_busy[d] = 1;
   }
 
-  std::vector<packetsim::TrainSummary> out(pairs.size());
+  out.resize(pairs.size());
   const unsigned n_workers =
       std::max(1u, std::min<unsigned>(workers, static_cast<unsigned>(pairs.size())));
   std::atomic<std::size_t> next{0};
   util::run_workers(n_workers, [&](unsigned) {
     for (std::size_t i = next.fetch_add(1); i < pairs.size(); i = next.fetch_add(1)) {
-      out[i] = run_train_in_snapshot(pairs[i].first, pairs[i].second, params, snapshot);
+      run_train_in_snapshot(pairs[i].first, pairs[i].second, params, snapshot, out[i]);
     }
   });
-  return out;
 }
 
 void Cloud::set_observer(const obs::Observer& o) {

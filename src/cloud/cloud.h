@@ -86,13 +86,14 @@ class Cloud {
                                        double interval_s, std::uint64_t epoch);
 
   /// Sends one §3.1 UDP packet train src->dst through the packet-level
-  /// simulator and returns the receiver's timestamped packet log.
+  /// simulator and returns what the estimator reads of the receiver's log
+  /// (summarize_chain of the train's chain).
   ///
   /// Noise here is drawn from a shared mutable RNG, so results depend on
   /// call order; the measurement plane uses the order-independent
   /// run_train_in_snapshot instead.
-  std::vector<packetsim::RecordingSink::Record> run_train(
-      VmId src, VmId dst, const packetsim::TrainParams& params, std::uint64_t epoch);
+  packetsim::TrainSummary run_train(VmId src, VmId dst, const packetsim::TrainParams& params,
+                                    std::uint64_t epoch);
 
   /// One epoch's view of the background tenants, shared by every train of a
   /// measurement round: the capacity each fabric link has left after the
@@ -110,15 +111,15 @@ class Cloud {
   /// Builds the cross-traffic snapshot for `epoch` (deterministic; const).
   TrafficSnapshot traffic_snapshot(std::uint64_t epoch) const;
 
-  /// Order-independent packet train, returned as what the §3.1 estimator
-  /// reads of the receiver's log (packetsim::summarize of it): identical
-  /// (src, dst, params, snapshot) always produce identical summaries, no
-  /// matter how many other trains ran before or run concurrently — all
-  /// jitter derives from (seed, epoch, src, dst). Thread-safe: const,
-  /// touches no mutable state.
-  packetsim::TrainSummary run_train_in_snapshot(VmId src, VmId dst,
-                                                const packetsim::TrainParams& params,
-                                                const TrafficSnapshot& snapshot) const;
+  /// Order-independent packet train, left in `out` as what the §3.1
+  /// estimator reads of the receiver's log (packetsim::summarize of it):
+  /// identical (src, dst, params, snapshot) always produce identical
+  /// summaries, no matter how many other trains ran before or run
+  /// concurrently — all jitter derives from (seed, epoch, src, dst).
+  /// Thread-safe: const, touches no mutable state besides `out`.
+  void run_train_in_snapshot(VmId src, VmId dst, const packetsim::TrainParams& params,
+                             const TrafficSnapshot& snapshot,
+                             packetsim::TrainSummary& out) const;
 
   /// The packet-level chain one train src->dst runs through, plus the
   /// receiver's timestamp noise: exactly what run_train_in_snapshot
@@ -134,19 +135,21 @@ class Cloud {
   TrainChain train_chain_in_snapshot(VmId src, VmId dst, const packetsim::TrainParams& params,
                                      const TrafficSnapshot& snapshot) const;
 
-  /// The summary of one chain's train, as run_train_in_snapshot returns it:
-  /// the summary recurrence, or — on a same-instant tie it declines — the
-  /// event-driven packetsim::Path's receiver log, summarized.
-  static packetsim::TrainSummary summarize_chain(const TrainChain& chain);
+  /// Leaves in `out` the summary of one chain's train, the one chain runner
+  /// behind every train this cloud sends: the summary recurrence, or — on a
+  /// same-instant tie it declines — the event-driven packetsim::Path's
+  /// receiver log, summarized. A warm `out` is reused: the recurrence path
+  /// allocates nothing.
+  static void summarize_chain(const TrainChain& chain, packetsim::TrainSummary& out);
 
   /// Runs one conflict-free round of trains — no VM may appear twice as a
-  /// source or twice as a destination — on up to `workers` threads. Results
-  /// are parallel to `pairs` and byte-identical for any worker count
-  /// (pinned by test_determinism).
-  std::vector<packetsim::TrainSummary> run_train_round(
-      const std::vector<std::pair<VmId, VmId>>& pairs,
-      const packetsim::TrainParams& params, const TrafficSnapshot& snapshot,
-      unsigned workers = 1) const;
+  /// source or twice as a destination — on up to `workers` threads. Leaves
+  /// the summaries in `out`, resized parallel to `pairs` (its elements'
+  /// buffers are reused), byte-identical for any worker count (pinned by
+  /// test_determinism).
+  void run_train_round(const std::vector<std::pair<VmId, VmId>>& pairs,
+                       const packetsim::TrainParams& params, const TrafficSnapshot& snapshot,
+                       std::vector<packetsim::TrainSummary>& out, unsigned workers = 1) const;
 
   // ---- harness primitives -------------------------------------------------
 

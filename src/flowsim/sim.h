@@ -93,6 +93,9 @@ class Sim {
   /// machine with no vswitch cap).
   explicit Sim(const net::Router& router, double unconstrained_rate = 400e9,
                KernelMode mode = KernelMode::Incremental);
+  /// A temporary router would dangle: build it beside the Sim instead.
+  Sim(const net::Router&& router, double unconstrained_rate = 400e9,
+      KernelMode mode = KernelMode::Incremental) = delete;
 
   /// Registers a shared resource (e.g., a hose-model egress cap). Returned
   /// ids are distinct from link-backed resources.

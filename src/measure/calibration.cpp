@@ -40,9 +40,8 @@ std::vector<CalibrationPoint> calibrate_trains(cloud::Cloud& cloud,
         ++sub;
         const double truth =
             cloud.netperf_bps(src, dst, config.netperf_duration_s, epoch + sub);
-        const auto records = cloud.run_train(src, dst, params, epoch + sub);
-        const TrainEstimate est =
-            estimate_train_throughput(records, params, cloud.ping_rtt_s(src, dst));
+        const TrainEstimate est = estimate_train_throughput(
+            cloud.run_train(src, dst, params, epoch + sub), params, cloud.ping_rtt_s(src, dst));
         if (truth > 0.0 && est.throughput_bps > 0.0) {
           errors.push_back(relative_error(est.throughput_bps, truth));
         }

@@ -63,10 +63,4 @@ TrainEstimate estimate_train_throughput(const packetsim::TrainSummary& summary,
   return out;
 }
 
-TrainEstimate estimate_train_throughput(
-    const std::vector<packetsim::RecordingSink::Record>& records,
-    const packetsim::TrainParams& params, double rtt_s) {
-  return estimate_train_throughput(packetsim::summarize(records, params), params, rtt_s);
-}
-
 }  // namespace choreo::measure

@@ -27,13 +27,10 @@ struct TrainEstimate {
 ///   * loss term: MSS * C / (RTT * sqrt(l)), C = sqrt(3/2) [Mathis et al.];
 ///   * estimate: min of the two (the Mathis term is an upper bound that is
 ///     only informative when loss is non-negligible).
+///
+/// A full receiver log goes through packetsim::summarize first.
 TrainEstimate estimate_train_throughput(const packetsim::TrainSummary& summary,
                                         const packetsim::TrainParams& params, double rtt_s);
-
-/// The same estimator over a full receiver log: summarize, then the above.
-TrainEstimate estimate_train_throughput(
-    const std::vector<packetsim::RecordingSink::Record>& records,
-    const packetsim::TrainParams& params, double rtt_s);
 
 /// Wall-clock duration of sending one train (emission time, ignoring path
 /// latency): used for measurement-overhead accounting (§4.1 "an individual

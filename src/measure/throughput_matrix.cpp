@@ -2,6 +2,7 @@
 
 #include <unordered_map>
 #include <utility>
+#include <vector>
 
 #include "measure/packet_train.h"
 #include "util/require.h"
@@ -32,16 +33,18 @@ PairsResult measure_rate_pairs(cloud::Cloud& cloud, const std::vector<cloud::VmI
   }
 
   const ProbeSchedule schedule = schedule_probes(n, pairs);
+  // Reused round to round and call to call, so warm rounds allocate no
+  // summary buffers.
+  thread_local std::vector<packetsim::TrainSummary> summaries;
+  std::vector<std::pair<cloud::VmId, cloud::VmId>> vm_pairs;
   for (std::size_t r = 0; r < schedule.rounds.size(); ++r) {
     const auto& round = schedule.rounds[r];
     // All trains of the round observe the same background realization; the
     // snapshot is computed once and shared across the round's workers.
     const cloud::Cloud::TrafficSnapshot snapshot = cloud.traffic_snapshot(epoch + r);
-    std::vector<std::pair<cloud::VmId, cloud::VmId>> vm_pairs;
-    vm_pairs.reserve(round.size());
+    vm_pairs.clear();
     for (const ProbePair& p : round) vm_pairs.emplace_back(vms[p.src], vms[p.dst]);
-    const std::vector<packetsim::TrainSummary> summaries =
-        cloud.run_train_round(vm_pairs, plan.train, snapshot, plan.workers);
+    cloud.run_train_round(vm_pairs, plan.train, snapshot, summaries, plan.workers);
     for (std::size_t k = 0; k < round.size(); ++k) {
       const ProbePair& p = round[k];
       const double rtt = cloud.ping_rtt_s(vms[p.src], vms[p.dst]);

@@ -14,6 +14,7 @@ namespace {
 
 using packetsim::RecordingSink;
 using packetsim::TrainParams;
+using packetsim::summarize;
 using units::mbps;
 
 /// Synthesizes a perfect receiver log: B packets per burst arriving at
@@ -38,7 +39,7 @@ TEST(TrainEstimator, ExactOnIdealLog) {
   p.bursts = 10;
   p.burst_length = 200;
   const auto records = ideal_records(p, mbps(950));
-  const TrainEstimate est = estimate_train_throughput(records, p, 1e-3);
+  const TrainEstimate est = estimate_train_throughput(summarize(records, p), p, 1e-3);
   // The estimator sees payload bytes over wire-time: payload/wire ratio off
   // plus the (B-1)/B fence-post; both are < 3% here.
   EXPECT_NEAR(est.throughput_bps, mbps(950) * 1472.0 / 1500.0, mbps(15));
@@ -58,7 +59,7 @@ TEST(TrainEstimator, HeadTailLossAdjustment) {
     if (r.burst == 1 && r.seq >= 190) continue;
     damaged.push_back(r);
   }
-  const TrainEstimate est = estimate_train_throughput(damaged, p, 1e-3);
+  const TrainEstimate est = estimate_train_throughput(summarize(damaged, p), p, 1e-3);
   // The time adjustment reconstructs the full-burst duration, so head/tail
   // losses penalize the rate term exactly like interior losses would:
   // est = clean_rate * received/(B-1)-ish = 500 * (1472/1500) * 180/198.
@@ -77,7 +78,7 @@ TEST(TrainEstimator, MathisTermCapsLossyPaths) {
   for (const auto& r : records) {
     if (r.seq % 2 == 0) damaged.push_back(r);
   }
-  const TrainEstimate est = estimate_train_throughput(damaged, p, /*rtt=*/10e-3);
+  const TrainEstimate est = estimate_train_throughput(summarize(damaged, p), p, /*rtt=*/10e-3);
   EXPECT_NEAR(est.loss_rate, 0.5, 0.01);
   // Mathis: 8*1472*1.2247 / (0.01 * sqrt(0.5)) ~ 2.0 Mbit/s -> far below rate
   // term, so the min must pick it.
@@ -87,8 +88,7 @@ TEST(TrainEstimator, MathisTermCapsLossyPaths) {
 
 TEST(TrainEstimator, EmptyLog) {
   TrainParams p;
-  const TrainEstimate est =
-      estimate_train_throughput(std::vector<RecordingSink::Record>{}, p, 1e-3);
+  const TrainEstimate est = estimate_train_throughput(summarize({}, p), p, 1e-3);
   EXPECT_DOUBLE_EQ(est.throughput_bps, 0.0);
   EXPECT_EQ(est.packets_received, 0u);
 }

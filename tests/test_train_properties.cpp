@@ -19,6 +19,7 @@ using packetsim::Path;
 using packetsim::RecordingSink;
 using packetsim::ShaperSpec;
 using packetsim::TrainParams;
+using packetsim::summarize;
 
 struct PathConfig {
   double hose_bps = 950e6;
@@ -44,7 +45,8 @@ TrainEstimate probe(const PathConfig& cfg, std::uint32_t bursts, std::uint32_t b
   params.line_rate_bps = cfg.line_rate;
   packetsim::send_train(events, path.entry(), params, 1, 0.0);
   events.run();
-  return estimate_train_throughput(sink.records(), params, /*rtt=*/200e-6);
+  return estimate_train_throughput(summarize(sink.records(), params), params,
+                                   /*rtt=*/200e-6);
 }
 
 /// Sweep over burst lengths: with a shallow bucket, the estimate must be

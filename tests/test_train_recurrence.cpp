@@ -447,13 +447,15 @@ TEST(CloudTrains, EqualTheEventPathOnEveryPair) {
               cl.train_chain_in_snapshot(src, dst, params, snap);
           Case c{chain.shaper, chain.hops, chain.params, chain.timestamp_jitter_s,
                  chain.sink_seed};
-          EXPECT_EQ(summarize(event_path(c), c.params),
-                    cl.run_train_in_snapshot(src, dst, params, snap))
+          TrainSummary summary;
+          cl.run_train_in_snapshot(src, dst, params, snap, summary);
+          EXPECT_EQ(summarize(event_path(c), c.params), summary)
               << profile.name << " " << src << "->" << dst << " epoch " << epoch;
         }
         round.emplace_back(src, vms[(i + 1) % vms.size()]);
       }
-      const auto parallel = cl.run_train_round(round, params, snap, /*workers=*/3);
+      std::vector<TrainSummary> parallel;
+      cl.run_train_round(round, params, snap, parallel, /*workers=*/3);
       for (std::size_t i = 0; i < round.size(); ++i) {
         const cloud::Cloud::TrainChain chain =
             cl.train_chain_in_snapshot(round[i].first, round[i].second, params, snap);

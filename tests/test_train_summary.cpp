@@ -138,8 +138,9 @@ TEST_P(CloudCorpus, SummaryEqualsSummarizedRecords) {
           {
             RecordingSink sink(chain.timestamp_jitter_s, chain.sink_seed);
             ASSERT_TRUE(simulate_train(chain.shaper, chain.hops, chain.params, sink));
-            EXPECT_TRUE(same_bits(summarize(sink.records(), chain.params),
-                                  cl.run_train_in_snapshot(src, dst, TrainParams{}, snap)))
+            TrainSummary from_cloud;
+            cl.run_train_in_snapshot(src, dst, TrainParams{}, snap, from_cloud);
+            EXPECT_TRUE(same_bits(summarize(sink.records(), chain.params), from_cloud))
                 << profile.name << " " << src << "->" << dst << " epoch " << epoch;
           }
           for (const double jitter : kJitters) {
@@ -281,15 +282,16 @@ TEST(EventFallback, DeclinedTieIsSummarizedFromTheEventPath) {
     send_train(events, path.entry(), chain.params, /*flow_id=*/1, /*start_time=*/0.0);
     events.run();
     ASSERT_FALSE(sink.records().empty());
-    EXPECT_TRUE(same_bits(summarize(sink.records(), chain.params),
-                          cloud::Cloud::summarize_chain(chain)))
+    TrainSummary from_chain;
+    cloud::Cloud::summarize_chain(chain, from_chain);
+    EXPECT_TRUE(same_bits(summarize(sink.records(), chain.params), from_chain))
         << "jitter " << jitter;
   }
 }
 
 // ---- the estimator over either form -------------------------------------
 
-TEST(EstimatorCore, RecordsOverloadIsSummarizeThenCore) {
+TEST(EstimatorCore, SummarizedLogEstimatesLikeTheCloudsSummary) {
   cloud::Cloud cl(cloud::ec2_2013(), 5);
   const std::vector<cloud::VmId> vms = cl.allocate_vms(3);
   const cloud::Cloud::TrafficSnapshot snap = cl.traffic_snapshot(3);
@@ -297,10 +299,12 @@ TEST(EstimatorCore, RecordsOverloadIsSummarizeThenCore) {
       cl.train_chain_in_snapshot(vms[0], vms[1], TrainParams{}, snap);
   RecordingSink sink(chain.timestamp_jitter_s, chain.sink_seed);
   ASSERT_TRUE(simulate_train(chain.shaper, chain.hops, chain.params, sink));
-  const measure::TrainEstimate from_records =
-      measure::estimate_train_throughput(sink.records(), chain.params, 1e-3);
-  const measure::TrainEstimate from_summary = measure::estimate_train_throughput(
-      cl.run_train_in_snapshot(vms[0], vms[1], TrainParams{}, snap), chain.params, 1e-3);
+  const measure::TrainEstimate from_records = measure::estimate_train_throughput(
+      summarize(sink.records(), chain.params), chain.params, 1e-3);
+  TrainSummary summary;
+  cl.run_train_in_snapshot(vms[0], vms[1], TrainParams{}, snap, summary);
+  const measure::TrainEstimate from_summary =
+      measure::estimate_train_throughput(summary, chain.params, 1e-3);
   EXPECT_GT(from_records.throughput_bps, 0.0);
   EXPECT_EQ(from_records.throughput_bps, from_summary.throughput_bps);
   EXPECT_EQ(from_records.packets_received, from_summary.packets_received);
