@@ -16,6 +16,9 @@
 //     10 x 200 packets;
 //   * bucket only: the same bucket feeding the receiver directly, 10 x 200.
 //
+// The two summary times also give the hop stage alone: the ec2 chain's minus
+// the bucket's, per packet-hop. That column is reported, not gated.
+//
 // Enforced: the recurrence is at least 10x faster per ec2 train, its records
 // equal the event path's, the summary equals summarize() of those records
 // and is faster than recording them, and a warm train (reused sink or
@@ -171,15 +174,20 @@ int main(int argc, char** argv) {
   header(std::string("Packet train: event queue vs per-packet recurrence vs summary") +
          (smoke ? " [smoke]" : ""));
   Table table({"shape", "packets", "hops", "event (us)", "recurrence (us)", "speed-up",
-               "summary (us)", "event allocs/train", "warm allocs", "summary warm allocs"});
+               "summary (us)", "hop ns/pkt-hop", "event allocs/train", "warm allocs",
+               "summary warm allocs"});
   double ec2_speedup = 0.0;
   bool all_same = true;
   bool all_same_summary = true;
   bool summary_faster = true;
   std::size_t warm_allocs = 0;
   std::size_t summary_warm_allocs = 0;
-  for (const Shape& shape : shapes) {
-    const Timing t = time_shape(shape, reps);
+  std::vector<Timing> timings;
+  for (const Shape& shape : shapes) timings.push_back(time_shape(shape, reps));
+  const double bucket_summary_us = timings.back().summary_us;
+  for (std::size_t i = 0; i < shapes.size(); ++i) {
+    const Shape& shape = shapes[i];
+    const Timing& t = timings[i];
     const double speedup = t.event_us / t.recurrence_us;
     if (&shape == &shapes.front()) ec2_speedup = speedup;
     all_same = all_same && t.same;
@@ -188,15 +196,19 @@ int main(int argc, char** argv) {
     warm_allocs += t.warm_allocs;
     summary_warm_allocs += t.summary_warm_allocs;
     const double packets = static_cast<double>(shape.params.bursts) * shape.params.burst_length;
-    table.add_row({shape.name, fmt(packets, 0), fmt(static_cast<double>(shape.hops.size()), 0),
-                   fmt(t.event_us, 1), fmt(t.recurrence_us, 1), fmt(speedup, 1) + "x",
-                   fmt(t.summary_us, 1), fmt(static_cast<double>(t.event_allocs), 0),
+    const double hops = static_cast<double>(shape.hops.size());
+    // The hop stage: this shape's summary beyond the bucket-only one.
+    const double hop_ns = (t.summary_us - bucket_summary_us) * 1e3 / (packets * hops);
+    table.add_row({shape.name, fmt(packets, 0), fmt(hops, 0), fmt(t.event_us, 1),
+                   fmt(t.recurrence_us, 1), fmt(speedup, 1) + "x", fmt(t.summary_us, 1),
+                   shape.hops.empty() ? "-" : fmt(hop_ns, 2),
+                   fmt(static_cast<double>(t.event_allocs), 0),
                    fmt(static_cast<double>(t.warm_allocs), 0),
                    fmt(static_cast<double>(t.summary_warm_allocs), 0)});
     json.row()
         .row("shape", shape.name)
         .row("packets", packets)
-        .row("hops", static_cast<double>(shape.hops.size()))
+        .row("hops", hops)
         .row("event_us", t.event_us)
         .row("recurrence_us", t.recurrence_us)
         .row("speedup", speedup)
@@ -204,6 +216,7 @@ int main(int argc, char** argv) {
         .row("event_allocs_per_train", static_cast<double>(t.event_allocs))
         .row("warm_allocs", static_cast<double>(t.warm_allocs))
         .row("summary_warm_allocs", static_cast<double>(t.summary_warm_allocs));
+    if (!shape.hops.empty()) json.row("hop_ns_per_packet_hop", hop_ns);
   }
   std::cout << table.to_string();
   check(all_same, "the recurrence's records equal the event path's on both shapes");

@@ -130,8 +130,7 @@ double Cloud::ping_rtt_s(VmId a, VmId b) const {
   return 2.0 * one_way + 40e-6;  // virtualization overhead floor
 }
 
-std::unique_ptr<Cloud::SimBundle> Cloud::make_sim(std::uint64_t epoch,
-                                                  bool with_background) const {
+std::unique_ptr<Cloud::SimBundle> Cloud::make_sim(std::uint64_t epoch) const {
   auto bundle = std::make_unique<SimBundle>(router_);
   bundle->vm_egress.reserve(vms_.size());
   for (const VmRecord& vm : vms_) {
@@ -140,11 +139,11 @@ std::unique_ptr<Cloud::SimBundle> Cloud::make_sim(std::uint64_t epoch,
   for (net::NodeId host : hosts_) {
     bundle->host_vswitch.emplace(host, bundle->sim.add_resource(profile_.vswitch_rate_bps));
   }
-  if (with_background) add_background(*bundle, epoch);
+  add_background(bundle->sim, epoch);
   return bundle;
 }
 
-void Cloud::add_background(SimBundle& bundle, std::uint64_t epoch) const {
+void Cloud::add_background(flowsim::Sim& sim, std::uint64_t epoch) const {
   Rng rng(substream(seed_, epoch, 3));
   for (std::size_t i = 0; i < profile_.bg_flow_count; ++i) {
     // Background endpoints are other tenants' VMs; we model them as host-level
@@ -175,8 +174,8 @@ void Cloud::add_background(SimBundle& bundle, std::uint64_t epoch) const {
     spec.label = "bg";
     const bool start_on = rng.chance(profile_.bg_mean_on_s /
                                      (profile_.bg_mean_on_s + profile_.bg_mean_off_s));
-    bundle.sim.add_on_off_flow(spec, profile_.bg_mean_on_s, profile_.bg_mean_off_s,
-                               start_on, substream(seed_, epoch, 200 + i));
+    sim.add_on_off_flow(spec, profile_.bg_mean_on_s, profile_.bg_mean_off_s, start_on,
+                        substream(seed_, epoch, 200 + i));
   }
 }
 
@@ -314,11 +313,14 @@ packetsim::TrainSummary Cloud::run_train(VmId src, VmId dst,
 Cloud::TrafficSnapshot Cloud::traffic_snapshot(std::uint64_t epoch) const {
   TrafficSnapshot snap;
   snap.epoch = epoch;
-  auto bundle = make_sim(epoch, /*with_background=*/true);
+  // Only the background: a snapshot reads link loads, never the tenant
+  // hoses or vswitches make_sim would register.
+  flowsim::Sim sim(router_);
+  add_background(sim, epoch);
   // Let the ON-OFF background settle into its epoch state before sampling —
   // the same warm-up true_path_rate_bps uses.
-  bundle->sim.run_until(1e-3);
-  const auto loads = bundle->sim.link_loads();
+  sim.run_until(1e-3);
+  const auto loads = sim.link_loads();
   snap.available_bps.resize(loads.size());
   for (std::size_t l = 0; l < loads.size(); ++l) {
     const double cap = topo_.link(l).capacity_bps;

@@ -185,7 +185,7 @@ class Cloud {
 
  private:
   /// A fluid simulation of this cloud with per-VM hose resources, per-host
-  /// vswitch resources and (optionally) background tenant flows installed.
+  /// vswitch resources and the epoch's background tenant flows installed.
   struct SimBundle {
     explicit SimBundle(const net::Router& router) : sim(router) {}
     flowsim::Sim sim;
@@ -193,7 +193,7 @@ class Cloud {
     std::unordered_map<net::NodeId, flowsim::ResourceId> host_vswitch;
   };
 
-  std::unique_ptr<SimBundle> make_sim(std::uint64_t epoch, bool with_background = true) const;
+  std::unique_ptr<SimBundle> make_sim(std::uint64_t epoch) const;
 
   /// FlowSpec for a tenant flow inside a SimBundle's sim: resolves hosts,
   /// attaches the source hose (different hosts) or the vswitch (same host).
@@ -206,7 +206,9 @@ class Cloud {
   };
 
   double draw_hose_rate(Rng& rng) const;
-  void add_background(SimBundle& bundle, std::uint64_t epoch) const;
+  /// Installs the epoch's background tenant flows: ON-OFF flows between
+  /// hosts over fabric links only, so `sim` needs no tenant resources.
+  void add_background(flowsim::Sim& sim, std::uint64_t epoch) const;
   /// Shared train construction behind run_train and run_train_in_snapshot;
   /// `shaper_jitter_frac` is invoked only for inter-host trains, `snapshot`
   /// (optional) caps hop capacities at the background's leftovers.
@@ -218,7 +220,7 @@ class Cloud {
   ProviderProfile profile_;
   std::uint64_t seed_;
   net::Topology topo_;
-  /// The one router of this cloud: trains and every Sim make_sim builds
+  /// The one router of this cloud: trains and every Sim this cloud builds
   /// route through it, so its BFS cache outlives each snapshot and execute.
   net::Router router_;
   std::vector<net::NodeId> hosts_;

@@ -6,6 +6,16 @@
 #include "util/require.h"
 
 namespace choreo::flowsim {
+namespace {
+
+/// Grows a scratch buffer's capacity to `bound` ahead of any recompute that
+/// could need it, doubling so that n registrations cost O(n) amortized.
+template <typename T>
+void reserve_to(std::vector<T>& v, std::size_t bound) {
+  if (v.capacity() < bound) v.reserve(std::max(bound, 2 * v.capacity()));
+}
+
+}  // namespace
 
 MaxMinKernel::MaxMinKernel(double unconstrained_rate)
     : unconstrained_rate_(unconstrained_rate) {
@@ -24,6 +34,10 @@ ResourceId MaxMinKernel::add_resource(double capacity_bps) {
   load_.push_back(0);
   rev_begin_.push_back(0);
   rev_fill_.push_back(0);
+  // A recompute lists each resource at most once in these.
+  reserve_to(region_res_, capacity_.size());
+  reserve_to(live_res_, capacity_.size());
+  reserve_to(dirty_labels_, capacity_.size());
   return id;
 }
 
@@ -43,6 +57,12 @@ std::size_t MaxMinKernel::add_flow(const ResourceId* row, std::size_t len) {
   active_flag_.push_back(0);
   rate_.push_back(0.0);
   frozen_stamp_.push_back(0);
+  // Scratch grows here, with the flows, never inside a warm recompute: the
+  // active set and a region hold each flow at most once, and the reverse
+  // index holds at most one entry per live row slot.
+  reserve_to(active_, row_begin_.size());
+  reserve_to(region_flows_, row_begin_.size());
+  if (rev_flows_.size() < row_data_.size()) rev_flows_.resize(row_data_.size());
   return id;
 }
 
@@ -186,7 +206,7 @@ const std::vector<std::size_t>& MaxMinKernel::recompute() {
     rev_fill_[r] = 0;
     total += load_[r];
   }
-  if (rev_flows_.size() < total) rev_flows_.resize(total);
+  CHOREO_ASSERT(total <= rev_flows_.size());
   for (const std::size_t f : region_flows_) {
     const std::size_t b = row_begin_[f];
     for (std::uint32_t i = 0; i < row_len_[f]; ++i) {

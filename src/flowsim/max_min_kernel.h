@@ -29,8 +29,9 @@ namespace choreo::flowsim {
 ///     component(s) it touched — flows in untouched components keep their
 ///     rates, which per-component independence makes bit-identical to a full
 ///     recompute;
-///   * every scratch structure is a reused member buffer, so steady-state
-///     recomputes perform zero heap allocations once warm.
+///   * every scratch structure is a reused member buffer, grown to its bound
+///     as flows and resources are registered, so recomputes perform zero
+///     heap allocations whatever region an event happens to dirty.
 ///
 /// Tie-breaking matches the oracle exactly: the bottleneck is the loaded
 /// resource with the smallest share, lowest id first; its flows freeze in

@@ -78,11 +78,9 @@ FlowId Sim::add_on_off_flow(const FlowSpec& spec, double mean_on_s, double mean_
   const FlowId id = add_flow(persistent);
   flows_[id].on = start_on;
   onoff_index_[id] = static_cast<int>(onoff_.size());
-  onoff_.push_back(OnOffState{mean_on_s, mean_off_s, Rng(seed)});
+  onoff_.push_back(OnOffState{mean_on_s, mean_off_s, seed});
   // First toggle: holding time of the initial state.
-  OnOffState& oo = onoff_.back();
-  const double hold = oo.rng.exponential(start_on ? mean_on_s : mean_off_s);
-  push_event(spec.start_time + hold, Event::Kind::Toggle, id);
+  push_event(spec.start_time + onoff_.back().next_hold(start_on), Event::Kind::Toggle, id);
   return id;
 }
 
@@ -252,8 +250,7 @@ void Sim::run_until(double t_end) {
           FlowState& f = flows_[ev.index];
           OnOffState& oo = onoff_[static_cast<std::size_t>(onoff_index_[ev.index])];
           f.on = !f.on;
-          const double hold = oo.rng.exponential(f.on ? oo.mean_on : oo.mean_off);
-          push_event(now_ + hold, Event::Kind::Toggle, ev.index);
+          push_event(now_ + oo.next_hold(f.on), Event::Kind::Toggle, ev.index);
           if (f.started && !f.finished) {
             if (f.on) {
               activate_flow(ev.index);

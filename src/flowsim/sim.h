@@ -111,6 +111,9 @@ class Sim {
   /// whose transition time follows an exponential distribution"). The flow
   /// alternates between transmitting (backlogged) and silent, with both state
   /// holding times drawn exponentially with mean `mean_on_s`/`mean_off_s`.
+  /// Hold number k (the initial state's is number 0) is a pure function of
+  /// (`seed`, k): the flow's toggle times do not depend on what else the Sim
+  /// holds.
   FlowId add_on_off_flow(const FlowSpec& spec, double mean_on_s, double mean_off_s,
                          bool start_on, std::uint64_t seed);
 
@@ -177,10 +180,16 @@ class Sim {
     std::function<void(double)> fn;
   };
 
+  /// An ON-OFF flow's holding times, counter-keyed: hold number k is
+  /// mean * keyed_exponential(seed, k), so a flow carries no generator.
   struct OnOffState {
     double mean_on;
     double mean_off;
-    Rng rng;
+    std::uint64_t seed;
+    std::uint64_t draws = 0;
+    double next_hold(bool on) {
+      return (on ? mean_on : mean_off) * keyed_exponential(seed, draws++);
+    }
   };
 
   void push_event(double time, Event::Kind kind, std::size_t index);

@@ -22,10 +22,19 @@ struct Arrival {
 };
 using Stage = std::vector<Arrival>;
 
+/// One hop as the idle pass sees it: transmit time, propagation delay and
+/// the completion time of the last packet it carried.
+struct IdleHop {
+  double tx;
+  double delay_s;
+  double last_completion;
+};
+
 struct Scratch {
   std::vector<double> emission;
   Stage in, out;
   std::vector<double> start;  // service start of each packet a hop accepted
+  std::vector<IdleHop> idle;
 };
 
 Scratch& scratch() {
@@ -141,6 +150,33 @@ bool forward(const HopSpec& spec, std::size_t hop, std::uint32_t wire, const Sta
   return true;
 }
 
+/// The tandem on the premise that every packet finds every hop idle: the
+/// hop's last completion strictly earlier than the packet's arrival. Carries
+/// each packet through all hops in one loop, with the operands forward()
+/// uses on an idle hop, so under the premise `out` equals what the per-hop
+/// passes leave. Returns false, `in` untouched, at the first packet that
+/// finds a hop busy or freeing at its very arrival instant.
+bool carry_through_idle_hops(const std::vector<HopSpec>& hops, std::uint32_t wire,
+                             const Stage& in, Stage& out, std::vector<IdleHop>& idle) {
+  idle.clear();
+  for (const HopSpec& h : hops) {
+    idle.push_back({static_cast<double>(wire) * 8.0 / h.rate_bps, h.delay_s,
+                    -std::numeric_limits<double>::infinity()});
+  }
+  for (const Arrival& a : in) {
+    double time = a.time;
+    double completion = a.scheduled;
+    for (IdleHop& h : idle) {
+      if (!(h.last_completion < time)) return false;
+      completion = time + h.tx;
+      h.last_completion = completion;
+      time = completion + h.delay_s;
+    }
+    out.push_back({time, completion, a.packet});
+  }
+  return true;
+}
+
 /// Runs `params` through the tandem, leaving the receiver's arrivals, in
 /// order, in `s.in`. Returns false on a tie forward() declines.
 bool run_tandem(const ShaperSpec& shaper, const std::vector<HopSpec>& hops,
@@ -176,6 +212,14 @@ bool run_tandem(const ShaperSpec& shaper, const std::vector<HopSpec>& hops,
     for (std::size_t p = 0; p < s.emission.size(); ++p) {
       s.in.push_back({s.emission[p], kEmitted, static_cast<std::uint32_t>(p)});
     }
+  }
+  if (hops.empty()) return true;
+  // Probe trains rarely queue: try every hop idle first, and only a train
+  // that queues, drops or meets a tie takes the per-hop recurrence.
+  s.out.clear();
+  if (carry_through_idle_hops(hops, wire, s.in, s.out, s.idle)) {
+    std::swap(s.in, s.out);
+    return true;
   }
   for (std::size_t h = 0; h < hops.size(); ++h) {
     s.out.clear();

@@ -37,6 +37,9 @@ struct TrainTies {
 /// bucket replayed refill for refill against its single pending wake-up, each
 /// FIFO hop as completion = (busy ? previous completion : arrival) + transmit
 /// time with the drop-tail rule, and the survivors fed to `sink` in order.
+/// A train that finds every hop idle at every arrival (the common case for a
+/// probe) is carried through all hops in one packet-major pass; the per-hop
+/// recurrence runs only for a train that queues, drops or meets a tie.
 ///
 /// Returns false, leaving `sink` untouched, when the train meets a
 /// same-instant arrival/completion tie whose two events were scheduled at

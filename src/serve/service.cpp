@@ -45,10 +45,15 @@ void PlacementService::set_observer(const obs::Observer& o) {
 }
 
 void PlacementService::swap_in(place::ClusterState next) {
-  const std::shared_ptr<const ClusterSnapshot> cur = snapshot();
-  const std::uint64_t next_epoch = cur->epoch + 1;
-  snap_.store(std::make_shared<const ClusterSnapshot>(next_epoch, std::move(next)),
-              std::memory_order_release);
+  const std::uint64_t next_epoch = snapshot()->epoch + 1;
+  std::shared_ptr<const ClusterSnapshot> snap =
+      std::make_shared<const ClusterSnapshot>(next_epoch, std::move(next));
+  {
+    const std::lock_guard<std::mutex> lock(snap_mutex_);
+    snap_.swap(snap);
+  }
+  // `snap` now holds the previous snapshot: if no reader still does, it is
+  // freed here, outside the lock.
   CHOREO_OBS_INC(publishes_, obs_);
   CHOREO_OBS_SET(epoch_gauge_, static_cast<double>(next_epoch));
 }

@@ -1,8 +1,8 @@
 #pragma once
 
-#include <atomic>
 #include <cstdint>
 #include <memory>
+#include <mutex>
 #include <optional>
 
 #include "obs/observer.h"
@@ -15,9 +15,9 @@ namespace choreo::serve {
 /// answers placement queries against: the measured ClusterView plus the
 /// committed residual occupancy, frozen at publish time. Snapshots are never
 /// mutated after publication — the writer builds the *next* snapshot from a
-/// clone and atomically swaps the pointer — so any number of readers can
-/// hold and read one concurrently without synchronization beyond the
-/// pointer load that fetched it.
+/// clone and swaps the pointer in — so any number of readers can hold and
+/// read one concurrently without synchronization beyond the pointer copy
+/// that fetched it.
 struct ClusterSnapshot {
   std::uint64_t epoch = 0;
   place::ClusterState state;
@@ -70,17 +70,18 @@ class Scratch {
 /// high rate against an epoch-swapped, read-mostly cluster snapshot.
 ///
 /// Concurrency contract:
-///   * **Readers never lock.** place() loads the current snapshot pointer
-///     (one atomic acquire), refreshes the caller's Scratch arena if the
-///     epoch moved, and runs the engine-backed greedy on the arena. Any
-///     number of threads may call place() concurrently, each with its own
-///     Scratch.
+///   * **Readers place outside the lock.** place() copies the current
+///     snapshot pointer under a mutex held only for that copy, then
+///     refreshes the caller's Scratch arena if the epoch moved and runs the
+///     engine-backed greedy on the arena, unlocked. Any number of threads
+///     may call place() concurrently, each with its own Scratch.
 ///   * **Single writer.** publish_view / commit / release build the next
-///     snapshot from a clone of the current one and atomically swap it in
-///     with a bumped epoch. Calls to the three writer methods must be
-///     serialized by the caller (the measurement/commit path — one
-///     controller thread in practice); they never block readers, which keep
-///     serving the previous snapshot until the swap lands.
+///     snapshot from a clone of the current one, outside the lock, and swap
+///     it in under the mutex with a bumped epoch. Calls to the three writer
+///     methods must be serialized by the caller (the measurement/commit
+///     path — one controller thread in practice); readers wait on them for
+///     at most the pointer swap and keep serving the previous snapshot until
+///     it lands.
 ///
 /// Determinism: a query's placement is a pure function of (snapshot, app) —
 /// the greedy is deterministic and the arena is an exact clone — so the
@@ -99,10 +100,12 @@ class PlacementService {
 
   place::RateModel rate_model() const { return model_; }
 
-  /// The current snapshot (lock-free). Callers may hold it as long as they
-  /// like; it stays valid and immutable after newer epochs are published.
+  /// The current snapshot (a pointer copy under the publication mutex).
+  /// Callers may hold it as long as they like; it stays valid and immutable
+  /// after newer epochs are published.
   std::shared_ptr<const ClusterSnapshot> snapshot() const {
-    return snap_.load(std::memory_order_acquire);
+    const std::lock_guard<std::mutex> lock(snap_mutex_);
+    return snap_;
   }
   std::uint64_t epoch() const { return snapshot()->epoch; }
 
@@ -140,7 +143,9 @@ class PlacementService {
   void swap_in(place::ClusterState next);
 
   place::RateModel model_;
-  std::atomic<std::shared_ptr<const ClusterSnapshot>> snap_;
+  /// Guards snap_ for the pointer copy and the swap, nothing longer.
+  mutable std::mutex snap_mutex_;
+  std::shared_ptr<const ClusterSnapshot> snap_;
   obs::Observer obs_;
   obs::Counter publishes_;
   obs::Gauge epoch_gauge_;

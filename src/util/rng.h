@@ -116,4 +116,20 @@ inline double keyed_normal(std::uint64_t key, std::uint64_t index) {
                     (index & 1) != 0);
 }
 
+/// Unit-mean exponential over one uniform word: -ln(u) with
+/// u = ((w >> 12) + 0.5) * 2^-52. The half is exact below 2^52, so u lies in
+/// [2^-53, 1 - 2^-53], strictly inside (0, 1), and the result is finite and
+/// strictly positive: between about 1.1e-16 and 53 ln 2 ~= 36.74.
+inline double unit_exponential(std::uint64_t w) {
+  const double u = (static_cast<double>(w >> 12) + 0.5) * 0x1p-52;
+  return -std::log(u);
+}
+
+/// Unit-mean exponential number `index` of the counter-keyed stream `key`:
+/// word `index` of splitmix64_at, through unit_exponential. Scale by a mean
+/// for any other.
+inline double keyed_exponential(std::uint64_t key, std::uint64_t index) {
+  return unit_exponential(splitmix64_at(key, index));
+}
+
 }  // namespace choreo

@@ -2,7 +2,9 @@
 
 #include <gtest/gtest.h>
 
+#include <cmath>
 #include <limits>
+#include <vector>
 
 #include "net/topology.h"
 #include "util/units.h"
@@ -248,6 +250,98 @@ TEST(FlowSim, ArrivalBeforeNowRejected) {
   spec.bytes = 1.0;
   spec.start_time = 1.0;  // in the past
   EXPECT_THROW(sim.add_flow(spec), PreconditionError);
+}
+
+// ---- ON-OFF holding times ----------------------------------------------
+
+/// The toggle times an ON-OFF flow added at `start` must have: hold k (the
+/// initial state's is hold 0) is mean * keyed_exponential(seed, k), and
+/// each toggle lands that long after the previous one.
+std::vector<double> keyed_toggles(double start, double mean_on, double mean_off, bool start_on,
+                                  std::uint64_t seed, std::size_t n) {
+  std::vector<double> out;
+  double t = start;
+  bool on = start_on;
+  for (std::size_t k = 0; k < n; ++k) {
+    t = t + (on ? mean_on : mean_off) * keyed_exponential(seed, k);
+    out.push_back(t);
+    on = !on;
+  }
+  return out;
+}
+
+/// Steps `sim` through `toggles` and checks that flow `f` flips at each one
+/// exactly: still in its old state halfway from the previous toggle, in its
+/// new state at the instant.
+void expect_toggles_at(Sim& sim, FlowId f, bool start_on, const std::vector<double>& toggles) {
+  bool on = start_on;
+  double previous = sim.now();
+  for (std::size_t k = 0; k < toggles.size(); ++k) {
+    ASSERT_GT(toggles[k], previous) << "hold " << k << " is not positive";
+    sim.run_until(previous + (toggles[k] - previous) / 2);
+    ASSERT_EQ(sim.flow(f).on, on) << "toggle " << k << " came early";
+    sim.run_until(toggles[k]);
+    on = !on;
+    ASSERT_EQ(sim.flow(f).on, on) << "toggle " << k << " missing at " << toggles[k];
+    previous = toggles[k];
+  }
+}
+
+FlowSpec persistent(NodeId src, NodeId dst) {
+  FlowSpec spec;
+  spec.src = src;
+  spec.dst = dst;
+  spec.bytes = kInfiniteBytes;
+  return spec;
+}
+
+TEST(OnOffHolds, AFlowTogglesAtItsKeyedTimesAlone) {
+  const Topology t = two_hosts(1e9);
+  const net::Router router(t);
+  Sim sim(router);
+  const FlowId f = sim.add_on_off_flow(persistent(0, 1), 0.5, 1.5, true, 77);
+  expect_toggles_at(sim, f, true, keyed_toggles(0.0, 0.5, 1.5, true, 77, 200));
+}
+
+TEST(OnOffHolds, TwoSimsWithTheSameSeedToggleAlike) {
+  // Seed 77 in a Sim of its own and, added third, in a Sim busy with other
+  // ON-OFF flows and a finite transfer: both toggle at the keyed times.
+  const Topology t = two_hosts(1e9);
+  const net::Router router(t);
+  const std::vector<double> toggles = keyed_toggles(0.25, 0.5, 1.5, false, 77, 200);
+  FlowSpec late = persistent(0, 1);
+  late.start_time = 0.25;
+  for (const bool crowded : {false, true}) {
+    Sim sim(router);
+    if (crowded) {
+      sim.add_on_off_flow(persistent(0, 1), 0.3, 0.3, true, 5);
+      FlowSpec transfer = persistent(1, 0);
+      transfer.bytes = 50e6;
+      sim.add_flow(transfer);
+    }
+    const FlowId f = sim.add_on_off_flow(late, 0.5, 1.5, false, 77);
+    if (crowded) sim.add_on_off_flow(persistent(1, 0), 0.2, 0.4, false, 6);
+    SCOPED_TRACE(crowded ? "crowded" : "alone");
+    expect_toggles_at(sim, f, false, toggles);
+  }
+}
+
+TEST(OnOffHolds, MeanHoldsMatchMeanOnAndMeanOff) {
+  const Topology t = two_hosts(1e9);
+  const net::Router router(t);
+  Sim sim(router);
+  constexpr double kOn = 0.25, kOff = 0.75;
+  const FlowId f = sim.add_on_off_flow(persistent(0, 1), kOn, kOff, true, 2024);
+  const std::vector<double> toggles = keyed_toggles(0.0, kOn, kOff, true, 2024, 8000);
+  expect_toggles_at(sim, f, true, toggles);
+  // Holds alternate on, off, on, ...: 4000 draws of each.
+  double on_sum = 0.0, off_sum = 0.0, previous = 0.0;
+  for (std::size_t k = 0; k < toggles.size(); ++k) {
+    (k % 2 == 0 ? on_sum : off_sum) += toggles[k] - previous;
+    previous = toggles[k];
+  }
+  EXPECT_NEAR(on_sum / 4000, kOn, 0.05 * kOn);
+  EXPECT_NEAR(off_sum / 4000, kOff, 0.05 * kOff);
 }
 
 }  // namespace

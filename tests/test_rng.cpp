@@ -2,6 +2,7 @@
 
 #include <gtest/gtest.h>
 
+#include <cmath>
 #include <vector>
 
 #include "util/stats.h"
@@ -121,6 +122,30 @@ TEST(Rng, ForkProducesIndependentStream) {
     if (child.uniform(0, 1) != b.uniform(0, 1)) differs = true;
   }
   EXPECT_TRUE(differs);
+}
+
+TEST(KeyedExponential, EveryDrawIsFiniteAndStrictlyPositive) {
+  // The extreme words: u = 1 - 2^-53 and u = 2^-53, never 1 or 0.
+  EXPECT_EQ(unit_exponential(~std::uint64_t{0}), -std::log(1.0 - 0x1p-53));
+  EXPECT_GT(unit_exponential(~std::uint64_t{0}), 0.0);
+  EXPECT_EQ(unit_exponential(0), -std::log(0x1p-53));
+  EXPECT_TRUE(std::isfinite(unit_exponential(0)));
+  for (std::uint64_t k = 0; k < 100000; ++k) {
+    const double e = keyed_exponential(0x0ff, k);
+    ASSERT_GT(e, 0.0) << k;
+    ASSERT_LE(e, unit_exponential(0)) << k;
+  }
+}
+
+TEST(KeyedExponential, PureFunctionOfKeyAndIndexWithUnitMean) {
+  Accumulator acc;
+  for (std::uint64_t k = 0; k < 20000; ++k) acc.add(keyed_exponential(42, k));
+  EXPECT_NEAR(acc.mean(), 1.0, 0.03);
+  // Any order, same values; another key, another stream.
+  for (std::uint64_t k = 20000; k-- > 0;) {
+    ASSERT_EQ(keyed_exponential(42, k), unit_exponential(splitmix64_at(42, k)));
+  }
+  EXPECT_NE(keyed_exponential(42, 0), keyed_exponential(43, 0));
 }
 
 }  // namespace

@@ -426,6 +426,113 @@ TEST(Recurrence, BucketFeedingTheSinkDirectly) {
   EXPECT_TRUE(ok);
 }
 
+// ---- the idle pass handing over partway ---------------------------------
+
+/// The paper's 10 x 200 train at 10 Gb/s, unshaped, through a fast hop, a
+/// hop whose transmit time is a few ulps under the emission spacing, and
+/// another fast hop, none with delay. Early in the train every hop is idle
+/// at every arrival, so the one-pass idle loop carries it; as send_train's
+/// running sum grows, its rounding brings some arrival at hop 1 to (or
+/// before) the previous packet's completion there, and the train is rerun
+/// through the per-hop recurrence.
+Case drifting(double rate_excess, double hop1_queue_bytes) {
+  Case c;
+  c.shaper.enabled = false;
+  c.hops = {HopSpec{20e9, 0.0, 2e6}, HopSpec{10e9 * (1.0 + rate_excess), 0.0, hop1_queue_bytes},
+            HopSpec{20e9, 0.0, 2e6}};
+  return c;
+}
+
+struct Handover {
+  std::uint64_t seq = 0;
+  std::size_t hop = 0;
+  bool tie = false;  ///< the arrival met the completion at the same instant
+};
+
+/// Where the idle premise first fails in the oracle: the first packet, in
+/// packet order and then hop order, whose arrival at a hop is not strictly
+/// after the previous packet's completion there. Without delays a hop's
+/// completions are the next tap's log times.
+Handover first_handover(const Tapped& t, std::size_t hops) {
+  for (std::uint64_t seq = 1; seq < t.emitted.size(); ++seq) {
+    for (std::size_t h = 0; h < hops; ++h) {
+      const double arrival = logged_time(t.into[h], seq);
+      const double previous = logged_time(t.into[h + 1], seq - 1);
+      if (!(previous < arrival)) return {seq, h, previous == arrival};
+    }
+  }
+  ADD_FAILURE() << "every hop stayed idle";
+  return {};
+}
+
+/// Arrivals at hop `h` that met another packet's completion at their very
+/// instant, read off the oracle's taps (no delays).
+std::uint64_t ties_at(const Tapped& t, std::size_t h) {
+  std::uint64_t n = 0;
+  for (const auto& [seq, time] : t.into[h]) {
+    for (const auto& [other, done] : t.into[h + 1]) {
+      if (other != seq && done == time) {
+        ++n;
+        break;
+      }
+    }
+  }
+  return n;
+}
+
+TEST(IdleHandover, LaterHopQueuesPartway) {
+  const Case c = drifting(8e-15, 2e6);
+  const Tapped t = tapped_event_path(c);
+  const Handover at = first_handover(t, c.hops.size());
+  EXPECT_GT(at.seq, 50u) << "the idle loop should carry the first packets";
+  EXPECT_EQ(at.hop, 1u);
+  EXPECT_FALSE(at.tie);
+  ASSERT_EQ(t.records.size(), 2000u) << "a 2 MB queue drops nothing";
+  TrainTies ties;
+  bool ok = false;
+  EXPECT_TRUE(same_records(t.records, recurrence(c, &ties, &ok)));
+  EXPECT_TRUE(ok);
+  // Every tie here meets a queue with room either way: none is counted.
+  EXPECT_EQ(ties.arrival_first + ties.completion_first, 0u);
+}
+
+TEST(IdleHandover, LaterHopDropsPartway) {
+  const Case c = drifting(8e-15, 0.0);
+  const Tapped t = tapped_event_path(c);
+  const Handover at = first_handover(t, c.hops.size());
+  EXPECT_GT(at.seq, 50u);
+  EXPECT_EQ(at.hop, 1u);
+  EXPECT_FALSE(at.tie);
+  ASSERT_LT(t.records.size(), 2000u) << "a hop with no queue drops a busy arrival";
+  EXPECT_TRUE(std::isnan(logged_time(t.into[2], at.seq))) << "the handover packet drops";
+  TrainTies ties;
+  bool ok = false;
+  EXPECT_TRUE(same_records(t.records, recurrence(c, &ties, &ok)));
+  EXPECT_TRUE(ok);
+  EXPECT_EQ(ties.arrival_first, 0u);
+  EXPECT_EQ(ties.completion_first, ties_at(t, 1));
+}
+
+TEST(IdleHandover, LaterHopTiesPartway) {
+  // Room for one packet at hop 1: a tie there drops the arrival if it goes
+  // first. The completion was scheduled first (when its packet started
+  // service), so it fires first and every packet gets through.
+  const Case c = drifting(1.6e-14, 1500.0);
+  const Tapped t = tapped_event_path(c);
+  const Handover at = first_handover(t, c.hops.size());
+  EXPECT_GT(at.seq, 50u);
+  EXPECT_EQ(at.hop, 1u);
+  EXPECT_TRUE(at.tie);
+  ASSERT_EQ(t.records.size(), 2000u);
+  TrainTies ties;
+  bool ok = false;
+  EXPECT_TRUE(same_records(t.records, recurrence(c, &ties, &ok)));
+  EXPECT_TRUE(ok);
+  EXPECT_EQ(ties.arrival_first, 0u);
+  EXPECT_GT(ties.completion_first, 0u);
+  EXPECT_EQ(ties.completion_first, ties_at(t, 1));
+}
+
 // ---- cloud level -------------------------------------------------------
 
 /// Every ordered VM pair of an ec2_2013 and a rackspace cloud, over several
