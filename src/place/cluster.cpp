@@ -37,7 +37,7 @@ double ClusterView::path_capacity_bps(std::size_t m, std::size_t n) const {
   return rate_bps(m, n) * (c + 1.0);
 }
 
-void ClusterView::validate() const {
+void ClusterView::validate_shape() const {
   CHOREO_REQUIRE(!cores.empty());
   CHOREO_REQUIRE(rate_bps.rows() == cores.size() && rate_bps.cols() == cores.size());
   CHOREO_REQUIRE(colocation_group.size() == cores.size());
@@ -53,6 +53,10 @@ void ClusterView::validate() const {
                    pair_epoch.cols() == cores.size());
   }
   for (double c : cores) CHOREO_REQUIRE(c > 0.0);
+}
+
+void ClusterView::validate() const {
+  validate_shape();
   for (std::size_t i = 0; i < cores.size(); ++i) {
     for (std::size_t j = 0; j < cores.size(); ++j) {
       if (i != j) CHOREO_REQUIRE(rate_bps(i, j) > 0.0);

@@ -92,6 +92,9 @@ struct ClusterView {
   /// un-shared from the measured cross traffic, R * (c + 1).
   double path_capacity_bps(std::size_t m, std::size_t n) const;
 
+  /// Matrix shapes and positive cores: validate() minus the rate check.
+  void validate_shape() const;
+  /// validate_shape(), and every off-diagonal rate is positive.
   void validate() const;
 };
 

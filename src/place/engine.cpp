@@ -2,69 +2,61 @@
 
 #include <algorithm>
 #include <limits>
+#include <utility>
 
 namespace choreo::place {
 
-namespace {
-
-ClusterView validated(ClusterView view) {
-  view.validate();
-  return view;
-}
-
-}  // namespace
-
 PlacementEngine::PlacementEngine(ClusterView view)
-    : PlacementEngine(std::make_shared<const Static>(validated(std::move(view)))) {}
+    : PlacementEngine(std::make_shared<const Static>(std::move(view), true)) {}
 
 PlacementEngine::PlacementEngine(std::shared_ptr<const Static> statics)
     : static_(std::move(statics)),
       used_cores_(machine_count(), 0.0),
-      on_path_(machine_count() * machine_count(), 0.0),
-      out_of_(machine_count(), 0.0) {}
+      on_path_(machine_count() * machine_count(), 0),
+      out_of_(machine_count(), 0) {}
 
-PlacementEngine::Static::Static(ClusterView v) : view(std::move(v)) {
+PlacementEngine::Static::Static(ClusterView v, bool validate) : view(std::move(v)) {
+  if (validate) view.validate_shape();  // before anything is sized from it
   const std::size_t M = view.machine_count();
   hose.resize(M);
   cross_out.resize(M);
+  ub.resize(M * M);
+  peer_max.resize(M);
+  // Every index repeats the arithmetic and comparison order of its uncached
+  // counterpart (ClusterView::hose_bps, hose_cross_out, the bound formula),
+  // so the cached doubles are theirs. Counts only divide a rate down, so a
+  // model's zero-load rate bounds it: R for vswitch and hose, and for pipe
+  // the literal R*(c+1)/(c+1), whose roundings can exceed R by an ulp.
+  bool rates_positive = true;
   for (std::size_t m = 0; m < M; ++m) {
-    // Same code paths the uncached transfer_rate_bps runs — cached values
-    // are bit-identical by construction.
-    hose[m] = view.hose_bps(m);
-    cross_out[m] = hose_cross_out(view, m);
-  }
-
-  // Static rate ceilings. Placed-transfer counts are >= 0 and only divide a
-  // rate down, so every model is bounded by its zero-load value: R for the
-  // vswitch and hose branches (the min caps the hose at R), and the
-  // literally computed R*(c+1)/(c+1) for the pipe branch, whose roundings
-  // can exceed R by an ulp — take the max so the bound is exact, not
-  // merely mathematical.
-  ub = DoubleMatrix(M, M, 0.0);
-  peer_max.assign(M, -std::numeric_limits<double>::infinity());
-  for (std::size_t m = 0; m < M; ++m) {
+    const double* rate = view.rate_bps.data().data() + m * M;
+    const double* cross =
+        view.cross_traffic.empty() ? nullptr : view.cross_traffic.data().data() + m * M;
+    double* ub_row = ub.data() + m * M;
+    const int group = view.colocation_group[m];
+    double far = 0.0, any = 0.0;  // best rate to a non-colocated peer, to any peer
+    double c_out = 0.0, row_max = -std::numeric_limits<double>::infinity();
     for (std::size_t n = 0; n < M; ++n) {
-      if (m == n) {
-        ub(m, n) = kIntraMachineRate;
-        continue;
-      }
-      double bound;
-      if (view.colocated(m, n)) {
-        bound = view.rate_bps(m, n);
-      } else {
-        // The cross-traffic share is fetched once and the path capacity
-        // expanded inline as R*(c+1) — the literal expression
-        // ClusterView::path_capacity_bps computes from the same c, so the
-        // bound is the bit-identical double with one matrix read instead of
-        // two.
-        const double c = view.cross_traffic.empty() ? 0.0 : view.cross_traffic(m, n);
-        const double r = view.rate_bps(m, n);
+      if (n == m) continue;
+      const double r = rate[n];
+      rates_positive = rates_positive && r > 0.0;
+      any = std::max(any, r);
+      double bound = r;
+      if (view.colocation_group[n] != group) {
+        const double c = cross ? cross[n] : 0.0;
+        far = std::max(far, r);
+        c_out = std::max(c_out, c);
         bound = std::max(r, residual::pipe_rate_bps(r * (c + 1.0), c, 0.0));
       }
-      ub(m, n) = bound;
-      peer_max[m] = std::max(peer_max[m], bound);
+      ub_row[n] = bound;
+      row_max = std::max(row_max, bound);
     }
+    ub_row[m] = kIntraMachineRate;
+    hose[m] = far == 0.0 ? any : far;
+    cross_out[m] = c_out;
+    peer_max[m] = row_max;
   }
+  if (validate) CHOREO_REQUIRE_MSG(rates_positive, "every off-diagonal rate must be positive");
 }
 
 double PlacementEngine::rate_bps(std::size_t m, std::size_t n, RateModel model) const {
@@ -93,15 +85,14 @@ double PlacementEngine::rate_bps(std::size_t m, std::size_t n, RateModel model) 
 }
 
 void PlacementEngine::commit(const Application& app, const Placement& placement) {
-  apply(app, placement, +1.0);
+  apply(app, placement, +1);
 }
 
 void PlacementEngine::release(const Application& app, const Placement& placement) {
-  apply(app, placement, -1.0);
+  apply(app, placement, -1);
 }
 
-void PlacementEngine::apply(const Application& app, const Placement& placement,
-                            double sign) {
+void PlacementEngine::apply(const Application& app, const Placement& placement, int sign) {
   CHOREO_ASSERT_MSG(txn_log_.empty(), "commit/release inside an open Txn");
   app.validate();
   CHOREO_REQUIRE(placement.machine_of_task.size() == app.task_count());
@@ -115,26 +106,24 @@ void PlacementEngine::apply(const Application& app, const Placement& placement,
   }
   for_each_placed_transfer(app, placement, [&](std::size_t m, std::size_t n, double) {
     register_transfer(m, n, sign);
+    CHOREO_ASSERT(on_path_[m * machine_count() + n] >= 0);
   });
 }
 
 void PlacementEngine::update_view(ClusterView view) {
   CHOREO_REQUIRE_MSG(view.machine_count() == machine_count(),
                      "update_view needs the same fleet; rebuild the state otherwise");
-  view.validate();
-  static_ = std::make_shared<const Static>(std::move(view));
-  // Out-of-hose counts depend on the (possibly re-clustered) colocation
-  // groups; re-derive them from the per-path counts. Counts are sums of
-  // +/-1.0, i.e. exactly-represented integers, so this equals what a full
-  // replay of every running application would produce.
-  const ClusterView& v = this->view();
+  const bool regrouped = view.colocation_group != this->view().colocation_group;
+  static_ = std::make_shared<const Static>(std::move(view), true);
+  if (!regrouped) return;
+  // Out-of-hose counts depend on the groups alone. Re-derived from the
+  // integer per-path counts, they equal a replay of every running app.
   const std::size_t M = machine_count();
   for (std::size_t m = 0; m < M; ++m) {
-    double out = 0.0;
+    out_of_[m] = 0;
     for (std::size_t n = 0; n < M; ++n) {
-      if (n != m && !v.colocated(m, n)) out += on_path_[m * M + n];
+      if (!this->view().colocated(m, n)) out_of_[m] += on_path_[m * M + n];
     }
-    out_of_[m] = out;
   }
 }
 
@@ -142,10 +131,10 @@ void PlacementEngine::apply_rate_discount(const DoubleMatrix& factor) {
   CHOREO_ASSERT_MSG(txn_log_.empty(), "apply_rate_discount inside an open Txn");
   // The discount lands on a copy, so a rejected factor leaves the engine as
   // it was. Colocation, cores, and residual occupancy are untouched; only
-  // the rate-derived static indexes change.
+  // the rate-derived static indexes change (unvalidated: see the header).
   ClusterView discounted = view();
   place::apply_rate_discount(discounted, factor);
-  static_ = std::make_shared<const Static>(std::move(discounted));
+  static_ = std::make_shared<const Static>(std::move(discounted), false);
 }
 
 PlacementEngine PlacementEngine::clone_unoccupied() const {

@@ -41,9 +41,9 @@ namespace choreo::place {
 ///
 /// Rates produced here are bit-identical to place::transfer_rate_bps — both
 /// go through the residual:: primitives, and the cached per-machine values
-/// are computed by the same code the uncached path runs. The engine-backed
-/// greedy is pinned bit-for-bit against the exhaustive-scan oracle in
-/// test_engine_differential.
+/// repeat the uncached helpers' arithmetic in their comparison order. The
+/// engine-backed greedy is pinned bit-for-bit against the exhaustive-scan
+/// oracle in test_engine_differential.
 ///
 /// The engine is single-threaded by design (the measurement plane is the
 /// concurrent one); a Txn mutates the engine in place and must be rolled
@@ -101,14 +101,14 @@ class PlacementEngine {
   /// the greedy's pruning must never skip a candidate whose exact rate ties
   /// the best.)
   double upper_bound_bps(std::size_t m, std::size_t n) const {
-    return static_->ub(m, n);
+    return upper_bound_row(m)[n];
   }
   /// Row m of the upper bounds (machine_count() entries, indexed by
   /// destination), for scans that read many bounds without a per-entry
   /// bounds check. Valid until this engine's next update_view /
   /// apply_rate_discount (clones keep their own block alive).
   const double* upper_bound_row(std::size_t m) const {
-    return static_->ub.data().data() + m * machine_count();
+    return static_->ub.data() + m * machine_count();
   }
   /// Largest off-diagonal upper bound in row m; -infinity for a one-machine
   /// fleet. A both-endpoints-free greedy search skips row m when this cannot
@@ -124,11 +124,10 @@ class PlacementEngine {
   void release(const Application& app, const Placement& placement);
 
   /// Swaps in a new view of the same fleet, keeping the residual occupancy.
-  /// Builds a new static block from the view, exactly as the constructor
-  /// does (O(n^2)); clones keep the old one. Out-of-hose counts are
-  /// re-derived from the per-path counts (exact: they are integer-valued),
-  /// so even a changed colocation clustering needs no replay of running
-  /// applications.
+  /// Builds a new static block in the constructor's one validating O(n^2)
+  /// sweep; clones keep the old one. Only a changed colocation clustering
+  /// re-derives the out-of-hose counts, from the (integer) per-path counts:
+  /// no replay of running applications is ever needed.
   void update_view(ClusterView view);
 
   /// Uncertainty-aware placement hook (the forecast plane): scales the
@@ -139,7 +138,8 @@ class PlacementEngine {
   /// oracle, and the completion-time objective — sees the same discounted
   /// rates, so the engine/oracle bit-identity is preserved under any
   /// discount. Strong guarantee: every factor is checked before anything
-  /// changes, so a negative one throws with the engine untouched.
+  /// changes, so a negative one throws with the engine untouched. A zero
+  /// factor is legal (the view is not re-validated): that pair's bound is 0.
   void apply_rate_discount(const DoubleMatrix& factor);
 
   /// Copy sharing the view and static indexes, with zero occupancy.
@@ -148,8 +148,8 @@ class PlacementEngine {
   /// Full copy: the same view, static indexes, AND residual occupancy.
   /// What the serving plane's per-worker scratch arenas are refreshed from.
   /// The immutable static block is shared, not copied, so this costs one
-  /// copy of the residual indexes (O(n^2) doubles of per-path counts plus
-  /// two O(n) vectors). Must not be called inside an open Txn.
+  /// copy of the residual indexes (O(n^2) 32-bit per-path counts plus two
+  /// O(n) vectors). Must not be called inside an open Txn.
   PlacementEngine clone() const;
 
   // ---- Tentative mutations ----
@@ -177,7 +177,7 @@ class PlacementEngine {
     /// like the committed bookkeeping).
     void apply_transfer(std::size_t m, std::size_t n) {
       if (m == n) return;
-      engine_->register_transfer(m, n, +1.0);
+      engine_->register_transfer(m, n, +1);
       engine_->txn_log_.push_back(Op{m, n, 0.0, Op::kTransfer});
       ++engine_->counters_.txn_ops;
     }
@@ -189,7 +189,7 @@ class PlacementEngine {
         if (op.kind == Op::kTask) {
           engine_->used_cores_[op.m] -= op.cores;
         } else {
-          engine_->register_transfer(op.m, op.n, -1.0);
+          engine_->register_transfer(op.m, op.n, -1);
         }
         log.pop_back();
       }
@@ -210,22 +210,24 @@ class PlacementEngine {
     enum Kind : std::uint8_t { kTask, kTransfer } kind = kTask;
   };
 
-  void register_transfer(std::size_t m, std::size_t n, double sign) {
-    on_path_[m * machine_count() + n] += sign;
-    if (!view().colocated(m, n)) out_of_[m] += sign;
+  void register_transfer(std::size_t m, std::size_t n, std::int32_t delta) {
+    on_path_[m * machine_count() + n] += delta;
+    if (!view().colocated(m, n)) out_of_[m] += delta;
   }
-  void apply(const Application& app, const Placement& placement, double sign);
+  void apply(const Application& app, const Placement& placement, int sign);
 
-  /// The view and every index that is a function of it alone. Built once
-  /// and never mutated: clones share it, and a view change replaces it.
+  /// The view and every index that is a function of it alone, built in one
+  /// sweep over the view's rows and never mutated: clones share it, and a
+  /// view change replaces it.
   struct Static {
     ClusterView view;
     std::vector<double> hose;
     std::vector<double> cross_out;
-    DoubleMatrix ub;
+    std::vector<double> ub;        // machine_count^2, row-major by source
     std::vector<double> peer_max;  // per row: max of ub(m, n) over n != m
 
-    explicit Static(ClusterView view);
+    /// With `validate`, throws where ClusterView::validate() would.
+    Static(ClusterView view, bool validate);
   };
 
   /// An unoccupied engine over an already built static block.
@@ -236,9 +238,11 @@ class PlacementEngine {
   // Residual indexes (committed plus open-Txn tentative state). on_path_ is
   // a flat row-major array indexed without per-access bounds checks — the
   // rate query on the serving hot path touches it once per candidate.
+  // Counts are 32-bit integers: a clone copies half the bytes of doubles, and
+  // the rate formulas' int-to-double conversion is exact.
   std::vector<double> used_cores_;
-  std::vector<double> on_path_;  // machine_count^2, row-major by source
-  std::vector<double> out_of_;
+  std::vector<std::int32_t> on_path_;  // machine_count^2, row-major by source
+  std::vector<std::int32_t> out_of_;
 
   std::vector<Op> txn_log_;
 

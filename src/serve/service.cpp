@@ -22,6 +22,7 @@ PlacementService::Result PlacementService::place(const place::Application& app,
     // snapshot. clone() shares the snapshot's static indexes and copies only
     // its residual occupancy; in the steady state (no swap between queries)
     // this branch is never taken and a query costs only the pointer compare.
+    CHOREO_OBS_SPAN(refresh, scratch.obs_, "serve.refresh", "serve");
     scratch.state_.emplace(snap->state.clone());
     scratch.base_ = snap;
     ++scratch.refreshes_;
@@ -59,11 +60,9 @@ void PlacementService::swap_in(place::ClusterState next) {
 }
 
 void PlacementService::publish_view(place::ClusterView view) {
-  const std::shared_ptr<const ClusterSnapshot> cur = snapshot();
-  CHOREO_REQUIRE_MSG(view.machine_count() == cur->state.machine_count(),
-                     "publish_view needs the same fleet");
-  place::ClusterState next = cur->state.clone();
-  next.update_view(std::move(view));
+  CHOREO_OBS_SPAN(span, obs_, "serve.publish", "serve");
+  place::ClusterState next = snapshot()->state.clone();
+  next.update_view(std::move(view));  // throws on another fleet, before the swap
   swap_in(std::move(next));
 }
 

@@ -34,9 +34,9 @@ struct ClusterSnapshot {
 /// queries cannot share one state — but they can each keep ONE clone and
 /// reuse it across queries, refreshing only when the service publishes a
 /// new epoch. In the steady state a query costs a pointer comparison; a
-/// refresh copies the residuals (O(n^2) per-path counts), never the view or
-/// the static bounds. Each thread owns its Scratch exclusively; a Scratch is
-/// never shared.
+/// refresh copies the residuals (O(n^2) 32-bit per-path counts), never the
+/// view or the static bounds. Each thread owns its Scratch exclusively; a
+/// Scratch is never shared.
 class Scratch {
  public:
   Scratch() = default;

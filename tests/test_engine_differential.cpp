@@ -13,6 +13,7 @@
 
 #include <algorithm>
 #include <cstdint>
+#include <limits>
 #include <optional>
 #include <utility>
 #include <vector>
@@ -630,6 +631,208 @@ TEST_P(EngineDifferential, UpdateViewEqualsFreshBuild) {
       }
     }
   }
+}
+
+/// Every static index computed by the uncached helpers the engine's fused
+/// sweep replaces: ClusterView::hose_bps, hose_cross_out, and the per-pair
+/// bound formula with each row's off-diagonal max.
+StaticIndexes uncached_statics(const ClusterView& view) {
+  StaticIndexes out;
+  const std::size_t M = view.machine_count();
+  for (std::size_t m = 0; m < M; ++m) {
+    out.hose.push_back(view.hose_bps(m));
+    out.cross_out.push_back(hose_cross_out(view, m));
+    double row_max = -std::numeric_limits<double>::infinity();
+    for (std::size_t n = 0; n < M; ++n) {
+      double bound = kIntraMachineRate;
+      if (m != n && view.colocated(m, n)) {
+        bound = view.rate_bps(m, n);
+      } else if (m != n) {
+        const double c = view.cross_traffic.empty() ? 0.0 : view.cross_traffic(m, n);
+        bound = std::max(view.rate_bps(m, n),
+                         residual::pipe_rate_bps(view.path_capacity_bps(m, n), c, 0.0));
+      }
+      out.ub.push_back(bound);
+      if (m != n) row_max = std::max(row_max, bound);
+    }
+    out.peer_max.push_back(row_max);
+  }
+  return out;
+}
+
+// The engine builds its static block in one sweep over raw rows; on the
+// views where the uncached helpers take their edge branches it must still
+// produce their doubles exactly: every peer colocated (the hose falls back
+// to the best rate to any peer), no cross-traffic estimates, and a
+// one-machine fleet (no peers: hose 0, row max -infinity).
+TEST_P(EngineDifferential, FusedStaticsEqualUncachedHelpersOnDegenerateViews) {
+  Rng rng(GetParam() + 11000);
+  const std::size_t machines = static_cast<std::size_t>(rng.uniform_int(2, 14));
+  const ClusterView base = corpus_cluster(rng, machines);
+
+  ClusterView one_host = base;
+  std::fill(one_host.colocation_group.begin(), one_host.colocation_group.end(), 7);
+  ClusterView no_cross = base;
+  no_cross.cross_traffic = DoubleMatrix();
+  ClusterView single;
+  single.rate_bps = DoubleMatrix(1, 1, 0.0);
+  single.colocation_group = {0};
+  single.cores = {4.0};
+  if (rng.chance(0.5)) single.cross_traffic = DoubleMatrix(1, 1, 0.0);
+
+  const ClusterView* const views[] = {&base, &one_host, &no_cross, &single};
+  for (const ClusterView* view : views) {
+    const PlacementEngine eng(*view);
+    expect_same_statics(static_indexes(eng), uncached_statics(*view));
+  }
+  const PlacementEngine lone(single);
+  EXPECT_EQ(lone.hose_bps(0), 0.0);
+  EXPECT_EQ(lone.peer_bound_max(0), -std::numeric_limits<double>::infinity());
+}
+
+// apply_rate_discount never validated the discounted view, and a zero
+// factor is legal: a pair discounted to rate 0 must still build a static
+// block, with bound 0 on that pair and every index equal to the helpers'.
+TEST_P(EngineDifferential, ZeroDiscountBuildsZeroBound) {
+  Rng rng(GetParam() + 12000);
+  const std::size_t machines = static_cast<std::size_t>(rng.uniform_int(3, 14));
+  ClusterState state(corpus_cluster(rng, machines));
+  const std::size_t m = static_cast<std::size_t>(
+      rng.uniform_int(0, static_cast<std::int64_t>(machines) - 1));
+  const std::size_t n = (m + 1) % machines;
+  DoubleMatrix factor(machines, machines, 1.0);
+  factor(m, n) = 0.0;
+  if (rng.chance(0.5)) {
+    for (std::size_t k = 0; k < machines; ++k) factor(m, k) = 0.0;
+  }
+
+  ASSERT_NO_THROW(state.apply_rate_discount(factor));
+  EXPECT_EQ(state.view().rate_bps(m, n), 0.0);
+  EXPECT_EQ(state.engine().upper_bound_bps(m, n), 0.0);
+  expect_same_statics(static_indexes(state.engine()), uncached_statics(state.view()));
+  for (const RateModel model : {RateModel::Hose, RateModel::Pipe}) {
+    EXPECT_EQ(state.engine().rate_bps(m, n, model),
+              transfer_rate_bps(state.view(), m, n, model, 0.0, 0.0));
+  }
+}
+
+// The rate check rides the static sweep, but it still guards the two paths
+// that validated before: the constructor and update_view. One zero
+// off-diagonal rate throws, and update_view leaves the engine's view,
+// static indexes and residuals as they were.
+TEST_P(EngineDifferential, ZeroRateRejectedWithEngineUntouched) {
+  Rng rng(GetParam() + 13000);
+  const std::size_t machines = static_cast<std::size_t>(rng.uniform_int(3, 14));
+  ClusterState state(corpus_cluster(rng, machines));
+  GreedyPlacer greedy(RateModel::Hose);
+  const Application app = corpus_app(rng, machines);
+  try {
+    state.commit(app, greedy.place(app, state));
+  } catch (const PlacementError&) {
+  }
+
+  // A refreshed, regrouped view with one zero rate late in the sweep, so a
+  // build that replaced anything before checking would show it.
+  ClusterView bad = changed_view(state.view(), ViewChange::kAll, rng);
+  bad = changed_view(bad, ViewChange::kRegroup, rng);
+  bad.rate_bps(machines - 1, machines - 2) = 0.0;
+  EXPECT_THROW(PlacementEngine{bad}, PreconditionError);
+  EXPECT_THROW(ClusterState{bad}, PreconditionError);
+
+  const ClusterView view_before = state.view();
+  const StaticIndexes statics_before = static_indexes(state.engine());
+  const auto residuals = [&] {
+    std::vector<double> r;
+    for (std::size_t m = 0; m < machines; ++m) {
+      r.push_back(state.free_cores(m));
+      r.push_back(state.transfers_out_of(m));
+      for (std::size_t n = 0; n < machines; ++n) r.push_back(state.transfers_on_path(m, n));
+    }
+    return r;
+  };
+  const std::vector<double> residuals_before = residuals();
+
+  EXPECT_THROW(state.update_view(bad), PreconditionError);
+  expect_same_view(state.view(), view_before);
+  EXPECT_EQ(state.view().colocation_group, view_before.colocation_group);
+  expect_same_statics(static_indexes(state.engine()), statics_before);
+  EXPECT_EQ(residuals(), residuals_before);
+}
+
+// update_view re-derives the out-of-hose counts only when the colocation
+// groups change; under the same groups it keeps the counts it has. Over
+// repeated same-group refreshes with commits and releases in between, the
+// kept counts must equal a fresh replay of the live applications.
+TEST_P(EngineDifferential, SameGroupUpdateViewsKeepOutOfHoseCounts) {
+  Rng rng(GetParam() + 14000);
+  const std::size_t machines = static_cast<std::size_t>(rng.uniform_int(4, 20));
+  ClusterState state(corpus_cluster(rng, machines));
+  GreedyPlacer greedy(RateModel::Hose);
+  std::vector<std::pair<Application, Placement>> live;
+  const ViewChange same_group[] = {ViewChange::kNone, ViewChange::kOnePair, ViewChange::kRow,
+                                   ViewChange::kAll, ViewChange::kCrossOnly, ViewChange::kTies};
+  for (int step = 0; step < 12; ++step) {
+    if (!live.empty() && rng.chance(0.3)) {
+      state.release(live.front().first, live.front().second);
+      live.erase(live.begin());
+    } else {
+      const Application app = corpus_app(rng, machines);
+      try {
+        const Placement p = greedy.place(app, state);
+        state.commit(app, p);
+        live.push_back({app, p});
+      } catch (const PlacementError&) {
+      }
+    }
+    const ViewChange change = same_group[static_cast<std::size_t>(rng.uniform_int(0, 5))];
+    SCOPED_TRACE(to_string(change));
+    state.update_view(changed_view(state.view(), change, rng));
+
+    ClusterState replayed(state.view());
+    for (const auto& [app, p] : live) replayed.commit(app, p);
+    for (std::size_t m = 0; m < machines; ++m) {
+      EXPECT_EQ(state.transfers_out_of(m), replayed.transfers_out_of(m));
+    }
+  }
+}
+
+// Counts are integers: committing and releasing the same application many
+// times brings every path count back to exactly 0, on the state and on its
+// clone. A release that would take a count below zero is a broken caller
+// contract and trips the engine's invariant.
+TEST_P(EngineDifferential, CommitReleaseCyclesReturnCountsToZero) {
+  Rng rng(GetParam() + 15000);
+  const std::size_t machines = static_cast<std::size_t>(rng.uniform_int(4, 16));
+  ClusterState state(corpus_cluster(rng, machines));
+  Application app;
+  Placement p;
+  while (p.machine_of_task.empty()) {
+    app = corpus_app(rng, machines);
+    try {
+      p = GreedyPlacer(RateModel::Hose).place(app, state);
+    } catch (const PlacementError&) {
+    }
+  }
+  for (int cycle = 0; cycle < 200; ++cycle) {
+    state.commit(app, p);
+    state.release(app, p);
+  }
+  const ClusterState copy = state.clone();
+  for (const ClusterState* s : {static_cast<const ClusterState*>(&state), &copy}) {
+    for (std::size_t m = 0; m < machines; ++m) {
+      EXPECT_EQ(s->transfers_out_of(m), 0.0);
+      for (std::size_t n = 0; n < machines; ++n) EXPECT_EQ(s->transfers_on_path(m, n), 0.0);
+    }
+  }
+
+  // Two equal tasks, traffic one way: released with the machines swapped,
+  // the CPU balances but the reverse path's count would go negative.
+  Application pair;
+  pair.cpu_demand = {0.5, 0.5};
+  pair.traffic_bytes = DoubleMatrix(2, 2, 0.0);
+  pair.traffic_bytes(0, 1) = 1e6;
+  state.commit(pair, Placement{{0, 2}});
+  EXPECT_THROW(state.release(pair, Placement{{2, 0}}), InvariantError);
 }
 
 INSTANTIATE_TEST_SUITE_P(Seeds, EngineDifferential, ::testing::Range<std::uint64_t>(0, 40));
