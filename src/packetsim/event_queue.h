@@ -1,6 +1,7 @@
 #pragma once
 
 #include <algorithm>
+#include <compare>
 #include <cstdint>
 #include <functional>
 #include <vector>
@@ -9,22 +10,33 @@
 
 namespace choreo::packetsim {
 
+/// Orders the events that fire at one instant, whatever order they were
+/// inserted in: the earlier scheduling instant first, then a completion
+/// before an arrival, then the lower hop, then the lower packet.
+struct EventKey {
+  enum Class : std::uint8_t { kCompletion, kArrival };
+
+  double scheduled = 0.0;  ///< when the event was scheduled (-inf: an emission)
+  Class cls = kArrival;
+  std::uint32_t hop = 0;     ///< the hop the event completes at or delivers into
+  std::uint64_t packet = 0;  ///< the packet it carries
+
+  std::partial_ordering operator<=>(const EventKey&) const = default;
+};
+
 /// Discrete-event scheduler at the heart of the packet-level simulator.
 ///
-/// Events fire in (time, insertion-order) order, so simulations are fully
-/// deterministic for a given seed.
+/// Events fire in (time, key) order, so simulations are fully deterministic
+/// and do not depend on the order events were scheduled in.
 class EventQueue {
  public:
   using Callback = std::function<void()>;
 
-  void schedule(double time, Callback fn) {
+  void schedule(double time, const EventKey& key, Callback fn) {
     CHOREO_REQUIRE(time >= now_);
-    heap_.push_back(Entry{time, seq_++, std::move(fn)});
+    heap_.push_back(Entry{time, key, std::move(fn)});
     std::push_heap(heap_.begin(), heap_.end(), Later{});
   }
-
-  /// Schedules relative to the current time.
-  void schedule_in(double delay, Callback fn) { schedule(now_ + delay, std::move(fn)); }
 
   double now() const { return now_; }
   bool empty() const { return heap_.empty(); }
@@ -58,20 +70,19 @@ class EventQueue {
  private:
   struct Entry {
     double time;
-    std::uint64_t seq;
+    EventKey key;
     Callback fn;
   };
-  /// Heap order: the earliest (time, seq) on top; seq is unique, so the
-  /// order is total and independent of the heap's layout.
+  /// Heap order: the earliest (time, key) on top. A packet train never has
+  /// two pending events with one key, so the order is total there.
   struct Later {
     bool operator()(const Entry& a, const Entry& b) const {
       if (a.time != b.time) return a.time > b.time;
-      return a.seq > b.seq;
+      return b.key < a.key;
     }
   };
   std::vector<Entry> heap_;
   double now_ = 0.0;
-  std::uint64_t seq_ = 0;
 };
 
 }  // namespace choreo::packetsim

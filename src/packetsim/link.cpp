@@ -2,9 +2,10 @@
 
 namespace choreo::packetsim {
 
-Link::Link(EventQueue& events, double rate_bps, double delay_s, double queue_bytes,
-           Element* next)
+Link::Link(EventQueue& events, std::uint32_t hop, double rate_bps, double delay_s,
+           double queue_bytes, Element* next)
     : events_(events),
+      hop_(hop),
       rate_bps_(rate_bps),
       delay_s_(delay_s),
       queue_limit_bytes_(queue_bytes),
@@ -30,14 +31,14 @@ void Link::start_service(double now) {
   busy_ = true;
   const Packet pkt = queue_.front();
   const double tx_time = static_cast<double>(pkt.wire_bytes) * 8.0 / rate_bps_;
-  events_.schedule(now + tx_time, [this, pkt] {
+  events_.schedule(now + tx_time, {now, EventKey::kCompletion, hop_, pkt.seq}, [this, pkt] {
     const double t = events_.now();
     queue_.pop_front();
     queued_bytes_ -= pkt.wire_bytes;
     ++forwarded_;
     // Propagation: hand to the next element after the link delay.
     const Packet delivered = pkt;
-    events_.schedule(t + delay_s_,
+    events_.schedule(t + delay_s_, {t, EventKey::kArrival, hop_ + 1, pkt.seq},
                      [this, delivered] { next_->receive(delivered, events_.now()); });
     if (!queue_.empty()) {
       start_service(t);

@@ -10,13 +10,15 @@ namespace choreo::packetsim {
 
 /// A store-and-forward link: FIFO drop-tail queue, fixed service rate,
 /// fixed propagation delay. Multiple upstream elements may feed one link;
-/// contention happens naturally in the queue.
+/// contention happens naturally in the queue. `hop` is the link's 0-based
+/// position on its path: it keys the link's events (EventKey), so a
+/// completion here and a delivery into the next hop order by position.
 class Link : public Element {
  public:
   /// `queue_bytes` bounds the drop-tail buffer, including the packet
   /// currently in service. `next` must outlive the link.
-  Link(EventQueue& events, double rate_bps, double delay_s, double queue_bytes,
-       Element* next);
+  Link(EventQueue& events, std::uint32_t hop, double rate_bps, double delay_s,
+       double queue_bytes, Element* next);
 
   void receive(const Packet& pkt, double now) override;
 
@@ -29,6 +31,7 @@ class Link : public Element {
   void start_service(double now);
 
   EventQueue& events_;
+  std::uint32_t hop_;
   double rate_bps_;
   double delay_s_;
   double queue_limit_bytes_;

@@ -13,9 +13,10 @@ Path::Path(EventQueue& events, const ShaperSpec& shaper, const std::vector<HopSp
 
   // Build the chain back to front so each element knows its successor.
   Element* next = terminal;
-  for (auto it = hops.rbegin(); it != hops.rend(); ++it) {
-    links_.push_back(std::make_unique<Link>(events, it->rate_bps, it->delay_s,
-                                            it->queue_bytes, next));
+  for (std::size_t h = hops.size(); h-- > 0;) {
+    links_.push_back(std::make_unique<Link>(events, static_cast<std::uint32_t>(h),
+                                            hops[h].rate_bps, hops[h].delay_s,
+                                            hops[h].queue_bytes, next));
     next = links_.back().get();
   }
   if (shaper.enabled) {

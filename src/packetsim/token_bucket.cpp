@@ -53,10 +53,12 @@ void TokenBucket::pump(double now) {
   }
   // Not enough tokens for the head packet: wake up when there are (with a
   // nanosecond of slack so the refill is guaranteed to cover the deficit).
+  // The wake-up delivers into hop 0, so it is keyed as an arrival there.
   draining_ = true;
   const double deficit = queue_.front().wire_bytes - tokens_;
   const double wait = deficit * 8.0 / rate_bps_ + 1e-9;
-  events_.schedule(now + wait, [this] { pump(events_.now()); });
+  events_.schedule(now + wait, {now, EventKey::kArrival, 0, queue_.front().seq},
+                   [this] { pump(events_.now()); });
 }
 
 }  // namespace choreo::packetsim

@@ -1,5 +1,7 @@
 #include "packetsim/udp_train.h"
 
+#include <limits>
+
 #include "util/require.h"
 
 namespace choreo::packetsim {
@@ -17,6 +19,9 @@ double send_train(EventQueue& events, Element& first, const TrainParams& params,
   double t = start_time;
   std::uint64_t seq = 0;
   double last_emission = start_time;
+  // Every emission is scheduled before the queue runs: keyed at -inf, it
+  // fires before any other event at its instant.
+  constexpr double kEmitted = -std::numeric_limits<double>::infinity();
   for (std::uint32_t k = 0; k < params.bursts; ++k) {
     for (std::uint32_t i = 0; i < params.burst_length; ++i) {
       Packet pkt;
@@ -25,7 +30,8 @@ double send_train(EventQueue& events, Element& first, const TrainParams& params,
       pkt.burst = k;
       pkt.wire_bytes = wire;
       pkt.sent_time = t;
-      events.schedule(t, [&first, pkt] { first.receive(pkt, pkt.sent_time); });
+      events.schedule(t, {kEmitted, EventKey::kArrival, 0, pkt.seq},
+                      [&first, pkt] { first.receive(pkt, pkt.sent_time); });
       last_emission = t;
       t += spacing;
     }

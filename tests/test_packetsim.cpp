@@ -1,5 +1,7 @@
 #include <gtest/gtest.h>
 
+#include <limits>
+
 #include "packetsim/event_queue.h"
 #include "packetsim/link.h"
 #include "packetsim/path.h"
@@ -10,23 +12,30 @@
 namespace choreo::packetsim {
 namespace {
 
-TEST(EventQueue, OrdersByTimeThenFifo) {
+TEST(EventQueue, OrdersSameTimeEventsByKey) {
+  // Scheduled in reverse key order, at one instant: they fire in key order
+  // (scheduling instant, completion before arrival, hop, packet), and an
+  // earlier time beats every key.
   EventQueue q;
   std::vector<int> order;
-  q.schedule(2.0, [&] { order.push_back(3); });
-  q.schedule(1.0, [&] { order.push_back(1); });
-  q.schedule(1.0, [&] { order.push_back(2); });  // same time: insertion order
+  constexpr double kEmitted = -std::numeric_limits<double>::infinity();
+  q.schedule(2.0, {0.0, EventKey::kArrival, 1, 3}, [&] { order.push_back(6); });
+  q.schedule(2.0, {0.0, EventKey::kArrival, 1, 2}, [&] { order.push_back(5); });
+  q.schedule(2.0, {0.0, EventKey::kArrival, 0, 9}, [&] { order.push_back(4); });
+  q.schedule(2.0, {0.0, EventKey::kCompletion, 7, 9}, [&] { order.push_back(3); });
+  q.schedule(2.0, {kEmitted, EventKey::kArrival, 7, 9}, [&] { order.push_back(2); });
+  q.schedule(1.0, {0.0, EventKey::kArrival, 9, 9}, [&] { order.push_back(1); });
   q.run();
-  EXPECT_EQ(order, (std::vector<int>{1, 2, 3}));
+  EXPECT_EQ(order, (std::vector<int>{1, 2, 3, 4, 5, 6}));
   EXPECT_DOUBLE_EQ(q.now(), 2.0);
 }
 
 TEST(EventQueue, CallbacksMaySchedule) {
   EventQueue q;
   int fired = 0;
-  q.schedule(1.0, [&] {
+  q.schedule(1.0, {}, [&] {
     ++fired;
-    q.schedule_in(1.0, [&] { ++fired; });
+    q.schedule(q.now() + 1.0, {}, [&] { ++fired; });
   });
   q.run();
   EXPECT_EQ(fired, 2);
@@ -36,12 +45,12 @@ TEST(EventQueue, CallbacksMaySchedule) {
 TEST(EventQueue, RunUntilStopsEarly) {
   EventQueue q;
   int fired = 0;
-  q.schedule(1.0, [&] { ++fired; });
-  q.schedule(5.0, [&] { ++fired; });
+  q.schedule(1.0, {}, [&] { ++fired; });
+  q.schedule(5.0, {}, [&] { ++fired; });
   q.run_until(2.0);
   EXPECT_EQ(fired, 1);
   EXPECT_DOUBLE_EQ(q.now(), 2.0);
-  EXPECT_THROW(q.schedule(1.5, [] {}), PreconditionError);
+  EXPECT_THROW(q.schedule(1.5, {}, [] {}), PreconditionError);
 }
 
 Packet make_packet(std::uint64_t seq, std::uint32_t bytes) {
@@ -55,7 +64,7 @@ TEST(Link, SerializationAndDelay) {
   EventQueue q;
   RecordingSink sink;
   // 1 Mbit/s, 1 ms delay: a 1250-byte packet takes 10 ms to serialize.
-  Link link(q, 1e6, 1e-3, 1e6, &sink);
+  Link link(q, 0, 1e6, 1e-3, 1e6, &sink);
   link.receive(make_packet(0, 1250), 0.0);
   q.run();
   ASSERT_EQ(sink.count(), 1u);
@@ -65,7 +74,7 @@ TEST(Link, SerializationAndDelay) {
 TEST(Link, BackToBackPacketsQueue) {
   EventQueue q;
   RecordingSink sink;
-  Link link(q, 1e6, 0.0, 1e6, &sink);
+  Link link(q, 0, 1e6, 0.0, 1e6, &sink);
   link.receive(make_packet(0, 1250), 0.0);
   link.receive(make_packet(1, 1250), 0.0);
   q.run();
@@ -80,7 +89,7 @@ TEST(Link, DropTailWhenFull) {
   RecordingSink sink;
   // Buffer of 2500 bytes counts the packet in service: the first two packets
   // fit, the remaining three drop.
-  Link link(q, 1e6, 0.0, 2500, &sink);
+  Link link(q, 0, 1e6, 0.0, 2500, &sink);
   for (std::uint64_t i = 0; i < 5; ++i) link.receive(make_packet(i, 1250), 0.0);
   q.run();
   EXPECT_EQ(sink.count(), 2u);
@@ -123,7 +132,7 @@ TEST(TokenBucket, IdleResetRestoresBurstAllowance) {
   ASSERT_EQ(sink.count(), 3u);
   EXPECT_DOUBLE_EQ(sink.records()[2].time, 0.0);
   // After 1 ms idle (> reset), a new burst passes immediately again.
-  q.schedule(1e-3, [&] {
+  q.schedule(1e-3, {}, [&] {
     for (std::uint64_t i = 3; i < 6; ++i) tb.receive(make_packet(i, 1000), q.now());
   });
   q.run();
@@ -138,7 +147,7 @@ TEST(TokenBucket, WithoutIdleResetOnlyPartialRefill) {
   for (std::uint64_t i = 0; i < 3; ++i) tb.receive(make_packet(i, 1000), 0.0);
   q.run();
   // 1 ms of refill = 1000 bytes only: the second burst's last packets wait.
-  q.schedule(1e-3, [&] {
+  q.schedule(1e-3, {}, [&] {
     for (std::uint64_t i = 3; i < 6; ++i) tb.receive(make_packet(i, 1000), q.now());
   });
   q.run();

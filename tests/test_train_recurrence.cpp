@@ -126,8 +126,9 @@ Tapped tapped_event_path(const Case& c) {
   std::vector<std::unique_ptr<Link>> links(c.hops.size());
   taps.back() = std::make_unique<Tap>(&sink);
   for (std::size_t h = c.hops.size(); h-- > 0;) {
-    links[h] = std::make_unique<Link>(events, c.hops[h].rate_bps, c.hops[h].delay_s,
-                                      c.hops[h].queue_bytes, taps[h + 1].get());
+    links[h] = std::make_unique<Link>(events, static_cast<std::uint32_t>(h), c.hops[h].rate_bps,
+                                      c.hops[h].delay_s, c.hops[h].queue_bytes,
+                                      taps[h + 1].get());
     taps[h] = std::make_unique<Tap>(links[h].get());
   }
   std::unique_ptr<TokenBucket> bucket;
