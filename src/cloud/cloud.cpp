@@ -27,26 +27,11 @@ std::uint64_t pair_salt(VmId src, VmId dst, std::uint64_t lane) {
   return 0x5851f42d4c957f2dULL + src * 1000003ULL + dst * 8191ULL + lane;
 }
 
-/// A train's receiver log through the event queue, which orders the
-/// same-instant ties the recurrence declines by insertion.
-std::vector<packetsim::RecordingSink::Record> event_path_records(
-    const Cloud::TrainChain& chain) {
-  packetsim::RecordingSink sink(chain.timestamp_jitter_s, chain.sink_seed);
-  packetsim::EventQueue events;
-  packetsim::Path path(events, chain.shaper, chain.hops, &sink);
-  packetsim::send_train(events, path.entry(), chain.params, /*flow_id=*/1,
-                        /*start_time=*/0.0);
-  events.run();
-  return sink.records();
-}
-
 }  // namespace
 
 void Cloud::summarize_chain(const TrainChain& chain, packetsim::TrainSummary& out) {
-  if (!packetsim::simulate_train(chain.shaper, chain.hops, chain.params,
-                                 chain.timestamp_jitter_s, chain.sink_seed, out)) {
-    out = packetsim::summarize(event_path_records(chain), chain.params);
-  }
+  packetsim::simulate_train(chain.shaper, chain.hops, chain.params, chain.timestamp_jitter_s,
+                            chain.sink_seed, out);
 }
 
 Cloud::Cloud(ProviderProfile profile, std::uint64_t seed)

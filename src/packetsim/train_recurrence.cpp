@@ -8,9 +8,9 @@
 namespace choreo::packetsim {
 namespace {
 
-/// Scheduling instant of an arrival delivered by an emission event. send_train
-/// schedules every emission before the queue runs, so an emission fires
-/// before any other event at its instant.
+/// Scheduling instant of an arrival delivered by an emission event: every
+/// emission is scheduled before the train starts, so it fires before any
+/// other event at its instant.
 constexpr double kEmitted = -std::numeric_limits<double>::infinity();
 
 /// One packet entering (or leaving) an element: when it arrives, when the
@@ -43,8 +43,9 @@ Scratch& scratch() {
 }
 
 /// TokenBucket, replayed: emissions merged with the one pending wake-up, an
-/// emission first at a shared instant (its seq is lower). Every refill the
-/// event path makes is made here, in the same order, with the same operands.
+/// emission first at a shared instant (it was scheduled earlier). Every
+/// refill the event path makes is made here, in the same order, with the
+/// same operands.
 void shape(const ShaperSpec& spec, std::uint32_t wire, const std::vector<double>& emission,
            Stage& out) {
   constexpr double kByteTolerance = 1e-6;  // as TokenBucket::pump
@@ -97,10 +98,9 @@ void shape(const ShaperSpec& spec, std::uint32_t wire, const std::vector<double>
 }
 
 /// One Link: FIFO service at `spec.rate_bps`, drop-tail at
-/// `spec.queue_bytes`, delivery `spec.delay_s` after completion. Returns
-/// false on a tie it cannot order.
-bool forward(const HopSpec& spec, std::size_t hop, std::uint32_t wire, const Stage& in,
-             Stage& out, std::vector<double>& start, TrainTies* ties) {
+/// `spec.queue_bytes`, delivery `spec.delay_s` after completion.
+void forward(const HopSpec& spec, std::uint32_t wire, const Stage& in, Stage& out,
+             std::vector<double>& start, TrainTies* ties) {
   // A delivery is scheduled when its packet completes service, so
   // out[k].scheduled is also the completion time of accepted packet k.
   const double tx = static_cast<double>(wire) * 8.0 / spec.rate_bps;
@@ -111,8 +111,9 @@ bool forward(const HopSpec& spec, std::size_t hop, std::uint32_t wire, const Sta
   for (std::size_t j = 0; j < in.size(); ++j) {
     const double arrival = in[j].time;
     // Completions up to this arrival fire first — except one at the very
-    // same instant, whose order against the arrival is the order the two
-    // events were scheduled in.
+    // same instant, which the oracle's EventKey orders: the event scheduled
+    // earlier first, and a completion first when both were scheduled at
+    // one instant.
     while (done < start.size()) {
       const double completion = out[done].scheduled;
       if (completion > arrival) break;
@@ -124,15 +125,6 @@ bool forward(const HopSpec& spec, std::size_t hop, std::uint32_t wire, const Sta
         if (in[j].scheduled < start[done]) {
           if (ties) ++ties->arrival_first;
           break;
-        }
-        if (in[j].scheduled == start[done]) {
-          if (ties) {
-            ties->declined = true;
-            ties->hop = hop;
-            ties->seq = in[j].packet;
-            ties->time = arrival;
-          }
-          return false;
         }
         if (ties) ++ties->completion_first;
       }
@@ -147,7 +139,6 @@ bool forward(const HopSpec& spec, std::size_t hop, std::uint32_t wire, const Sta
     out.push_back({completion + spec.delay_s, completion, in[j].packet});
     queued += wire;
   }
-  return true;
 }
 
 /// The tandem on the premise that every packet finds every hop idle: the
@@ -178,8 +169,8 @@ bool carry_through_idle_hops(const std::vector<HopSpec>& hops, std::uint32_t wir
 }
 
 /// Runs `params` through the tandem, leaving the receiver's arrivals, in
-/// order, in `s.in`. Returns false on a tie forward() declines.
-bool run_tandem(const ShaperSpec& shaper, const std::vector<HopSpec>& hops,
+/// order, in `s.in`.
+void run_tandem(const ShaperSpec& shaper, const std::vector<HopSpec>& hops,
                 const TrainParams& params, Scratch& s, TrainTies* ties) {
   CHOREO_REQUIRE(params.bursts >= 1 && params.burst_length >= 2);
   CHOREO_REQUIRE(params.packet_bytes >= 1);
@@ -213,28 +204,27 @@ bool run_tandem(const ShaperSpec& shaper, const std::vector<HopSpec>& hops,
       s.in.push_back({s.emission[p], kEmitted, static_cast<std::uint32_t>(p)});
     }
   }
-  if (hops.empty()) return true;
+  if (hops.empty()) return;
   // Probe trains rarely queue: try every hop idle first, and only a train
   // that queues, drops or meets a tie takes the per-hop recurrence.
   s.out.clear();
   if (carry_through_idle_hops(hops, wire, s.in, s.out, s.idle)) {
     std::swap(s.in, s.out);
-    return true;
+    return;
   }
-  for (std::size_t h = 0; h < hops.size(); ++h) {
+  for (const HopSpec& hop : hops) {
     s.out.clear();
-    if (!forward(hops[h], h, wire, s.in, s.out, s.start, ties)) return false;
+    forward(hop, wire, s.in, s.out, s.start, ties);
     std::swap(s.in, s.out);
   }
-  return true;
 }
 
 }  // namespace
 
-bool simulate_train(const ShaperSpec& shaper, const std::vector<HopSpec>& hops,
+void simulate_train(const ShaperSpec& shaper, const std::vector<HopSpec>& hops,
                     const TrainParams& params, RecordingSink& sink, TrainTies* ties) {
   Scratch& s = scratch();
-  if (!run_tandem(shaper, hops, params, s, ties)) return false;
+  run_tandem(shaper, hops, params, s, ties);
   const std::uint32_t wire = params.packet_bytes + params.header_bytes;
   for (const Arrival& a : s.in) {
     const std::uint32_t p = a.packet;
@@ -246,14 +236,13 @@ bool simulate_train(const ShaperSpec& shaper, const std::vector<HopSpec>& hops,
     pkt.sent_time = s.emission[p];
     sink.receive(pkt, a.time);
   }
-  return true;
 }
 
-bool simulate_train(const ShaperSpec& shaper, const std::vector<HopSpec>& hops,
+void simulate_train(const ShaperSpec& shaper, const std::vector<HopSpec>& hops,
                     const TrainParams& params, double timestamp_jitter_s,
                     std::uint64_t sink_seed, TrainSummary& out, TrainTies* ties) {
   Scratch& s = scratch();
-  if (!run_tandem(shaper, hops, params, s, ties)) return false;
+  run_tandem(shaper, hops, params, s, ties);
   const Stage& arrivals = s.in;
   // No jittered time exceeds its arrival by more than `reach` — in floating
   // point too, since a + jitter_s * z rounds monotonically in z.
@@ -288,7 +277,6 @@ bool simulate_train(const ShaperSpec& shaper, const std::vector<HopSpec>& hops,
     b.t_last = logged(static_cast<std::size_t>(last - arrivals.begin()));
     first = end;
   }
-  return true;
 }
 
 }  // namespace choreo::packetsim

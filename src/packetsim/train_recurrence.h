@@ -17,12 +17,6 @@ namespace choreo::packetsim {
 struct TrainTies {
   std::uint64_t arrival_first = 0;     ///< resolved: the arrival fired first
   std::uint64_t completion_first = 0;  ///< resolved: the completion fired first
-  /// Set when the call declined: both events were scheduled at the same
-  /// instant, so their order is not recoverable from times alone.
-  bool declined = false;
-  std::size_t hop = 0;     ///< 0-based hop of the declined tie
-  std::uint64_t seq = 0;   ///< the arriving packet
-  double time = 0.0;       ///< the tied instant
 };
 
 /// The receiver log of one packet train — exactly what
@@ -41,13 +35,12 @@ struct TrainTies {
 /// probe) is carried through all hops in one packet-major pass; the per-hop
 /// recurrence runs only for a train that queues, drops or meets a tie.
 ///
-/// Returns false, leaving `sink` untouched, when the train meets a
-/// same-instant arrival/completion tie whose two events were scheduled at
-/// the same instant too; the caller then runs the event path above. `ties`
-/// (optional) receives the order-dependent ties met. Scratch buffers are per
-/// thread, so concurrent calls are safe and warm calls allocate nothing
-/// beyond what `sink` grows.
-bool simulate_train(const ShaperSpec& shaper, const std::vector<HopSpec>& hops,
+/// A same-instant arrival/completion tie goes the event queue's way: the
+/// event scheduled earlier fires first, and a completion fires first when
+/// both were scheduled at one instant. `ties` (optional) receives the
+/// order-dependent ties met. Scratch buffers are per thread, so concurrent
+/// calls are safe and warm calls allocate nothing beyond what `sink` grows.
+void simulate_train(const ShaperSpec& shaper, const std::vector<HopSpec>& hops,
                     const TrainParams& params, RecordingSink& sink,
                     TrainTies* ties = nullptr);
 
@@ -62,9 +55,8 @@ bool simulate_train(const ShaperSpec& shaper, const std::vector<HopSpec>& hops,
 /// a_k + kJitterBoundSigmas * sigma exceeds the best time seen: a few per
 /// burst end instead of one per packet.
 ///
-/// Returns false, leaving `out` untouched, on the same declined ties as the
-/// overload above. Warm calls into a reused `out` allocate nothing.
-bool simulate_train(const ShaperSpec& shaper, const std::vector<HopSpec>& hops,
+/// Warm calls into a reused `out` allocate nothing.
+void simulate_train(const ShaperSpec& shaper, const std::vector<HopSpec>& hops,
                     const TrainParams& params, double timestamp_jitter_s,
                     std::uint64_t sink_seed, TrainSummary& out, TrainTies* ties = nullptr);
 

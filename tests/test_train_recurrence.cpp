@@ -67,10 +67,10 @@ std::vector<Record> event_path(const Case& c) {
   return sink.records();
 }
 
-/// The recurrence; `ok` reports whether it simulated or declined.
-std::vector<Record> recurrence(const Case& c, TrainTies* ties, bool* ok) {
+/// The recurrence.
+std::vector<Record> recurrence(const Case& c, TrainTies* ties = nullptr) {
   RecordingSink sink(c.jitter_s, c.sink_seed);
-  *ok = simulate_train(c.shaper, c.hops, c.params, sink, ties);
+  simulate_train(c.shaper, c.hops, c.params, sink, ties);
   return sink.records();
 }
 
@@ -156,21 +156,6 @@ double logged_time(const std::vector<std::pair<std::uint64_t, double>>& log,
   return std::nan("");
 }
 
-/// A declined tie is real: in the oracle, packet `seq` reaches hop `hop` at
-/// the tied instant, and another packet completes service there at that
-/// same instant (its delivery leaves `delay_s` later).
-void expect_real_tie(const Case& c, const TrainTies& ties) {
-  const Tapped t = tapped_event_path(c);
-  ASSERT_LT(ties.hop, c.hops.size());
-  EXPECT_EQ(logged_time(t.into[ties.hop], ties.seq), ties.time) << c.describe();
-  const double delivered = ties.time + c.hops[ties.hop].delay_s;
-  bool completes = false;
-  for (const auto& [s, time] : t.into[ties.hop + 1]) {
-    completes = completes || (s != ties.seq && time == delivered);
-  }
-  EXPECT_TRUE(completes) << "no completion at the declined instant: " << c.describe();
-}
-
 // ---- random corpus -----------------------------------------------------
 
 template <typename T>
@@ -225,26 +210,16 @@ Case random_case(Rng& rng) {
 
 class RandomCorpus : public ::testing::TestWithParam<int> {};
 
-/// 4 shards x 5 000 cases. Every simulated train equals the oracle record
-/// for record; every declined one is a real same-instant tie.
+/// 4 shards x 5 000 cases. Every train equals the oracle record for record.
 TEST_P(RandomCorpus, MatchesEventPathRecordForRecord) {
   constexpr int kCases = 5000;
   Rng rng(0x7e41u + static_cast<std::uint64_t>(GetParam()));
-  std::uint64_t arrival_first = 0, completion_first = 0, declined = 0, dropped = 0;
+  std::uint64_t arrival_first = 0, completion_first = 0, dropped = 0;
   for (int i = 0; i < kCases; ++i) {
     const Case c = random_case(rng);
     const std::vector<Record> want = event_path(c);
     TrainTies ties;
-    bool ok = false;
-    const std::vector<Record> got = recurrence(c, &ties, &ok);
-    if (!ok) {
-      ++declined;
-      EXPECT_TRUE(ties.declined);
-      EXPECT_TRUE(got.empty()) << "a declined call must leave the sink untouched";
-      expect_real_tie(c, ties);
-      continue;
-    }
-    EXPECT_FALSE(ties.declined);
+    const std::vector<Record> got = recurrence(c, &ties);
     ASSERT_TRUE(same_records(want, got)) << "case " << i << ": " << c.describe();
     arrival_first += ties.arrival_first;
     completion_first += ties.completion_first;
@@ -255,11 +230,9 @@ TEST_P(RandomCorpus, MatchesEventPathRecordForRecord) {
   EXPECT_GT(dropped, kCases / 10);
   EXPECT_GT(arrival_first, 0u);
   EXPECT_GT(completion_first, 0u);
-  EXPECT_LT(declined, static_cast<std::uint64_t>(kCases / 100));
   std::cout << "shard " << GetParam() << ": " << kCases << " cases, " << dropped
             << " with drops, ties resolved arrival-first " << arrival_first
-            << " / completion-first " << completion_first << ", declined " << declined
-            << "\n";
+            << " / completion-first " << completion_first << "\n";
 }
 
 INSTANTIATE_TEST_SUITE_P(Shards, RandomCorpus, ::testing::Values(0, 1, 2, 3));
@@ -312,9 +285,7 @@ TEST(BucketTie, WakeUpAtAnEmissionInstant) {
   ASSERT_EQ(logged_time(t.into[0], 1), wake) << "the wake-up moved";
   for (const double idle : {-1.0, 0.5e-3, 0.0}) {
     c.shaper.idle_reset_s = idle;
-    bool ok = false;
-    EXPECT_TRUE(same_records(event_path(c), recurrence(c, nullptr, &ok))) << idle;
-    EXPECT_TRUE(ok);
+    EXPECT_TRUE(same_records(event_path(c), recurrence(c))) << idle;
   }
 }
 
@@ -325,9 +296,7 @@ TEST(HopOneTie, ArrivalFromAnEmissionGoesFirst) {
   const std::vector<Record> want = event_path(c);
   ASSERT_EQ(want.size(), 10u);
   TrainTies ties;
-  bool ok = false;
-  EXPECT_TRUE(same_records(want, recurrence(c, &ties, &ok)));
-  EXPECT_TRUE(ok);
+  EXPECT_TRUE(same_records(want, recurrence(c, &ties)));
   EXPECT_EQ(ties.arrival_first, 10u);
   EXPECT_EQ(ties.completion_first, 0u);
 }
@@ -349,9 +318,7 @@ TEST(HopOneTie, ArrivalFromAWakeUpScheduledAfterServiceStart) {
   const std::vector<Record> want = event_path(c);
   ASSERT_EQ(want.size(), 2u) << "completion-first keeps packet 1";
   TrainTies ties;
-  bool ok = false;
-  EXPECT_TRUE(same_records(want, recurrence(c, &ties, &ok)));
-  EXPECT_TRUE(ok);
+  EXPECT_TRUE(same_records(want, recurrence(c, &ties)));
   EXPECT_EQ(ties.completion_first, 1u);
 }
 
@@ -374,9 +341,7 @@ TEST(HopTwoTie, CompletionScheduledFirstKeepsEveryPacket) {
   const std::vector<Record> want = event_path(c);
   ASSERT_EQ(want.size(), 20u);
   TrainTies ties;
-  bool ok = false;
-  EXPECT_TRUE(same_records(want, recurrence(c, &ties, &ok)));
-  EXPECT_TRUE(ok);
+  EXPECT_TRUE(same_records(want, recurrence(c, &ties)));
   EXPECT_EQ(ties.completion_first, 19u);
   EXPECT_EQ(ties.arrival_first, 0u);
 }
@@ -386,23 +351,21 @@ TEST(HopTwoTie, ArrivalScheduledFirstDropsEveryOtherPacket) {
   const std::vector<Record> want = event_path(c);
   ASSERT_EQ(want.size(), 10u);
   TrainTies ties;
-  bool ok = false;
-  EXPECT_TRUE(same_records(want, recurrence(c, &ties, &ok)));
-  EXPECT_TRUE(ok);
+  EXPECT_TRUE(same_records(want, recurrence(c, &ties)));
   EXPECT_EQ(ties.arrival_first, 10u);
   EXPECT_EQ(ties.completion_first, 0u);
 }
 
-TEST(HopTwoTie, BothScheduledAtOneInstantDeclines) {
+TEST(HopTwoTie, BothScheduledAtOneInstantCompletionGoesFirst) {
+  // The arrival and the completion share their scheduling instant too; the
+  // event key puts the completion first, so every packet gets through.
   const Case c = hop_two_tie(kDyadicTx);
+  const std::vector<Record> want = event_path(c);
+  ASSERT_EQ(want.size(), 20u);
   TrainTies ties;
-  bool ok = true;
-  EXPECT_TRUE(recurrence(c, &ties, &ok).empty());
-  EXPECT_FALSE(ok);
-  ASSERT_TRUE(ties.declined);
-  EXPECT_EQ(ties.hop, 1u);
-  EXPECT_EQ(ties.seq, 1u);
-  expect_real_tie(c, ties);
+  EXPECT_TRUE(same_records(want, recurrence(c, &ties)));
+  EXPECT_EQ(ties.completion_first, 19u);
+  EXPECT_EQ(ties.arrival_first, 0u);
 }
 
 TEST(HopTwoTie, OrderIndependentTiesAreNotCounted) {
@@ -410,9 +373,7 @@ TEST(HopTwoTie, OrderIndependentTiesAreNotCounted) {
   Case c = hop_two_tie(kDyadicTx);
   c.hops[1].queue_bytes = 2e6;
   TrainTies ties;
-  bool ok = false;
-  EXPECT_TRUE(same_records(event_path(c), recurrence(c, &ties, &ok)));
-  EXPECT_TRUE(ok);
+  EXPECT_TRUE(same_records(event_path(c), recurrence(c, &ties)));
   EXPECT_EQ(ties.arrival_first + ties.completion_first, 0u);
 }
 
@@ -422,9 +383,7 @@ TEST(Recurrence, BucketFeedingTheSinkDirectly) {
   c.params.bursts = 3;
   c.params.burst_length = 50;
   c.jitter_s = 2e-6;
-  bool ok = false;
-  EXPECT_TRUE(same_records(event_path(c), recurrence(c, nullptr, &ok)));
-  EXPECT_TRUE(ok);
+  EXPECT_TRUE(same_records(event_path(c), recurrence(c)));
 }
 
 // ---- the idle pass handing over partway ---------------------------------
@@ -490,9 +449,7 @@ TEST(IdleHandover, LaterHopQueuesPartway) {
   EXPECT_FALSE(at.tie);
   ASSERT_EQ(t.records.size(), 2000u) << "a 2 MB queue drops nothing";
   TrainTies ties;
-  bool ok = false;
-  EXPECT_TRUE(same_records(t.records, recurrence(c, &ties, &ok)));
-  EXPECT_TRUE(ok);
+  EXPECT_TRUE(same_records(t.records, recurrence(c, &ties)));
   // Every tie here meets a queue with room either way: none is counted.
   EXPECT_EQ(ties.arrival_first + ties.completion_first, 0u);
 }
@@ -507,9 +464,7 @@ TEST(IdleHandover, LaterHopDropsPartway) {
   ASSERT_LT(t.records.size(), 2000u) << "a hop with no queue drops a busy arrival";
   EXPECT_TRUE(std::isnan(logged_time(t.into[2], at.seq))) << "the handover packet drops";
   TrainTies ties;
-  bool ok = false;
-  EXPECT_TRUE(same_records(t.records, recurrence(c, &ties, &ok)));
-  EXPECT_TRUE(ok);
+  EXPECT_TRUE(same_records(t.records, recurrence(c, &ties)));
   EXPECT_EQ(ties.arrival_first, 0u);
   EXPECT_EQ(ties.completion_first, ties_at(t, 1));
 }
@@ -526,9 +481,7 @@ TEST(IdleHandover, LaterHopTiesPartway) {
   EXPECT_TRUE(at.tie);
   ASSERT_EQ(t.records.size(), 2000u);
   TrainTies ties;
-  bool ok = false;
-  EXPECT_TRUE(same_records(t.records, recurrence(c, &ties, &ok)));
-  EXPECT_TRUE(ok);
+  EXPECT_TRUE(same_records(t.records, recurrence(c, &ties)));
   EXPECT_EQ(ties.arrival_first, 0u);
   EXPECT_GT(ties.completion_first, 0u);
   EXPECT_EQ(ties.completion_first, ties_at(t, 1));
