@@ -3,7 +3,7 @@
 // A §3.1 probe train is one flow through a fixed tandem — token bucket, FIFO
 // hops, receiver — so packetsim::simulate_train computes its receiver log by
 // a direct per-packet recurrence, where the event-driven Path + EventQueue
-// (kept as the differential oracle) pays a heap push/pop and a
+// (the differential oracle, in oracles/) pays a heap push/pop and a
 // std::function per hop event. Its summary form goes further: it leaves
 // only what the §3.1 estimator reads per burst (count, first and last time
 // and seq), drawing timestamp jitter only near each burst's ends, where the
@@ -35,8 +35,7 @@
 #include <vector>
 
 #include "bench_common.h"
-#include "packetsim/event_queue.h"
-#include "packetsim/path.h"
+#include "oracles/event_train.h"
 #include "packetsim/sink.h"
 #include "packetsim/train_recurrence.h"
 #include "packetsim/udp_train.h"
@@ -103,7 +102,7 @@ struct Timing {
 
 Timing time_shape(const Shape& s, int reps) {
   Timing t;
-  packetsim::RecordingSink event_sink(s.jitter_s, 1);
+  packetsim::Receiver event_sink(s.jitter_s, 1);
   const auto run_event = [&] {
     event_sink.clear();
     packetsim::EventQueue events;

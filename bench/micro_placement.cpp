@@ -12,10 +12,6 @@
 #include "measure/view_cache.h"
 #include "net/topology.h"
 #include "oracles/exhaustive_greedy.h"
-#include "packetsim/event_queue.h"
-#include "packetsim/sink.h"
-#include "packetsim/token_bucket.h"
-#include "packetsim/udp_train.h"
 #include "place/greedy.h"
 #include "place/ilp.h"
 #include "serve/service.h"
@@ -310,22 +306,5 @@ void BM_FluidSimTenFlows(benchmark::State& state) {
   }
 }
 BENCHMARK(BM_FluidSimTenFlows)->Unit(benchmark::kMillisecond);
-
-void BM_PacketTrain(benchmark::State& state) {
-  const auto burst_len = static_cast<std::uint32_t>(state.range(0));
-  for (auto _ : state) {
-    packetsim::EventQueue events;
-    packetsim::RecordingSink sink;
-    packetsim::TokenBucket bucket(events, 950e6, 8e3, &sink);
-    packetsim::TrainParams params;
-    params.bursts = 10;
-    params.burst_length = burst_len;
-    params.line_rate_bps = 4e9;
-    packetsim::send_train(events, bucket, params, 1, 0.0);
-    events.run();
-    benchmark::DoNotOptimize(sink.count());
-  }
-}
-BENCHMARK(BM_PacketTrain)->Arg(200)->Arg(2000)->Unit(benchmark::kMillisecond);
 
 }  // namespace

@@ -12,10 +12,7 @@
 #include "net/routing.h"
 #include "obs/observer.h"
 #include "net/topology.h"
-#include "packetsim/event_queue.h"
-#include "packetsim/path.h"
-#include "packetsim/sink.h"
-#include "packetsim/udp_train.h"
+#include "packetsim/train_recurrence.h"
 #include "util/rng.h"
 
 namespace choreo::cloud {
@@ -123,8 +120,8 @@ class Cloud {
 
   /// The packet-level chain one train src->dst runs through, plus the
   /// receiver's timestamp noise: exactly what run_train_in_snapshot
-  /// simulates. Exposed so that the event-driven packetsim::Path can replay
-  /// the very same train (the differential oracle) and benches can time it.
+  /// simulates. Exposed so that the differential suites can replay the very
+  /// same train through the event-driven oracle and benches can time it.
   struct TrainChain {
     packetsim::ShaperSpec shaper;
     std::vector<packetsim::HopSpec> hops;
@@ -135,11 +132,9 @@ class Cloud {
   TrainChain train_chain_in_snapshot(VmId src, VmId dst, const packetsim::TrainParams& params,
                                      const TrafficSnapshot& snapshot) const;
 
-  /// Leaves in `out` the summary of one chain's train, the one chain runner
-  /// behind every train this cloud sends: the summary recurrence, or — on a
-  /// same-instant tie it declines — the event-driven packetsim::Path's
-  /// receiver log, summarized. A warm `out` is reused: the recurrence path
-  /// allocates nothing.
+  /// Leaves in `out` the summary of one chain's train (the summary form of
+  /// packetsim::simulate_train): the one chain runner behind every train
+  /// this cloud sends. A warm `out` is reused and nothing is allocated.
   static void summarize_chain(const TrainChain& chain, packetsim::TrainSummary& out);
 
   /// Runs one conflict-free round of trains — no VM may appear twice as a

@@ -4,7 +4,6 @@
 #include <cstdint>
 #include <vector>
 
-#include "packetsim/packet.h"
 #include "packetsim/udp_train.h"
 #include "util/rng.h"
 
@@ -25,12 +24,12 @@ inline double jittered_time(double arrival, double jitter_s, std::uint64_t seed,
   return jitter_s > 0.0 ? arrival + jitter_s * keyed_normal(seed, seq) : arrival;
 }
 
-/// Terminal element that records packet arrivals, emulating a receiver that
-/// logs SO_TIMESTAMPNS kernel timestamps (§3.1). Optional Gaussian jitter
-/// models timestamping/interrupt noise, drawn per packet as
-/// jittered_time(now, jitter, seed, seq); recorded times are clamped to be
+/// A receiver's log of one packet train, emulating a receiver that logs
+/// SO_TIMESTAMPNS kernel timestamps (§3.1). Optional Gaussian jitter models
+/// timestamping/interrupt noise, drawn per packet as
+/// jittered_time(arrival, jitter, seed, seq); logged times are clamped to be
 /// monotonic, as kernel timestamps are.
-class RecordingSink : public Element {
+class RecordingSink {
  public:
   struct Record {
     std::uint64_t flow = 0;
@@ -44,10 +43,12 @@ class RecordingSink : public Element {
   RecordingSink(double timestamp_jitter_s, std::uint64_t seed)
       : jitter_s_(timestamp_jitter_s), seed_(seed) {}
 
-  void receive(const Packet& pkt, double now) override {
-    double t = jittered_time(now, jitter_s_, seed_, pkt.seq);
+  /// Logs a packet that arrived at `arrival.time`.
+  void receive(Record arrival) {
+    double t = jittered_time(arrival.time, jitter_s_, seed_, arrival.seq);
     if (!records_.empty()) t = std::max(t, records_.back().time);
-    records_.push_back(Record{pkt.flow, pkt.seq, pkt.burst, pkt.wire_bytes, t});
+    arrival.time = t;
+    records_.push_back(arrival);
   }
 
   const std::vector<Record>& records() const { return records_; }

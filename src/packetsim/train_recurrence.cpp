@@ -48,7 +48,7 @@ Scratch& scratch() {
 /// same operands.
 void shape(const ShaperSpec& spec, std::uint32_t wire, const std::vector<double>& emission,
            Stage& out) {
-  constexpr double kByteTolerance = 1e-6;  // as TokenBucket::pump
+  constexpr double kByteTolerance = 1e-6;  // as the oracle's TokenBucket::pump
   const double depth = spec.depth_bytes;
   const double rate = spec.rate_bps;
   double tokens = depth;
@@ -184,7 +184,7 @@ void run_tandem(const ShaperSpec& shaper, const std::vector<HopSpec>& hops,
 
   const std::uint32_t wire = params.packet_bytes + params.header_bytes;
 
-  // Emission times: send_train's running sums, term for term.
+  // Emission times: the oracle's send_train running sums, term for term.
   const double spacing = static_cast<double>(wire) * 8.0 / params.line_rate_bps;
   s.emission.clear();
   double t = 0.0;
@@ -227,14 +227,7 @@ void simulate_train(const ShaperSpec& shaper, const std::vector<HopSpec>& hops,
   run_tandem(shaper, hops, params, s, ties);
   const std::uint32_t wire = params.packet_bytes + params.header_bytes;
   for (const Arrival& a : s.in) {
-    const std::uint32_t p = a.packet;
-    Packet pkt;
-    pkt.flow = 1;
-    pkt.seq = p;
-    pkt.wire_bytes = wire;
-    pkt.burst = p / params.burst_length;
-    pkt.sent_time = s.emission[p];
-    sink.receive(pkt, a.time);
+    sink.receive({/*flow=*/1, a.packet, a.packet / params.burst_length, wire, a.time});
   }
 }
 

@@ -4,11 +4,40 @@
 #include <cstdint>
 #include <vector>
 
-#include "packetsim/path.h"
 #include "packetsim/sink.h"
 #include "packetsim/udp_train.h"
 
 namespace choreo::packetsim {
+
+/// Description of one hop of a unidirectional path: a FIFO drop-tail link.
+struct HopSpec {
+  double rate_bps = 1e9;
+  double delay_s = 20e-6;
+  double queue_bytes = 512 * 1024;  ///< drop-tail bound, the packet in service included
+};
+
+/// Description of the source-side token-bucket rate limiter (hose
+/// enforcement, §4.3). Tokens (bytes) refill at `rate_bps`; a packet passes
+/// at once if the bucket holds enough, otherwise it waits in FIFO order. The
+/// depth is the burst allowance, and it is the knob behind Fig 6's
+/// asymmetry:
+///
+///   * a *shallow* bucket (EC2-like) forces even short packet trains down to
+///     the token rate, so 10x200-packet trains are already accurate;
+///   * a *deep* bucket (Rackspace-like) lets bursts much smaller than the
+///     depth through at line rate, so trains must be >= ~2000 packets before
+///     they observe the enforced 300 Mbit/s.
+///
+/// `idle_reset_s` models credit-style hypervisor limiters that restore the
+/// full burst allowance after a short idle period (>= the inter-burst gap
+/// delta of §3.1); set it negative for a classic continuously-refilling
+/// bucket.
+struct ShaperSpec {
+  bool enabled = true;
+  double rate_bps = 1e9;
+  double depth_bytes = 30e3;
+  double idle_reset_s = -1.0;
+};
 
 /// Order-dependent same-instant ties one simulate_train call met: a packet
 /// reaching a hop at exactly the instant the hop's in-service packet
@@ -19,25 +48,21 @@ struct TrainTies {
   std::uint64_t completion_first = 0;  ///< resolved: the completion fired first
 };
 
-/// The receiver log of one packet train — exactly what
-///
-///   EventQueue events;
-///   Path path(events, shaper, hops, &sink);
-///   send_train(events, path.entry(), params, /*flow_id=*/1, /*start_time=*/0.0);
-///   events.run();
-///
-/// leaves in `sink`, computed by a direct per-packet recurrence instead of
-/// the event queue: emission times from send_train's running sums, the token
-/// bucket replayed refill for refill against its single pending wake-up, each
-/// FIFO hop as completion = (busy ? previous completion : arrival) + transmit
-/// time with the drop-tail rule, and the survivors fed to `sink` in order.
-/// A train that finds every hop idle at every arrival (the common case for a
-/// probe) is carried through all hops in one packet-major pass; the per-hop
+/// The receiver log of one packet train through `shaper` (if enabled), then
+/// `hops` in order, into `sink`: exactly what the event-driven simulator
+/// (the differential oracle in oracles/event_train.h) leaves there, computed
+/// by a direct per-packet recurrence instead of an event queue. Emission
+/// times are the train's running sums, the token bucket is replayed refill
+/// for refill against its single pending wake-up, each FIFO hop is
+/// completion = (busy ? previous completion : arrival) + transmit time with
+/// the drop-tail rule, and the survivors are fed to `sink` in order. A train
+/// that finds every hop idle at every arrival (the common case for a probe)
+/// is carried through all hops in one packet-major pass; the per-hop
 /// recurrence runs only for a train that queues, drops or meets a tie.
 ///
-/// A same-instant arrival/completion tie goes the event queue's way: the
-/// event scheduled earlier fires first, and a completion fires first when
-/// both were scheduled at one instant. `ties` (optional) receives the
+/// A same-instant arrival/completion tie goes the oracle's event-key way:
+/// the event scheduled earlier fires first, and a completion fires first
+/// when both were scheduled at one instant. `ties` (optional) receives the
 /// order-dependent ties met. Scratch buffers are per thread, so concurrent
 /// calls are safe and warm calls allocate nothing beyond what `sink` grows.
 void simulate_train(const ShaperSpec& shaper, const std::vector<HopSpec>& hops,

@@ -2,13 +2,12 @@
 
 #include <cstdint>
 
-#include "packetsim/event_queue.h"
-#include "packetsim/packet.h"
-
 namespace choreo::packetsim {
 
 /// Parameters of a §3.1 packet train: K bursts of B back-to-back P-byte UDP
-/// packets, bursts separated by delta.
+/// packets, bursts separated by delta. Packets of a burst leave back-to-back
+/// at the line rate; burst k+1 begins delta after the last packet of burst k
+/// is emitted.
 struct TrainParams {
   std::uint32_t bursts = 10;          ///< K
   std::uint32_t burst_length = 200;   ///< B, packets per burst
@@ -17,13 +16,5 @@ struct TrainParams {
   double line_rate_bps = 10e9;        ///< emission rate of back-to-back packets
   std::uint32_t header_bytes = 28;    ///< IP + UDP headers added on the wire
 };
-
-/// Emits one packet train into `first`, starting at `start_time`. Packets of
-/// a burst leave back-to-back at the line rate; burst k+1 begins
-/// `inter_burst_gap_s` after the last packet of burst k is emitted.
-///
-/// Returns the time the final packet is emitted.
-double send_train(EventQueue& events, Element& first, const TrainParams& params,
-                  std::uint64_t flow_id, double start_time);
 
 }  // namespace choreo::packetsim

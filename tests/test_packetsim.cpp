@@ -2,12 +2,8 @@
 
 #include <limits>
 
-#include "packetsim/event_queue.h"
-#include "packetsim/link.h"
-#include "packetsim/path.h"
+#include "oracles/event_train.h"
 #include "packetsim/sink.h"
-#include "packetsim/token_bucket.h"
-#include "packetsim/udp_train.h"
 
 namespace choreo::packetsim {
 namespace {
@@ -62,7 +58,7 @@ Packet make_packet(std::uint64_t seq, std::uint32_t bytes) {
 
 TEST(Link, SerializationAndDelay) {
   EventQueue q;
-  RecordingSink sink;
+  Receiver sink;
   // 1 Mbit/s, 1 ms delay: a 1250-byte packet takes 10 ms to serialize.
   Link link(q, 0, 1e6, 1e-3, 1e6, &sink);
   link.receive(make_packet(0, 1250), 0.0);
@@ -73,7 +69,7 @@ TEST(Link, SerializationAndDelay) {
 
 TEST(Link, BackToBackPacketsQueue) {
   EventQueue q;
-  RecordingSink sink;
+  Receiver sink;
   Link link(q, 0, 1e6, 0.0, 1e6, &sink);
   link.receive(make_packet(0, 1250), 0.0);
   link.receive(make_packet(1, 1250), 0.0);
@@ -86,7 +82,7 @@ TEST(Link, BackToBackPacketsQueue) {
 
 TEST(Link, DropTailWhenFull) {
   EventQueue q;
-  RecordingSink sink;
+  Receiver sink;
   // Buffer of 2500 bytes counts the packet in service: the first two packets
   // fit, the remaining three drop.
   Link link(q, 0, 1e6, 0.0, 2500, &sink);
@@ -98,7 +94,7 @@ TEST(Link, DropTailWhenFull) {
 
 TEST(TokenBucket, PassesWithinDepthImmediately) {
   EventQueue q;
-  RecordingSink sink;
+  Receiver sink;
   TokenBucket tb(q, 1e6, 10000, &sink);
   tb.receive(make_packet(0, 1000), 0.0);
   q.run();
@@ -108,7 +104,7 @@ TEST(TokenBucket, PassesWithinDepthImmediately) {
 
 TEST(TokenBucket, ShapesSustainedLoadToTokenRate) {
   EventQueue q;
-  RecordingSink sink;
+  Receiver sink;
   // 8 Mbit/s => 1000 bytes per ms. Depth one packet.
   TokenBucket tb(q, 8e6, 1000, &sink);
   for (std::uint64_t i = 0; i < 11; ++i) tb.receive(make_packet(i, 1000), 0.0);
@@ -124,7 +120,7 @@ TEST(TokenBucket, ShapesSustainedLoadToTokenRate) {
 
 TEST(TokenBucket, IdleResetRestoresBurstAllowance) {
   EventQueue q;
-  RecordingSink sink;
+  Receiver sink;
   TokenBucket tb(q, 8e6, 3000, &sink, /*idle_reset_s=*/0.5e-3);
   // Burst of 3 drains the bucket.
   for (std::uint64_t i = 0; i < 3; ++i) tb.receive(make_packet(i, 1000), 0.0);
@@ -142,7 +138,7 @@ TEST(TokenBucket, IdleResetRestoresBurstAllowance) {
 
 TEST(TokenBucket, WithoutIdleResetOnlyPartialRefill) {
   EventQueue q;
-  RecordingSink sink;
+  Receiver sink;
   TokenBucket tb(q, 8e6, 3000, &sink, /*idle_reset_s=*/-1.0);
   for (std::uint64_t i = 0; i < 3; ++i) tb.receive(make_packet(i, 1000), 0.0);
   q.run();
@@ -157,7 +153,7 @@ TEST(TokenBucket, WithoutIdleResetOnlyPartialRefill) {
 
 TEST(UdpTrain, EmitsAllPacketsWithBurstStructure) {
   EventQueue q;
-  RecordingSink sink;
+  Receiver sink;
   TrainParams params;
   params.bursts = 3;
   params.burst_length = 5;
@@ -179,7 +175,7 @@ TEST(UdpTrain, EmitsAllPacketsWithBurstStructure) {
 
 TEST(UdpTrain, ThroughTokenBucketApproachesTokenRate) {
   EventQueue q;
-  RecordingSink sink;
+  Receiver sink;
   TokenBucket tb(q, 100e6, 8e3, &sink);  // shallow bucket
   TrainParams params;
   params.bursts = 5;
@@ -202,7 +198,7 @@ TEST(UdpTrain, ThroughTokenBucketApproachesTokenRate) {
 
 TEST(Path, BuildsChainEntryToSink) {
   EventQueue q;
-  RecordingSink sink;
+  Receiver sink;
   ShaperSpec shaper;
   shaper.enabled = true;
   shaper.rate_bps = 1e9;
@@ -219,11 +215,9 @@ TEST(Path, BuildsChainEntryToSink) {
 }
 
 TEST(RecordingSink, JitterStaysMonotonic) {
-  EventQueue q;
   RecordingSink sink(50e-6, 42);
   for (std::uint64_t i = 0; i < 200; ++i) {
-    Packet p = make_packet(i, 1500);
-    sink.receive(p, static_cast<double>(i) * 1e-5);
+    sink.receive({/*flow=*/0, i, /*burst=*/0, 1500, static_cast<double>(i) * 1e-5});
   }
   const auto& rec = sink.records();
   for (std::size_t i = 1; i < rec.size(); ++i) {

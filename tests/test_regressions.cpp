@@ -8,10 +8,7 @@
 #include "lp/simplex.h"
 #include "obs/metrics.h"
 #include "oracles/multi_tenant_session.h"
-#include "packetsim/event_queue.h"
-#include "packetsim/sink.h"
-#include "packetsim/token_bucket.h"
-#include "packetsim/udp_train.h"
+#include "oracles/event_train.h"
 #include "place/ilp.h"
 #include "util/rng.h"
 #include "workload/stream.h"
@@ -116,7 +113,7 @@ TEST(Regression, IlpPlacementAlwaysComplete) {
 TEST(Regression, TokenBucketTerminatesOnOriginalHangConfig) {
   using namespace packetsim;
   EventQueue q;
-  RecordingSink sink;
+  Receiver sink;
   TokenBucket tb(q, 100e6, 8e3, &sink);
   TrainParams params;
   params.bursts = 5;
@@ -135,7 +132,7 @@ TEST(Regression, TokenBucketTerminatesOnOriginalHangConfig) {
 TEST(Regression, TokenBucketRateExactUnderLongLoad) {
   using namespace packetsim;
   EventQueue q;
-  RecordingSink sink;
+  Receiver sink;
   TokenBucket tb(q, 300e6, 350e3, &sink, 0.5e-3);
   TrainParams params;
   params.bursts = 10;

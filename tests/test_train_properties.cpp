@@ -5,8 +5,7 @@
 #include <gtest/gtest.h>
 
 #include "measure/packet_train.h"
-#include "packetsim/event_queue.h"
-#include "packetsim/path.h"
+#include "oracles/event_train.h"
 #include "packetsim/sink.h"
 #include "util/stats.h"
 
@@ -16,7 +15,7 @@ namespace {
 using packetsim::EventQueue;
 using packetsim::HopSpec;
 using packetsim::Path;
-using packetsim::RecordingSink;
+using packetsim::Receiver;
 using packetsim::ShaperSpec;
 using packetsim::TrainParams;
 using packetsim::summarize;
@@ -32,7 +31,7 @@ struct PathConfig {
 
 TrainEstimate probe(const PathConfig& cfg, std::uint32_t bursts, std::uint32_t blen) {
   EventQueue events;
-  RecordingSink sink(cfg.jitter_s, cfg.jitter_seed);
+  Receiver sink(cfg.jitter_s, cfg.jitter_seed);
   ShaperSpec shaper;
   shaper.rate_bps = cfg.hose_bps;
   shaper.depth_bytes = cfg.depth_bytes;

@@ -1,11 +1,12 @@
 // Differential suite for packetsim::simulate_train: the direct per-packet
-// recurrence against the event-driven Path + EventQueue train it replaces on
-// the measure path, which stays in the library as its oracle. Every Record
-// field is compared with ==, timestamps included.
+// recurrence against the event-driven Path + EventQueue train, its oracle
+// under oracles/. Every Record field is compared with ==, timestamps
+// included.
 //
 // The subtle part is the order of same-instant events: a packet reaching a
 // hop exactly when the hop's in-service packet completes, where the drop
-// decision depends on which event fires first. The random corpus is biased
+// decision depends on which event fires first. The oracle orders them by
+// EventKey, and the recurrence must replay that order. The random corpus is biased
 // toward such ties (rates equal to the line rate and to each other, zero
 // delays and gaps, queues a few packets deep); the hand-built cases pin one
 // tie of each kind.
@@ -19,11 +20,8 @@
 #include <vector>
 
 #include "cloud/cloud.h"
-#include "packetsim/event_queue.h"
-#include "packetsim/link.h"
-#include "packetsim/path.h"
+#include "oracles/event_train.h"
 #include "packetsim/sink.h"
-#include "packetsim/token_bucket.h"
 #include "packetsim/train_recurrence.h"
 #include "packetsim/udp_train.h"
 #include "util/rng.h"
@@ -60,7 +58,7 @@ struct Case {
 /// The oracle: the event-driven train.
 std::vector<Record> event_path(const Case& c) {
   EventQueue events;
-  RecordingSink sink(c.jitter_s, c.sink_seed);
+  Receiver sink(c.jitter_s, c.sink_seed);
   Path path(events, c.shaper, c.hops, &sink);
   send_train(events, path.entry(), c.params, /*flow_id=*/1, /*start_time=*/0.0);
   events.run();
@@ -121,7 +119,7 @@ struct Tapped {
 
 Tapped tapped_event_path(const Case& c) {
   EventQueue events;
-  RecordingSink sink(c.jitter_s, c.sink_seed);
+  Receiver sink(c.jitter_s, c.sink_seed);
   std::vector<std::unique_ptr<Tap>> taps(c.hops.size() + 1);
   std::vector<std::unique_ptr<Link>> links(c.hops.size());
   taps.back() = std::make_unique<Tap>(&sink);

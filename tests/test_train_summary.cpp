@@ -16,8 +16,7 @@
 
 #include "cloud/cloud.h"
 #include "measure/packet_train.h"
-#include "packetsim/event_queue.h"
-#include "packetsim/path.h"
+#include "oracles/event_train.h"
 #include "packetsim/sink.h"
 #include "packetsim/train_recurrence.h"
 #include "packetsim/udp_train.h"
@@ -103,11 +102,10 @@ TEST(KeyedNormal, IsAStandardNormalAndAPureFunction) {
 TEST(RecordingSink, JitterIsKeyedByPacketNotArrivalOrder) {
   // The sink draws packet seq's jitter whether or not earlier packets came.
   RecordingSink all(50e-6, 9), sparse(50e-6, 9);
-  Packet p;
   for (std::uint64_t seq = 0; seq < 10; ++seq) {
-    p.seq = seq;
-    all.receive(p, 1.0 + static_cast<double>(seq));
-    if (seq % 3 == 0) sparse.receive(p, 1.0 + static_cast<double>(seq));
+    const RecordingSink::Record arrival{/*flow=*/0, seq, 0, 0, 1.0 + static_cast<double>(seq)};
+    all.receive(arrival);
+    if (seq % 3 == 0) sparse.receive(arrival);
   }
   for (const RecordingSink::Record& r : sparse.records()) {
     EXPECT_EQ(r.time, all.records()[r.seq].time) << r.seq;
@@ -262,7 +260,7 @@ TEST(OneInstantTie, SummarizeChainEqualsTheEventPath) {
   for (const double jitter : kJitters) {
     chain.timestamp_jitter_s = jitter;
     chain.sink_seed = 77;
-    RecordingSink sink(jitter, chain.sink_seed);
+    Receiver sink(jitter, chain.sink_seed);
     EventQueue events;
     Path path(events, chain.shaper, chain.hops, &sink);
     send_train(events, path.entry(), chain.params, /*flow_id=*/1, /*start_time=*/0.0);
