@@ -9,8 +9,10 @@
 //   2. Read scaling: with >= 8 hardware threads, 4 reader threads sustain
 //      >= 3x the placements/sec of 1 thread at 100 VMs (readers hold the
 //      snapshot mutex only to copy its pointer, and place outside it; the
-//      only shared write is that pointer's swap). Skipped on
-//      smaller hosts and in --smoke (CI runners shard cores).
+//      only shared write is that pointer's swap). On smaller hosts the
+//      largest swept reader count the host has threads for is gated at
+//      0.375x per reader (1.5x at 4 readers). Skipped on a one-thread host
+//      and in --smoke (CI runners shard cores).
 //   3. Batched quality: planning K queued applications jointly (the fig10a
 //      combine mechanism applied online) never degrades the joint makespan
 //      vs placing them one at a time, and stays within the fig09 band of the
@@ -314,7 +316,7 @@ int main(int argc, char** argv) {
 
   Table t({"VMs", "threads", "QPS", "p50 (us)", "p99 (us)", "swaps", "refreshes"});
   bool complete_ok = true, epoch_ok = true, hist_ok = true;
-  double qps_1t_100 = 0.0, qps_4t_100 = 0.0;
+  std::vector<double> qps_100;  // parallel to thread_counts: QPS at 100 VMs
 
   for (std::size_t n : fleet_sizes) {
     Rng rng(n * 1000 + 7);
@@ -325,9 +327,11 @@ int main(int argc, char** argv) {
       churn_views.push_back(synthetic_fleet(crng, n));
     }
     // Enough queries per thread for stable percentiles, fewer at the large
-    // fleets where each placement costs more.
+    // fleets where each placement costs more. The 100-VM points carry the
+    // read-scaling gate, so they run ~0.1 s per reader: at 300 queries
+    // (~3 ms) scheduler noise alone moved the 4-vs-1 ratio from 0.8x to 6x.
     const std::size_t queries =
-        smoke ? 20 : (n >= 500 ? 50 : (n >= 250 ? 100 : 300));
+        smoke ? 20 : (n >= 500 ? 50 : (n >= 250 ? 100 : 10000));
 
     for (std::size_t threads : thread_counts) {
       const QpsResult r = run_qps(base, churn_views, apps, threads, queries,
@@ -335,8 +339,7 @@ int main(int argc, char** argv) {
       complete_ok &= r.complete;
       epoch_ok &= r.epochs_valid;
       hist_ok &= r.hist_within_bucket;
-      if (n == 100 && threads == 1) qps_1t_100 = r.qps;
-      if (n == 100 && threads == 4) qps_4t_100 = r.qps;
+      if (n == 100) qps_100.push_back(r.qps);
       t.add_row({fmt(static_cast<double>(n), 0), fmt(static_cast<double>(threads), 0),
                  fmt(r.qps, 0), fmt(r.p50_us, 1), fmt(r.p99_us, 1),
                  fmt(static_cast<double>(r.publishes), 0),
@@ -364,14 +367,33 @@ int main(int argc, char** argv) {
         "obs histogram p50/p99 land within one log bucket of the exact "
         "sorted-sample quantiles at every (fleet, threads) point");
 
-  if (!smoke && std::thread::hardware_concurrency() >= 8) {
-    std::cout << "4-thread vs 1-thread QPS at 100 VMs: " << fmt(qps_4t_100 / qps_1t_100, 2)
-              << "x\n";
-    check(qps_4t_100 >= 3.0 * qps_1t_100,
-          "4 reader threads sustain >= 3x the single-thread placement rate at "
-          "100 VMs (snapshot reads lock only for a pointer copy)");
+  // Gate 4 readers at 3x on a host with >= 8 hardware threads; on a smaller
+  // host, the largest swept reader count it has threads for, at 0.375x per
+  // reader (as tbl_session_scale gates its threads).
+  const unsigned cores = std::thread::hardware_concurrency();
+  std::size_t gate_threads = 4;
+  double bound = 3.0;
+  if (cores < 8) {
+    gate_threads = 1;
+    for (std::size_t threads : thread_counts) {
+      if (threads <= cores) gate_threads = std::max(gate_threads, threads);
+    }
+    bound = 0.375 * static_cast<double>(gate_threads);
+  }
+  if (!smoke && gate_threads >= 2) {
+    const auto qps_at = [&](std::size_t threads) {
+      const auto it = std::find(thread_counts.begin(), thread_counts.end(), threads);
+      return qps_100[static_cast<std::size_t>(it - thread_counts.begin())];
+    };
+    const std::string readers = std::to_string(gate_threads);
+    std::cout << readers << "-thread vs 1-thread QPS at 100 VMs: "
+              << fmt(qps_at(gate_threads) / qps_at(1), 2) << "x\n";
+    check(qps_at(gate_threads) >= bound * qps_at(1),
+          readers + " reader threads sustain >= " + fmt(bound, 2) +
+              "x the single-thread placement rate at 100 VMs (snapshot reads lock "
+              "only for a pointer copy)");
   } else {
-    std::cout << "  [SKIP] read-scaling check needs >= 8 hardware threads and a "
+    std::cout << "  [SKIP] read-scaling check needs >= 2 hardware threads and a "
                  "full (non-smoke) run\n";
   }
 

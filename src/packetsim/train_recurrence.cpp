@@ -42,10 +42,10 @@ Scratch& scratch() {
   return s;
 }
 
-/// TokenBucket, replayed: emissions merged with the one pending wake-up, an
-/// emission first at a shared instant (it was scheduled earlier). Every
-/// refill the event path makes is made here, in the same order, with the
-/// same operands.
+/// The oracle's TokenBucket, replayed: emissions merged with the one
+/// pending wake-up, an emission first at a shared instant (it was scheduled
+/// earlier). Every refill the oracle makes is made here, in the same order,
+/// with the same operands.
 void shape(const ShaperSpec& spec, std::uint32_t wire, const std::vector<double>& emission,
            Stage& out) {
   constexpr double kByteTolerance = 1e-6;  // as the oracle's TokenBucket::pump
