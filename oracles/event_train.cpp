@@ -37,7 +37,6 @@ void Link::start_service(double now) {
     const double t = events_.now();
     queue_.pop_front();
     queued_bytes_ -= pkt.wire_bytes;
-    ++forwarded_;
     // Propagation: hand to the next element after the link delay.
     const Packet delivered = pkt;
     events_.schedule(t + delay_s_, {t, EventKey::kArrival, hop_ + 1, pkt.seq},

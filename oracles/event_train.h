@@ -50,8 +50,6 @@ class EventQueue {
   }
 
   double now() const { return now_; }
-  bool empty() const { return heap_.empty(); }
-  std::size_t pending() const { return heap_.size(); }
 
   /// Executes the next event; returns false when the queue is empty.
   bool step() {
@@ -147,8 +145,6 @@ class Link : public Element {
   void receive(const Packet& pkt, double now) override;
 
   std::uint64_t drops() const { return drops_; }
-  std::uint64_t forwarded() const { return forwarded_; }
-  double queued_bytes() const { return queued_bytes_; }
   double rate_bps() const { return rate_bps_; }
 
  private:
@@ -165,7 +161,6 @@ class Link : public Element {
   double queued_bytes_ = 0.0;
   bool busy_ = false;
   std::uint64_t drops_ = 0;
-  std::uint64_t forwarded_ = 0;
 };
 
 /// Token-bucket traffic shaper (ShaperSpec): tokens (bytes) refill at
@@ -178,9 +173,6 @@ class TokenBucket : public Element {
               double idle_reset_s = -1.0);
 
   void receive(const Packet& pkt, double now) override;
-
-  double tokens() const { return tokens_; }
-  double rate_bps() const { return rate_bps_; }
 
  private:
   void refill(double now);
@@ -216,8 +208,6 @@ class Path {
   /// The i-th hop's link (0-based).
   Link& hop(std::size_t i);
   std::size_t hop_count() const { return links_.size(); }
-
-  TokenBucket* shaper() { return shaper_.get(); }
 
  private:
   std::vector<std::unique_ptr<Link>> links_;  // stored last-to-first
