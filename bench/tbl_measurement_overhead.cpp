@@ -89,10 +89,11 @@ int main(int argc, char** argv) {
     const auto vms = c.allocate_vms(10);
     measure::MeasurementPlan plan = ec2_plan;
     plan.workers = 4;  // concurrent trains; results identical to sequential
-    const measure::MatrixResult res = measure::measure_rate_matrix(c, vms, plan, 1);
-    std::cout << "orchestrator: " << res.pairs_measured << " pairs in " << res.rounds
+    const measure::PairsResult res =
+        measure::measure_rate_pairs(c, vms, measure::all_ordered_pairs(vms.size()), plan, 1);
+    std::cout << "orchestrator: " << res.rate_bps.size() << " pairs in " << res.rounds
               << " rounds, modelled wall clock " << fmt(res.wall_time_s, 1) << " s\n";
-    check(res.pairs_measured == 90, "90 ordered pairs measured");
+    check(res.rate_bps.size() == 90, "90 ordered pairs measured");
     check(res.rounds == 9, "9 rounds (each VM sources one train per round)");
     check(std::abs(res.wall_time_s - ec2_wall) < 1e-6, "wall-clock model matches plan");
   }

@@ -1,5 +1,5 @@
 // Serving-plane QPS / tail latency: the epoch-swapped PlacementService under
-// concurrent readers with continuous background view churn, plus the batched
+// concurrent readers with paced background view churn, plus the batched
 // joint planner vs the one-at-a-time greedy.
 //
 // Claims enforced:
@@ -114,12 +114,15 @@ bool within_one_bucket(double hist_value, double exact_value) {
 }
 
 /// Runs `threads` reader threads for `queries_per_thread` placements each
-/// against one service, while (optionally) a churn thread republishes
-/// alternative views of the same fleet as fast as it can.
+/// against one service, while a churn thread republishes alternative views
+/// of the same fleet, one view per `queries_per_publish` queries answered
+/// across all readers. Pacing by answered queries gives every reader count
+/// the same swap rate per query, so the one-reader point measures reader
+/// cost rather than a publisher spinning beside it.
 QpsResult run_qps(const place::ClusterView& base,
                   const std::vector<place::ClusterView>& churn_views,
                   const std::vector<place::Application>& apps, std::size_t threads,
-                  std::size_t queries_per_thread, bool churn) {
+                  std::size_t queries_per_thread, std::size_t queries_per_publish) {
   serve::PlacementService service(base, place::RateModel::Hose);
   QpsResult res;
 
@@ -129,20 +132,21 @@ QpsResult run_qps(const place::ClusterView& base,
   obs::Registry registry(static_cast<std::uint32_t>(threads));
   const obs::Hist lat_hist = registry.histogram("serve.latency_us");
 
+  // Readers count answered queries and bump `due` at every
+  // queries_per_publish-th; the publisher sleeps until `due` moves past what
+  // it has published, then publishes one view per step it is behind.
   std::atomic<bool> stop{false};
-  std::thread publisher;
+  std::atomic<std::uint64_t> answered{0};
+  std::atomic<std::uint64_t> due{0};
   std::atomic<std::uint64_t> publishes{0};
-  if (churn) {
-    publisher = std::thread([&] {
-      std::size_t i = 0;
-      while (!stop.load(std::memory_order_relaxed)) {
-        service.publish_view(churn_views[i % churn_views.size()]);
-        publishes.fetch_add(1, std::memory_order_relaxed);
-        ++i;
-        std::this_thread::yield();
-      }
-    });
-  }
+  std::thread publisher([&] {
+    for (std::uint64_t i = 0;; ++i) {
+      due.wait(i);
+      if (stop.load()) break;
+      service.publish_view(churn_views[i % churn_views.size()]);
+      publishes.fetch_add(1, std::memory_order_relaxed);
+    }
+  });
 
   std::vector<std::vector<double>> lat_us(threads);
   std::vector<std::uint64_t> refreshes(threads, 0);
@@ -166,6 +170,10 @@ QpsResult run_qps(const place::ClusterView& base,
         lat_hist.observe(us, static_cast<std::uint32_t>(t));
         if (!r.placement.complete()) incomplete.fetch_add(1, std::memory_order_relaxed);
         if (r.epoch == 0) bad_epoch.fetch_add(1, std::memory_order_relaxed);
+        if ((answered.fetch_add(1) + 1) % queries_per_publish == 0) {
+          due.fetch_add(1);
+          due.notify_one();
+        }
       }
       refreshes[t] = scratch.refreshes();
     });
@@ -175,7 +183,9 @@ QpsResult run_qps(const place::ClusterView& base,
       std::chrono::duration<double>(std::chrono::steady_clock::now() - t0).count();
 
   stop.store(true);
-  if (publisher.joinable()) publisher.join();
+  due.fetch_add(1);
+  due.notify_one();
+  publisher.join();
 
   std::vector<double> all;
   for (const auto& v : lat_us) all.insert(all.end(), v.begin(), v.end());
@@ -330,12 +340,17 @@ int main(int argc, char** argv) {
     // fleets where each placement costs more. The 100-VM points carry the
     // read-scaling gate, so they run ~0.1 s per reader: at 300 queries
     // (~3 ms) scheduler noise alone moved the 4-vs-1 ratio from 0.8x to 6x.
+    // One view swap per 1/20 of a reader's queries: a lone reader is due 20
+    // swaps, and N readers 20N over N times the queries. At 250 and 500 VMs
+    // one publish outlasts many queries, so those rows get only the swaps
+    // the publisher completes before the readers finish.
     const std::size_t queries =
         smoke ? 20 : (n >= 500 ? 50 : (n >= 250 ? 100 : 10000));
+    const std::size_t queries_per_publish = std::max<std::size_t>(1, queries / 20);
 
     for (std::size_t threads : thread_counts) {
-      const QpsResult r = run_qps(base, churn_views, apps, threads, queries,
-                                  /*churn=*/true);
+      const QpsResult r =
+          run_qps(base, churn_views, apps, threads, queries, queries_per_publish);
       complete_ok &= r.complete;
       epoch_ok &= r.epochs_valid;
       hist_ok &= r.hist_within_bucket;

@@ -46,10 +46,15 @@ int main(int argc, char** argv) {
   plan.train.bursts = 10;
   plan.train.burst_length = profile.name == "rackspace" ? 2000 : 200;
   plan.workers = 4;  // one round's trains run concurrently (§4.1)
-  const measure::MatrixResult matrix = measure::measure_rate_matrix(cloud, vms, plan, 1);
-  std::cout << "pairwise TCP throughput estimates (Mbit/s), " << matrix.pairs_measured
-            << " pairs in " << matrix.rounds << " conflict-free rounds, "
-            << fmt(matrix.wall_time_s, 0) << " s wall clock:\n";
+  const std::vector<measure::ProbePair> pairs = measure::all_ordered_pairs(n_vms);
+  const measure::PairsResult probed = measure::measure_rate_pairs(cloud, vms, pairs, plan, 1);
+  DoubleMatrix rate_bps(n_vms, n_vms, 0.0);
+  for (std::size_t k = 0; k < pairs.size(); ++k) {
+    rate_bps(pairs[k].src, pairs[k].dst) = probed.rate_bps[k];
+  }
+  std::cout << "pairwise TCP throughput estimates (Mbit/s), " << pairs.size()
+            << " pairs in " << probed.rounds << " conflict-free rounds, "
+            << fmt(probed.wall_time_s, 0) << " s wall clock:\n";
   {
     std::vector<std::string> headers{"src\\dst"};
     for (std::size_t j = 0; j < n_vms; ++j) headers.push_back("vm" + std::to_string(j));
@@ -57,7 +62,7 @@ int main(int argc, char** argv) {
     for (std::size_t i = 0; i < n_vms; ++i) {
       std::vector<std::string> row{"vm" + std::to_string(i)};
       for (std::size_t j = 0; j < n_vms; ++j) {
-        row.push_back(i == j ? "-" : fmt(to_mbps(matrix.rate_bps(i, j)), 0));
+        row.push_back(i == j ? "-" : fmt(to_mbps(rate_bps(i, j)), 0));
       }
       t.add_row(row);
     }
@@ -112,15 +117,15 @@ int main(int argc, char** argv) {
     double worst = 1e30;
     for (std::size_t i = 0; i < n_vms; ++i) {
       for (std::size_t j = 0; j < n_vms; ++j) {
-        if (i != j && matrix.rate_bps(i, j) < worst) {
-          worst = matrix.rate_bps(i, j);
+        if (i != j && rate_bps(i, j) < worst) {
+          worst = rate_bps(i, j);
           worst_i = i;
           worst_j = j;
         }
       }
     }
     const auto series = measure::measure_cross_traffic(
-        cloud, vms[worst_i], vms[worst_j], /*path_rate=*/matrix.rate_bps(worst_i, worst_j),
+        cloud, vms[worst_i], vms[worst_j], /*path_rate=*/rate_bps(worst_i, worst_j),
         /*duration=*/5.0, /*interval=*/0.01, /*epoch=*/3);
     double c_mean = 0.0;
     for (double c : series) c_mean += c;

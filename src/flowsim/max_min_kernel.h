@@ -57,7 +57,6 @@ class MaxMinKernel {
   /// Changes a capacity and marks the resource's component dirty.
   void set_capacity(ResourceId id, double capacity_bps);
   double capacity(ResourceId id) const { return capacity_[id]; }
-  std::size_t resource_count() const { return capacity_.size(); }
 
   /// Registers a flow's (immutable) resource row; the flow starts inactive.
   /// Rows may legally be empty, contain duplicates, or reference any

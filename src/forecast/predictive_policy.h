@@ -114,7 +114,6 @@ class PredictivePolicy {
   /// last-value predictor before any scoring happened.
   std::size_t best_predictor(std::size_t src, std::size_t dst) const;
   const Predictor& predictor(std::size_t index) const { return *predictors_[index]; }
-  std::size_t predictor_count() const { return predictors_.size(); }
 
   /// Tracked relative error of the pair's best predictor; +infinity before
   /// any scored observation (maximally unpredictable).

@@ -1,6 +1,7 @@
 #include "lp/model.h"
 
 #include <cmath>
+#include <utility>
 
 namespace choreo::lp {
 
@@ -15,15 +16,13 @@ const char* to_string(SolveStatus s) {
   return "?";
 }
 
-std::size_t Model::add_variable(double obj, double lower, double upper, bool integer,
-                                std::string name) {
+std::size_t Model::add_variable(double obj, double lower, double upper, bool integer) {
   CHOREO_REQUIRE(lower <= upper);
   CHOREO_REQUIRE(lower >= 0.0);  // the solver assumes non-negative variables
   obj_.push_back(obj);
   lower_.push_back(lower);
   upper_.push_back(upper);
   integer_.push_back(integer);
-  names_.push_back(std::move(name));
   return obj_.size() - 1;
 }
 

@@ -3,7 +3,6 @@
 #include <cstddef>
 #include <limits>
 #include <string>
-#include <utility>
 #include <vector>
 
 #include "util/require.h"
@@ -38,12 +37,10 @@ class Model {
  public:
   /// Adds a variable with objective coefficient `obj`; returns its index.
   std::size_t add_variable(double obj, double lower = 0.0, double upper = kInf,
-                           bool integer = false, std::string name = {});
+                           bool integer = false);
 
   /// Convenience for 0/1 variables.
-  std::size_t add_binary(double obj, std::string name = {}) {
-    return add_variable(obj, 0.0, 1.0, true, std::move(name));
-  }
+  std::size_t add_binary(double obj) { return add_variable(obj, 0.0, 1.0, true); }
 
   void add_constraint(std::vector<Term> terms, Sense sense, double rhs,
                       std::string name = {});
@@ -53,13 +50,11 @@ class Model {
   bool maximize() const { return maximize_; }
 
   std::size_t variable_count() const { return obj_.size(); }
-  std::size_t constraint_count() const { return constraints_.size(); }
 
   double objective_coeff(std::size_t v) const { return obj_.at(v); }
   double lower(std::size_t v) const { return lower_.at(v); }
   double upper(std::size_t v) const { return upper_.at(v); }
   bool is_integer(std::size_t v) const { return integer_.at(v); }
-  const std::string& variable_name(std::size_t v) const { return names_.at(v); }
   const std::vector<Constraint>& constraints() const { return constraints_; }
 
   /// Objective value of an assignment (no feasibility check).
@@ -73,7 +68,6 @@ class Model {
   std::vector<double> lower_;
   std::vector<double> upper_;
   std::vector<bool> integer_;
-  std::vector<std::string> names_;
   std::vector<Constraint> constraints_;
   bool maximize_ = false;
 };

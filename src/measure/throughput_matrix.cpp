@@ -57,24 +57,6 @@ PairsResult measure_rate_pairs(cloud::Cloud& cloud, const std::vector<cloud::VmI
   return out;
 }
 
-MatrixResult measure_rate_matrix(cloud::Cloud& cloud, const std::vector<cloud::VmId>& vms,
-                                 const MeasurementPlan& plan, std::uint64_t epoch) {
-  const std::size_t n = vms.size();
-  CHOREO_REQUIRE(n >= 2);
-  const std::vector<ProbePair> pairs = all_ordered_pairs(n);
-  const PairsResult probed = measure_rate_pairs(cloud, vms, pairs, plan, epoch);
-
-  MatrixResult out;
-  out.rate_bps = DoubleMatrix(n, n, 0.0);
-  for (std::size_t k = 0; k < pairs.size(); ++k) {
-    out.rate_bps(pairs[k].src, pairs[k].dst) = probed.rate_bps[k];
-  }
-  out.pairs_measured = pairs.size();
-  out.rounds = probed.rounds;
-  out.wall_time_s = probed.wall_time_s;
-  return out;
-}
-
 RefreshResult refresh_cluster_view(cloud::Cloud& cloud,
                                    const std::vector<cloud::VmId>& vms,
                                    const MeasurementPlan& plan, std::uint64_t epoch,
@@ -97,6 +79,31 @@ RefreshResult refresh_cluster_view(cloud::Cloud& cloud,
   return out;
 }
 
+namespace {
+
+/// The tenant topology every view carries: CPU capacities from the instance
+/// type, traceroute hop counts, and co-location groups — VMs one hop apart
+/// share a host (§3.3.1), numbered in order of each group's first VM.
+void fill_topology(const cloud::Cloud& cloud, const std::vector<cloud::VmId>& vms,
+                   place::ClusterView& view) {
+  const std::size_t n = vms.size();
+  view.cores.assign(n, static_cast<double>(cloud.machine_cores()));
+  view.hops = DoubleMatrix(n, n, 0.0);
+  view.colocation_group.assign(n, -1);
+  int next_group = 0;
+  for (std::size_t i = 0; i < n; ++i) {
+    for (std::size_t j = 0; j < n; ++j) {
+      if (i != j) view.hops(i, j) = static_cast<double>(cloud.traceroute_hops(vms[i], vms[j]));
+    }
+    if (view.colocation_group[i] < 0) view.colocation_group[i] = next_group++;
+    for (std::size_t j = i + 1; j < n; ++j) {
+      if (view.hops(i, j) == 1.0) view.colocation_group[j] = view.colocation_group[i];
+    }
+  }
+}
+
+}  // namespace
+
 place::ClusterView cached_cluster_view(cloud::Cloud& cloud,
                                        const std::vector<cloud::VmId>& vms,
                                        const ViewCache& cache, std::uint64_t epoch) {
@@ -108,22 +115,7 @@ place::ClusterView cached_cluster_view(cloud::Cloud& cloud,
   view.cross_traffic = DoubleMatrix(n, n, 0.0);
   view.pair_epoch = cache.epochs();
   view.view_epoch = epoch;
-  view.cores.assign(n, static_cast<double>(cloud.machine_cores()));
-  view.hops = DoubleMatrix(n, n, 0.0);
-  view.colocation_group.assign(n, -1);
-  int next_group = 0;
-  for (std::size_t i = 0; i < n; ++i) {
-    if (view.colocation_group[i] < 0) view.colocation_group[i] = next_group++;
-    for (std::size_t j = 0; j < n; ++j) {
-      if (i == j) continue;
-      view.hops(i, j) = static_cast<double>(cloud.traceroute_hops(vms[i], vms[j]));
-    }
-    for (std::size_t j = i + 1; j < n; ++j) {
-      if (cloud.traceroute_hops(vms[i], vms[j]) == 1) {
-        view.colocation_group[j] = view.colocation_group[i];
-      }
-    }
-  }
+  fill_topology(cloud, vms, view);
   return view;
 }
 
@@ -145,28 +137,12 @@ place::ClusterView true_cluster_view(cloud::Cloud& cloud,
   view.rate_bps = DoubleMatrix(n, n, 0.0);
   for (std::size_t i = 0; i < n; ++i) {
     for (std::size_t j = 0; j < n; ++j) {
-      if (i == j) continue;
-      view.rate_bps(i, j) = cloud.true_path_rate_bps(vms[i], vms[j], epoch);
+      if (i != j) view.rate_bps(i, j) = cloud.true_path_rate_bps(vms[i], vms[j], epoch);
     }
   }
   view.cross_traffic = DoubleMatrix(n, n, 0.0);
   view.view_epoch = epoch;
-  view.cores.assign(n, static_cast<double>(cloud.machine_cores()));
-  view.hops = DoubleMatrix(n, n, 0.0);
-  view.colocation_group.assign(n, -1);
-  int next_group = 0;
-  for (std::size_t i = 0; i < n; ++i) {
-    if (view.colocation_group[i] < 0) view.colocation_group[i] = next_group++;
-    for (std::size_t j = 0; j < n; ++j) {
-      if (i == j) continue;
-      view.hops(i, j) = static_cast<double>(cloud.traceroute_hops(vms[i], vms[j]));
-    }
-    for (std::size_t j = i + 1; j < n; ++j) {
-      if (cloud.vm_host(vms[i]) == cloud.vm_host(vms[j])) {
-        view.colocation_group[j] = view.colocation_group[i];
-      }
-    }
-  }
+  fill_topology(cloud, vms, view);
   return view;
 }
 

@@ -35,18 +35,6 @@ struct MeasurementPlan {
 /// Modeled wall-clock of a measurement phase that needed `rounds` rounds.
 double measurement_wall_time_s(const MeasurementPlan& plan, std::size_t rounds);
 
-/// Output of one measurement phase over a fleet (§4.1).
-struct MatrixResult {
-  /// Estimated single-connection throughput per ordered VM pair (bits/s);
-  /// diagonal entries are zero.
-  DoubleMatrix rate_bps;
-  /// Wall-clock the measurement would take on the real cloud — the quantity
-  /// behind "less than three minutes for a ten-node topology".
-  double wall_time_s = 0.0;
-  std::size_t pairs_measured = 0;  ///< N * (N - 1) ordered pairs
-  std::size_t rounds = 0;          ///< conflict-free scheduling rounds
-};
-
 /// Output of probing an arbitrary pair subset (the incremental path).
 struct PairsResult {
   std::vector<double> rate_bps;  ///< parallel to the input pairs
@@ -54,20 +42,16 @@ struct PairsResult {
   std::size_t rounds = 0;
 };
 
-/// Probes exactly `pairs`: schedules them into conflict-free rounds, runs
-/// each round's trains concurrently against a per-round cross-traffic
-/// snapshot (round r uses epoch + r), and estimates throughput per pair.
-/// This is the primitive both the full matrix and incremental refreshes are
-/// built on.
+/// Probes exactly `pairs` with packet trains (§4.1): schedules them into
+/// conflict-free rounds, runs each round's trains concurrently against a
+/// per-round cross-traffic snapshot (round r uses epoch + r), and estimates
+/// throughput per pair. `epoch` selects the snapshots, so repeated
+/// measurements of the same epoch are reproducible. A full sweep probes
+/// all_ordered_pairs(vms.size()); incremental refreshes probe what a
+/// ViewCache plans.
 PairsResult measure_rate_pairs(cloud::Cloud& cloud, const std::vector<cloud::VmId>& vms,
                                const std::vector<ProbePair>& pairs,
                                const MeasurementPlan& plan, std::uint64_t epoch);
-
-/// Measures every ordered pair among `vms` with packet trains (§4.1).
-/// `epoch` selects the cloud's cross-traffic snapshot, making repeated
-/// measurements of the same epoch reproducible.
-MatrixResult measure_rate_matrix(cloud::Cloud& cloud, const std::vector<cloud::VmId>& vms,
-                                 const MeasurementPlan& plan, std::uint64_t epoch);
 
 /// Result of refreshing a ClusterView through a ViewCache.
 struct RefreshResult {
@@ -93,8 +77,8 @@ RefreshResult refresh_cluster_view(cloud::Cloud& cloud,
 
 /// The ClusterView `cache` stands for at `epoch`: its rates and per-pair
 /// epochs (never-measured pairs read zero), no cross traffic, plus the
-/// tenant topology — traceroute hop counts, co-location groups (hop count 1
-/// => same host, §3.3.1) and CPU capacities from the instance type.
+/// tenant topology — CPU capacities from the instance type, traceroute hop
+/// counts, and co-location groups (hop count 1 => same host, §3.3.1).
 /// Requires cache.vm_count() == vms.size().
 place::ClusterView cached_cluster_view(cloud::Cloud& cloud,
                                        const std::vector<cloud::VmId>& vms,
@@ -108,9 +92,11 @@ place::ClusterView measured_cluster_view(cloud::Cloud& cloud,
                                          const std::vector<cloud::VmId>& vms,
                                          const MeasurementPlan& plan, std::uint64_t epoch);
 
-/// Harness helper: the same view built from ground truth (noise-free rates,
-/// true co-location) — what an omniscient tenant would know. Used by tests
-/// and by benches that isolate placement quality from measurement error.
+/// Harness helper: the same view with ground-truth (noise-free) rates —
+/// what an omniscient tenant would know. Its topology is the measured
+/// views', and traceroute's hop count 1 is exactly a shared host, so its
+/// co-location groups are the true ones. Used by tests and by benches that
+/// isolate placement quality from measurement error.
 place::ClusterView true_cluster_view(cloud::Cloud& cloud,
                                      const std::vector<cloud::VmId>& vms,
                                      std::uint64_t epoch);

@@ -65,7 +65,6 @@ class SimTransport {
 
   SimTransport(std::size_t endpoints, TransportOptions options);
 
-  std::size_t endpoint_count() const { return queues_.size(); }
   const TransportOptions& options() const { return opts_; }
 
   /// Sends one message at `cycle`. Faults are drawn here; the message (and

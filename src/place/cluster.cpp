@@ -122,10 +122,6 @@ void ClusterState::release(const Application& app, const Placement& placement) {
 
 void ClusterState::update_view(ClusterView view) { engine_->update_view(std::move(view)); }
 
-void ClusterState::apply_rate_discount(const DoubleMatrix& factor) {
-  engine_->apply_rate_discount(factor);
-}
-
 ClusterState ClusterState::clone_unoccupied() const {
   return ClusterState(std::make_unique<PlacementEngine>(engine_->clone_unoccupied()));
 }

@@ -103,9 +103,11 @@ struct ClusterView {
 /// placement hook. forecast::PredictivePolicy derives the factors from a
 /// quantile of each pair's recent prediction error, so placers plan against
 /// pessimistic rates on pairs the forecast keeps getting wrong instead of
-/// trusting point estimates. Applying the discount to the view (rather than
-/// inside one placer) keeps every rate consumer — engine lookups, the
-/// exhaustive oracle, estimate_completion_s — consistent.
+/// trusting point estimates. The discounted view reaches a live state
+/// through ClusterState::update_view, so every rate consumer — the engine's
+/// cached rates, the exhaustive oracle, estimate_completion_s — reads the
+/// same discounted rates. Strong guarantee: every factor is checked before
+/// any rate is scaled, so a negative one throws with the view untouched.
 void apply_rate_discount(ClusterView& view, const DoubleMatrix& factor);
 
 /// Invokes fn(src_machine, dst_machine, bytes) for every traffic-matrix
@@ -166,10 +168,6 @@ class ClusterState {
   /// §2.4 measurement refresh an O(n^2) rebuild of the static bounds instead
   /// of a full replay of every running application.
   void update_view(ClusterView view);
-
-  /// Discounts the current view's pair rates in place (see the free
-  /// function above); residual occupancy is kept, rate indexes rebuilt.
-  void apply_rate_discount(const DoubleMatrix& factor);
 
   /// A state sharing the view and cached indexes but with zero occupancy —
   /// cheap scratch for hypothetical re-placement (§2.4).

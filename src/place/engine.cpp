@@ -7,7 +7,7 @@
 namespace choreo::place {
 
 PlacementEngine::PlacementEngine(ClusterView view)
-    : PlacementEngine(std::make_shared<const Static>(std::move(view), true)) {}
+    : PlacementEngine(std::make_shared<const Static>(std::move(view))) {}
 
 PlacementEngine::PlacementEngine(std::shared_ptr<const Static> statics)
     : static_(std::move(statics)),
@@ -15,8 +15,8 @@ PlacementEngine::PlacementEngine(std::shared_ptr<const Static> statics)
       on_path_(machine_count() * machine_count(), 0),
       out_of_(machine_count(), 0) {}
 
-PlacementEngine::Static::Static(ClusterView v, bool validate) : view(std::move(v)) {
-  if (validate) view.validate_shape();  // before anything is sized from it
+PlacementEngine::Static::Static(ClusterView v) : view(std::move(v)) {
+  view.validate_shape();  // before anything is sized from it
   const std::size_t M = view.machine_count();
   hose.resize(M);
   cross_out.resize(M);
@@ -56,7 +56,7 @@ PlacementEngine::Static::Static(ClusterView v, bool validate) : view(std::move(v
     cross_out[m] = c_out;
     peer_max[m] = row_max;
   }
-  if (validate) CHOREO_REQUIRE_MSG(rates_positive, "every off-diagonal rate must be positive");
+  CHOREO_REQUIRE_MSG(rates_positive, "every off-diagonal rate must be positive");
 }
 
 double PlacementEngine::rate_bps(std::size_t m, std::size_t n, RateModel model) const {
@@ -114,7 +114,7 @@ void PlacementEngine::update_view(ClusterView view) {
   CHOREO_REQUIRE_MSG(view.machine_count() == machine_count(),
                      "update_view needs the same fleet; rebuild the state otherwise");
   const bool regrouped = view.colocation_group != this->view().colocation_group;
-  static_ = std::make_shared<const Static>(std::move(view), true);
+  static_ = std::make_shared<const Static>(std::move(view));
   if (!regrouped) return;
   // Out-of-hose counts depend on the groups alone. Re-derived from the
   // integer per-path counts, they equal a replay of every running app.
@@ -125,16 +125,6 @@ void PlacementEngine::update_view(ClusterView view) {
       if (!this->view().colocated(m, n)) out_of_[m] += on_path_[m * M + n];
     }
   }
-}
-
-void PlacementEngine::apply_rate_discount(const DoubleMatrix& factor) {
-  CHOREO_ASSERT_MSG(txn_log_.empty(), "apply_rate_discount inside an open Txn");
-  // The discount lands on a copy, so a rejected factor leaves the engine as
-  // it was. Colocation, cores, and residual occupancy are untouched; only
-  // the rate-derived static indexes change (unvalidated: see the header).
-  ClusterView discounted = view();
-  place::apply_rate_discount(discounted, factor);
-  static_ = std::make_shared<const Static>(std::move(discounted), false);
 }
 
 PlacementEngine PlacementEngine::clone_unoccupied() const {

@@ -105,8 +105,8 @@ class PlacementEngine {
   }
   /// Row m of the upper bounds (machine_count() entries, indexed by
   /// destination), for scans that read many bounds without a per-entry
-  /// bounds check. Valid until this engine's next update_view /
-  /// apply_rate_discount (clones keep their own block alive).
+  /// bounds check. Valid until this engine's next update_view (clones keep
+  /// their own block alive).
   const double* upper_bound_row(std::size_t m) const {
     return static_->ub.data() + m * machine_count();
   }
@@ -129,18 +129,6 @@ class PlacementEngine {
   /// re-derives the out-of-hose counts, from the (integer) per-path counts:
   /// no replay of running applications is ever needed.
   void update_view(ClusterView view);
-
-  /// Uncertainty-aware placement hook (the forecast plane): scales the
-  /// view's pair rates entry-wise by `factor` (n x n; diagonal ignored) and
-  /// builds a new static block from the discounted view, keeping the
-  /// residual occupancy. Because the discount lands in the view itself,
-  /// every rate consumer — the engine's cached lookups, the exhaustive
-  /// oracle, and the completion-time objective — sees the same discounted
-  /// rates, so the engine/oracle bit-identity is preserved under any
-  /// discount. Strong guarantee: every factor is checked before anything
-  /// changes, so a negative one throws with the engine untouched. A zero
-  /// factor is legal (the view is not re-validated): that pair's bound is 0.
-  void apply_rate_discount(const DoubleMatrix& factor);
 
   /// Copy sharing the view and static indexes, with zero occupancy.
   PlacementEngine clone_unoccupied() const;
@@ -217,8 +205,8 @@ class PlacementEngine {
   void apply(const Application& app, const Placement& placement, int sign);
 
   /// The view and every index that is a function of it alone, built in one
-  /// sweep over the view's rows and never mutated: clones share it, and a
-  /// view change replaces it.
+  /// validating sweep over the view's rows and never mutated: clones share
+  /// it, and a view change replaces it.
   struct Static {
     ClusterView view;
     std::vector<double> hose;
@@ -226,8 +214,8 @@ class PlacementEngine {
     std::vector<double> ub;        // machine_count^2, row-major by source
     std::vector<double> peer_max;  // per row: max of ub(m, n) over n != m
 
-    /// With `validate`, throws where ClusterView::validate() would.
-    Static(ClusterView view, bool validate);
+    /// Throws where ClusterView::validate() would.
+    explicit Static(ClusterView view);
   };
 
   /// An unoccupied engine over an already built static block.

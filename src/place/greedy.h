@@ -22,10 +22,10 @@ namespace choreo::place {
 /// in oracles/), pinned by test_engine_differential.
 ///
 /// Under the forecast plane the view's rates may already carry an
-/// uncertainty discount (place::apply_rate_discount /
-/// PlacementEngine::apply_rate_discount): pairs whose recent prediction
-/// error is high are derated by a configurable error quantile, so this
-/// search compares candidates by pessimistic rather than point-estimate rates.
+/// uncertainty discount (place::apply_rate_discount): pairs whose recent
+/// prediction error is high are derated by a configurable error quantile, so
+/// this search compares candidates by pessimistic rather than point-estimate
+/// rates.
 /// The discount lives in the view, so the engine scan and the exhaustive
 /// oracle stay bit-identical under any discount.
 class GreedyPlacer : public Placer {

@@ -21,11 +21,11 @@ Placement IlpPlacer::place(const Application& app, const ClusterState& state) {
   std::vector<std::vector<std::size_t>> X(J, std::vector<std::size_t>(M));
   for (std::size_t i = 0; i < J; ++i) {
     for (std::size_t m = 0; m < M; ++m) {
-      X[i][m] = model.add_binary(0.0, "x_" + std::to_string(i) + "_" + std::to_string(m));
+      X[i][m] = model.add_binary(0.0);
     }
   }
   // z: the makespan (seconds).
-  const std::size_t Z = model.add_variable(1.0, 0.0, lp::kInf, false, "z");
+  const std::size_t Z = model.add_variable(1.0);
 
   // Pairs with traffic in either direction get linking variables.
   struct Pair {
@@ -162,8 +162,6 @@ Placement IlpPlacer::place(const Application& app, const ClusterState& state) {
   }
 
   const lp::Solution sol = lp::solve_ilp(model, opts);
-  last_nodes_ = sol.iterations;
-  last_status_ = sol.status;
   if (sol.status != lp::SolveStatus::Optimal || sol.values.empty()) {
     // Budget exhausted without a proven optimum: fall back to greedy, which
     // is exactly the paper's posture ("solving ILPs can be slow in

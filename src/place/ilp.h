@@ -31,15 +31,9 @@ class IlpPlacer : public Placer {
 
   Placement place(const Application& app, const ClusterState& state) override;
 
-  /// Statistics of the last solve (for the §5 "ILPs can be slow" benches).
-  std::size_t last_nodes() const { return last_nodes_; }
-  lp::SolveStatus last_status() const { return last_status_; }
-
  private:
   RateModel model_;
   lp::IlpOptions options_;
-  std::size_t last_nodes_ = 0;
-  lp::SolveStatus last_status_ = lp::SolveStatus::Infeasible;
 };
 
 /// Exhaustive optimal placement by enumeration — exact for the small

@@ -2,8 +2,6 @@
 
 #include <algorithm>
 
-#include "place/engine.h"
-
 namespace choreo::place {
 
 double hose_cross_out(const ClusterView& view, std::size_t m) {
@@ -42,11 +40,6 @@ double transfer_rate_bps(const ClusterView& view, std::size_t m, std::size_t n,
   }
   CHOREO_ASSERT(false);
   return 0.0;
-}
-
-double transfer_rate_bps(const ClusterState& state, std::size_t m, std::size_t n,
-                         RateModel model) {
-  return state.engine().rate_bps(m, n, model);
 }
 
 double estimate_completion_s(const Application& app, const Placement& placement,

@@ -10,8 +10,9 @@ namespace choreo::place {
 inline constexpr double kIntraMachineRate = 1e15;
 
 /// The one residual-rate code path (Algorithm 1 line 13). Every consumer —
-/// `transfer_rate_bps`, the PlacementEngine's O(1) cached variant that the
-/// greedy search runs on, and the completion-time objective — goes through
+/// the uncached `transfer_rate_bps` the exhaustive oracle runs on, the
+/// PlacementEngine's O(1) cached `rate_bps` the greedy search runs on, and
+/// the completion-time objective — goes through
 /// these three primitives, so the search and the objective cannot drift
 /// apart silently. Keep the arithmetic expression of each primitive exactly
 /// as written: placements are pinned bit-for-bit against an exhaustive-scan
@@ -50,9 +51,10 @@ inline double hose_rate_bps(double rate_bps, double hose_bps, double cross_out,
 double hose_cross_out(const ClusterView& view, std::size_t m);
 
 /// Rate a *new* transfer from machine m to machine n would see, given
-/// everything already placed in `state` plus `extra_own` transfers the
-/// current algorithm has tentatively routed the same way (Algorithm 1,
-/// line 13):
+/// `placed_on_path` transfers already on m->n and `placed_out_of_src`
+/// already leaving m for non-colocated machines (Algorithm 1, line 13). The
+/// uncached form of PlacementEngine::rate_bps, which the exhaustive oracle
+/// runs on:
 ///
 ///   * m == n: intra-machine, effectively infinite;
 ///   * colocated pair: the vswitch path, shared with transfers on it;
@@ -62,11 +64,6 @@ double hose_cross_out(const ClusterView& view, std::size_t m);
 ///     and all transfers placed out of m.
 double transfer_rate_bps(const ClusterView& view, std::size_t m, std::size_t n,
                          RateModel model, double placed_on_path, double placed_out_of_src);
-
-/// Convenience overload reading the placed-transfer counts from `state`
-/// (O(1): delegates to the state's PlacementEngine indexes).
-double transfer_rate_bps(const ClusterState& state, std::size_t m, std::size_t n,
-                         RateModel model);
 
 /// Analytic completion time (seconds) of `app` under `placement` — the
 /// objective the Appendix formulates: the longest drain time over all

@@ -21,13 +21,11 @@ constexpr double to_mbps(double bits_per_sec) { return bits_per_sec / kMega; }
 
 /// Bytes from kibi/mebi/gibi sizes (we use powers of ten, matching the paper's
 /// Mbit/s figures and netperf's conventions).
-constexpr double kilobytes(double v) { return v * 1e3; }
 constexpr double megabytes(double v) { return v * 1e6; }
 constexpr double gigabytes(double v) { return v * 1e9; }
 
 /// Seconds from milli/microseconds.
 constexpr double millis(double v) { return v * 1e-3; }
-constexpr double micros(double v) { return v * 1e-6; }
 constexpr double minutes(double v) { return v * 60.0; }
 
 /// Time to transmit `bytes` at `rate_bps` (seconds).

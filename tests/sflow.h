@@ -11,9 +11,10 @@ namespace choreo::core {
 /// §2.1: "Choreo uses a network monitoring tool such as sFlow or tcpdump to
 /// gather application communication patterns." sFlow does not see every
 /// packet — it samples 1 in N and the collector scales the counts back up.
-/// This module emulates that pipeline: given the true task-to-task transfer
-/// volumes of a (test or production) run, it produces the sampled,
-/// scaled-back flow records a collector would hand to the Profiler.
+/// This test-support module emulates that pipeline: given the true
+/// task-to-task transfer volumes of a run, it produces the sampled,
+/// scaled-back flow records a collector would hand to the Profiler. Only
+/// test_sflow and test_integration_loop link it (choreo_test_sflow).
 struct SflowConfig {
   /// Packet sampling rate: one sampled packet per `sampling_rate` packets
   /// (sFlow deployments commonly use 1:1024 to 1:8192 on ToR switches).

@@ -92,18 +92,18 @@ TEST(Determinism, ParallelProbingMatchesSequentialBitForBit) {
     plan.train.bursts = 5;
     plan.train.burst_length = 100;
     plan.workers = workers;
-    return measure::measure_rate_matrix(c, vms, plan, /*epoch=*/3);
+    return measure::measure_rate_pairs(c, vms, measure::all_ordered_pairs(vms.size()), plan,
+                                       /*epoch=*/3);
   };
-  const measure::MatrixResult seq = measure_with_workers(1);
-  const measure::MatrixResult par = measure_with_workers(4);
-  ASSERT_EQ(seq.rate_bps.rows(), par.rate_bps.rows());
+  const measure::PairsResult seq = measure_with_workers(1);
+  const measure::PairsResult par = measure_with_workers(4);
+  ASSERT_EQ(seq.rate_bps.size(), 8u * 7u);
   EXPECT_TRUE(seq.rate_bps == par.rate_bps);  // exact, not approximate
   EXPECT_EQ(seq.rounds, par.rounds);
-  EXPECT_EQ(seq.pairs_measured, par.pairs_measured);
   EXPECT_DOUBLE_EQ(seq.wall_time_s, par.wall_time_s);
 
   // And again, to pin that the parallel path itself is run-to-run stable.
-  const measure::MatrixResult par2 = measure_with_workers(4);
+  const measure::PairsResult par2 = measure_with_workers(4);
   EXPECT_TRUE(par.rate_bps == par2.rate_bps);
 }
 

@@ -431,7 +431,9 @@ TEST_P(EngineDifferential, CloneEqualsOriginalAndIsIsolated) {
   original.update_view(refreshed);
   DoubleMatrix factor(machines, machines, 1.0);
   for (std::size_t m = 0; m < machines; ++m) factor(m, (m + 1) % machines) = 0.5;
-  original.apply_rate_discount(factor);
+  ClusterView discounted = original.view();
+  apply_rate_discount(discounted, factor);
+  original.update_view(discounted);
   const Application later = corpus_app(rng, machines);
   try {
     original.commit(later, greedy.place(later, original));
@@ -443,15 +445,13 @@ TEST_P(EngineDifferential, CloneEqualsOriginalAndIsIsolated) {
   }
 }
 
-// A rate discount with one bad factor must throw before touching anything:
-// the view and the bounds keep their values, and so does
-// the free function's view.
+// A rate discount with one bad factor must throw before scaling any rate:
+// the view keeps every value, so a rejected discount has nothing to hand to
+// an engine's update_view.
 TEST_P(EngineDifferential, RejectedRateDiscountLeavesEngineUntouched) {
   Rng rng(GetParam() + 9000);
   const std::size_t machines = static_cast<std::size_t>(rng.uniform_int(3, 14));
-  ClusterState state(corpus_cluster(rng, machines));
-  const ClusterView view_before = state.view();
-  const StaticIndexes statics_before = static_indexes(state.engine());
+  const ClusterView view_before = corpus_cluster(rng, machines);
 
   // Valid discounts everywhere except one late entry, so a scan that scales
   // as it checks would already have changed most rates when it throws.
@@ -460,10 +460,6 @@ TEST_P(EngineDifferential, RejectedRateDiscountLeavesEngineUntouched) {
     for (std::size_t n = 0; n < machines; ++n) factor(m, n) = rng.uniform(0.3, 1.0);
   }
   factor(machines - 1, machines - 2) = -0.5;
-
-  EXPECT_THROW(state.apply_rate_discount(factor), PreconditionError);
-  expect_same_view(state.view(), view_before);
-  expect_same_statics(static_indexes(state.engine()), statics_before);
 
   ClusterView view = view_before;
   EXPECT_THROW(apply_rate_discount(view, factor), PreconditionError);
@@ -600,7 +596,9 @@ TEST_P(EngineDifferential, UpdateViewEqualsFreshBuild) {
           if (rng.chance(0.1)) factor(m, n) = rng.uniform(0.5, 1.0);
         }
       }
-      state.apply_rate_discount(factor);
+      ClusterView discounted = state.view();
+      apply_rate_discount(discounted, factor);
+      state.update_view(std::move(discounted));
     } else {
       state.update_view(changed_view(state.view(), steps[step], rng));
     }
@@ -690,36 +688,10 @@ TEST_P(EngineDifferential, FusedStaticsEqualUncachedHelpersOnDegenerateViews) {
   EXPECT_EQ(lone.peer_bound_max(0), -std::numeric_limits<double>::infinity());
 }
 
-// apply_rate_discount never validated the discounted view, and a zero
-// factor is legal: a pair discounted to rate 0 must still build a static
-// block, with bound 0 on that pair and every index equal to the helpers'.
-TEST_P(EngineDifferential, ZeroDiscountBuildsZeroBound) {
-  Rng rng(GetParam() + 12000);
-  const std::size_t machines = static_cast<std::size_t>(rng.uniform_int(3, 14));
-  ClusterState state(corpus_cluster(rng, machines));
-  const std::size_t m = static_cast<std::size_t>(
-      rng.uniform_int(0, static_cast<std::int64_t>(machines) - 1));
-  const std::size_t n = (m + 1) % machines;
-  DoubleMatrix factor(machines, machines, 1.0);
-  factor(m, n) = 0.0;
-  if (rng.chance(0.5)) {
-    for (std::size_t k = 0; k < machines; ++k) factor(m, k) = 0.0;
-  }
-
-  ASSERT_NO_THROW(state.apply_rate_discount(factor));
-  EXPECT_EQ(state.view().rate_bps(m, n), 0.0);
-  EXPECT_EQ(state.engine().upper_bound_bps(m, n), 0.0);
-  expect_same_statics(static_indexes(state.engine()), uncached_statics(state.view()));
-  for (const RateModel model : {RateModel::Hose, RateModel::Pipe}) {
-    EXPECT_EQ(state.engine().rate_bps(m, n, model),
-              transfer_rate_bps(state.view(), m, n, model, 0.0, 0.0));
-  }
-}
-
-// The rate check rides the static sweep, but it still guards the two paths
-// that validated before: the constructor and update_view. One zero
-// off-diagonal rate throws, and update_view leaves the engine's view,
-// static indexes and residuals as they were.
+// The rate check rides the static sweep and guards both ways a view reaches
+// an engine: the constructor and update_view. One zero off-diagonal rate
+// throws, and update_view leaves the engine's view, static indexes and
+// residuals as they were.
 TEST_P(EngineDifferential, ZeroRateRejectedWithEngineUntouched) {
   Rng rng(GetParam() + 13000);
   const std::size_t machines = static_cast<std::size_t>(rng.uniform_int(3, 14));

@@ -397,12 +397,12 @@ TEST(PredictivePolicy, AppliesForecastsAndDiscountsToView) {
   EXPECT_DOUBLE_EQ(view.rate_bps(0, 1), forecast / (1.0 + q));
 }
 
-// The uncertainty-aware placement hook has two equivalent entry points:
-// discounting the ClusterView before a state is built (what
-// PredictivePolicy::apply_to_view does) and discounting a live state in
-// place (PlacementEngine::apply_rate_discount via ClusterState) — the
-// latter must keep the committed occupancy, rebuild the rate indexes, and
-// preserve the engine/exhaustive-oracle bit-identity under the discount.
+// The uncertainty-aware placement hook discounts the ClusterView
+// (place::apply_rate_discount, what PredictivePolicy::apply_to_view does),
+// and a live state takes the discounted view through update_view. The
+// committed state must keep its occupancy, rebuild the rate indexes, match
+// a state built on the discounted view, and preserve the engine/exhaustive-
+// oracle bit-identity under the discount.
 TEST(RateDiscountHook, EngineDiscountMatchesViewDiscountAndKeepsOracleIdentity) {
   const std::size_t n = 4;
   place::ClusterView view;
@@ -429,18 +429,20 @@ TEST(RateDiscountHook, EngineDiscountMatchesViewDiscountAndKeepsOracleIdentity) 
   const place::Application first = workload::generate_app(rng, gen);
   const place::Application second = workload::generate_app(rng, gen);
 
-  // Path A: discount the view first, then build the state and commit.
-  place::ClusterView pre = view;
-  place::apply_rate_discount(pre, factor);
-  place::ClusterState state_a(std::move(pre));
+  place::ClusterView discounted = view;
+  place::apply_rate_discount(discounted, factor);
 
-  // Path B: build on the undiscounted view, commit, then discount in place.
+  // Path A: build the state on the discounted view, then commit.
+  place::ClusterState state_a(discounted);
+
+  // Path B: build on the undiscounted view, commit, then update_view with
+  // the discounted view.
   place::ClusterState state_b(view);
   place::GreedyPlacer greedy(place::RateModel::Hose);
   const place::Placement p_first = greedy.place(first, state_b);
   state_b.commit(first, p_first);
   state_a.commit(first, p_first);
-  state_b.apply_rate_discount(factor);
+  state_b.update_view(discounted);
 
   // Same rates, same residual occupancy.
   EXPECT_TRUE(state_a.view().rate_bps == state_b.view().rate_bps);

@@ -7,7 +7,7 @@
 #include <gtest/gtest.h>
 
 #include "core/choreo.h"
-#include "core/sflow.h"
+#include "sflow.h"
 #include "place/baselines.h"
 #include "place/rate_model.h"
 #include "util/stats.h"

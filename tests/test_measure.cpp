@@ -1,5 +1,7 @@
 #include <gtest/gtest.h>
 
+#include <algorithm>
+
 #include "cloud/cloud.h"
 #include "measure/bottleneck.h"
 #include "measure/calibration.h"
@@ -135,18 +137,12 @@ TEST(MatrixMeasurement, CoversAllPairsWithinMinutes) {
   MeasurementPlan plan;
   plan.train.bursts = 10;
   plan.train.burst_length = 200;
-  const MatrixResult result = measure_rate_matrix(c, vms, plan, 1);
-  EXPECT_EQ(result.pairs_measured, 20u);
+  const std::vector<ProbePair> pairs = all_ordered_pairs(vms.size());
+  const PairsResult result = measure_rate_pairs(c, vms, pairs, plan, 1);
+  ASSERT_EQ(result.rate_bps.size(), 20u);
   EXPECT_EQ(result.rounds, 4u);
-  for (std::size_t i = 0; i < 5; ++i) {
-    for (std::size_t j = 0; j < 5; ++j) {
-      if (i == j) {
-        EXPECT_DOUBLE_EQ(result.rate_bps(i, j), 0.0);
-      } else {
-        EXPECT_GT(result.rate_bps(i, j), mbps(100));
-      }
-    }
-  }
+  EXPECT_DOUBLE_EQ(result.wall_time_s, measurement_wall_time_s(plan, 4));
+  for (double r : result.rate_bps) EXPECT_GT(r, mbps(100));
 }
 
 TEST(MatrixMeasurement, TenVmSnapshotUnderThreeMinutes) {
@@ -185,14 +181,13 @@ TEST(MatrixMeasurement, TrainEstimatesNearTruth) {
   MeasurementPlan plan;
   plan.train.bursts = 10;
   plan.train.burst_length = 200;
-  const MatrixResult result = measure_rate_matrix(c, vms, plan, 1);
+  const std::vector<ProbePair> pairs = all_ordered_pairs(vms.size());
+  const PairsResult result = measure_rate_pairs(c, vms, pairs, plan, 1);
   std::vector<double> errors;
-  for (std::size_t i = 0; i < vms.size(); ++i) {
-    for (std::size_t j = 0; j < vms.size(); ++j) {
-      if (i == j || c.vm_host(vms[i]) == c.vm_host(vms[j])) continue;
-      const double truth = c.true_path_rate_bps(vms[i], vms[j], 1);
-      errors.push_back(relative_error(result.rate_bps(i, j), truth));
-    }
+  for (std::size_t k = 0; k < pairs.size(); ++k) {
+    const cloud::VmId src = vms[pairs[k].src], dst = vms[pairs[k].dst];
+    if (c.vm_host(src) == c.vm_host(dst)) continue;
+    errors.push_back(relative_error(result.rate_bps[k], c.true_path_rate_bps(src, dst, 1)));
   }
   ASSERT_FALSE(errors.empty());
   EXPECT_LT(mean(errors), 0.20);  // §4.1 reports ~9% on EC2
@@ -201,13 +196,15 @@ TEST(MatrixMeasurement, TrainEstimatesNearTruth) {
 TEST(ClusterViews, MeasuredAndTrueAgreeOnColocation) {
   cloud::ProviderProfile profile = cloud::ec2_2013();
   profile.colocate_prob = 0.6;  // force some same-host pairs
-  cloud::Cloud c(profile, 29);
+  cloud::Cloud c(profile, 2);
   const auto vms = c.allocate_vms(6);
   MeasurementPlan plan;
   plan.train.bursts = 5;
   plan.train.burst_length = 100;
   const place::ClusterView measured = measured_cluster_view(c, vms, plan, 1);
   const place::ClusterView truth = true_cluster_view(c, vms, 1);
+  ASSERT_LT(*std::max_element(truth.colocation_group.begin(), truth.colocation_group.end()),
+            5);  // at least one same-host pair among the six VMs
   for (std::size_t i = 0; i < vms.size(); ++i) {
     for (std::size_t j = 0; j < vms.size(); ++j) {
       EXPECT_EQ(measured.colocated(i, j), truth.colocated(i, j));
@@ -215,6 +212,39 @@ TEST(ClusterViews, MeasuredAndTrueAgreeOnColocation) {
   }
   measured.validate();
   truth.validate();
+}
+
+// The measured and the ground-truth views build their topology in one
+// place: cores, traceroute hops and co-location groups agree exactly, and
+// the groups are the true hosts — also on Rackspace, whose traceroute hides
+// the switch tiers and reads every cross-host pair as 4 hops.
+TEST(ClusterViews, CachedAndTrueViewsShareTopology) {
+  for (cloud::ProviderProfile profile : {cloud::ec2_2013(), cloud::rackspace()}) {
+    SCOPED_TRACE(profile.name);
+    profile.colocate_prob = 0.6;  // force some same-host pairs
+    cloud::Cloud c(profile, 2);
+    const auto vms = c.allocate_vms(6);
+    std::size_t shared_host = 0, cross_host = 0;
+    for (std::size_t i = 0; i < vms.size(); ++i) {
+      for (std::size_t j = i + 1; j < vms.size(); ++j) {
+        ++(c.vm_host(vms[i]) == c.vm_host(vms[j]) ? shared_host : cross_host);
+      }
+    }
+    ASSERT_GT(shared_host, 0u);
+    ASSERT_GT(cross_host, 0u);
+
+    const ViewCache cache(vms.size());
+    const place::ClusterView cached = cached_cluster_view(c, vms, cache, 1);
+    const place::ClusterView truth = true_cluster_view(c, vms, 1);
+    EXPECT_EQ(cached.cores, truth.cores);
+    EXPECT_TRUE(cached.hops == truth.hops);
+    EXPECT_EQ(cached.colocation_group, truth.colocation_group);
+    for (std::size_t i = 0; i < vms.size(); ++i) {
+      for (std::size_t j = 0; j < vms.size(); ++j) {
+        EXPECT_EQ(truth.colocated(i, j), c.vm_host(vms[i]) == c.vm_host(vms[j]));
+      }
+    }
+  }
 }
 
 TEST(InterferenceRules, SourceHose) {

@@ -1,6 +1,7 @@
 #include <gtest/gtest.h>
 
 #include "place/baselines.h"
+#include "place/engine.h"
 #include "place/greedy.h"
 #include "place/ilp.h"
 #include "place/rate_model.h"
@@ -91,7 +92,7 @@ TEST(ClusterState, IntraMachinePlacementUsesNoNetwork) {
 
 TEST(RateModelFn, IntraMachineIsInfinite) {
   ClusterState state(uniform_view(2));
-  EXPECT_DOUBLE_EQ(transfer_rate_bps(state, 0, 0, RateModel::Pipe), kIntraMachineRate);
+  EXPECT_DOUBLE_EQ(state.engine().rate_bps(0, 0, RateModel::Pipe), kIntraMachineRate);
 }
 
 TEST(RateModelFn, PipeDividesByPathLoad) {

@@ -1,4 +1,4 @@
-#include "core/sflow.h"
+#include "sflow.h"
 
 #include <gtest/gtest.h>
 
