@@ -53,7 +53,6 @@ SeriesResult run_experiment(bool cloud_topology, std::size_t pairs, std::uint64_
   fg.src = senders[0];
   fg.dst = receivers[0];
   fg.bytes = flowsim::kInfiniteBytes;
-  fg.label = "foreground";
   const flowsim::FlowId probe = sim.add_flow(fg);
 
   std::vector<flowsim::FlowId> background;

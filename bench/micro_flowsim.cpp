@@ -13,8 +13,9 @@
 //   3. Event throughput under probe-train-shaped churn: many short flows
 //      arriving and finishing (the shape cloud-layer packet trains and §6
 //      transfer batches produce) must run no slower — in practice much
-//      faster — than KernelMode::Reference, with auto-retire keeping memory
-//      proportional to the live flow set.
+//      faster — than KernelMode::Reference, with the incremental Sim's
+//      retirement of finished flows keeping memory proportional to the live
+//      flow set.
 //
 // `--smoke` runs a reduced sweep for CI; `--json[=PATH]` emits the metrics
 // as a BenchJson document (gated by bench/check_bench_json.py in CI).
@@ -241,7 +242,6 @@ int main(int argc, char** argv) {
       flowsim::Sim sim(router, 400e9,
                        incremental ? flowsim::KernelMode::Incremental
                                    : flowsim::KernelMode::Reference);
-      sim.set_auto_retire(incremental);  // reference predates retirement
       Rng crng(99);
       for (std::size_t i = 0; i < n_churn; ++i) {
         flowsim::FlowSpec spec;

@@ -11,8 +11,9 @@
 //      snapshot mutex only to copy its pointer, and place outside it; the
 //      only shared write is that pointer's swap). On smaller hosts the
 //      largest swept reader count the host has threads for is gated at
-//      0.375x per reader (1.5x at 4 readers). Skipped on a one-thread host
-//      and in --smoke (CI runners shard cores).
+//      0.375x per reader (1.5x at 4 readers). Each 100-VM point is the
+//      median-QPS run of five. Skipped on a one-thread host and in --smoke
+//      (CI runners shard cores).
 //   3. Batched quality: planning K queued applications jointly (the fig10a
 //      combine mechanism applied online) never degrades the joint makespan
 //      vs placing them one at a time, and stays within the fig09 band of the
@@ -324,9 +325,14 @@ int main(int argc, char** argv) {
 
   const std::vector<place::Application> apps = query_apps(42, 64, 6, 10);
 
+  // The 100-VM points carry the read-scaling gate. Each runs kGateRepeats
+  // times and reports its median-QPS run: a single ~0.1 s point let one
+  // descheduled reader on a small shared host decide the ratio.
+  constexpr std::size_t kGateRepeats = 5;
+
   Table t({"VMs", "threads", "QPS", "p50 (us)", "p99 (us)", "swaps", "refreshes"});
   bool complete_ok = true, epoch_ok = true, hist_ok = true;
-  std::vector<double> qps_100;  // parallel to thread_counts: QPS at 100 VMs
+  std::vector<double> qps_100;  // parallel to thread_counts: median QPS at 100 VMs
 
   for (std::size_t n : fleet_sizes) {
     Rng rng(n * 1000 + 7);
@@ -348,12 +354,19 @@ int main(int argc, char** argv) {
         smoke ? 20 : (n >= 500 ? 50 : (n >= 250 ? 100 : 10000));
     const std::size_t queries_per_publish = std::max<std::size_t>(1, queries / 20);
 
+    const std::size_t repeats = (!smoke && n == 100) ? kGateRepeats : 1;
     for (std::size_t threads : thread_counts) {
-      const QpsResult r =
-          run_qps(base, churn_views, apps, threads, queries, queries_per_publish);
-      complete_ok &= r.complete;
-      epoch_ok &= r.epochs_valid;
-      hist_ok &= r.hist_within_bucket;
+      std::vector<QpsResult> runs;
+      for (std::size_t k = 0; k < repeats; ++k) {
+        runs.push_back(
+            run_qps(base, churn_views, apps, threads, queries, queries_per_publish));
+        complete_ok &= runs.back().complete;
+        epoch_ok &= runs.back().epochs_valid;
+        hist_ok &= runs.back().hist_within_bucket;
+      }
+      std::sort(runs.begin(), runs.end(),
+                [](const QpsResult& a, const QpsResult& b) { return a.qps < b.qps; });
+      const QpsResult& r = runs[runs.size() / 2];
       if (n == 100) qps_100.push_back(r.qps);
       t.add_row({fmt(static_cast<double>(n), 0), fmt(static_cast<double>(threads), 0),
                  fmt(r.qps, 0), fmt(r.p50_us, 1), fmt(r.p99_us, 1),
@@ -401,7 +414,7 @@ int main(int argc, char** argv) {
       return qps_100[static_cast<std::size_t>(it - thread_counts.begin())];
     };
     const std::string readers = std::to_string(gate_threads);
-    std::cout << readers << "-thread vs 1-thread QPS at 100 VMs: "
+    std::cout << readers << "-thread vs 1-thread median QPS at 100 VMs: "
               << fmt(qps_at(gate_threads) / qps_at(1), 2) << "x\n";
     check(qps_at(gate_threads) >= bound * qps_at(1),
           readers + " reader threads sustain >= " + fmt(bound, 2) +

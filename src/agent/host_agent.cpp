@@ -24,16 +24,11 @@ void HostAgent::crash(std::uint64_t cycle) {
   down_ = true;
   restart_cycle_ = cycle + opts_.down_cycles;
   // Volatile state dies with the process: queued samples, unacked in-flight
-  // reports, any pending Hello — and the in-memory counters. The crash sink
-  // sees the dying incarnation's stats first so a supervisor can conserve
-  // them; the crash event itself is charged to the fresh incarnation.
-  // Nothing from this generation may ever be retransmitted — the
-  // controller's stale-generation guard relies on it.
+  // reports, any pending Hello. Nothing from this generation may ever be
+  // retransmitted — the controller's stale-generation guard relies on it.
   queue_.clear();
   pending_.clear();
   hello_pending_ = false;
-  if (crash_sink_) crash_sink_(stats_);
-  stats_ = Stats{};
   ++stats_.crashes;
 }
 

@@ -58,19 +58,11 @@ class HostAgent {
     return !queue_.empty() || !pending_.empty() || hello_pending_;
   }
 
-  /// Invoked from crash() with the dying incarnation's counters, before
-  /// they are wiped with the rest of the volatile state. The plane installs
-  /// one per host to fold pre-crash activity into its durable accounting —
-  /// without a sink those counters are simply lost (as they would be on a
-  /// real host whose process died).
-  using CrashSink = std::function<void(const Stats&)>;
-  void set_crash_sink(CrashSink sink) { crash_sink_ = std::move(sink); }
-
-  /// Crash now: the inbox, sample queue, in-flight unacked reports, AND the
-  /// in-memory counters are all lost (after the crash sink, if any, sees
-  /// them). The agent restarts `options.down_cycles` cycles later with
-  /// generation + 1 and seq reset to 0; the crash event itself is counted
-  /// on the fresh incarnation's stats.
+  /// Crash now: the sample queue, in-flight unacked reports and any pending
+  /// Hello are lost. The agent restarts `options.down_cycles` cycles later
+  /// with generation + 1 and seq reset to 0. Stats are simulator
+  /// bookkeeping, not agent memory: they survive the crash, which is
+  /// counted in them.
   void crash(std::uint64_t cycle);
 
   /// Handles one delivered message (ProbeRequest / Ack / HelloAck).
@@ -108,8 +100,7 @@ class HostAgent {
 
   std::deque<proto::RateSample> queue_;  ///< measured, not yet packed
   std::vector<PendingReport> pending_;   ///< sent, not yet acked
-  Stats stats_;  ///< this incarnation only — crash() wipes it via the sink
-  CrashSink crash_sink_;
+  Stats stats_;  ///< every incarnation of this host
 };
 
 }  // namespace choreo::agent

@@ -39,8 +39,9 @@ struct AgentOptions {
 
   /// Crash injection: each live agent crashes with `crash_rate` probability
   /// per cycle (seed-keyed by (crash_seed, cycle, agent)), loses all
-  /// volatile state (sample queue, unacked reports, inbox), and restarts
-  /// after `down_cycles` with a bumped generation + Hello re-sync.
+  /// volatile state (sample queue, unacked reports, inbox) but not its
+  /// Stats, and restarts after `down_cycles` with a bumped generation +
+  /// Hello re-sync.
   double crash_rate = 0.0;
   std::uint64_t down_cycles = 2;
   std::uint64_t crash_seed = 1;

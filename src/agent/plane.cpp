@@ -41,11 +41,6 @@ AgentPlane::AgentPlane(cloud::Cloud& cloud, std::vector<std::size_t> vms,
                           return execute_probe(src, dst, round, epoch);
                         });
   }
-  // A crashing host loses its in-memory counters; the sink folds them into
-  // the plane's durable accounting first, so plane totals are conserved.
-  for (HostAgent& h : hosts_) {
-    h.set_crash_sink([this](const HostAgent::Stats& dying) { durable_ += dying; });
-  }
 }
 
 void AgentPlane::set_observer(const obs::Observer& o) {
@@ -150,7 +145,6 @@ AgentPlane::Stats AgentPlane::stats() const {
   Stats s;
   s.transport = transport_.stats();
   s.cluster = cluster_.stats();
-  s += durable_;
   for (const HostAgent& h : hosts_) s += h.stats();
   return s;
 }

@@ -27,7 +27,7 @@ namespace choreo::agent {
 class AgentPlane {
  public:
   /// The host-agent counters (probes_run, reports_sent, ...) summed over
-  /// every incarnation, plus the transport's and the controller's.
+  /// every host, plus the transport's and the controller's.
   struct Stats : HostAgent::Stats {
     net::SimTransport::Stats transport;
     ClusterAgent::Stats cluster;
@@ -52,9 +52,8 @@ class AgentPlane {
   const net::SimTransport& transport() const { return transport_; }
   const AgentOptions& options() const { return opts_; }
 
-  /// Aggregated counters across the transport, the controller, all live
-  /// host-agent incarnations, and the durable fold of every crashed
-  /// incarnation's pre-crash activity (the crash sinks) — so totals are
+  /// Aggregated counters across the transport, the controller and every
+  /// host agent. A host's counters survive its crashes, so the totals are
   /// conserved across crashes (pinned by test_agent_faults).
   Stats stats() const;
 
@@ -82,10 +81,6 @@ class AgentPlane {
   /// memoization: traffic_snapshot is a deterministic pure function, so
   /// sharing changes nothing.
   std::map<std::uint64_t, cloud::Cloud::TrafficSnapshot> snapshots_;
-
-  /// Host-agent counters salvaged by the crash sinks: the sum of every dead
-  /// incarnation's stats. stats() adds this to the live hosts' sums.
-  HostAgent::Stats durable_;
 
   obs::Observer obs_;
   struct ObsHandles {

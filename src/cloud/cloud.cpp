@@ -156,7 +156,6 @@ void Cloud::add_background(flowsim::Sim& sim, std::uint64_t epoch) const {
     spec.start_time = 0.0;
     spec.flow_key = substream(seed_, epoch, 100 + i);
     spec.rate_cap = profile_.bg_rate_cap_bps;
-    spec.label = "bg";
     const bool start_on = rng.chance(profile_.bg_mean_on_s /
                                      (profile_.bg_mean_on_s + profile_.bg_mean_off_s));
     sim.add_on_off_flow(spec, profile_.bg_mean_on_s, profile_.bg_mean_off_s, start_on,
@@ -379,12 +378,10 @@ Cloud::ExecResult Cloud::execute(const std::vector<Transfer>& transfers,
                                  std::uint64_t epoch) {
   CHOREO_REQUIRE(!transfers.empty());
   CHOREO_OBS_SPAN(span, obs_, "flowsim.execute", "flowsim");
+  // The incremental Sim releases each transfer's storage as it completes, so
+  // large batches (and the harness loops that execute thousands of
+  // placements) hold memory proportional to the in-flight transfer set only.
   auto bundle = make_sim(epoch);
-  // Transfers finish exactly once and are never queried for routes again, so
-  // let the sim release their storage as they complete — large batches (and
-  // the harness loops that execute thousands of placements) then hold memory
-  // proportional to the in-flight transfer set only.
-  bundle->sim.set_auto_retire(true);
   ExecResult result;
   result.completion_s.assign(transfers.size(), 0.0);
 

@@ -1,7 +1,5 @@
 #include "core/profiler.h"
 
-#include <cmath>
-
 #include "util/require.h"
 
 namespace choreo::core {
@@ -17,9 +15,6 @@ void Profiler::observe(const FlowRecord& record) {
   CHOREO_REQUIRE(record.bytes >= 0.0);
   CHOREO_REQUIRE(record.timestamp_s >= 0.0);
   matrix_(record.src_task, record.dst_task) += record.bytes;
-  const auto hour = static_cast<std::size_t>(record.timestamp_s / 3600.0);
-  if (hourly_.size() <= hour) hourly_.resize(hour + 1, 0.0);
-  hourly_[hour] += record.bytes;
   ++records_;
 }
 
@@ -36,25 +31,6 @@ place::Application Profiler::to_application(std::vector<double> cpu_demand,
   app.traffic_bytes = matrix_;
   app.validate();
   return app;
-}
-
-std::vector<double> Profiler::hourly_totals() const { return hourly_; }
-
-double Profiler::predict_next_hour_bytes() const {
-  if (hourly_.empty()) return 0.0;
-  const double prev = hourly_.back();
-  constexpr std::size_t kHoursPerDay = 24;
-  if (hourly_.size() <= kHoursPerDay) return prev;
-  // Time-of-day component: same hour on previous days.
-  const std::size_t next_index = hourly_.size();
-  double sum = 0.0;
-  std::size_t n = 0;
-  for (std::size_t back = kHoursPerDay; back <= next_index; back += kHoursPerDay) {
-    sum += hourly_[next_index - back];
-    ++n;
-  }
-  const double tod = sum / static_cast<double>(n);
-  return 0.5 * (prev + tod);
 }
 
 }  // namespace choreo::core

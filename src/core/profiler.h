@@ -21,10 +21,9 @@ struct FlowRecord {
 /// Folds flow records into the application's traffic matrix A, where "each
 /// entry A_ij is a value proportional to the number of bytes sent from task
 /// i to task j" (§2.1). Bytes — not rates — are profiled, because "the
-/// number of bytes is usually independent of cross-traffic".
-///
-/// The profiler also aggregates per-hour totals so the tenant can check the
-/// §2.1 predictability assumption and forecast the next hour's demand.
+/// number of bytes is usually independent of cross-traffic". Forecasting
+/// the next hour's demand (§2.1 predictability) is the forecast plane's job
+/// (forecast::BlendPredictor; workload::score_blend over hourly series).
 class Profiler {
  public:
   explicit Profiler(std::size_t task_count);
@@ -42,18 +41,8 @@ class Profiler {
   place::Application to_application(std::vector<double> cpu_demand,
                                     std::string name) const;
 
-  /// Total bytes observed in each whole hour since t=0 (trailing partial
-  /// hour included as the last element).
-  std::vector<double> hourly_totals() const;
-
-  /// Blended previous-hour / time-of-day forecast of next-hour bytes; falls
-  /// back to previous-hour when less than a day of history exists, and to 0
-  /// with no history.
-  double predict_next_hour_bytes() const;
-
  private:
   DoubleMatrix matrix_;
-  std::vector<double> hourly_;
   std::size_t records_ = 0;
 };
 

@@ -121,7 +121,6 @@ void Sim::retire_flow_storage(FlowId id) {
   FlowState& f = flows_[id];
   std::vector<ResourceId>().swap(f.spec.extra_resources);
   f.route = net::Route{};
-  std::string().swap(f.spec.label);
   kernel_.retire(id);
 }
 
@@ -212,7 +211,7 @@ void Sim::finish_due_flows() {
     CHOREO_ASSERT(unfinished_finite_ > 0);
     --unfinished_finite_;
     deactivate_flow(id);
-    if (auto_retire_) retire_flow_storage(id);
+    if (mode_ == KernelMode::Incremental) retire_flow_storage(id);
     dirty_ = true;
   }
 }

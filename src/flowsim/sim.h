@@ -4,7 +4,6 @@
 #include <functional>
 #include <limits>
 #include <queue>
-#include <string>
 #include <vector>
 
 #include "flowsim/max_min.h"
@@ -36,7 +35,6 @@ struct FlowSpec {
   /// unused share is NOT redistributed to other flows (see
   /// docs/ARCHITECTURE.md, pinned by FlowSim.RateCapDoesNotRedistribute).
   double rate_cap = std::numeric_limits<double>::infinity();
-  std::string label;
 };
 
 /// Runtime state of a flow, queryable during and after a run.
@@ -57,10 +55,16 @@ struct FlowState {
 enum class KernelMode {
   /// Incremental CSR kernel (MaxMinKernel): component-scoped recompute,
   /// reverse-index freezing, zero steady-state allocations. The default.
+  /// A finite flow's route/extra-resource storage (and its kernel incidence
+  /// row) is released the moment it finishes; its outcome (bytes_received,
+  /// completion_time) stays queryable. Long sessions with heavy churn then
+  /// hold memory proportional to the *live* flow set, not to every flow
+  /// ever created.
   Incremental,
   /// The original full rebuild + `max_min_rates` waterfill, preserved
   /// verbatim as the differential oracle (test_flowsim_differential pins the
-  /// incremental path bit-identical to it).
+  /// incremental path bit-identical to it). Predates retirement: every
+  /// flow keeps its storage.
   Reference,
 };
 
@@ -127,13 +131,6 @@ class Sim {
   /// Runs until all finite flows have completed. Throws if only persistent
   /// flows remain and none are finite; `t_max` bounds runaway simulations.
   void run_to_completion(double t_max = 1e9);
-
-  /// When enabled, a finite flow's route/extra-resource storage (and its
-  /// kernel incidence row) is released the moment it finishes — its outcome
-  /// (bytes_received, completion_time) stays queryable. Long sessions with
-  /// heavy churn then hold memory proportional to the *live* flow set, not
-  /// to every flow ever created. Cloud::execute turns this on.
-  void set_auto_retire(bool enabled) { auto_retire_ = enabled; }
 
   double now() const { return now_; }
   std::size_t flow_count() const { return flows_.size(); }
@@ -224,7 +221,6 @@ class Sim {
   std::vector<Sampler> samplers_;
   std::priority_queue<Event, std::vector<Event>, std::greater<>> events_;
   bool dirty_ = true;  // rates need recomputation
-  bool auto_retire_ = false;
   double makespan_ = -1.0;
   std::size_t finite_flows_total_ = 0;   // finite flows ever added
   std::size_t unfinished_finite_ = 0;    // finite flows not yet finished

@@ -20,6 +20,8 @@ constexpr std::size_t kHistoryCapacity = 16;
 constexpr double kErrorEwmaAlpha = 0.4;
 /// Recent best-predictor errors kept per pair for the discount quantile.
 constexpr std::size_t kErrorWindow = 8;
+/// Scored probes a cycle needs before its CUSUM alarms can force a sweep.
+constexpr std::size_t kChangepointSweepMinProbes = 4;
 static_assert(kHistoryCapacity >= 2);
 static_assert(kErrorWindow >= 1);
 static_assert(kErrorEwmaAlpha > 0.0 && kErrorEwmaAlpha <= 1.0);
@@ -29,7 +31,7 @@ static_assert(kErrorEwmaAlpha > 0.0 && kErrorEwmaAlpha <= 1.0);
 PredictivePolicy::PredictivePolicy(ForecastOptions options)
     : options_(std::move(options)),
       history_(0, kHistoryCapacity),
-      predictors_(default_predictor_set({})) {
+      predictors_(default_predictor_set()) {
   CHOREO_REQUIRE(options_.probe_budget_fraction >= 0.0 &&
                  options_.probe_budget_fraction <= 1.0);
   CHOREO_REQUIRE(options_.discount_quantile >= 0.0 && options_.discount_quantile <= 1.0);
@@ -91,7 +93,7 @@ measure::RefreshPlan PredictivePolicy::plan_refresh(const measure::ViewCache& ca
   // probe everything once and start the next regime's tracks from fresh
   // observations.
   const bool sweep =
-      cycle_scored_ >= options_.changepoint_sweep_min_probes &&
+      cycle_scored_ >= kChangepointSweepMinProbes &&
       static_cast<double>(cycle_fired_) >=
           options_.changepoint_sweep_fraction * static_cast<double>(cycle_scored_);
   cycle_scored_ = 0;

@@ -38,10 +38,10 @@ struct ForecastOptions {
   CusumDetector::Params cusum;
   double changepoint_baseline_alpha = 0.25;
   /// When at least this fraction of a cycle's scored probes fire the CUSUM
-  /// (and at least changepoint_sweep_min_probes were scored), the next plan
-  /// is a full sweep: the network shifted regime, all forecasts are suspect.
+  /// (and at least kChangepointSweepMinProbes were scored, see
+  /// predictive_policy.cpp), the next plan is a full sweep: the network
+  /// shifted regime, all forecasts are suspect.
   double changepoint_sweep_fraction = 0.5;
-  std::size_t changepoint_sweep_min_probes = 4;
   /// Uncertainty-aware placement: scale every measured pair's view rate by
   /// 1 / (1 + q) where q is the discount_quantile of the pair's recent
   /// prediction errors — placers stop trusting point estimates on pairs the
@@ -64,7 +64,7 @@ struct ForecastOptions {
 ///   4. apply_to_view(view, cache, plan, epoch) — forecasts for unprobed
 ///      pairs, error-quantile rate discounts for placement.
 ///
-/// The predictor set is `default_predictor_set({})`; the history ring,
+/// The predictor set is `default_predictor_set()`; the history ring,
 /// error smoothing and error window are fixed constants (predictive_policy.cpp).
 ///
 /// With options.enabled == false, step 1 delegates to the fixed policy

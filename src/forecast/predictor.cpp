@@ -57,43 +57,12 @@ double BlendPredictor::predict(const PairSeries& series,
   return 0.5 * (last_.predict(series, target_epoch) + tod_.predict(series, target_epoch));
 }
 
-const char* to_string(PredictorKind kind) {
-  switch (kind) {
-    case PredictorKind::LastValue:
-      return "last-value";
-    case PredictorKind::Ewma:
-      return "ewma";
-    case PredictorKind::TimeOfDay:
-      return "time-of-day";
-    case PredictorKind::Blend:
-      return "blend";
-  }
-  return "?";
-}
-
-std::unique_ptr<Predictor> make_predictor(PredictorKind kind,
-                                          const PredictorParams& params) {
-  switch (kind) {
-    case PredictorKind::LastValue:
-      return std::make_unique<LastValuePredictor>();
-    case PredictorKind::Ewma:
-      return std::make_unique<EwmaPredictor>(params.ewma_alpha);
-    case PredictorKind::TimeOfDay:
-      return std::make_unique<TimeOfDayPredictor>(params.time_of_day_period);
-    case PredictorKind::Blend:
-      return std::make_unique<BlendPredictor>(params.time_of_day_period);
-  }
-  CHOREO_REQUIRE_MSG(false, "unknown predictor kind");
-  return nullptr;
-}
-
-std::vector<std::unique_ptr<Predictor>> default_predictor_set(
-    const PredictorParams& params) {
+std::vector<std::unique_ptr<Predictor>> default_predictor_set() {
   std::vector<std::unique_ptr<Predictor>> out;
-  out.push_back(make_predictor(PredictorKind::LastValue, params));
-  out.push_back(make_predictor(PredictorKind::Ewma, params));
-  out.push_back(make_predictor(PredictorKind::TimeOfDay, params));
-  out.push_back(make_predictor(PredictorKind::Blend, params));
+  out.push_back(std::make_unique<LastValuePredictor>());
+  out.push_back(std::make_unique<EwmaPredictor>());
+  out.push_back(std::make_unique<TimeOfDayPredictor>());
+  out.push_back(std::make_unique<BlendPredictor>());
   return out;
 }
 

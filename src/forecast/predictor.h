@@ -75,24 +75,11 @@ class BlendPredictor : public Predictor {
   TimeOfDayPredictor tod_;
 };
 
-enum class PredictorKind { LastValue, Ewma, TimeOfDay, Blend };
-
-const char* to_string(PredictorKind kind);
-
-/// Knobs shared by the factory-built predictors.
-struct PredictorParams {
-  double ewma_alpha = 0.5;
-  /// Epochs per "day" for the time-of-day and blend predictors. Epochs are
-  /// the measurement plane's clock; sessions that measure hourly make this
-  /// the paper's 24-hour diurnal period.
-  std::uint64_t time_of_day_period = 24;
-};
-
-std::unique_ptr<Predictor> make_predictor(PredictorKind kind, const PredictorParams& params);
-
 /// The default competing set the PredictivePolicy races per pair, in a fixed
-/// deterministic order: last-value, EWMA, time-of-day, blend.
-std::vector<std::unique_ptr<Predictor>> default_predictor_set(const PredictorParams& params);
+/// deterministic order: last-value, EWMA, time-of-day, blend, each with its
+/// constructor's defaults (EWMA alpha 0.5; a 24-epoch diurnal period, which
+/// is the paper's 24 hours when sessions measure hourly).
+std::vector<std::unique_ptr<Predictor>> default_predictor_set();
 
 /// CUSUM-style change-point detector over a stream of relative prediction
 /// residuals r = (observed - predicted) / predicted. Two one-sided

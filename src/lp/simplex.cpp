@@ -8,6 +8,14 @@
 namespace choreo::lp {
 namespace {
 
+/// Pivots per simplex phase before solve_lp gives up with IterationLimit.
+constexpr std::size_t kMaxIterations = 200000;
+/// Reduced-cost and ratio-test tolerance of the pivot rules.
+constexpr double kTolerance = 1e-9;
+/// Distance from the nearest integer below which branch-and-bound treats an
+/// integer variable's relaxed value as integral.
+constexpr double kIntegralityTol = 1e-6;
+
 /// Dense simplex tableau: `a` holds B^{-1}A with the rhs in the last column;
 /// `basis[i]` is the column basic in row i.
 struct Tableau {
@@ -42,11 +50,10 @@ struct PhaseResult {
 /// `blocked[j]` true may not enter the basis (used to freeze artificials in
 /// phase 2). Bland's rule throughout for anti-cycling.
 PhaseResult run_simplex(Tableau& t, const std::vector<double>& cost,
-                        const std::vector<bool>& blocked, std::size_t max_iters,
-                        double tol) {
+                        const std::vector<bool>& blocked) {
   PhaseResult res;
   const std::size_t m = t.a.size();
-  for (std::size_t iter = 0; iter < max_iters; ++iter) {
+  for (std::size_t iter = 0; iter < kMaxIterations; ++iter) {
     // Reduced costs: r_j = c_j - sum_i c_basis(i) * a[i][j].
     std::size_t entering = t.cols;
     for (std::size_t j = 0; j < t.cols; ++j) {
@@ -56,7 +63,7 @@ PhaseResult run_simplex(Tableau& t, const std::vector<double>& cost,
         const double cb = cost[t.basis[i]];
         if (cb != 0.0) r -= cb * t.a[i][j];
       }
-      if (r < -tol) {
+      if (r < -kTolerance) {
         entering = j;  // Bland: smallest index with negative reduced cost
         break;
       }
@@ -71,10 +78,10 @@ PhaseResult run_simplex(Tableau& t, const std::vector<double>& cost,
     double best_ratio = 0.0;
     for (std::size_t i = 0; i < m; ++i) {
       const double aij = t.a[i][entering];
-      if (aij > tol) {
+      if (aij > kTolerance) {
         const double ratio = t.a[i][t.cols] / aij;
-        if (leaving == m || ratio < best_ratio - tol ||
-            (std::abs(ratio - best_ratio) <= tol && t.basis[i] < t.basis[leaving])) {
+        if (leaving == m || ratio < best_ratio - kTolerance ||
+            (std::abs(ratio - best_ratio) <= kTolerance && t.basis[i] < t.basis[leaving])) {
           leaving = i;
           best_ratio = ratio;
         }
@@ -88,7 +95,7 @@ PhaseResult run_simplex(Tableau& t, const std::vector<double>& cost,
     t.pivot(leaving, entering);
   }
   res.iteration_limit = true;
-  res.iterations = max_iters;
+  res.iterations = kMaxIterations;
   return res;
 }
 
@@ -193,8 +200,7 @@ Solution solve_lp(const Model& model, const SimplexOptions& options) {
     for (std::size_t j = 0; j < cols; ++j) {
       if (is_artificial[j]) cost1[j] = 1.0;
     }
-    const PhaseResult p1 =
-        run_simplex(t, cost1, none_blocked, options.max_iterations, options.tolerance);
+    const PhaseResult p1 = run_simplex(t, cost1, none_blocked);
     total_iters += p1.iterations;
     if (p1.iteration_limit) {
       sol.status = SolveStatus::IterationLimit;
@@ -231,8 +237,7 @@ Solution solve_lp(const Model& model, const SimplexOptions& options) {
   std::vector<double> cost2(cols, 0.0);
   const double sign = model.maximize() ? -1.0 : 1.0;
   for (std::size_t j = 0; j < n; ++j) cost2[j] = sign * model.objective_coeff(j);
-  const PhaseResult p2 =
-      run_simplex(t, cost2, is_artificial, options.max_iterations, options.tolerance);
+  const PhaseResult p2 = run_simplex(t, cost2, is_artificial);
   total_iters += p2.iterations;
   sol.iterations = total_iters;
   if (p2.iteration_limit) {
@@ -292,7 +297,7 @@ Solution solve_ilp(const Model& model, const IlpOptions& options) {
     Node node = std::move(stack.back());
     stack.pop_back();
 
-    SimplexOptions so = options.simplex;
+    SimplexOptions so;
     so.lower_override = node.lower;
     so.upper_override = node.upper;
     const Solution relax = solve_lp(model, so);
@@ -307,7 +312,7 @@ Solution solve_ilp(const Model& model, const IlpOptions& options) {
       if (!model.is_integer(j)) continue;
       const double v = relax.values[j];
       const double d = std::abs(v - std::round(v));
-      if (d > options.integrality_tol && d > frac_dist) {
+      if (d > kIntegralityTol && d > frac_dist) {
         frac_dist = d;
         frac_var = j;
       }

@@ -5,8 +5,6 @@
 namespace choreo::lp {
 
 struct SimplexOptions {
-  std::size_t max_iterations = 200000;
-  double tolerance = 1e-9;
   /// Variable bound overrides used by branch-and-bound; empty means "use the
   /// model's own bounds". Sizes must equal the model's variable count.
   std::vector<double> lower_override;
@@ -14,7 +12,8 @@ struct SimplexOptions {
 };
 
 /// Solves the LP relaxation of `model` (integrality flags ignored) with a
-/// dense two-phase primal simplex using Bland's anti-cycling rule.
+/// dense two-phase primal simplex using Bland's anti-cycling rule. The
+/// iteration budget and pivot tolerance are fixed in simplex.cpp.
 ///
 /// The method is textbook rather than industrial: the placement ILPs the
 /// paper formulates (Appendix) are small enough that a dense tableau is
@@ -24,9 +23,7 @@ struct SimplexOptions {
 Solution solve_lp(const Model& model, const SimplexOptions& options = {});
 
 struct IlpOptions {
-  SimplexOptions simplex;
   std::size_t max_nodes = 200000;
-  double integrality_tol = 1e-6;
   /// Objective value of a known feasible solution (e.g., from the greedy
   /// placement); lets branch-and-bound prune aggressively. NaN disables.
   double warm_start_objective = std::numeric_limits<double>::quiet_NaN();

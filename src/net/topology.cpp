@@ -182,7 +182,7 @@ TwoRackTopology make_two_rack_cloud(std::size_t pairs, double host_bps, double a
   const NodeId tor_s = t.add_node(NodeKind::Tor, "torS", 0, 0);
   const NodeId tor_r = t.add_node(NodeKind::Tor, "torR", 1, 1);
   out.sender_uplink = t.add_duplex_link(tor_s, agg, agg_bps, delay_s);
-  out.receiver_downlink = t.add_duplex_link(tor_r, agg, agg_bps, delay_s);
+  t.add_duplex_link(tor_r, agg, agg_bps, delay_s);
   for (std::size_t i = 0; i < pairs; ++i) {
     std::ostringstream sn, rn;
     sn << "S" << (i + 1);

@@ -143,7 +143,6 @@ struct TwoRackTopology {
   std::vector<NodeId> senders;
   std::vector<NodeId> receivers;
   LinkId sender_uplink = 0;  ///< sender ToR -> aggregate
-  LinkId receiver_downlink = 0;
 };
 TwoRackTopology make_two_rack_cloud(std::size_t pairs, double host_bps = 1e9,
                                     double agg_bps = 10e9, double delay_s = 20e-6);

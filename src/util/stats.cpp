@@ -55,8 +55,6 @@ Summary summarize(const std::vector<double>& values) {
   };
   s.median = pct(0.5);
   s.p05 = pct(0.05);
-  s.p25 = pct(0.25);
-  s.p75 = pct(0.75);
   s.p90 = pct(0.90);
   s.p95 = pct(0.95);
   s.p99 = pct(0.99);

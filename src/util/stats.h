@@ -15,8 +15,6 @@ struct Summary {
   double median = 0.0;
   double stddev = 0.0;  ///< sample standard deviation (n-1 denominator)
   double p05 = 0.0;
-  double p25 = 0.0;
-  double p75 = 0.0;
   double p90 = 0.0;
   double p95 = 0.0;
   double p99 = 0.0;

@@ -8,6 +8,9 @@
 namespace choreo::workload {
 namespace {
 
+/// Sigma of the log-normal transfer-size draw (log-space spread).
+constexpr double kSizeSigma = 1.0;
+
 double draw_cpu(Rng& rng, const GeneratorConfig& cfg) {
   const double raw = rng.uniform(cfg.min_cpu, cfg.max_cpu);
   // Round to half-cores, as instance sizing usually is.
@@ -15,7 +18,7 @@ double draw_cpu(Rng& rng, const GeneratorConfig& cfg) {
 }
 
 double draw_bytes(Rng& rng, const GeneratorConfig& cfg) {
-  return rng.lognormal(std::log(cfg.median_transfer_bytes), cfg.size_sigma);
+  return rng.lognormal(std::log(cfg.median_transfer_bytes), kSizeSigma);
 }
 
 std::size_t draw_tasks(Rng& rng, const GeneratorConfig& cfg) {

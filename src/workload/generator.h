@@ -26,9 +26,9 @@ struct GeneratorConfig {
   std::vector<double> pattern_weights{0.35, 0.20, 0.15, 0.15, 0.15};
   std::size_t min_tasks = 4;
   std::size_t max_tasks = 10;
-  /// Log-normal transfer sizes: exp(N(log(median_bytes), sigma)).
+  /// Log-normal transfer sizes: exp(N(log(median_bytes), sigma)), with
+  /// sigma fixed in generator.cpp.
   double median_transfer_bytes = 600e6;
-  double size_sigma = 1.0;
   /// Per-task CPU demand, uniform in [min_cpu, max_cpu] rounded to halves
   /// (§6.1: "between 0.5 and four CPU cores").
   double min_cpu = 0.5;

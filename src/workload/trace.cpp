@@ -9,19 +9,26 @@
 namespace choreo::workload {
 namespace {
 constexpr double kPi = 3.14159265358979323846;
-}
+/// Arrival-rate day/night swing A of the diurnal Poisson rate.
+constexpr double kDiurnalAmplitude = 0.5;
+/// Hourly-series shape: per-app diurnal amplitude drawn in [0.2, this], then
+/// AR(1) log-noise with coefficient rho and innovation sigma.
+constexpr double kSeriesDiurnalAmplitudeMax = 0.7;
+constexpr double kSeriesAr1Rho = 0.7;
+constexpr double kSeriesNoiseSigma = 0.2;
+}  // namespace
 
 // Arrivals: non-homogeneous Poisson via thinning, with a diurnal rate
 // lambda(t) = base * (1 + A*sin(2*pi*(h - 8)/24)).
 bool advance_to_next_arrival(Rng& rng, const TraceConfig& config, double& t_hours) {
   const double base_per_hour = config.apps_per_day / 24.0;
-  const double lambda_max = base_per_hour * (1.0 + config.diurnal_amplitude);
+  const double lambda_max = base_per_hour * (1.0 + kDiurnalAmplitude);
   while (true) {
     t_hours += rng.exponential(1.0 / lambda_max);
     if (t_hours >= config.duration_hours) return false;
     const double hour_of_day = std::fmod(t_hours, 24.0);
     const double lambda = base_per_hour *
-                          (1.0 + config.diurnal_amplitude *
+                          (1.0 + kDiurnalAmplitude *
                                      std::sin(2.0 * kPi * (hour_of_day - 8.0) / 24.0));
     if (rng.chance(std::min(1.0, lambda / lambda_max))) return true;
   }
@@ -44,15 +51,14 @@ HpCloudTrace::HpCloudTrace(std::uint64_t seed, TraceConfig config)
     const auto hours_left = static_cast<std::size_t>(config_.duration_hours - t_hours);
     if (hours_left >= 2) {
       const double base_bytes = entry.app.traffic_bytes.total();
-      const double amp = rng.uniform(0.2, config_.series_diurnal_amplitude_max);
+      const double amp = rng.uniform(0.2, kSeriesDiurnalAmplitudeMax);
       const double phase = rng.uniform(0.0, 24.0);
       double ar = 0.0;
       entry.hourly_bytes.reserve(hours_left);
       for (std::size_t h = 0; h < hours_left; ++h) {
         const double hod = std::fmod(t_hours + static_cast<double>(h), 24.0);
         const double diurnal = 1.0 + amp * std::sin(2.0 * kPi * (hod - phase) / 24.0);
-        ar = config_.series_ar1_rho * ar +
-             rng.normal(0.0, config_.series_noise_sigma);
+        ar = kSeriesAr1Rho * ar + rng.normal(0.0, kSeriesNoiseSigma);
         entry.hourly_bytes.push_back(base_bytes * diurnal * std::exp(ar));
       }
     }

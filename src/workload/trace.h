@@ -22,12 +22,7 @@ struct TraceApp {
 struct TraceConfig {
   double duration_hours = 21.0 * 24.0;  ///< "three weeks of network data"
   double apps_per_day = 48.0;           ///< arrival rate, diurnally modulated
-  double diurnal_amplitude = 0.5;       ///< arrival-rate day/night swing
   GeneratorConfig gen;
-  /// Hourly-series shape.
-  double series_diurnal_amplitude_max = 0.7;
-  double series_ar1_rho = 0.7;
-  double series_noise_sigma = 0.2;
 };
 
 /// Advances `t_hours` through the §6.1 arrival process — a diurnally

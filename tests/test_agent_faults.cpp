@@ -390,10 +390,9 @@ TEST(HostAgentCrash, PreCrashInFlightReportsNeverResurrect) {
   // The stale-generation guard's precondition: the pre-crash report is never
   // retransmitted by the new incarnation.
   EXPECT_EQ(host.stats().retransmits, 0u);
-  // Per-incarnation counters die with the incarnation: the pre-crash send is
-  // gone from stats() (it went to the crash sink — see StatsConservation
-  // below), and the fresh incarnation has sent nothing yet.
-  EXPECT_EQ(host.stats().reports_sent, 0u);
+  // Counters survive the crash (see StatsConservation below): the one send
+  // is the pre-crash report, so the fresh incarnation has sent nothing yet.
+  EXPECT_EQ(host.stats().reports_sent, 1u);
 
   // Post-crash traffic is exclusively generation-1 Hellos.
   for (const auto& d : t.receive(0, 100)) {
@@ -452,44 +451,52 @@ TEST(AgentFaults, CrashRestartResyncReprobesTheAgentsRow) {
 }
 
 // ---------------------------------------------------------------------------
-// crash-stats conservation: a crash wipes the incarnation's counters, but
-// the plane's durable accounting (fed by the crash sink) must never lose
-// pre-crash activity — tbl_agents' wire accounting depends on it.
+// crash-stats conservation: a crash wipes the agent's volatile state, but its
+// counters are simulator bookkeeping and survive — tbl_agents' wire
+// accounting depends on the plane totals never losing pre-crash activity.
 
-TEST(StatsConservation, CrashSinkReceivesTheDyingIncarnationsCounters) {
+TEST(StatsConservation, CountersSurviveACrashThatWipesVolatileState) {
   AgentOptions opts;
   opts.retry_timeout_cycles = 1;
   opts.down_cycles = 2;
+  opts.max_samples_per_report = 1;
+  opts.max_reports_per_cycle = 1;
   SimTransport t(3, {});
   HostAgent host(1, opts, [](std::uint32_t, std::uint32_t, std::uint32_t,
                              std::uint64_t) { return 1.0; });
-  HostAgent::Stats sunk;
-  std::size_t sink_calls = 0;
-  host.set_crash_sink([&](const HostAgent::Stats& s) {
-    sunk = s;
-    ++sink_calls;
-  });
 
+  // A restart leaves an unacked Hello pending.
+  host.crash(0);
+  host.tick(2, t);
+  ASSERT_EQ(host.generation(), 1u);
+  ASSERT_TRUE(host.has_backlog());  // only the Hello: no samples, no reports
+  ASSERT_EQ(host.queued_samples(), 0u);
+  ASSERT_EQ(host.unacked_reports(), 0u);
+
+  // Four probes under a one-sample report budget: one report goes out
+  // unacked and three samples stay queued.
   proto::Message req;
   req.type = proto::MsgType::kProbeRequest;
   req.probe_request.agent = 1;
   req.probe_request.epoch = 1;
-  req.probe_request.probes = {{1, 0, 0}, {1, 2, 0}};
-  host.deliver(req, 1);
-  host.tick(1, t);
+  req.probe_request.probes = {{1, 0, 0}, {1, 2, 0}, {1, 0, 1}, {1, 2, 1}};
+  host.deliver(req, 3);
+  host.tick(3, t);
+  ASSERT_EQ(host.stats().probes_run, 4u);
   ASSERT_EQ(host.stats().reports_sent, 1u);
-  ASSERT_EQ(host.stats().probes_run, 2u);
+  ASSERT_EQ(host.stats().crashes, 1u);
+  ASSERT_GT(host.queued_samples(), 0u);
+  ASSERT_EQ(host.unacked_reports(), 1u);
 
-  host.crash(2);
-  ASSERT_EQ(sink_calls, 1u);
-  // The sink saw the dying incarnation's counters exactly as they were...
-  EXPECT_EQ(sunk.reports_sent, 1u);
-  EXPECT_EQ(sunk.probes_run, 2u);
-  EXPECT_EQ(sunk.crashes, 0u);  // this crash is charged to the successor
-  // ...and the live struct restarted from zero, plus the crash itself.
-  EXPECT_EQ(host.stats().reports_sent, 0u);
-  EXPECT_EQ(host.stats().probes_run, 0u);
-  EXPECT_EQ(host.stats().crashes, 1u);
+  host.crash(4);
+  // The queue, the unacked report and the pending Hello are wiped...
+  EXPECT_EQ(host.queued_samples(), 0u);
+  EXPECT_EQ(host.unacked_reports(), 0u);
+  EXPECT_FALSE(host.has_backlog());
+  // ...while the counters keep the pre-crash activity and count the crash.
+  EXPECT_EQ(host.stats().probes_run, 4u);
+  EXPECT_EQ(host.stats().reports_sent, 1u);
+  EXPECT_EQ(host.stats().crashes, 2u);
 }
 
 TEST(StatsConservation, PlaneTotalsAreMonotoneAndConservedAcrossCrashes) {

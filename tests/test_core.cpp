@@ -38,27 +38,6 @@ TEST(Profiler, ToApplicationCarriesMatrix) {
   EXPECT_THROW(prof.to_application({1.0}, "bad"), PreconditionError);
 }
 
-TEST(Profiler, HourlyTotalsAndPrediction) {
-  Profiler prof(2);
-  // Two days of hourly traffic: diurnal square wave.
-  for (int h = 0; h < 48; ++h) {
-    const double bytes = (h % 24 < 12) ? 100.0 : 200.0;
-    prof.observe({0, 1, bytes, h * 3600.0 + 10.0});
-  }
-  const auto hourly = prof.hourly_totals();
-  ASSERT_EQ(hourly.size(), 48u);
-  EXPECT_DOUBLE_EQ(hourly[0], 100.0);
-  EXPECT_DOUBLE_EQ(hourly[13], 200.0);
-  // Next hour (h=48, hour-of-day 0): prev = 200 (h47), tod = 100 -> 150.
-  EXPECT_DOUBLE_EQ(prof.predict_next_hour_bytes(), 150.0);
-}
-
-TEST(Profiler, PredictionFallsBackWithShortHistory) {
-  Profiler prof(2);
-  prof.observe({0, 1, 70.0, 100.0});
-  EXPECT_DOUBLE_EQ(prof.predict_next_hour_bytes(), 70.0);
-}
-
 class ChoreoEndToEnd : public ::testing::Test {
  protected:
   ChoreoEndToEnd() : cloud_(cloud::ec2_2013(), 71), vms_(cloud_.allocate_vms(8)) {

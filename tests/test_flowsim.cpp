@@ -99,6 +99,44 @@ TEST(FlowSim, ExtraResourceHoseCap) {
   EXPECT_NEAR(sim.flow(fb).completion_time, 2.0, 1e-6);
 }
 
+TEST(FlowSim, RetirementFollowsTheKernelMode) {
+  // No opt-in: an Incremental Sim frees a finished finite flow's route and
+  // extra resources; a Reference Sim keeps them. Both keep the outcome, and
+  // a persistent flow (which never finishes) keeps its storage in either.
+  const Topology t = two_hosts(10e9);
+  const net::Router router(t);
+  for (const KernelMode mode : {KernelMode::Incremental, KernelMode::Reference}) {
+    Sim sim(router, 400e9, mode);
+    const ResourceId hose = sim.add_resource(1e9);
+    FlowSpec finite;
+    finite.src = 0;
+    finite.dst = 1;
+    finite.bytes = 125e6;  // 1 s through the 1G hose
+    finite.extra_resources = {hose};
+    FlowSpec persistent;
+    persistent.src = 0;
+    persistent.dst = 1;
+    persistent.bytes = kInfiniteBytes;
+    const FlowId ff = sim.add_flow(finite);
+    const FlowId fp = sim.add_flow(persistent);
+    sim.run_to_completion();
+
+    const FlowState& done = sim.flow(ff);
+    ASSERT_TRUE(done.finished);
+    EXPECT_NEAR(done.completion_time, 1.0, 1e-6);
+    EXPECT_NEAR(done.bytes_received, 125e6, 1.0);
+    if (mode == KernelMode::Incremental) {
+      EXPECT_TRUE(done.route.links.empty());
+      EXPECT_TRUE(done.spec.extra_resources.empty());
+    } else {
+      EXPECT_EQ(done.route.links.size(), 1u);
+      EXPECT_EQ(done.spec.extra_resources.size(), 1u);
+    }
+    EXPECT_EQ(sim.flow(fp).route.links.size(), 1u);
+    EXPECT_FALSE(sim.flow(fp).finished);
+  }
+}
+
 TEST(FlowSim, RateCapRespected) {
   const Topology t = two_hosts(1e9);
   const net::Router router(t);

@@ -332,7 +332,6 @@ TEST(PredictivePolicy, CusumFlagsRegimeShiftedPair) {
 TEST(PredictivePolicy, RegimeAlarmForcesFullSweep) {
   ForecastOptions opts = enabled_options();
   opts.changepoint_sweep_fraction = 0.5;
-  opts.changepoint_sweep_min_probes = 4;
   opts.cusum.slack = 0.1;
   opts.cusum.threshold = 0.3;
   ViewCache cache(3);
