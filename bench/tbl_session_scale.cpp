@@ -8,10 +8,9 @@
 //      7-day session peaks at the same footprint as a 2-day one.
 //
 //   2. Near-linear multi-tenant throughput — N tenants on disjoint VM
-//      slices of one cloud, interleaved on the shared clock, process events
-//      at a per-event cost that stays flat as tenants are added (each
-//      tenant's placement state is its own; only the clock and the epoch
-//      counter are shared).
+//      slices of one cloud process events at a per-event cost that stays
+//      flat as tenants are added (each tenant's placement state and
+//      measurement epochs are its own; tenants only read the shared cloud).
 //
 //   3. Deterministic thread scaling — the same tenant sweep routed through
 //      the sharded control plane (core::ShardedSession) at --threads

@@ -18,16 +18,22 @@
 //
 // --mode session drives the discrete-event core::SessionRuntime: N tenants
 // on disjoint VM slices of one cloud, each streaming a diurnal trace
-// workload (optionally MMPP-bursty), interleaved on a shared clock — a
-// manual scenario harness for the control plane.
+// workload (optionally MMPP-bursty), their logs merged on one clock — a
+// manual scenario harness for the control plane. --outcomes=PATH writes one
+// JSON line per app (see write_outcomes); tools/run_diff.py compares two
+// such files.
 //
 // --mode agents drives the distributed measurement plane: one host agent
 // per VM reporting to a ClusterAgent over a simulated transport whose
 // fault profile (--loss / --duplicate / --delay-max / --crash-rate) is set
 // from the command line, with a per-cycle view of what survived the wire.
 
+#include <fstream>
 #include <iostream>
 #include <memory>
+#include <optional>
+#include <sstream>
+#include <stdexcept>
 
 #include "agent/options.h"
 #include "agent/plane.h"
@@ -38,6 +44,7 @@
 #include "place/greedy.h"
 #include "place/ilp.h"
 #include "util/args.h"
+#include "util/json.h"
 #include "util/table.h"
 #include "util/units.h"
 #include "workload/stream.h"
@@ -56,6 +63,88 @@ std::unique_ptr<place::Placer> make_placer(const std::string& name,
   if (name == "ilp") return std::make_unique<place::IlpPlacer>(model);
   throw PreconditionError("unknown algorithm: " + name +
                           " (greedy|random|round-robin|min-machines|ilp)");
+}
+
+/// Passes a stream through and keeps every app it yields, in order: the
+/// app's ordinal in its tenant's log is its index here.
+class RecordingStream final : public workload::ArrivalStream {
+ public:
+  explicit RecordingStream(workload::ArrivalStream& inner) : inner_(&inner) {}
+
+  std::optional<place::Application> next() override {
+    std::optional<place::Application> app = inner_->next();
+    if (app) apps.push_back(*app);
+    return app;
+  }
+
+  std::vector<place::Application> apps;
+
+ private:
+  workload::ArrivalStream* inner_;
+};
+
+/// A double as JSON, to 17 significant digits so equal lines mean equal
+/// doubles; null when absent (negative times mark "never").
+std::string exact(double v, bool present = true) {
+  if (!present) return "null";
+  std::ostringstream out;
+  out.precision(17);
+  out << v;
+  return out.str();
+}
+
+/// One JSON line per app of every tenant, in tenant then arrival order:
+/// tenant, app ordinal, name, arrival, placed and wait (null if never
+/// placed), rejected, placement (task -> cloud VM id), the session's
+/// estimated completion, and the executed completion — placed_s plus the
+/// makespan of the app's transfers run alone on the cloud at its final
+/// placement, under a background realization keyed by (tenant, ordinal).
+void write_outcomes(const std::string& path, cloud::Cloud& cloud,
+                    const core::MultiTenantLog& result,
+                    const std::vector<std::vector<cloud::VmId>>& tenant_vms,
+                    const std::vector<std::unique_ptr<RecordingStream>>& recorders) {
+  std::ofstream out(path);
+  if (!out) throw std::runtime_error("cannot write " + path);
+  for (std::size_t i = 0; i < result.tenants.size(); ++i) {
+    const std::vector<core::AppOutcome>& apps = result.tenants[i].apps;
+    for (std::size_t k = 0; k < apps.size(); ++k) {
+      const core::AppOutcome& o = apps[k];
+      const place::Application& app = recorders[i]->apps.at(k);
+      const bool placed = o.placed_s >= 0.0;
+      std::string placement = "[";
+      std::vector<cloud::Cloud::Transfer> transfers;
+      if (placed) {
+        const std::vector<std::size_t>& machine = o.placement.machine_of_task;
+        for (std::size_t t = 0; t < machine.size(); ++t) {
+          if (t > 0) placement += ",";
+          placement += std::to_string(tenant_vms[i][machine[t]]);
+        }
+        for (std::size_t a = 0; a < app.task_count(); ++a) {
+          for (std::size_t b = 0; b < app.task_count(); ++b) {
+            const double bytes = app.traffic_bytes(a, b);
+            if (bytes <= 0.0) continue;
+            transfers.push_back({tenant_vms[i][machine[a]], tenant_vms[i][machine[b]],
+                                 bytes, 0.0});
+          }
+        }
+      }
+      placement += "]";
+      double executed = o.placed_s;
+      if (!transfers.empty()) {
+        executed += cloud.execute(transfers, (static_cast<std::uint64_t>(i) << 32) | (k + 1))
+                        .makespan_s;
+      }
+      out << "{\"tenant\":" << i << ",\"app\":" << k
+          << ",\"name\":" << util::json_quote(o.name)
+          << ",\"arrival_s\":" << exact(o.arrival_s)
+          << ",\"placed_s\":" << exact(o.placed_s, placed)
+          << ",\"wait_s\":" << exact(o.placed_s - o.arrival_s, placed)
+          << ",\"rejected\":" << (o.rejected ? "true" : "false")
+          << ",\"placement\":" << placement
+          << ",\"est_finish_s\":" << exact(o.finished_s, placed && o.finished_s >= 0.0)
+          << ",\"exec_finish_s\":" << exact(executed, placed) << "}\n";
+    }
+  }
 }
 
 cloud::ProviderProfile make_profile(const std::string& name) {
@@ -85,9 +174,9 @@ int main(int argc, char** argv) {
   args.add_option("duration-hours", "6", "session mode: trace length per tenant");
   args.add_option("apps-per-day", "48", "session mode: per-tenant arrival rate");
   args.add_option("threads", "1",
-                  "session mode: worker threads sharing one ready queue of "
-                  "tenants in the sharded control plane (1 runs inline; "
-                  "output is identical either way)");
+                  "session mode: worker threads, each running whole tenants "
+                  "in the sharded control plane (1 runs inline; output is "
+                  "identical either way)");
   args.add_option("cycles", "8", "agents mode: measurement cycles to run");
   args.add_option("loss", "0", "agents mode: per-message loss probability");
   args.add_option("duplicate", "0", "agents mode: per-message duplicate probability");
@@ -100,6 +189,9 @@ int main(int argc, char** argv) {
                   "(open in Perfetto)");
   args.add_option("metrics", "",
                   "write the metrics-registry snapshot JSON to this path");
+  args.add_option("outcomes", "",
+                  "session mode: write one JSON line per app to this path "
+                  "(compare two runs with tools/run_diff.py)");
   args.add_flag("agents",
                 "session mode: measure through the distributed agent plane "
                 "(--loss/--crash-rate etc. apply per tenant)");
@@ -255,6 +347,9 @@ int main(int argc, char** argv) {
     // the MMPP burstiness modulator. Streams must outlive the session.
     std::vector<std::unique_ptr<workload::ArrivalStream>> streams;
     std::vector<core::TenantSpec> tenants;
+    const std::string outcomes_path = args.get("outcomes");
+    std::vector<std::unique_ptr<RecordingStream>> recorders;
+    std::vector<std::vector<cloud::VmId>> tenant_vms;
     for (std::size_t i = 0; i < n_tenants; ++i) {
       auto trace_stream = std::make_unique<workload::TraceArrivalStream>(
           seed * 1000 + i, trace_cfg);
@@ -293,7 +388,12 @@ int main(int argc, char** argv) {
       const auto lane = static_cast<std::uint32_t>(1 + i);
       spec.config.choreo.obs = obsv.with_lane(lane, lane % kObsShards);
       if (tracer) tracer->set_lane_name(lane, "tenant" + std::to_string(i));
+      if (!outcomes_path.empty()) {
+        recorders.push_back(std::make_unique<RecordingStream>(*source));
+        source = recorders.back().get();
+      }
       spec.stream = source;
+      tenant_vms.push_back(spec.vms);
       tenants.push_back(std::move(spec));
     }
 
@@ -305,8 +405,10 @@ int main(int argc, char** argv) {
     core::ShardedSession session(cloud, std::move(tenants), sharded);
     const core::MultiTenantLog result = session.run();
     const std::vector<core::SessionRuntime::Stats>& tenant_stats = session.tenant_stats();
-    std::cout << "sharded control plane: " << session.stats().threads << " threads, "
-              << session.stats().epoch_grants << " epoch grants\n";
+    std::cout << "sharded control plane: " << sharded.threads << " threads\n";
+    if (!outcomes_path.empty()) {
+      write_outcomes(outcomes_path, cloud, result, tenant_vms, recorders);
+    }
 
     Table t({"tenant", "apps", "rejected", "reevals (adopted)", "migrated",
              "runtime sum (s)", "measure wall (s)", "probes"});

@@ -38,10 +38,10 @@ int main() {
   // 3. Profile the application from (synthetic) sFlow records: task 0
   //    shuffles heavily to tasks 1 and 2, tasks 3-4 chat lightly.
   core::Profiler profiler(/*task_count=*/5);
-  profiler.observe({0, 1, units::gigabytes(2.0), 10.0});
-  profiler.observe({0, 2, units::gigabytes(1.5), 15.0});
-  profiler.observe({1, 2, units::megabytes(300), 20.0});
-  profiler.observe({3, 4, units::megabytes(50), 25.0});
+  profiler.observe({0, 1, units::gigabytes(2.0)});
+  profiler.observe({0, 2, units::gigabytes(1.5)});
+  profiler.observe({1, 2, units::megabytes(300)});
+  profiler.observe({3, 4, units::megabytes(50)});
   // CPU demands sum to 10 cores, so the app cannot collapse onto one 4-core
   // machine: Choreo must co-locate the chattiest pair and pick fast paths
   // for the rest.

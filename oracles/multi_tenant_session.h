@@ -6,13 +6,12 @@
 
 namespace choreo::core {
 
-/// N Choreo instances over disjoint VM slices of one shared cloud::Cloud,
-/// their discrete events interleaved deterministically on a shared clock
-/// (earliest next event wins; ties break by tenant index). All tenants draw
-/// measurement epochs from the shared cloud's counter, so each measurement
-/// cycle observes the cloud as of its position in the global session order —
-/// the §7.2 multi-user regime, where every tenant measures individually
-/// under whatever the others are doing.
+/// N Choreo instances over disjoint VM slices of one shared cloud::Cloud —
+/// the §7.2 multi-user regime, where every tenant measures its own VMs and
+/// places its own apps. Tenants share no mutable state: each runtime numbers
+/// its own measurement cycles, so the oracle simply runs the tenants one
+/// after another, in index order, and merges their logs. It is the
+/// reference ShardedSession must match at every thread count.
 struct MultiTenantOptions {
   bool record_events = true;
   bool record_outcomes = true;

@@ -33,7 +33,7 @@ void ClusterAgent::begin_cycle(std::uint64_t epoch, std::uint64_t cycle,
   const measure::RefreshPlan& plan = refresher_.plan(epoch, resync);
 
   // Central conflict-free round assignment, so the distributed trains carry
-  // the same (epoch + round) snapshot keys the in-process scheduler uses.
+  // the same (epoch, round) snapshot keys the in-process scheduler uses.
   rounds_ = 0;
   wall_time_s_ = 0.0;
   if (!plan.pairs.empty()) {

@@ -12,7 +12,7 @@
 namespace choreo::agent {
 
 /// Executes one probe directive on behalf of a host agent: measure pair
-/// (src, dst) against the cross-traffic snapshot of (epoch + round) and
+/// (src, dst) against Cloud::round_snapshot(epoch, round) and
 /// return the estimated rate in bps. Supplied by the AgentPlane so the
 /// agent logic stays independent of the Cloud simulator.
 using ProbeExecutor = std::function<double(

@@ -59,13 +59,13 @@ void AgentPlane::set_observer(const obs::Observer& o) {
 double AgentPlane::execute_probe(std::uint32_t src, std::uint32_t dst,
                                  std::uint32_t round, std::uint64_t epoch) {
   // Same keying as the central scheduler: round r of the cycle probes
-  // against the (epoch + r) cross-traffic snapshot, and the train itself is
-  // keyed by (snapshot, src, dst) inside the cloud — so a distributed probe
+  // against round_snapshot(epoch, r), and the train itself is keyed by
+  // (snapshot, src, dst) inside the cloud — so a distributed probe
   // reproduces the in-process estimate bit for bit.
-  const std::uint64_t snap_epoch = epoch + round;
-  auto it = snapshots_.find(snap_epoch);
+  const std::pair<std::uint64_t, std::uint32_t> key{epoch, round};
+  auto it = snapshots_.find(key);
   if (it == snapshots_.end()) {
-    it = snapshots_.emplace(snap_epoch, cloud_.traffic_snapshot(snap_epoch)).first;
+    it = snapshots_.emplace(key, cloud_.round_snapshot(epoch, round)).first;
   }
   thread_local packetsim::TrainSummary summary;  // reused: warm probes allocate none
   cloud_.run_train_in_snapshot(vms_[src], vms_[dst], mplan_.train, it->second, summary);

@@ -2,6 +2,7 @@
 
 #include <cstdint>
 #include <map>
+#include <utility>
 #include <vector>
 
 #include "agent/cluster_agent.h"
@@ -77,10 +78,11 @@ class AgentPlane {
 
   std::uint64_t cycle_ = 0;
   /// Cross-traffic snapshots shared by every probe of one cycle, keyed by
-  /// snapshot epoch (= cycle epoch + round). Purely a simulation-speed
-  /// memoization: traffic_snapshot is a deterministic pure function, so
-  /// sharing changes nothing.
-  std::map<std::uint64_t, cloud::Cloud::TrafficSnapshot> snapshots_;
+  /// (request epoch, round). Purely a simulation-speed memoization:
+  /// round_snapshot is a deterministic pure function, so sharing changes
+  /// nothing.
+  std::map<std::pair<std::uint64_t, std::uint32_t>, cloud::Cloud::TrafficSnapshot>
+      snapshots_;
 
   obs::Observer obs_;
   struct ObsHandles {

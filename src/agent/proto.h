@@ -25,7 +25,7 @@ enum class MsgType : std::uint16_t {
 };
 
 /// One probe directive: measure pair (src, dst) against the cross-traffic
-/// snapshot of (request epoch + round). Carrying the round keeps the
+/// snapshot of (request epoch, round). Carrying the round keeps the
 /// distributed probes keyed exactly like the central ProbeScheduler's.
 struct ProbeDirective {
   std::uint32_t src = 0;

@@ -27,6 +27,9 @@ std::uint64_t pair_salt(VmId src, VmId dst, std::uint64_t lane) {
   return 0x5851f42d4c957f2dULL + src * 1000003ULL + dst * 8191ULL + lane;
 }
 
+/// Salt base of round snapshot keys, clear of the other salts in this file.
+constexpr std::uint64_t kRoundSalt = 0x726f756e64000000ULL;
+
 }  // namespace
 
 void Cloud::summarize_chain(const TrainChain& chain, packetsim::TrainSummary& out) {
@@ -314,6 +317,11 @@ Cloud::TrafficSnapshot Cloud::traffic_snapshot(std::uint64_t epoch) const {
     snap.available_bps[l] = std::max(cap - loads[l].used_bps, fair);
   }
   return snap;
+}
+
+Cloud::TrafficSnapshot Cloud::round_snapshot(std::uint64_t epoch,
+                                             std::uint64_t round) const {
+  return traffic_snapshot(substream(seed_, epoch, kRoundSalt + round));
 }
 
 Cloud::TrainChain Cloud::train_chain_in_snapshot(VmId src, VmId dst,

@@ -53,7 +53,10 @@ class Cloud {
   /// Ground truth hose (egress) rate of a VM — harness only.
   double vm_hose_bps(VmId vm) const;
 
-  /// Monotonic counter for callers that need fresh background realizations.
+  /// A draw counter shared by whoever calls it. No library path draws from
+  /// it: each session runtime numbers its own measurement cycles. It stays
+  /// only because bench/e2e's session workloads still set
+  /// RuntimeOptions::epoch_source to it; it goes when that benchmark stops.
   std::uint64_t next_epoch() { return epoch_counter_++; }
 
   // ---- tenant-visible primitives -----------------------------------------
@@ -99,6 +102,8 @@ class Cloud {
   /// cross-traffic realization — the invariant that keeps parallel probing
   /// equivalent to sequential probing.
   struct TrafficSnapshot {
+    /// The realization key: it seeds the background and every train noise
+    /// stream of the snapshot.
     std::uint64_t epoch = 0;
     /// Per net::LinkId: capacity minus background usage (floored at a fair
     /// max-min share, since a persistent probe would claw that back).
@@ -107,6 +112,14 @@ class Cloud {
 
   /// Builds the cross-traffic snapshot for `epoch` (deterministic; const).
   TrafficSnapshot traffic_snapshot(std::uint64_t epoch) const;
+
+  /// The snapshot that round `round` of the measurement cycle at `epoch`
+  /// probes against: traffic_snapshot of a key that mixes (epoch, round) the
+  /// way the noise substreams mix theirs. Every round of every cycle gets its
+  /// own background and train noise, so no round of one cycle replays a
+  /// round of another. The one key both the in-process rounds and the agent
+  /// plane's probes use.
+  TrafficSnapshot round_snapshot(std::uint64_t epoch, std::uint64_t round) const;
 
   /// Order-independent packet train, left in `out` as what the §3.1
   /// estimator reads of the receiver's log (packetsim::summarize of it):

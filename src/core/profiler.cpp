@@ -13,7 +13,6 @@ void Profiler::observe(const FlowRecord& record) {
   CHOREO_REQUIRE(record.dst_task < matrix_.cols());
   CHOREO_REQUIRE(record.src_task != record.dst_task);
   CHOREO_REQUIRE(record.bytes >= 0.0);
-  CHOREO_REQUIRE(record.timestamp_s >= 0.0);
   matrix_(record.src_task, record.dst_task) += record.bytes;
   ++records_;
 }

@@ -15,7 +15,6 @@ struct FlowRecord {
   std::size_t src_task = 0;
   std::size_t dst_task = 0;
   double bytes = 0.0;
-  double timestamp_s = 0.0;
 };
 
 /// Folds flow records into the application's traffic matrix A, where "each

@@ -153,8 +153,7 @@ void SessionRuntime::pull_next_arrival() {
   CHOREO_ASSERT_MSG(!pending_, "only one look-ahead arrival at a time");
   std::optional<place::Application> app = stream_->next();
   if (!app) return;
-  // Out-of-order arrivals would be placed "late" without complaint, and the
-  // sharded session's epoch-draw lookahead assumes they never happen.
+  // Out-of-order arrivals would be placed "late" without complaint.
   CHOREO_REQUIRE_MSG(app->arrival_s >= last_arrival_s_,
                      "arrival times must be non-decreasing: '"
                          << app->name << "' arrives at " << app->arrival_s
@@ -221,11 +220,6 @@ std::optional<SessionRuntime::PendingEvent> SessionRuntime::peek_event() {
   prune();
   if (queue_.empty()) return std::nullopt;
   return PendingEvent{queue_.top().time_s, queue_.top().kind};
-}
-
-double SessionRuntime::pending_arrival_time() const {
-  if (!pending_) return std::numeric_limits<double>::infinity();
-  return pending_->app.arrival_s;
 }
 
 void SessionRuntime::start(workload::ArrivalStream& stream) {

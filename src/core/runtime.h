@@ -44,10 +44,10 @@ struct RuntimeOptions {
   /// record_outcomes off.
   std::function<void(const AppOutcome&)> on_outcome;
   /// Where measurement epochs come from. Default: a runtime-local counter
-  /// 1, 2, 3, ... (bit-identical to the historical merge loop). Multi-tenant
-  /// sessions share the cloud's counter instead, so tenants' measurement
-  /// cycles interleave on the shared clock and observe the cloud's evolving
-  /// background realizations in session order.
+  /// 1, 2, 3, ... (bit-identical to the historical merge loop), which every
+  /// library session uses, so tenants share no state. Kept only because
+  /// bench/e2e's session workloads still point it at Cloud::next_epoch; it
+  /// goes when that benchmark stops setting it.
   std::function<std::uint64_t()> epoch_source;
   /// Tag stamped into every SessionEvent::tenant this runtime emits.
   std::uint32_t tenant = 0;
@@ -119,11 +119,8 @@ class SessionRuntime {
   bool done();
 
   /// The next live event's time and kind (the event step() would process),
-  /// or nullopt when done. Multi-tenant composition interleaves runtimes on
-  /// a shared clock by the time; the sharded control plane uses the kind to
-  /// tell apart steps that will draw a measurement epoch (MeasureRefresh,
-  /// ReevalTick) — which must be sequenced globally — from steps that touch
-  /// only tenant-local state.
+  /// or nullopt when done. A driver that interleaves several runtimes on one
+  /// clock picks the earliest by the time and can time steps by the kind.
   struct PendingEvent {
     double time_s = 0.0;
     RuntimeEventKind kind = RuntimeEventKind::Arrival;
@@ -132,28 +129,6 @@ class SessionRuntime {
 
   /// Processes exactly one live event.
   void step();
-
-  // ---- epoch-draw lookahead (conservative parallel composition) -----------
-  // Epoch draws are the only cross-tenant coupling in a multi-tenant
-  // session; these accessors let core::ShardedSession bound when this
-  // runtime's *next* draw can happen without executing anything. All bounds
-  // are conservative (the true next draw is never earlier) and monotone
-  // non-decreasing as the session advances.
-
-  /// Arrival time of the pulled-but-unprocessed look-ahead application, or
-  /// +infinity when the stream is exhausted. Every future MeasureRefresh
-  /// draw happens at or after this instant.
-  double pending_arrival_time() const;
-
-  /// Earliest instant a future re-evaluation can fire (and draw an epoch):
-  /// ticks are always scheduled at max(next_reeval deadline, now), and the
-  /// deadline only moves forward.
-  double next_reeval_time() const { return next_reeval_; }
-
-  /// True when nothing is running or queued — re-evaluations cannot fire
-  /// before the next arrival is placed, so the next epoch draw is exactly
-  /// the pending arrival's measurement refresh.
-  bool fleet_idle() const { return in_flight_.empty() && waiting_.empty(); }
 
   /// Final accounting; returns the session log (moved out). Call once,
   /// after done().

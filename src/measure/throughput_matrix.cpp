@@ -41,7 +41,7 @@ PairsResult measure_rate_pairs(cloud::Cloud& cloud, const std::vector<cloud::VmI
     const auto& round = schedule.rounds[r];
     // All trains of the round observe the same background realization; the
     // snapshot is computed once and shared across the round's workers.
-    const cloud::Cloud::TrafficSnapshot snapshot = cloud.traffic_snapshot(epoch + r);
+    const cloud::Cloud::TrafficSnapshot snapshot = cloud.round_snapshot(epoch, r);
     vm_pairs.clear();
     for (const ProbePair& p : round) vm_pairs.emplace_back(vms[p.src], vms[p.dst]);
     cloud.run_train_round(vm_pairs, plan.train, snapshot, summaries, plan.workers);

@@ -44,7 +44,7 @@ struct PairsResult {
 
 /// Probes exactly `pairs` with packet trains (§4.1): schedules them into
 /// conflict-free rounds, runs each round's trains concurrently against a
-/// per-round cross-traffic snapshot (round r uses epoch + r), and estimates
+/// per-round cross-traffic snapshot (Cloud::round_snapshot(epoch, r)), and estimates
 /// throughput per pair. `epoch` selects the snapshots, so repeated
 /// measurements of the same epoch are reproducible. A full sweep probes
 /// all_ordered_pairs(vms.size()); incremental refreshes probe what a

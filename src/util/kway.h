@@ -7,12 +7,9 @@ namespace choreo::util {
 
 /// Earliest-first selection with ties to the lowest index: returns the index
 /// i in [0, count) minimizing (key_of(i), i) lexicographically, or `count`
-/// when every key is +infinity. This is the one comparison a deterministic
-/// k-way reduction must use everywhere — the multi-tenant execution
-/// interleave, the sharded session's epoch arbiter, and the aggregate
-/// event-log merge all order by (time, tenant index), so the merged output
-/// is the order events actually happened in regardless of how many threads
-/// produced them.
+/// when every key is +infinity. The aggregate event-log merge orders by
+/// (time, tenant index) through it, so the merged output is the order events
+/// happened in regardless of how many threads produced them.
 template <typename KeyOf>
 std::size_t earliest_index(std::size_t count, KeyOf&& key_of) {
   std::size_t best = count;
@@ -25,14 +22,6 @@ std::size_t earliest_index(std::size_t count, KeyOf&& key_of) {
     }
   }
   return best;
-}
-
-/// Lexicographic order on (time, index) — the shared tie-breaking rule made
-/// explicit for call sites that compare two keys instead of scanning a range.
-inline bool earlier_key(double time_a, std::size_t index_a, double time_b,
-                        std::size_t index_b) {
-  if (time_a != time_b) return time_a < time_b;
-  return index_a < index_b;
 }
 
 }  // namespace choreo::util

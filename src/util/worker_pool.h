@@ -12,10 +12,12 @@ namespace choreo::util {
 /// the calling thread after every worker has finished.
 ///
 /// This is the fork-join primitive behind the sharded control plane
-/// (core::ShardedSession) and is deliberately dumb: no queue, no futures —
-/// callers that need work distribution build it from shared state, which
-/// keeps the synchronization they must reason about (and that TSan checks)
-/// in one place, theirs.
+/// (core::ShardedSession) and parallel probe rounds
+/// (cloud::Cloud::run_train_round), and is deliberately dumb: no queue, no
+/// futures. Both callers distribute work the same way, each worker claiming
+/// the next item from one shared std::atomic index, which keeps the
+/// synchronization they must reason about (and that TSan checks) to that one
+/// counter.
 void run_workers(unsigned workers, const std::function<void(unsigned)>& body);
 
 }  // namespace choreo::util

@@ -41,15 +41,9 @@ std::vector<FlowRecord> sflow_sample(const std::vector<ObservedTransfer>& transf
       rec.src_task = tr.src_task;
       rec.dst_task = tr.dst_task;
       rec.bytes = scaled_bytes;
-      rec.timestamp_s = tr.start_s + rng.uniform(0.0, std::max(1e-9, tr.end_s - tr.start_s));
       records.push_back(rec);
     }
   }
-  // Collectors deliver records roughly in time order.
-  std::sort(records.begin(), records.end(),
-            [](const FlowRecord& a, const FlowRecord& b) {
-              return a.timestamp_s < b.timestamp_s;
-            });
   return records;
 }
 

@@ -35,7 +35,7 @@ struct ObservedTransfer {
 /// Samples the transfers the way an sFlow agent would: each transfer's
 /// packet count is thinned binomially at 1/sampling_rate, and each sampled
 /// packet becomes a FlowRecord carrying `sampling_rate * packet_bytes`
-/// estimated bytes, timestamped uniformly across the transfer's lifetime.
+/// estimated bytes.
 ///
 /// Small flows may produce no samples at all (the classic sFlow blind spot);
 /// heavy flows — the ones that matter for placement (§2.1) — are estimated

@@ -13,9 +13,9 @@ using units::megabytes;
 
 TEST(Profiler, AccumulatesTrafficMatrix) {
   Profiler prof(3);
-  prof.observe({0, 1, 100.0, 10.0});
-  prof.observe({0, 1, 50.0, 20.0});
-  prof.observe({2, 0, 25.0, 30.0});
+  prof.observe({0, 1, 100.0});
+  prof.observe({0, 1, 50.0});
+  prof.observe({2, 0, 25.0});
   EXPECT_EQ(prof.records_seen(), 3u);
   EXPECT_DOUBLE_EQ(prof.traffic_matrix()(0, 1), 150.0);
   EXPECT_DOUBLE_EQ(prof.traffic_matrix()(2, 0), 25.0);
@@ -24,14 +24,14 @@ TEST(Profiler, AccumulatesTrafficMatrix) {
 
 TEST(Profiler, RejectsBadRecords) {
   Profiler prof(2);
-  EXPECT_THROW(prof.observe({0, 0, 1.0, 0.0}), PreconditionError);  // self flow
-  EXPECT_THROW(prof.observe({0, 5, 1.0, 0.0}), PreconditionError);  // bad task
-  EXPECT_THROW(prof.observe({0, 1, -1.0, 0.0}), PreconditionError);
+  EXPECT_THROW(prof.observe({0, 0, 1.0}), PreconditionError);  // self flow
+  EXPECT_THROW(prof.observe({0, 5, 1.0}), PreconditionError);  // bad task
+  EXPECT_THROW(prof.observe({0, 1, -1.0}), PreconditionError);
 }
 
 TEST(Profiler, ToApplicationCarriesMatrix) {
   Profiler prof(2);
-  prof.observe({0, 1, megabytes(10), 0.0});
+  prof.observe({0, 1, megabytes(10)});
   const place::Application app = prof.to_application({1.0, 2.0}, "svc");
   EXPECT_EQ(app.name, "svc");
   EXPECT_DOUBLE_EQ(app.traffic_bytes(0, 1), megabytes(10));

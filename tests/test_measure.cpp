@@ -175,6 +175,39 @@ TEST(MatrixMeasurement, PairSubsetMatchesScheduleArithmetic) {
   EXPECT_DOUBLE_EQ(none.wall_time_s, 0.0);
 }
 
+// Bug: round r of a cycle probed against the snapshot of (epoch + r), so
+// round r + 1 of cycle e and round r of cycle e + 1 read the same background
+// and the same train noise. On ec2_2013 (seed 7, 6 VMs) every pair that a
+// full sweep at epoch 10 put in rounds 1 to 4 gave a bit-identical estimate
+// when probed alone at epoch 10 + r, so a re-probe could hide a pair's
+// volatility. Rounds now key their snapshot by (epoch, round) jointly.
+TEST(MatrixMeasurement, LaterRoundsDoNotReplayLaterCycles) {
+  cloud::Cloud c(cloud::ec2_2013(), 7);
+  const auto vms = c.allocate_vms(6);
+  MeasurementPlan plan;
+  plan.train.bursts = 5;
+  plan.train.burst_length = 100;
+  const std::uint64_t epoch = 10;
+  const std::vector<ProbePair> pairs = all_ordered_pairs(vms.size());
+  const PairsResult sweep = measure_rate_pairs(c, vms, pairs, plan, epoch);
+  const ProbeSchedule schedule = schedule_probes(vms.size(), pairs);
+  std::size_t probed = 0, replayed = 0;
+  for (std::size_t r = 1; r < schedule.rounds.size(); ++r) {
+    for (const ProbePair& p : schedule.rounds[r]) {
+      const auto k = static_cast<std::size_t>(
+          std::find_if(pairs.begin(), pairs.end(),
+                       [&](const ProbePair& q) { return q.src == p.src && q.dst == p.dst; }) -
+          pairs.begin());
+      ASSERT_LT(k, pairs.size());
+      const PairsResult alone = measure_rate_pairs(c, vms, {p}, plan, epoch + r);
+      ++probed;
+      if (alone.rate_bps[0] == sweep.rate_bps[k]) ++replayed;
+    }
+  }
+  EXPECT_EQ(probed, 24u);
+  EXPECT_EQ(replayed, 0u);
+}
+
 TEST(MatrixMeasurement, TrainEstimatesNearTruth) {
   cloud::Cloud c(cloud::ec2_2013(), 23);
   const auto vms = c.allocate_vms(5);

@@ -157,18 +157,18 @@ TEST(Regression, TokenBucketRateExactUnderLongLoad) {
 // tenant 3 at t = 600 s). The configuration is the shape of the "Known
 // crash" recipe of bench/e2e/README.md — 4 tenants x 5 ec2_2013 VMs for
 // 0.2 h, 6 250 apps/day each with 4.8 GB median transfers — but not its seed:
-// the cloud and stream seeds below are the ones choreo_bench
-// --workload=session_fixed --seed=32 derives for its first input, found by
-// scanning seeds for one whose measured rates lead to an infeasible re-plan
-// (the recipe's --seed=8 no longer does). Measurement noise picks the path
-// here; ReplanInfeasibleByCpuKeepsTheCurrentPlan below reaches it by CPU
+// the cloud and stream seeds below are derived the way choreo_bench derives
+// them for the first input of --seed=6, found by scanning seeds for one whose
+// measured rates lead this MultiTenantSession (each tenant numbering its own
+// measurement cycles) to an infeasible re-plan. Measurement noise picks the
+// path here; ReplanInfeasibleByCpuKeepsTheCurrentPlan below reaches it by CPU
 // demand alone. The re-plan now keeps the current placements and is counted
 // as infeasible.
 
 TEST(Regression, InfeasibleReevaluationKeepsTheCurrentPlan) {
-  cloud::Cloud cl(cloud::ec2_2013(), 0xfac5c92dab67dc56ull);
-  const std::uint64_t stream_seeds[] = {0x21efb90f2dfa93d4ull, 0xce3c529946a2568dull,
-                                        0xe9110a0d85a83f9full, 0xe0d994354c17a4c2ull};
+  cloud::Cloud cl(cloud::ec2_2013(), 0xa66f3bdc68087d8aull);
+  const std::uint64_t stream_seeds[] = {0x1ffc8de49deaae77ull, 0x5e052bb0b3e74b3full,
+                                        0x03c886a0385e6f10ull, 0xf9b34ac26bf53307ull};
   workload::TraceConfig trace;
   trace.duration_hours = 0.2;
   trace.apps_per_day = 6250;

@@ -1,6 +1,6 @@
 // The discrete-event session runtime beyond the differential pin: the
 // stepping API, constant-memory streaming mode, and multi-tenant sessions
-// interleaving disjoint VM slices of one shared cloud.
+// over disjoint VM slices of one shared cloud.
 
 #include "core/runtime.h"
 
@@ -351,35 +351,6 @@ TEST(MultiTenant, DeterministicAcrossRuns) {
     EXPECT_EQ(r1.aggregate.events[i].app, r2.aggregate.events[i].app);
   }
   EXPECT_EQ(r1.aggregate.total_runtime_s, r2.aggregate.total_runtime_s);
-}
-
-TEST(MultiTenant, MeasuredTenantsDrawSharedEpochs) {
-  // With the measured view on, both tenants probe the shared cloud; each
-  // draws epochs from the shared counter, so both sessions account probes
-  // and the cloud's epoch counter advances past its initial value.
-  cloud::Cloud cloud(cloud::ec2_2013(), 5);
-  const auto vms_a = cloud.allocate_vms(4);
-  const auto vms_b = cloud.allocate_vms(4);
-  workload::GeneratorArrivalStream stream_a(500, small_stream_config(2, 20.0));
-  workload::GeneratorArrivalStream stream_b(600, small_stream_config(2, 20.0));
-  std::vector<TenantSpec> tenants(2);
-  for (std::size_t i = 0; i < 2; ++i) {
-    tenants[i].config.choreo.plan.train.bursts = 3;
-    tenants[i].config.choreo.plan.train.burst_length = 60;
-    tenants[i].config.choreo.reevaluate_period_s = 300.0;
-  }
-  tenants[0].vms = vms_a;
-  tenants[0].stream = &stream_a;
-  tenants[1].vms = vms_b;
-  tenants[1].stream = &stream_b;
-  MultiTenantSession session(cloud, std::move(tenants));
-  const MultiTenantLog result = session.run();
-  for (const SessionLog& log : result.tenants) {
-    EXPECT_GT(log.pairs_probed, 0u);
-    EXPECT_GT(log.measurement_wall_s, 0.0);
-  }
-  // Both tenants' measurement cycles consumed distinct shared epochs.
-  EXPECT_GT(cloud.next_epoch(), 4u);
 }
 
 }  // namespace

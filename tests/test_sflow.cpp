@@ -54,28 +54,6 @@ TEST(Sflow, SamplingRateOneIsLossless) {
   EXPECT_NEAR(total, megabytes(1.5), 1500.0);
 }
 
-TEST(Sflow, RecordsSortedAndWithinLifetime) {
-  Rng rng(4);
-  std::vector<ObservedTransfer> transfers{
-      {0, 1, gigabytes(1), 50.0, 80.0},
-      {2, 3, gigabytes(1), 10.0, 30.0},
-  };
-  const auto records = sflow_sample(transfers, SflowConfig{}, rng);
-  ASSERT_FALSE(records.empty());
-  for (std::size_t i = 1; i < records.size(); ++i) {
-    EXPECT_LE(records[i - 1].timestamp_s, records[i].timestamp_s);
-  }
-  for (const auto& r : records) {
-    if (r.src_task == 0) {
-      EXPECT_GE(r.timestamp_s, 50.0);
-      EXPECT_LE(r.timestamp_s, 80.0);
-    } else {
-      EXPECT_GE(r.timestamp_s, 10.0);
-      EXPECT_LE(r.timestamp_s, 30.0);
-    }
-  }
-}
-
 TEST(Sflow, RejectsBadConfig) {
   Rng rng(5);
   std::vector<ObservedTransfer> transfers{{0, 1, 1e6, 0.0, 1.0}};

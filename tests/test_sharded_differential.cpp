@@ -3,17 +3,21 @@
 // event, outcome, placement, and accounting double, per tenant and in the
 // aggregate — for every thread count, over a randomized
 // multi-tenant corpus that exercises bursty MMPP arrivals, streaming traces,
-// queueing, rejection, and migration. The oracle is kept verbatim; any
-// divergence is a bug in the arbiter's conservative draw ordering.
+// queueing, rejection, and migration. Tenants share no mutable state, so the
+// same corpus must also give each tenant the same log whatever order the
+// tenants run in: one after another, in reverse, or interleaved on one clock.
 
 #include <gtest/gtest.h>
 
+#include <limits>
 #include <memory>
+#include <optional>
 #include <string>
 #include <vector>
 
 #include "core/sharded.h"
 #include "oracles/multi_tenant_session.h"
+#include "util/kway.h"
 #include "util/units.h"
 #include "workload/generator.h"
 #include "workload/stream.h"
@@ -221,38 +225,73 @@ World build_world(const WorldSpec& spec) {
   return w;
 }
 
-struct OracleRun {
+/// What one run of a world leaves: the logs, the per-tenant stats, and the
+/// cloud's shared counter's next value.
+struct WorldRun {
   MultiTenantLog log;
   std::vector<SessionRuntime::Stats> stats;
   std::uint64_t final_epoch = 0;
 };
 
-OracleRun run_oracle(const WorldSpec& spec) {
+WorldRun run_oracle(const WorldSpec& spec) {
   World w = build_world(spec);
   MultiTenantSession session(*w.cloud, std::move(w.tenants));
-  OracleRun out;
+  WorldRun out;
   out.log = session.run();
   out.stats = session.tenant_stats();
   out.final_epoch = w.cloud->next_epoch();
   return out;
 }
 
-struct ShardedRun {
-  MultiTenantLog log;
-  std::vector<SessionRuntime::Stats> stats;
-  ShardedSession::Stats sched;
-  std::uint64_t final_epoch = 0;
-};
-
-ShardedRun run_sharded(const WorldSpec& spec, unsigned threads) {
+WorldRun run_sharded(const WorldSpec& spec, unsigned threads) {
   World w = build_world(spec);
   ShardedOptions opts;
   opts.threads = threads;
   ShardedSession session(*w.cloud, std::move(w.tenants), opts);
-  ShardedRun out;
+  WorldRun out;
   out.log = session.run();
   out.stats = session.tenant_stats();
-  out.sched = session.stats();
+  out.final_epoch = w.cloud->next_epoch();
+  return out;
+}
+
+/// The orders, besides the oracle's one-after-another, in which the tenants
+/// of one world are run for the order-independence check.
+enum class Order { Reverse, Interleave };
+
+/// Runs a world's tenants as bare SessionRuntimes in `order`: Reverse runs
+/// each to completion from the last tenant to the first; Interleave starts
+/// all of them and then always steps the tenant with the earliest live
+/// event, ties to the lowest index (the loop bench/e2e drives its sessions
+/// with).
+WorldRun run_in_order(const WorldSpec& spec, Order order) {
+  World w = build_world(spec);
+  const std::size_t n = w.tenants.size();
+  std::vector<std::unique_ptr<SessionRuntime>> runtimes;
+  for (std::size_t i = 0; i < n; ++i) {
+    RuntimeOptions options;
+    options.tenant = static_cast<std::uint32_t>(i);
+    runtimes.push_back(std::make_unique<SessionRuntime>(
+        *w.cloud, w.tenants[i].vms, w.tenants[i].config, std::move(options)));
+  }
+  std::vector<SessionLog> logs(n);
+  if (order == Order::Reverse) {
+    for (std::size_t i = n; i-- > 0;) logs[i] = runtimes[i]->run(*w.tenants[i].stream);
+  } else {
+    for (std::size_t i = 0; i < n; ++i) runtimes[i]->start(*w.tenants[i].stream);
+    while (true) {
+      const std::size_t best = util::earliest_index(n, [&](std::size_t i) {
+        const std::optional<SessionRuntime::PendingEvent> next = runtimes[i]->peek_event();
+        return next ? next->time_s : std::numeric_limits<double>::infinity();
+      });
+      if (best == n) break;
+      runtimes[best]->step();
+    }
+    for (std::size_t i = 0; i < n; ++i) logs[i] = runtimes[i]->finish();
+  }
+  WorldRun out;
+  out.log = merge_tenant_logs(std::move(logs));
+  for (const auto& rt : runtimes) out.stats.push_back(rt->stats());
   out.final_epoch = w.cloud->next_epoch();
   return out;
 }
@@ -277,25 +316,26 @@ struct Coverage {
 
 void check_spec(const WorldSpec& spec, const std::vector<unsigned>& thread_counts,
                 const std::string& label, Coverage* coverage = nullptr) {
-  const OracleRun oracle = run_oracle(spec);
+  const WorldRun oracle = run_oracle(spec);
   if (coverage != nullptr) coverage->absorb(oracle.log);
   for (const unsigned threads : thread_counts) {
     const std::string tag = label + " threads=" + std::to_string(threads);
-    const ShardedRun got = run_sharded(spec, threads);
+    const WorldRun got = run_sharded(spec, threads);
     expect_multi_identical(oracle.log, got.log, tag);
     expect_stats_identical(oracle.stats, got.stats, tag);
-    // The shared counter must land in exactly the same place: same number
-    // of draws happened, in a provably identical order.
     EXPECT_EQ(oracle.final_epoch, got.final_epoch) << tag;
-    EXPECT_EQ(got.sched.threads, threads) << tag;
   }
 }
 
-TEST(ShardedDifferential, RandomizedCorpus) {
-  // Tenant counts sweep 1..13, thread counts 1..8; the thread counts
-  // rotate with the seed so the whole range is covered across the corpus
-  // without running every count on every seed.
-  Coverage cov;
+/// The randomized corpus: tenant counts sweep 1..13, and the thread counts
+/// rotate with the seed so 1..8 are covered across the corpus without
+/// running every count on every seed.
+struct CorpusEntry {
+  WorldSpec spec;
+  std::vector<unsigned> threads;
+};
+
+std::vector<CorpusEntry> corpus() {
   const std::vector<std::vector<unsigned>> rotations = {
       {1, 2, 8},
       {8, 2, 4},
@@ -303,35 +343,71 @@ TEST(ShardedDifferential, RandomizedCorpus) {
       {2, 6, 8},
   };
   const std::size_t tenant_counts[] = {1, 2, 3, 5, 8, 13};
+  std::vector<CorpusEntry> out;
   for (std::uint64_t seed = 1; seed <= 6; ++seed) {
-    WorldSpec spec;
-    spec.seed = seed;
-    spec.tenants = tenant_counts[(seed - 1) % 6];
-    spec.vms_per_tenant = 4 + seed % 3;
-    spec.apps_per_tenant = 4 + seed % 3;
-    check_spec(spec, rotations[seed % rotations.size()],
-               "corpus seed " + std::to_string(seed), &cov);
+    CorpusEntry e;
+    e.spec.seed = seed;
+    e.spec.tenants = tenant_counts[(seed - 1) % 6];
+    e.spec.vms_per_tenant = 4 + seed % 3;
+    e.spec.apps_per_tenant = 4 + seed % 3;
+    e.threads = rotations[seed % rotations.size()];
+    out.push_back(e);
   }
-  // The corpus must exercise the paths a draw-ordering bug would corrupt.
+  // With the measured view on, every epoch seeds real probe noise, so a
+  // tenant whose cycles were keyed by another's progress would measure a
+  // different matrix and place differently. Small sizes: probing is
+  // expensive.
+  for (std::uint64_t seed = 30; seed <= 32; ++seed) {
+    CorpusEntry e;
+    e.spec.seed = seed;
+    e.spec.tenants = 2 + seed % 2;
+    e.spec.vms_per_tenant = 4;
+    e.spec.apps_per_tenant = 3;
+    e.spec.use_measured_view = true;
+    e.threads = {2, 1, 3};
+    out.push_back(e);
+  }
+  return out;
+}
+
+std::string label_of(const WorldSpec& spec) {
+  return (spec.use_measured_view ? "measured seed " : "corpus seed ") +
+         std::to_string(spec.seed);
+}
+
+TEST(ShardedDifferential, RandomizedCorpus) {
+  Coverage cov;
+  for (const CorpusEntry& e : corpus()) check_spec(e.spec, e.threads, label_of(e.spec), &cov);
+  // The corpus must exercise the paths a scheduling bug would corrupt.
   EXPECT_GT(cov.deferred, 0u);
   EXPECT_GT(cov.rejected, 0u);
   EXPECT_GT(cov.adopted, 0u);
   EXPECT_GT(cov.migrated, 0u);
 }
 
-TEST(ShardedDifferential, MeasuredViewDrawsSharedEpochs) {
-  // With the measured view on, every granted epoch seeds real probe noise —
-  // any grant-order slip shows up as a different measured matrix, different
-  // placements, different everything. Small sizes: probing is expensive.
-  for (std::uint64_t seed = 30; seed <= 32; ++seed) {
-    WorldSpec spec;
-    spec.seed = seed;
-    spec.tenants = 2 + seed % 2;
-    spec.vms_per_tenant = 4;
-    spec.apps_per_tenant = 3;
-    spec.use_measured_view = true;
-    check_spec(spec, {2, 1, 3},
-               "measured seed " + std::to_string(seed));
+TEST(ShardedDifferential, TenantLogsDoNotDependOnRunOrder) {
+  // Each tenant's log is a function of its own spec alone: running the
+  // tenants one after another, in reverse, or interleaved on one clock
+  // gives every tenant the same log, and none of them draws from the
+  // cloud's shared epoch counter.
+  const std::uint64_t untouched = cloud::Cloud(cloud::ec2_2013(), 1).next_epoch();
+  for (const CorpusEntry& e : corpus()) {
+    const std::string label = label_of(e.spec);
+    const WorldRun sequential = run_oracle(e.spec);
+    EXPECT_EQ(sequential.final_epoch, untouched) << label;
+    for (const Order order : {Order::Reverse, Order::Interleave}) {
+      const std::string tag = label + (order == Order::Reverse ? " reverse" : " interleave");
+      const WorldRun got = run_in_order(e.spec, order);
+      expect_multi_identical(sequential.log, got.log, tag);
+      expect_stats_identical(sequential.stats, got.stats, tag);
+      EXPECT_EQ(got.final_epoch, untouched) << tag;
+    }
+    if (!e.spec.use_measured_view) continue;
+    // Every measured tenant probed and accounted its own cycles.
+    for (const SessionLog& log : sequential.log.tenants) {
+      EXPECT_GT(log.pairs_probed, 0u) << label;
+      EXPECT_GT(log.measurement_wall_s, 0.0) << label;
+    }
   }
 }
 
@@ -355,12 +431,10 @@ TEST(ShardedDifferential, RepeatedRunsAreBitIdentical) {
   spec.tenants = 6;
   spec.vms_per_tenant = 4;
   spec.apps_per_tenant = 5;
-  const ShardedRun a = run_sharded(spec, 4);
-  const ShardedRun b = run_sharded(spec, 4);
+  const WorldRun a = run_sharded(spec, 4);
+  const WorldRun b = run_sharded(spec, 4);
   expect_multi_identical(a.log, b.log, "repeat");
   expect_stats_identical(a.stats, b.stats, "repeat");
-  EXPECT_EQ(a.final_epoch, b.final_epoch);
-  EXPECT_EQ(a.sched.epoch_grants, b.sched.epoch_grants);
 }
 
 }  // namespace

@@ -1,15 +1,12 @@
 // Edge cases of the sharded control plane: degenerate tenant/thread shapes
-// (single tenant, one thread, more threads than tenants),
-// a tenant whose stream never produces an arrival, tenants that all hit the
-// same epoch-boundary instant, and the EpochArbiter's grant protocol probed
-// directly (order, bound gating, cascades, completion, abort).
+// (single tenant, one thread, more threads than tenants), a tenant whose
+// stream never produces an arrival, and tenants that all hit the same
+// epoch-boundary instant.
 
 #include <gtest/gtest.h>
 
 #include <memory>
-#include <optional>
 #include <string>
-#include <thread>
 #include <vector>
 
 #include "core/sharded.h"
@@ -21,92 +18,6 @@ namespace choreo::core {
 namespace {
 
 using units::gigabytes;
-
-// ---- EpochArbiter protocol --------------------------------------------------
-
-std::function<std::uint64_t()> counter_draw(std::uint64_t& next) {
-  return [&next] { return next++; };
-}
-
-/// Checks out every tenant, as the first workers would: in index order,
-/// with no epoch yet.
-void check_out_all(EpochArbiter& arb, std::size_t tenants) {
-  for (std::size_t i = 0; i < tenants; ++i) {
-    const auto ticket = arb.acquire();
-    ASSERT_TRUE(ticket.has_value());
-    EXPECT_EQ(ticket->tenant, i);
-    EXPECT_FALSE(ticket->epoch.has_value());
-  }
-}
-
-TEST(EpochArbiter, GrantsFollowTimeThenTenantOrder) {
-  std::uint64_t next = 1;
-  EpochArbiter arb(2, counter_draw(next));
-  check_out_all(arb, 2);
-  // Tenant 1 asks first but tenant 0's bound (-inf) still allows an earlier
-  // draw: the request parks.
-  EXPECT_FALSE(arb.request(1, 5.0, 10.0).has_value());
-  // Tenant 0 advances past 5.0: tenant 1's draw is now provably next, and
-  // tenant 1 is ready again with its epoch.
-  arb.set_bound(0, 6.0);
-  const auto ticket = arb.acquire();
-  ASSERT_TRUE(ticket.has_value());
-  EXPECT_EQ(ticket->tenant, 1u);
-  ASSERT_TRUE(ticket->epoch.has_value());
-  EXPECT_EQ(*ticket->epoch, 1u);
-  // Tenant 0 requests at its bound; tenant 1 now runs with bound 10.0.
-  const auto second = arb.request(0, 6.0, 20.0);
-  ASSERT_TRUE(second.has_value());
-  EXPECT_EQ(*second, 2u);
-  EXPECT_EQ(arb.grants(), 2u);
-}
-
-TEST(EpochArbiter, EqualTimesBreakTiesByTenantIndex) {
-  std::uint64_t next = 1;
-  EpochArbiter arb(3, counter_draw(next));
-  check_out_all(arb, 3);
-  arb.set_bound(2, 100.0);  // tenant 2 is far in the future
-  // Tenant 1 registers at t=7 first, then tenant 0 at the same instant:
-  // tenant 0 must draw first (the oracle advances the lowest index).
-  EXPECT_FALSE(arb.request(1, 7.0, 9.0).has_value());
-  const auto first = arb.request(0, 7.0, 8.0);
-  ASSERT_TRUE(first.has_value());
-  EXPECT_EQ(*first, 1u);
-  // Granting tenant 0 re-publishes its post-bound (8.0 > 7.0), which
-  // cascades the grant to tenant 1 in the same pass.
-  const auto second = arb.acquire();
-  ASSERT_TRUE(second.has_value());
-  EXPECT_EQ(second->tenant, 1u);
-  ASSERT_TRUE(second->epoch.has_value());
-  EXPECT_EQ(*second->epoch, 2u);
-}
-
-TEST(EpochArbiter, DoneTenantsStopGatingGrants) {
-  std::uint64_t next = 1;
-  EpochArbiter arb(2, counter_draw(next));
-  check_out_all(arb, 2);
-  EXPECT_FALSE(arb.request(1, 3.0, 4.0).has_value());
-  arb.mark_done(0);  // tenant 0 will never draw: tenant 1 unblocks
-  const auto ticket = arb.acquire();
-  ASSERT_TRUE(ticket.has_value());
-  EXPECT_EQ(ticket->tenant, 1u);
-  ASSERT_TRUE(ticket->epoch.has_value());
-  EXPECT_EQ(*ticket->epoch, 1u);
-  arb.mark_done(1);
-  EXPECT_FALSE(arb.acquire().has_value());  // every tenant is done
-}
-
-TEST(EpochArbiter, AbortWakesABlockedAcquire) {
-  std::uint64_t next = 1;
-  EpochArbiter arb(1, counter_draw(next));
-  check_out_all(arb, 1);  // tenant 0 runs, so a second acquire must sleep
-  std::optional<EpochArbiter::Ticket> got = EpochArbiter::Ticket{};
-  std::thread waiter([&] { got = arb.acquire(); });
-  while (arb.idle_waits() == 0) std::this_thread::yield();  // waiter is asleep
-  arb.abort();
-  waiter.join();
-  EXPECT_FALSE(got.has_value());
-}
 
 // ---- degenerate session shapes ---------------------------------------------
 
@@ -242,8 +153,8 @@ TEST(ShardedEdges, MoreShardsThanTenants) {
 
 TEST(ShardedEdges, TenantWithZeroArrivals) {
   // A tenant whose stream is empty still runs its initial measurement sweep
-  // (drawing its pre-assigned epoch) and finishes immediately; it must not
-  // stall the arbiter or shift any other tenant's draws.
+  // and finishes immediately; it must not stall a worker or change any
+  // other tenant's log.
   TenantApps apps = busy_tenants(3);
   apps[1].clear();
   const MultiTenantLog oracle = run_oracle(23, apps, 60.0);
@@ -256,9 +167,9 @@ TEST(ShardedEdges, TenantWithZeroArrivals) {
 TEST(ShardedEdges, TenantsFinishingAtTheSameEpochBoundary) {
   // Every tenant holds a long-running app across the first re-evaluation
   // deadline and receives chat arrivals exactly at it: at t == period the
-  // whole fleet hits MeasureRefresh + ReevalTick draws at one instant, so
-  // the arbiter must deliver a long run of same-time grants in strict
-  // tenant order, and the final departures land on the boundary together.
+  // whole fleet measures and re-evaluates at one instant, and the final
+  // departures land on the boundary together, so the merged log's
+  // (time, tenant) order is tested on a long run of equal times.
   TenantApps per_tenant;
   for (std::size_t i = 0; i < 4; ++i) {
     std::vector<place::Application> apps;

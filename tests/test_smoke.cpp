@@ -37,8 +37,8 @@ TEST(Smoke, DefaultConfigMeasureAndPlaceOnTinyTopology) {
 
   // Profile a toy 3-task app (one heavy pair, one light edge) and place it.
   core::Profiler profiler(/*task_count=*/3);
-  profiler.observe({0, 1, units::gigabytes(1.0), 5.0});
-  profiler.observe({1, 2, units::megabytes(100), 8.0});
+  profiler.observe({0, 1, units::gigabytes(1.0)});
+  profiler.observe({1, 2, units::megabytes(100)});
   // CPU demands of 3 cores each keep any two tasks from sharing a 4-core
   // VM, so at least one transfer must cross the network.
   const place::Application app = profiler.to_application({3.0, 3.0, 3.0}, "smoke-app");
