@@ -377,12 +377,26 @@ std::string label_of(const WorldSpec& spec) {
 
 TEST(ShardedDifferential, RandomizedCorpus) {
   Coverage cov;
-  for (const CorpusEntry& e : corpus()) check_spec(e.spec, e.threads, label_of(e.spec), &cov);
+  for (const CorpusEntry& e : corpus()) {
+    if (e.spec.use_measured_view) continue;
+    check_spec(e.spec, e.threads, label_of(e.spec), &cov);
+  }
   // The corpus must exercise the paths a scheduling bug would corrupt.
   EXPECT_GT(cov.deferred, 0u);
   EXPECT_GT(cov.rejected, 0u);
   EXPECT_GT(cov.adopted, 0u);
   EXPECT_GT(cov.migrated, 0u);
+}
+
+TEST(ShardedDifferential, MeasuredViewDrawsSharedEpochs) {
+  // The measured-view entries of the corpus: the sharded run and the
+  // oracle must draw the same tenant-local epochs, because every epoch
+  // seeds real probe noise. A slip shows up as a different measured
+  // matrix, different placements, different everything.
+  for (const CorpusEntry& e : corpus()) {
+    if (!e.spec.use_measured_view) continue;
+    check_spec(e.spec, e.threads, label_of(e.spec));
+  }
 }
 
 TEST(ShardedDifferential, TenantLogsDoNotDependOnRunOrder) {
