@@ -22,7 +22,7 @@ using namespace choreo;
 
 /// Executes a phased plan: phases run back to back; migrations between
 /// phases add downtime. Returns total wall time.
-double execute_plan(cloud::Cloud& c, const std::vector<cloud::VmId>& vms,
+double execute_plan(const cloud::Cloud& c, const std::vector<cloud::VmId>& vms,
                     const place::PhasedApplication& app, const place::PhasedPlan& plan,
                     double migration_cost_per_task_s, std::uint64_t epoch) {
   double total = 0.0;

@@ -208,7 +208,7 @@ inline void print_speedup_stats(const std::string& vs, const SpeedupStats& s) {
 /// Executes a placed application on the cloud; returns the application's
 /// running time (all transfers start at `start_s`; runtime is the latest
 /// completion minus start).
-inline double execute_placement(cloud::Cloud& cloud, const std::vector<cloud::VmId>& vms,
+inline double execute_placement(const cloud::Cloud& cloud, const std::vector<cloud::VmId>& vms,
                                 const place::Application& app,
                                 const place::Placement& placement, std::uint64_t epoch) {
   std::vector<cloud::Cloud::Transfer> transfers;

@@ -29,7 +29,7 @@ using namespace choreo;
 /// with per-algorithm cluster bookkeeping (releasing apps estimated to have
 /// finished), executes everything with arrival offsets, and returns the sum
 /// of per-app running times. Returns a negative value if placement failed.
-double run_sequence(cloud::Cloud& c, const std::vector<cloud::VmId>& vms,
+double run_sequence(const cloud::Cloud& c, const std::vector<cloud::VmId>& vms,
                     const std::vector<place::Application>& apps,
                     const place::ClusterView& view, place::Placer& placer,
                     std::uint64_t exec_epoch) {

@@ -51,7 +51,7 @@ struct RunResult {
 /// fixed policy `refresh` verbatim. The views' topology comes from the calm
 /// twin (identical to the busy one); every cycle probes the cloud of its
 /// epoch.
-RunResult run_session(cloud::Cloud& calm, cloud::Cloud& busy,
+RunResult run_session(const cloud::Cloud& calm, const cloud::Cloud& busy,
                       const std::vector<cloud::VmId>& vms,
                       const measure::MeasurementPlan& mplan,
                       const measure::RefreshPolicy& refresh,
@@ -62,7 +62,7 @@ RunResult run_session(cloud::Cloud& calm, cloud::Cloud& busy,
   forecast::Refresher refresher(calm, vms, refresh, forecast);
   std::vector<double> errs, post_errs;
   for (std::uint64_t e = 1; e <= total_epochs; ++e) {
-    cloud::Cloud& active = e <= shift_epoch ? calm : busy;
+    const cloud::Cloud& active = e <= shift_epoch ? calm : busy;
     const forecast::Refresher::Cycle refreshed = refresher.run_in_process(active, mplan, e);
     EpochScore score;
     score.probes = refreshed.report.pairs_probed;

@@ -99,7 +99,7 @@ std::string exact(double v, bool present = true) {
 /// estimated completion, and the executed completion — placed_s plus the
 /// makespan of the app's transfers run alone on the cloud at its final
 /// placement, under a background realization keyed by (tenant, ordinal).
-void write_outcomes(const std::string& path, cloud::Cloud& cloud,
+void write_outcomes(const std::string& path, const cloud::Cloud& cloud,
                     const core::MultiTenantLog& result,
                     const std::vector<std::vector<cloud::VmId>>& tenant_vms,
                     const std::vector<std::unique_ptr<RecordingStream>>& recorders) {

@@ -20,7 +20,7 @@ namespace {
 
 using namespace choreo;
 
-double run_with(cloud::Cloud& cloud, const std::vector<cloud::VmId>& vms,
+double run_with(const cloud::Cloud& cloud, const std::vector<cloud::VmId>& vms,
                 const place::Application& app, place::Placer& placer,
                 const place::ClusterView& view, std::uint64_t epoch) {
   place::ClusterState state(view);
@@ -37,7 +37,7 @@ double run_with(cloud::Cloud& cloud, const std::vector<cloud::VmId>& vms,
   return cloud.execute(transfers, epoch).makespan_s;
 }
 
-void compare(cloud::Cloud& cloud, const std::vector<cloud::VmId>& vms,
+void compare(const cloud::Cloud& cloud, const std::vector<cloud::VmId>& vms,
              const place::Application& app, const place::ClusterView& view,
              const char* title) {
   place::GreedyPlacer choreo_placer(place::RateModel::Hose);

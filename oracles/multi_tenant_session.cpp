@@ -6,7 +6,7 @@
 
 namespace choreo::core {
 
-MultiTenantSession::MultiTenantSession(cloud::Cloud& cloud,
+MultiTenantSession::MultiTenantSession(const cloud::Cloud& cloud,
                                        std::vector<TenantSpec> tenants,
                                        MultiTenantOptions options)
     : cloud_(cloud), tenants_(std::move(tenants)), opts_(options) {

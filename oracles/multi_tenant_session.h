@@ -19,7 +19,7 @@ struct MultiTenantOptions {
 
 class MultiTenantSession {
  public:
-  MultiTenantSession(cloud::Cloud& cloud, std::vector<TenantSpec> tenants,
+  MultiTenantSession(const cloud::Cloud& cloud, std::vector<TenantSpec> tenants,
                      MultiTenantOptions options = {});
 
   /// Runs every tenant session to completion. Call once.
@@ -29,7 +29,7 @@ class MultiTenantSession {
   const std::vector<SessionRuntime::Stats>& tenant_stats() const { return stats_; }
 
  private:
-  cloud::Cloud& cloud_;
+  const cloud::Cloud& cloud_;
   std::vector<TenantSpec> tenants_;
   MultiTenantOptions opts_;
   std::vector<SessionRuntime::Stats> stats_;

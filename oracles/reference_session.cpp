@@ -13,7 +13,7 @@ namespace choreo::core {
 // The historical hand-rolled merge loop over (arrivals, departures,
 // re-evaluation ticks). Event pushes use the typed SessionEvent, but every
 // decision, comparison, and accumulation is the original code.
-SessionLog run_session_reference(cloud::Cloud& cloud,
+SessionLog run_session_reference(const cloud::Cloud& cloud,
                                  const std::vector<cloud::VmId>& vms,
                                  const ControllerConfig& config,
                                  const std::vector<place::Application>& apps) {

@@ -13,7 +13,7 @@ namespace choreo::core {
 /// VectorArrivalStream bit-identical (events, outcomes, accounting) to this loop on a
 /// randomized single-tenant corpus. Do not "improve" this function; fix the
 /// runtime instead.
-SessionLog run_session_reference(cloud::Cloud& cloud,
+SessionLog run_session_reference(const cloud::Cloud& cloud,
                                  const std::vector<cloud::VmId>& vms,
                                  const ControllerConfig& config,
                                  const std::vector<place::Application>& apps);

@@ -8,7 +8,7 @@
 
 namespace choreo::agent {
 
-ClusterAgent::ClusterAgent(cloud::Cloud& cloud, std::vector<std::size_t> vms,
+ClusterAgent::ClusterAgent(const cloud::Cloud& cloud, std::vector<std::size_t> vms,
                            measure::MeasurementPlan plan, measure::RefreshPolicy refresh,
                            forecast::ForecastOptions forecast)
     : mplan_(plan),

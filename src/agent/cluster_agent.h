@@ -42,7 +42,7 @@ class ClusterAgent {
   /// `vms` is the tenant fleet in view-index order (same contract as
   /// core::Choreo): pair indices in plans, samples, and the cache are
   /// positions in this vector.
-  ClusterAgent(cloud::Cloud& cloud, std::vector<std::size_t> vms,
+  ClusterAgent(const cloud::Cloud& cloud, std::vector<std::size_t> vms,
                measure::MeasurementPlan plan, measure::RefreshPolicy refresh,
                forecast::ForecastOptions forecast);
 

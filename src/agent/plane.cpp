@@ -23,7 +23,7 @@ std::uint64_t mix3(std::uint64_t a, std::uint64_t b, std::uint64_t c) {
 
 }  // namespace
 
-AgentPlane::AgentPlane(cloud::Cloud& cloud, std::vector<std::size_t> vms,
+AgentPlane::AgentPlane(const cloud::Cloud& cloud, std::vector<std::size_t> vms,
                        measure::MeasurementPlan plan, measure::RefreshPolicy refresh,
                        forecast::ForecastOptions forecast, AgentOptions options)
     : cloud_(cloud),

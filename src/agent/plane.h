@@ -34,7 +34,7 @@ class AgentPlane {
     ClusterAgent::Stats cluster;
   };
 
-  AgentPlane(cloud::Cloud& cloud, std::vector<std::size_t> vms,
+  AgentPlane(const cloud::Cloud& cloud, std::vector<std::size_t> vms,
              measure::MeasurementPlan plan, measure::RefreshPolicy refresh,
              forecast::ForecastOptions forecast, AgentOptions options);
 
@@ -67,7 +67,7 @@ class AgentPlane {
   double execute_probe(std::uint32_t src, std::uint32_t dst, std::uint32_t round,
                        std::uint64_t epoch);
 
-  cloud::Cloud& cloud_;
+  const cloud::Cloud& cloud_;
   std::vector<std::size_t> vms_;
   measure::MeasurementPlan mplan_;
   AgentOptions opts_;

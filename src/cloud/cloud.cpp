@@ -20,12 +20,22 @@ std::uint64_t substream(std::uint64_t seed, std::uint64_t epoch, std::uint64_t s
   return x ^ (x >> 31);
 }
 
-/// Salt for per-pair noise streams: a train's jitter must depend only on
-/// (seed, epoch, src, dst) so that concurrent and sequential execution of a
-/// round produce byte-identical records.
+/// Salt for per-pair noise streams: a train's jitter or a netperf reading's
+/// noise must depend only on (seed, epoch, src, dst) so that concurrent and
+/// sequential callers read byte-identical values.
 std::uint64_t pair_salt(VmId src, VmId dst, std::uint64_t lane) {
   return 0x5851f42d4c957f2dULL + src * 1000003ULL + dst * 8191ULL + lane;
 }
+
+/// Lanes of pair_salt: one per use, so no two uses of one pair at one epoch
+/// share noise (tbl_bottlenecks compares a pair's solo and joint readings).
+enum Lane : std::uint64_t {
+  kSinkLane = 0,        ///< receiver timestamp noise of a train
+  kShaperLane = 1,      ///< virtualization jitter of a train's hose
+  kRouteLane = 2,       ///< ECMP choice of a train's route
+  kNetperfLane = 3,     ///< netperf_bps reading noise
+  kConcurrentLane = 4,  ///< netperf_concurrent_bps noise, indexed by flow
+};
 
 /// Salt base of round snapshot keys, clear of the other salts in this file.
 constexpr std::uint64_t kRoundSalt = 0x726f756e64000000ULL;
@@ -43,8 +53,7 @@ Cloud::Cloud(ProviderProfile profile, std::uint64_t seed)
       topo_(net::make_regional_tree(profile_.tree)),
       router_(topo_),
       hosts_(topo_.nodes_of_kind(net::NodeKind::Host)),
-      alloc_rng_(substream(seed, 0, 1)),
-      noise_rng_(substream(seed, 0, 2)) {
+      alloc_rng_(substream(seed, 0, 1)) {
   CHOREO_REQUIRE(!profile_.hose_clusters.empty() || profile_.slow_band_weight > 0.0);
   CHOREO_REQUIRE(!hosts_.empty());
 }
@@ -82,7 +91,6 @@ std::vector<VmId> Cloud::allocate_vms(std::size_t count) {
     }
     const VmId id = vms_.size();
     vms_.push_back(VmRecord{host, draw_hose_rate(alloc_rng_)});
-    host_vms_[host].push_back(id);
     out.push_back(id);
   }
   return out;
@@ -185,7 +193,7 @@ flowsim::FlowSpec Cloud::tenant_flow(const SimBundle& bundle, VmId src, VmId dst
   return spec;
 }
 
-double Cloud::netperf_bps(VmId src, VmId dst, double duration_s, std::uint64_t epoch) {
+double Cloud::netperf_bps(VmId src, VmId dst, double duration_s, std::uint64_t epoch) const {
   CHOREO_REQUIRE(duration_s > 0.0);
   auto bundle = make_sim(epoch);
   flowsim::FlowSpec spec =
@@ -193,12 +201,13 @@ double Cloud::netperf_bps(VmId src, VmId dst, double duration_s, std::uint64_t e
   const flowsim::FlowId probe = bundle->sim.add_flow(spec);
   bundle->sim.run_until(duration_s);
   const double raw = bundle->sim.flow(probe).bytes_received * 8.0 / duration_s;
-  return raw * (1.0 + noise_rng_.normal(0.0, profile_.netperf_noise_frac));
+  const std::uint64_t key = substream(seed_, epoch, pair_salt(src, dst, kNetperfLane));
+  return raw * (1.0 + profile_.netperf_noise_frac * keyed_normal(key, 0));
 }
 
 std::vector<double> Cloud::netperf_concurrent_bps(
     const std::vector<std::pair<VmId, VmId>>& pairs, double duration_s,
-    std::uint64_t epoch) {
+    std::uint64_t epoch) const {
   CHOREO_REQUIRE(!pairs.empty());
   CHOREO_REQUIRE(duration_s > 0.0);
   auto bundle = make_sim(epoch);
@@ -213,15 +222,17 @@ std::vector<double> Cloud::netperf_concurrent_bps(
   bundle->sim.run_until(duration_s);
   std::vector<double> out;
   out.reserve(probes.size());
-  for (flowsim::FlowId id : probes) {
-    const double raw = bundle->sim.flow(id).bytes_received * 8.0 / duration_s;
-    out.push_back(raw * (1.0 + noise_rng_.normal(0.0, profile_.netperf_noise_frac)));
+  for (std::size_t i = 0; i < probes.size(); ++i) {
+    const auto [src, dst] = pairs[i];
+    const double raw = bundle->sim.flow(probes[i]).bytes_received * 8.0 / duration_s;
+    const std::uint64_t key = substream(seed_, epoch, pair_salt(src, dst, kConcurrentLane));
+    out.push_back(raw * (1.0 + profile_.netperf_noise_frac * keyed_normal(key, i)));
   }
   return out;
 }
 
 std::vector<double> Cloud::probe_series_bps(VmId src, VmId dst, double duration_s,
-                                            double interval_s, std::uint64_t epoch) {
+                                            double interval_s, std::uint64_t epoch) const {
   CHOREO_REQUIRE(duration_s > 0.0 && interval_s > 0.0);
   auto bundle = make_sim(epoch);
   flowsim::FlowSpec spec =
@@ -240,61 +251,6 @@ std::vector<double> Cloud::probe_series_bps(VmId src, VmId dst, double duration_
   });
   bundle->sim.run_until(duration_s);
   return series;
-}
-
-Cloud::TrainChain Cloud::train_chain(VmId src, VmId dst,
-                                     const packetsim::TrainParams& params,
-                                     std::uint64_t sink_seed, std::uint64_t route_key,
-                                     const std::function<double()>& shaper_jitter_frac,
-                                     const TrafficSnapshot* snapshot) const {
-  CHOREO_REQUIRE(src < vms_.size() && dst < vms_.size());
-  CHOREO_REQUIRE(src != dst);
-  TrainChain chain;
-  chain.params = params;
-  chain.params.line_rate_bps = profile_.vnic_rate_bps;
-  chain.timestamp_jitter_s = profile_.timestamp_jitter_s;
-  chain.sink_seed = sink_seed;
-
-  const net::NodeId src_host = vms_[src].host;
-  const net::NodeId dst_host = vms_[dst].host;
-  packetsim::ShaperSpec& shaper = chain.shaper;
-  std::vector<packetsim::HopSpec>& hops = chain.hops;
-  if (src_host == dst_host) {
-    shaper.enabled = false;
-    hops.push_back(packetsim::HopSpec{profile_.vswitch_rate_bps, 5e-6, 2e6});
-  } else {
-    shaper.enabled = true;
-    // Virtualization noise: this train observes the hose through one
-    // scheduling quantum, not the long-run average. The jitter draw happens
-    // only on this branch, so same-host trains consume no randomness.
-    shaper.rate_bps = vms_[src].hose_bps * (1.0 + shaper_jitter_frac());
-    shaper.rate_bps = std::max(shaper.rate_bps, units::mbps(10));
-    shaper.depth_bytes = profile_.bucket_depth_bytes;
-    shaper.idle_reset_s = profile_.bucket_idle_reset_s;
-    const net::Route route = router_.route(src_host, dst_host, route_key);
-    hops.reserve(route.links.size());
-    for (net::LinkId l : route.links) {
-      const net::Link& link = topo_.link(l);
-      // With a snapshot, each hop is capped at what the background tenants
-      // left over; without one the train sees raw link capacity.
-      const double cap = snapshot && l < snapshot->available_bps.size()
-                             ? std::min(link.capacity_bps, snapshot->available_bps[l])
-                             : link.capacity_bps;
-      hops.push_back(packetsim::HopSpec{cap, link.delay_s, 2e6});
-    }
-  }
-  return chain;
-}
-
-packetsim::TrainSummary Cloud::run_train(VmId src, VmId dst,
-                                         const packetsim::TrainParams& params,
-                                         std::uint64_t epoch) {
-  const auto jitter = [this] { return noise_rng_.normal(0.0, profile_.train_rate_jitter_frac); };
-  packetsim::TrainSummary out;
-  summarize_chain(train_chain(src, dst, params, substream(seed_, epoch, 21),
-                              substream(seed_, epoch, 22), jitter, /*snapshot=*/nullptr),
-                  out);
-  return out;
 }
 
 Cloud::TrafficSnapshot Cloud::traffic_snapshot(std::uint64_t epoch) const {
@@ -327,16 +283,48 @@ Cloud::TrafficSnapshot Cloud::round_snapshot(std::uint64_t epoch,
 Cloud::TrainChain Cloud::train_chain_in_snapshot(VmId src, VmId dst,
                                                  const packetsim::TrainParams& params,
                                                  const TrafficSnapshot& snapshot) const {
-  // Same train construction as run_train, but every noise stream is keyed by
-  // (seed, epoch, src, dst) instead of shared order-dependent RNG state, and
-  // hop capacities come from the round's cross-traffic snapshot.
+  CHOREO_REQUIRE(src < vms_.size() && dst < vms_.size());
+  CHOREO_REQUIRE(src != dst);
+  // Every noise stream is keyed by (seed, epoch, src, dst, lane), so a train
+  // reads the same realization however many others run before or beside it.
   const std::uint64_t epoch = snapshot.epoch;
-  const auto jitter = [&] {
-    return profile_.train_rate_jitter_frac *
-           keyed_normal(substream(seed_, epoch, pair_salt(src, dst, 1)), 0);
-  };
-  return train_chain(src, dst, params, substream(seed_, epoch, pair_salt(src, dst, 0)),
-                     substream(seed_, epoch, pair_salt(src, dst, 2)), jitter, &snapshot);
+  TrainChain chain;
+  chain.params = params;
+  chain.params.line_rate_bps = profile_.vnic_rate_bps;
+  chain.timestamp_jitter_s = profile_.timestamp_jitter_s;
+  chain.sink_seed = substream(seed_, epoch, pair_salt(src, dst, kSinkLane));
+
+  const net::NodeId src_host = vms_[src].host;
+  const net::NodeId dst_host = vms_[dst].host;
+  packetsim::ShaperSpec& shaper = chain.shaper;
+  std::vector<packetsim::HopSpec>& hops = chain.hops;
+  if (src_host == dst_host) {
+    shaper.enabled = false;
+    hops.push_back(packetsim::HopSpec{profile_.vswitch_rate_bps, 5e-6, 2e6});
+  } else {
+    shaper.enabled = true;
+    // Virtualization noise: this train observes the hose through one
+    // scheduling quantum, not the long-run average.
+    const double jitter =
+        profile_.train_rate_jitter_frac *
+        keyed_normal(substream(seed_, epoch, pair_salt(src, dst, kShaperLane)), 0);
+    shaper.rate_bps = std::max(vms_[src].hose_bps * (1.0 + jitter), units::mbps(10));
+    shaper.depth_bytes = profile_.bucket_depth_bytes;
+    shaper.idle_reset_s = profile_.bucket_idle_reset_s;
+    const net::Route route = router_.route(
+        src_host, dst_host, substream(seed_, epoch, pair_salt(src, dst, kRouteLane)));
+    hops.reserve(route.links.size());
+    const std::vector<double>& available = snapshot.available_bps;
+    for (net::LinkId l : route.links) {
+      const net::Link& link = topo_.link(l);
+      // Each hop is capped at what the background tenants left over; an
+      // empty snapshot (idle fabric) leaves raw link capacity.
+      const double cap = l < available.size() ? std::min(link.capacity_bps, available[l])
+                                               : link.capacity_bps;
+      hops.push_back(packetsim::HopSpec{cap, link.delay_s, 2e6});
+    }
+  }
+  return chain;
 }
 
 void Cloud::run_train_in_snapshot(VmId src, VmId dst, const packetsim::TrainParams& params,
@@ -383,7 +371,7 @@ void Cloud::set_observer(const obs::Observer& o) {
 }
 
 Cloud::ExecResult Cloud::execute(const std::vector<Transfer>& transfers,
-                                 std::uint64_t epoch) {
+                                 std::uint64_t epoch) const {
   CHOREO_REQUIRE(!transfers.empty());
   CHOREO_OBS_SPAN(span, obs_, "flowsim.execute", "flowsim");
   // The incremental Sim releases each transfer's storage as it completes, so
@@ -434,7 +422,7 @@ Cloud::ExecResult Cloud::execute(const std::vector<Transfer>& transfers,
   return result;
 }
 
-double Cloud::true_path_rate_bps(VmId src, VmId dst, std::uint64_t epoch) {
+double Cloud::true_path_rate_bps(VmId src, VmId dst, std::uint64_t epoch) const {
   auto bundle = make_sim(epoch);
   flowsim::FlowSpec spec =
       tenant_flow(*bundle, src, dst, flowsim::kInfiniteBytes, 0.0, substream(seed_, epoch, 9));

@@ -1,7 +1,6 @@
 #pragma once
 
 #include <cstdint>
-#include <functional>
 #include <memory>
 #include <unordered_map>
 #include <utility>
@@ -31,10 +30,17 @@ using VmId = std::size_t;
 ///     rates) and application execution, used by tests and benches to score
 ///     placements exactly as §6 does by running the real traffic.
 ///
-/// Determinism: everything derives from the constructor seed plus the
-/// caller-supplied `epoch`; an epoch identifies one realization of the
-/// background traffic (think "what the other tenants happen to be doing
-/// during this particular run").
+/// Determinism: once the fleet is allocated the cloud is immutable. Every
+/// realization it hands out — background traffic, netperf and train noise,
+/// ECMP route choice, transfer completion times — is a pure function of the
+/// constructor seed, the caller-supplied `epoch`, the VM pair and a per-use
+/// lane, so results do not depend on call order and every const method may
+/// run on several threads at once. An epoch identifies one realization of
+/// the background traffic (think "what the other tenants happen to be doing
+/// during this particular run"). Only allocate_vms, set_observer and
+/// next_epoch mutate the cloud; allocation draws hosts and hose rates from
+/// one stream in VM-index order, so VM k's host and hose rate depend only on
+/// (seed, k), however the allocation calls are batched.
 class Cloud {
  public:
   Cloud(ProviderProfile profile, std::uint64_t seed);
@@ -72,28 +78,18 @@ class Cloud {
   /// Bulk-TCP throughput of one connection src->dst measured over
   /// `duration_s` (netperf TCP_STREAM equivalent), including background
   /// traffic and measurement noise.
-  double netperf_bps(VmId src, VmId dst, double duration_s, std::uint64_t epoch);
+  double netperf_bps(VmId src, VmId dst, double duration_s, std::uint64_t epoch) const;
 
   /// Concurrent netperf probes (for §3.3 interference experiments): all
   /// pairs transfer simultaneously; returns the throughput of each.
   std::vector<double> netperf_concurrent_bps(
       const std::vector<std::pair<VmId, VmId>>& pairs, double duration_s,
-      std::uint64_t epoch);
+      std::uint64_t epoch) const;
 
   /// Receiver-side throughput series of one bulk connection, sampled every
   /// `interval_s` (§3.2 samples every 10 ms to estimate cross traffic).
   std::vector<double> probe_series_bps(VmId src, VmId dst, double duration_s,
-                                       double interval_s, std::uint64_t epoch);
-
-  /// Sends one §3.1 UDP packet train src->dst through the packet-level
-  /// simulator and returns what the estimator reads of the receiver's log
-  /// (summarize_chain of the train's chain).
-  ///
-  /// Noise here is drawn from a shared mutable RNG, so results depend on
-  /// call order; the measurement plane uses the order-independent
-  /// run_train_in_snapshot instead.
-  packetsim::TrainSummary run_train(VmId src, VmId dst, const packetsim::TrainParams& params,
-                                    std::uint64_t epoch);
+                                       double interval_s, std::uint64_t epoch) const;
 
   /// One epoch's view of the background tenants, shared by every train of a
   /// measurement round: the capacity each fabric link has left after the
@@ -106,7 +102,9 @@ class Cloud {
     /// stream of the snapshot.
     std::uint64_t epoch = 0;
     /// Per net::LinkId: capacity minus background usage (floored at a fair
-    /// max-min share, since a persistent probe would claw that back).
+    /// max-min share, since a persistent probe would claw that back). Empty
+    /// means an idle fabric: every hop runs at its raw link capacity (the
+    /// calibration sweep's trains, Fig 6).
     std::vector<double> available_bps;
   };
 
@@ -133,8 +131,9 @@ class Cloud {
 
   /// The packet-level chain one train src->dst runs through, plus the
   /// receiver's timestamp noise: exactly what run_train_in_snapshot
-  /// simulates. Exposed so that the differential suites can replay the very
-  /// same train through the event-driven oracle and benches can time it.
+  /// simulates, and the one chain builder behind every train this cloud
+  /// sends. Exposed so that the differential suites can replay the very same
+  /// train through the event-driven oracle and benches can time it.
   struct TrainChain {
     packetsim::ShaperSpec shaper;
     std::vector<packetsim::HopSpec> hops;
@@ -179,7 +178,7 @@ class Cloud {
   /// Runs the transfers concurrently with background traffic and returns
   /// when they all finish — the paper's §6.1 "we transfer data as specified
   /// by the placement algorithm and the traffic matrix" on live EC2.
-  ExecResult execute(const std::vector<Transfer>& transfers, std::uint64_t epoch);
+  ExecResult execute(const std::vector<Transfer>& transfers, std::uint64_t epoch) const;
 
   /// Attaches the observability plane to execute(): per-call
   /// "flowsim.execute" spans and flowsim.* kernel counters (recompute
@@ -189,7 +188,7 @@ class Cloud {
   void set_observer(const obs::Observer& o);
 
   /// Noise-free fair-share rate a fresh probe src->dst would get right now.
-  double true_path_rate_bps(VmId src, VmId dst, std::uint64_t epoch);
+  double true_path_rate_bps(VmId src, VmId dst, std::uint64_t epoch) const;
 
  private:
   /// A fluid simulation of this cloud with per-VM hose resources, per-host
@@ -217,13 +216,6 @@ class Cloud {
   /// Installs the epoch's background tenant flows: ON-OFF flows between
   /// hosts over fabric links only, so `sim` needs no tenant resources.
   void add_background(flowsim::Sim& sim, std::uint64_t epoch) const;
-  /// Shared train construction behind run_train and run_train_in_snapshot;
-  /// `shaper_jitter_frac` is invoked only for inter-host trains, `snapshot`
-  /// (optional) caps hop capacities at the background's leftovers.
-  TrainChain train_chain(VmId src, VmId dst, const packetsim::TrainParams& params,
-                         std::uint64_t sink_seed, std::uint64_t route_key,
-                         const std::function<double()>& shaper_jitter_frac,
-                         const TrafficSnapshot* snapshot) const;
 
   ProviderProfile profile_;
   std::uint64_t seed_;
@@ -233,9 +225,7 @@ class Cloud {
   net::Router router_;
   std::vector<net::NodeId> hosts_;
   std::vector<VmRecord> vms_;
-  std::unordered_map<net::NodeId, std::vector<VmId>> host_vms_;
   Rng alloc_rng_;
-  Rng noise_rng_;
   std::uint64_t epoch_counter_ = 1;
 
   obs::Observer obs_;

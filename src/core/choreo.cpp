@@ -9,7 +9,7 @@
 
 namespace choreo::core {
 
-Choreo::Choreo(cloud::Cloud& cloud, std::vector<cloud::VmId> vms, ChoreoConfig config)
+Choreo::Choreo(const cloud::Cloud& cloud, std::vector<cloud::VmId> vms, ChoreoConfig config)
     : cloud_(cloud), vms_(std::move(vms)), config_(std::move(config)),
       greedy_(config_.rate_model) {
   CHOREO_REQUIRE(vms_.size() >= 2);

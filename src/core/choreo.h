@@ -80,7 +80,7 @@ class Choreo {
   /// Manages `vms` (the tenant's rented fleet) on `cloud`. The Cloud must
   /// outlive this object; Choreo only interacts with it through the tenant
   /// interface (packet trains, traceroute, transfers — §2.2).
-  Choreo(cloud::Cloud& cloud, std::vector<cloud::VmId> vms, ChoreoConfig config);
+  Choreo(const cloud::Cloud& cloud, std::vector<cloud::VmId> vms, ChoreoConfig config);
   ~Choreo();
 
   /// The tenant's fleet, in the index order used by ClusterView/Placement
@@ -200,7 +200,7 @@ class Choreo {
       const std::vector<std::pair<const place::Application*, const place::Placement*>>&
           plan) const;
 
-  cloud::Cloud& cloud_;
+  const cloud::Cloud& cloud_;
   std::vector<cloud::VmId> vms_;
   ChoreoConfig config_;
   std::unique_ptr<place::ClusterState> state_;

@@ -48,7 +48,7 @@ const char* to_string(RuntimeEventKind kind) {
   return "unknown";
 }
 
-SessionRuntime::SessionRuntime(cloud::Cloud& cloud, std::vector<cloud::VmId> vms,
+SessionRuntime::SessionRuntime(const cloud::Cloud& cloud, std::vector<cloud::VmId> vms,
                                ControllerConfig config, RuntimeOptions options)
     : cloud_(cloud),
       vms_(std::move(vms)),

@@ -104,7 +104,7 @@ class SessionRuntime {
     std::vector<std::size_t> batch_attempts;
   };
 
-  SessionRuntime(cloud::Cloud& cloud, std::vector<cloud::VmId> vms,
+  SessionRuntime(const cloud::Cloud& cloud, std::vector<cloud::VmId> vms,
                  ControllerConfig config, RuntimeOptions options = {});
 
   /// Runs the initial measurement sweep and schedules the first arrival.
@@ -211,7 +211,7 @@ class SessionRuntime {
   void handle_departure();
   void handle_reeval();
 
-  cloud::Cloud& cloud_;
+  const cloud::Cloud& cloud_;
   std::vector<cloud::VmId> vms_;
   ControllerConfig config_;
   RuntimeOptions opts_;

@@ -9,7 +9,7 @@
 
 namespace choreo::core {
 
-ShardedSession::ShardedSession(cloud::Cloud& cloud, std::vector<TenantSpec> tenants,
+ShardedSession::ShardedSession(const cloud::Cloud& cloud, std::vector<TenantSpec> tenants,
                                ShardedOptions options)
     : cloud_(cloud), tenants_(std::move(tenants)), opts_(options) {
   validate_tenants(tenants_);

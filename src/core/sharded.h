@@ -34,7 +34,7 @@ struct ShardedOptions {
 /// logs are then reduced by `merge_tenant_logs`, as the oracle does.
 class ShardedSession {
  public:
-  ShardedSession(cloud::Cloud& cloud, std::vector<TenantSpec> tenants,
+  ShardedSession(const cloud::Cloud& cloud, std::vector<TenantSpec> tenants,
                  ShardedOptions options = {});
 
   /// Runs every tenant session to completion. Call once.
@@ -45,7 +45,7 @@ class ShardedSession {
   const std::vector<SessionRuntime::Stats>& tenant_stats() const { return stats_; }
 
  private:
-  cloud::Cloud& cloud_;
+  const cloud::Cloud& cloud_;
   std::vector<TenantSpec> tenants_;
   ShardedOptions opts_;
   std::vector<SessionRuntime::Stats> stats_;

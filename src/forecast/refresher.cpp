@@ -6,7 +6,7 @@
 
 namespace choreo::forecast {
 
-Refresher::Refresher(cloud::Cloud& cloud, std::vector<cloud::VmId> vms,
+Refresher::Refresher(const cloud::Cloud& cloud, std::vector<cloud::VmId> vms,
                      measure::RefreshPolicy refresh, ForecastOptions forecast)
     : cloud_(cloud),
       vms_(std::move(vms)),
@@ -120,7 +120,7 @@ Refresher::Cycle Refresher::finish(const Probing& probing) {
   return out;
 }
 
-Refresher::Cycle Refresher::run_in_process(cloud::Cloud& probe_cloud,
+Refresher::Cycle Refresher::run_in_process(const cloud::Cloud& probe_cloud,
                                            const measure::MeasurementPlan& mplan,
                                            std::uint64_t epoch) {
   const measure::RefreshPlan& planned = plan(epoch);

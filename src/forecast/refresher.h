@@ -73,7 +73,7 @@ class Refresher {
   /// `vms` is the tenant fleet in view-index order; `cloud` supplies the
   /// tenant topology (traceroute hop counts, co-location, cores) of every
   /// view and must outlive the refresher.
-  Refresher(cloud::Cloud& cloud, std::vector<cloud::VmId> vms,
+  Refresher(const cloud::Cloud& cloud, std::vector<cloud::VmId> vms,
             measure::RefreshPolicy refresh, ForecastOptions forecast);
 
   /// Starts a cycle at `epoch` and plans it. Every pair of a row in
@@ -110,14 +110,14 @@ class Refresher {
 
   /// One whole in-process cycle: plan, probe every planned pair with packet
   /// trains on `probe_cloud` (measure::measure_rate_pairs), record, finish.
-  Cycle run_in_process(cloud::Cloud& probe_cloud, const measure::MeasurementPlan& mplan,
+  Cycle run_in_process(const cloud::Cloud& probe_cloud, const measure::MeasurementPlan& mplan,
                        std::uint64_t epoch);
 
   std::uint64_t epoch() const { return epoch_; }
   const measure::ViewCache& cache() const { return cache_; }
 
  private:
-  cloud::Cloud& cloud_;
+  const cloud::Cloud& cloud_;
   std::vector<cloud::VmId> vms_;
   measure::RefreshPolicy refresh_;
   measure::ViewCache cache_;

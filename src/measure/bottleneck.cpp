@@ -8,7 +8,7 @@
 
 namespace choreo::measure {
 
-InterferenceProbe probe_interference(cloud::Cloud& cloud, cloud::VmId a, cloud::VmId b,
+InterferenceProbe probe_interference(const cloud::Cloud& cloud, cloud::VmId a, cloud::VmId b,
                                      cloud::VmId c, cloud::VmId d, double duration_s,
                                      double drop_threshold, std::uint64_t epoch) {
   CHOREO_REQUIRE(duration_s > 0.0);
@@ -51,7 +51,7 @@ bool predict_interference(const PathRelations& rel, BottleneckSite site) {
   return false;
 }
 
-BottleneckReport locate_bottlenecks(cloud::Cloud& cloud,
+BottleneckReport locate_bottlenecks(const cloud::Cloud& cloud,
                                     const std::vector<cloud::VmId>& vms,
                                     std::size_t probes_per_kind, double duration_s,
                                     std::uint64_t seed, std::uint64_t epoch) {
@@ -115,7 +115,7 @@ BottleneckReport locate_bottlenecks(cloud::Cloud& cloud,
   return report;
 }
 
-std::vector<int> cluster_by_rack(cloud::Cloud& cloud,
+std::vector<int> cluster_by_rack(const cloud::Cloud& cloud,
                                  const std::vector<cloud::VmId>& vms) {
   CHOREO_REQUIRE(!vms.empty());
   // Union-find over "hop count <= 2" (same machine or same rack).
@@ -140,7 +140,7 @@ std::vector<int> cluster_by_rack(cloud::Cloud& cloud,
   return group;
 }
 
-InterferencePrediction predict_all_interference(cloud::Cloud& cloud,
+InterferencePrediction predict_all_interference(const cloud::Cloud& cloud,
                                                 const std::vector<cloud::VmId>& vms,
                                                 BottleneckSite site) {
   CHOREO_REQUIRE(vms.size() >= 2);

@@ -21,7 +21,7 @@ struct InterferenceProbe {
 /// Runs one interference probe. `drop_threshold` is the relative throughput
 /// decrease that counts as interference (the paper looks for a significant
 /// drop; 50% sharing shows as ~0.5).
-InterferenceProbe probe_interference(cloud::Cloud& cloud, cloud::VmId a, cloud::VmId b,
+InterferenceProbe probe_interference(const cloud::Cloud& cloud, cloud::VmId a, cloud::VmId b,
                                      cloud::VmId c, cloud::VmId d, double duration_s,
                                      double drop_threshold, std::uint64_t epoch);
 
@@ -60,7 +60,7 @@ struct BottleneckReport {
   double mean_same_source_sum_ratio = 0.0;  ///< (joint_ab+joint_cd)/solo_ab
 };
 
-BottleneckReport locate_bottlenecks(cloud::Cloud& cloud,
+BottleneckReport locate_bottlenecks(const cloud::Cloud& cloud,
                                     const std::vector<cloud::VmId>& vms,
                                     std::size_t probes_per_kind, double duration_s,
                                     std::uint64_t seed, std::uint64_t epoch);
@@ -69,7 +69,7 @@ BottleneckReport locate_bottlenecks(cloud::Cloud& cloud,
 /// same physical machine, 2 means same rack. Returns one group id per VM
 /// (same id = same rack). "Because we can cluster VMs by rack, in many
 /// cases, Choreo can generalize one measurement to the entire rack."
-std::vector<int> cluster_by_rack(cloud::Cloud& cloud, const std::vector<cloud::VmId>& vms);
+std::vector<int> cluster_by_rack(const cloud::Cloud& cloud, const std::vector<cloud::VmId>& vms);
 
 /// Predicts, for every ordered pair of paths (a->b, c->d) over `vms`,
 /// whether their connections would interfere — using only the rack clusters
@@ -80,7 +80,7 @@ struct InterferencePrediction {
   std::vector<std::pair<cloud::VmId, cloud::VmId>> paths;
   std::vector<std::vector<bool>> interferes;
 };
-InterferencePrediction predict_all_interference(cloud::Cloud& cloud,
+InterferencePrediction predict_all_interference(const cloud::Cloud& cloud,
                                                 const std::vector<cloud::VmId>& vms,
                                                 BottleneckSite site);
 

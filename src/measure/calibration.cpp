@@ -8,7 +8,7 @@
 
 namespace choreo::measure {
 
-std::vector<CalibrationPoint> calibrate_trains(cloud::Cloud& cloud,
+std::vector<CalibrationPoint> calibrate_trains(const cloud::Cloud& cloud,
                                                const std::vector<cloud::VmId>& vms,
                                                const CalibrationConfig& config,
                                                std::uint64_t epoch) {
@@ -27,6 +27,7 @@ std::vector<CalibrationPoint> calibrate_trains(cloud::Cloud& cloud,
   CHOREO_REQUIRE(!paths.empty());
 
   std::vector<CalibrationPoint> out;
+  packetsim::TrainSummary summary;
   std::uint64_t sub = 0;
   for (std::uint32_t bursts : config.burst_counts) {
     for (std::uint32_t blen : config.burst_lengths) {
@@ -40,8 +41,12 @@ std::vector<CalibrationPoint> calibrate_trains(cloud::Cloud& cloud,
         ++sub;
         const double truth =
             cloud.netperf_bps(src, dst, config.netperf_duration_s, epoch + sub);
-        const TrainEstimate est = estimate_train_throughput(
-            cloud.run_train(src, dst, params, epoch + sub), params, cloud.ping_rtt_s(src, dst));
+        // An empty snapshot: the train crosses an idle fabric, every hop at
+        // raw link capacity, with noise keyed by (epoch + sub, src, dst).
+        const cloud::Cloud::TrafficSnapshot idle{epoch + sub, {}};
+        cloud.run_train_in_snapshot(src, dst, params, idle, summary);
+        const TrainEstimate est =
+            estimate_train_throughput(summary, params, cloud.ping_rtt_s(src, dst));
         if (truth > 0.0 && est.throughput_bps > 0.0) {
           errors.push_back(relative_error(est.throughput_bps, truth));
         }

@@ -30,7 +30,7 @@ struct CalibrationConfig {
 /// Runs the calibration sweep on `cloud` over ordered pairs drawn from
 /// `vms`. "Before using a cloud network, a tenant should calibrate their
 /// packet train parameters" — this is that procedure as a library call.
-std::vector<CalibrationPoint> calibrate_trains(cloud::Cloud& cloud,
+std::vector<CalibrationPoint> calibrate_trains(const cloud::Cloud& cloud,
                                                const std::vector<cloud::VmId>& vms,
                                                const CalibrationConfig& config,
                                                std::uint64_t epoch);

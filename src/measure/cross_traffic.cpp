@@ -41,7 +41,7 @@ UnknownRateEstimate cross_traffic_unknown_rate(double one_conn_bps,
   return out;
 }
 
-std::vector<double> measure_cross_traffic(cloud::Cloud& cloud, cloud::VmId src,
+std::vector<double> measure_cross_traffic(const cloud::Cloud& cloud, cloud::VmId src,
                                           cloud::VmId dst, double path_rate_bps,
                                           double duration_s, double interval_s,
                                           std::uint64_t epoch) {

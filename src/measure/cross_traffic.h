@@ -28,7 +28,7 @@ UnknownRateEstimate cross_traffic_unknown_rate(double one_conn_bps, double two_c
 
 /// Runs the full §3.2 procedure on a cloud: a 10-second bulk connection
 /// sampled every `interval_s`, converted to a cross-traffic series.
-std::vector<double> measure_cross_traffic(cloud::Cloud& cloud, cloud::VmId src,
+std::vector<double> measure_cross_traffic(const cloud::Cloud& cloud, cloud::VmId src,
                                           cloud::VmId dst, double path_rate_bps,
                                           double duration_s, double interval_s,
                                           std::uint64_t epoch);

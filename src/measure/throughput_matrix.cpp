@@ -15,7 +15,7 @@ double measurement_wall_time_s(const MeasurementPlan& plan, std::size_t rounds) 
          static_cast<double>(rounds) * (train_duration_s(plan.train) + kRoundOverheadS);
 }
 
-PairsResult measure_rate_pairs(cloud::Cloud& cloud, const std::vector<cloud::VmId>& vms,
+PairsResult measure_rate_pairs(const cloud::Cloud& cloud, const std::vector<cloud::VmId>& vms,
                                const std::vector<ProbePair>& pairs,
                                const MeasurementPlan& plan, std::uint64_t epoch) {
   const std::size_t n = vms.size();
@@ -57,7 +57,7 @@ PairsResult measure_rate_pairs(cloud::Cloud& cloud, const std::vector<cloud::VmI
   return out;
 }
 
-RefreshResult refresh_cluster_view(cloud::Cloud& cloud,
+RefreshResult refresh_cluster_view(const cloud::Cloud& cloud,
                                    const std::vector<cloud::VmId>& vms,
                                    const MeasurementPlan& plan, std::uint64_t epoch,
                                    ViewCache& cache, const RefreshPolicy& policy) {
@@ -104,7 +104,7 @@ void fill_topology(const cloud::Cloud& cloud, const std::vector<cloud::VmId>& vm
 
 }  // namespace
 
-place::ClusterView cached_cluster_view(cloud::Cloud& cloud,
+place::ClusterView cached_cluster_view(const cloud::Cloud& cloud,
                                        const std::vector<cloud::VmId>& vms,
                                        const ViewCache& cache, std::uint64_t epoch) {
   const std::size_t n = vms.size();
@@ -119,7 +119,7 @@ place::ClusterView cached_cluster_view(cloud::Cloud& cloud,
   return view;
 }
 
-place::ClusterView measured_cluster_view(cloud::Cloud& cloud,
+place::ClusterView measured_cluster_view(const cloud::Cloud& cloud,
                                          const std::vector<cloud::VmId>& vms,
                                          const MeasurementPlan& plan,
                                          std::uint64_t epoch) {
@@ -128,7 +128,7 @@ place::ClusterView measured_cluster_view(cloud::Cloud& cloud,
   return refresh_cluster_view(cloud, vms, plan, epoch, cache, RefreshPolicy{}).view;
 }
 
-place::ClusterView true_cluster_view(cloud::Cloud& cloud,
+place::ClusterView true_cluster_view(const cloud::Cloud& cloud,
                                      const std::vector<cloud::VmId>& vms,
                                      std::uint64_t epoch) {
   const std::size_t n = vms.size();

@@ -49,7 +49,7 @@ struct PairsResult {
 /// measurements of the same epoch are reproducible. A full sweep probes
 /// all_ordered_pairs(vms.size()); incremental refreshes probe what a
 /// ViewCache plans.
-PairsResult measure_rate_pairs(cloud::Cloud& cloud, const std::vector<cloud::VmId>& vms,
+PairsResult measure_rate_pairs(const cloud::Cloud& cloud, const std::vector<cloud::VmId>& vms,
                                const std::vector<ProbePair>& pairs,
                                const MeasurementPlan& plan, std::uint64_t epoch);
 
@@ -70,7 +70,7 @@ struct RefreshResult {
 /// records per-pair provenance. (core::Choreo refreshes through
 /// forecast::Refresher instead, which plans through the forecast plane; with
 /// forecasting disabled the two agree bit for bit.)
-RefreshResult refresh_cluster_view(cloud::Cloud& cloud,
+RefreshResult refresh_cluster_view(const cloud::Cloud& cloud,
                                    const std::vector<cloud::VmId>& vms,
                                    const MeasurementPlan& plan, std::uint64_t epoch,
                                    ViewCache& cache, const RefreshPolicy& policy);
@@ -80,7 +80,7 @@ RefreshResult refresh_cluster_view(cloud::Cloud& cloud,
 /// tenant topology — CPU capacities from the instance type, traceroute hop
 /// counts, and co-location groups (hop count 1 => same host, §3.3.1).
 /// Requires cache.vm_count() == vms.size().
-place::ClusterView cached_cluster_view(cloud::Cloud& cloud,
+place::ClusterView cached_cluster_view(const cloud::Cloud& cloud,
                                        const std::vector<cloud::VmId>& vms,
                                        const ViewCache& cache, std::uint64_t epoch);
 
@@ -88,7 +88,7 @@ place::ClusterView cached_cluster_view(cloud::Cloud& cloud,
 /// rates, traceroute co-location groups (hop count 1 => same host), CPU
 /// capacities from the instance type. This is exactly the information
 /// Choreo's placement stage runs on.
-place::ClusterView measured_cluster_view(cloud::Cloud& cloud,
+place::ClusterView measured_cluster_view(const cloud::Cloud& cloud,
                                          const std::vector<cloud::VmId>& vms,
                                          const MeasurementPlan& plan, std::uint64_t epoch);
 
@@ -97,7 +97,7 @@ place::ClusterView measured_cluster_view(cloud::Cloud& cloud,
 /// views', and traceroute's hop count 1 is exactly a shared host, so its
 /// co-location groups are the true ones. Used by tests and by benches that
 /// isolate placement quality from measurement error.
-place::ClusterView true_cluster_view(cloud::Cloud& cloud,
+place::ClusterView true_cluster_view(const cloud::Cloud& cloud,
                                      const std::vector<cloud::VmId>& vms,
                                      std::uint64_t epoch);
 

@@ -18,7 +18,6 @@ std::vector<FlowRecord> sflow_sample(const std::vector<ObservedTransfer>& transf
 
   for (const ObservedTransfer& tr : transfers) {
     CHOREO_REQUIRE(tr.bytes >= 0.0);
-    CHOREO_REQUIRE(tr.end_s >= tr.start_s);
     const auto packets = static_cast<std::uint64_t>(
         std::ceil(tr.bytes / static_cast<double>(config.packet_bytes)));
     if (packets == 0) continue;

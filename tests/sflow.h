@@ -28,8 +28,6 @@ struct ObservedTransfer {
   std::size_t src_task = 0;
   std::size_t dst_task = 0;
   double bytes = 0.0;
-  double start_s = 0.0;
-  double end_s = 0.0;
 };
 
 /// Samples the transfers the way an sFlow agent would: each transfer's

@@ -410,7 +410,7 @@ std::vector<place::Application> session_workload(Rng& rng, std::size_t count) {
   return apps;
 }
 
-core::SessionLog run_session(cloud::Cloud& cloud, const std::vector<cloud::VmId>& vms,
+core::SessionLog run_session(const cloud::Cloud& cloud, const std::vector<cloud::VmId>& vms,
                              const std::vector<place::Application>& apps,
                              const core::ControllerConfig& config) {
   core::SessionRuntime runtime(cloud, vms, config);

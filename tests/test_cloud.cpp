@@ -49,6 +49,25 @@ TEST(Cloud, DeterministicForSeed) {
   EXPECT_DOUBLE_EQ(a.netperf_bps(va[0], va[1], 5.0, 1), b.netperf_bps(vb[0], vb[1], 5.0, 1));
 }
 
+// Allocation keeps its one stream: it is consumed in VM-index order and each
+// distribution is a temporary (no spare normal carries over), so VM k's host
+// and hose rate are a function of (seed, k) however the calls are batched.
+TEST(Cloud, AllocationBatchingDoesNotMoveVms) {
+  ProviderProfile packed = ec2_2013();
+  packed.colocate_prob = 0.5;  // reach the co-location draw often too
+  for (const ProviderProfile& profile : {ec2_2013(), rackspace(), packed}) {
+    Cloud batched(profile, 17), whole(profile, 17);
+    batched.allocate_vms(3);
+    batched.allocate_vms(2);
+    whole.allocate_vms(5);
+    ASSERT_EQ(batched.vm_count(), 5u);
+    for (VmId vm = 0; vm < 5; ++vm) {
+      EXPECT_EQ(batched.vm_host(vm), whole.vm_host(vm)) << profile.name << " vm " << vm;
+      EXPECT_EQ(batched.vm_hose_bps(vm), whole.vm_hose_bps(vm)) << profile.name << " vm " << vm;
+    }
+  }
+}
+
 TEST(Cloud, NetperfTracksSourceHose) {
   Cloud cloud(ec2_2013(), 7);
   const auto vms = cloud.allocate_vms(12);

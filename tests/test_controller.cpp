@@ -25,7 +25,7 @@ place::Application small_app(const std::string& name, double arrival_s,
 }
 
 /// One single-tenant session over a materialized workload.
-SessionLog run_session(cloud::Cloud& cloud, const std::vector<cloud::VmId>& vms,
+SessionLog run_session(const cloud::Cloud& cloud, const std::vector<cloud::VmId>& vms,
                        const ControllerConfig& config,
                        const std::vector<place::Application>& apps) {
   workload::VectorArrivalStream stream(apps);

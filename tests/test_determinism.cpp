@@ -5,8 +5,11 @@
 
 #include <gtest/gtest.h>
 
+#include <array>
+
 #include "core/choreo.h"
 #include "measure/throughput_matrix.h"
+#include "util/worker_pool.h"
 #include "workload/generator.h"
 #include "workload/trace.h"
 
@@ -105,6 +108,102 @@ TEST(Determinism, ParallelProbingMatchesSequentialBitForBit) {
   // And again, to pin that the parallel path itself is run-to-run stable.
   const measure::PairsResult par2 = measure_with_workers(4);
   EXPECT_TRUE(par.rate_bps == par2.rate_bps);
+}
+
+// Once its fleet is allocated the cloud is immutable: every harness probe is
+// a pure function of (seed, epoch, pair), so neither call order, nor other
+// probes run in between, nor threads sharing one const cloud move a reading.
+struct HarnessReadings {
+  double netperf = 0.0;
+  std::vector<double> concurrent;
+  std::vector<double> series;
+  double true_rate = 0.0;
+  std::vector<double> completion;
+  packetsim::TrainSummary train;
+
+  bool operator==(const HarnessReadings&) const = default;
+};
+
+constexpr std::size_t kHarnessProbes = 6;
+
+/// Takes reading `probe` of HarnessReadings on `c` over the fleet `vms`.
+void read_probe(const cloud::Cloud& c, const std::vector<cloud::VmId>& vms, std::size_t probe,
+                HarnessReadings& out) {
+  constexpr std::uint64_t kEpoch = 4;
+  switch (probe) {
+    case 0:
+      out.netperf = c.netperf_bps(vms[0], vms[1], 2.0, kEpoch);
+      break;
+    case 1:
+      out.concurrent = c.netperf_concurrent_bps(
+          {{vms[0], vms[1]}, {vms[0], vms[2]}, {vms[3], vms[4]}}, 2.0, kEpoch);
+      break;
+    case 2:
+      out.series = c.probe_series_bps(vms[2], vms[3], 0.5, 0.01, kEpoch);
+      break;
+    case 3:
+      out.true_rate = c.true_path_rate_bps(vms[1], vms[4], kEpoch);
+      break;
+    case 4:
+      out.completion = c.execute({{vms[0], vms[3], 4e8, 0.0}, {vms[5], vms[3], 2e8, 0.1}},
+                                 kEpoch)
+                           .completion_s;
+      break;
+    case 5: {
+      packetsim::TrainParams params;
+      params.bursts = 5;
+      params.burst_length = 100;
+      c.run_train_in_snapshot(vms[0], vms[5], params, cloud::Cloud::TrafficSnapshot{kEpoch, {}},
+                              out.train);
+      break;
+    }
+  }
+}
+
+/// Probes of other pairs and epochs, interleaved between the readings: none
+/// may move a reading.
+void read_distractors(const cloud::Cloud& c, const std::vector<cloud::VmId>& vms,
+                      std::size_t k) {
+  packetsim::TrainParams params;
+  params.bursts = 3;
+  params.burst_length = 50;
+  packetsim::TrainSummary summary;
+  c.netperf_bps(vms[1], vms[0], 1.0, k);
+  c.netperf_concurrent_bps({{vms[1], vms[0]}, {vms[2], vms[5]}}, 1.0, k + 1);
+  c.run_train_in_snapshot(vms[5], vms[0], params, cloud::Cloud::TrafficSnapshot{k, {}},
+                          summary);
+  c.run_train_in_snapshot(vms[2], vms[4], params, c.round_snapshot(k, 1), summary);
+}
+
+TEST(Determinism, HarnessProbesIgnoreCallOrder) {
+  cloud::Cloud forward_cloud(cloud::ec2_2013(), 61), reverse_cloud(cloud::ec2_2013(), 61);
+  const std::vector<cloud::VmId> vms = forward_cloud.allocate_vms(6);
+  ASSERT_EQ(reverse_cloud.allocate_vms(6), vms);
+  // The train crosses the fabric, so its shaper jitter is drawn too.
+  ASSERT_NE(forward_cloud.vm_host(vms[0]), forward_cloud.vm_host(vms[5]));
+
+  HarnessReadings forward;
+  for (std::size_t p = 0; p < kHarnessProbes; ++p) read_probe(forward_cloud, vms, p, forward);
+  HarnessReadings reverse;
+  for (std::size_t p = kHarnessProbes; p-- > 0;) {
+    read_distractors(reverse_cloud, vms, p + 7);
+    read_probe(reverse_cloud, vms, p, reverse);
+  }
+  EXPECT_FALSE(forward.concurrent.empty() || forward.series.empty() ||
+               forward.completion.empty() || forward.train.bursts.empty());
+  EXPECT_TRUE(forward == reverse);
+
+  // Four workers over one const cloud, each taking every reading in its own
+  // rotation with distractors between, race nothing and read the same.
+  const cloud::Cloud& shared = forward_cloud;
+  std::array<HarnessReadings, 4> concurrent;
+  util::run_workers(4, [&](unsigned w) {
+    for (std::size_t i = 0; i < kHarnessProbes; ++i) {
+      read_distractors(shared, vms, w + i);
+      read_probe(shared, vms, (i + w) % kHarnessProbes, concurrent[w]);
+    }
+  });
+  for (const HarnessReadings& r : concurrent) EXPECT_TRUE(r == forward);
 }
 
 TEST(Determinism, ExecutionEpochsMatter) {

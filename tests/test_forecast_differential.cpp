@@ -31,7 +31,7 @@ workload::GeneratorConfig small_apps() {
 /// The fixed-policy oracle: the exact measurement + placement loop Choreo
 /// ran before the forecast plane, expressed with the public primitives.
 struct FixedPipelineOracle {
-  cloud::Cloud& cloud;
+  const cloud::Cloud& cloud;
   std::vector<cloud::VmId> vms;
   core::ChoreoConfig config;
   measure::ViewCache cache;

@@ -14,8 +14,8 @@ using units::megabytes;
 TEST(Sflow, HeavyFlowsEstimatedAccurately) {
   Rng rng(1);
   std::vector<ObservedTransfer> transfers{
-      {0, 1, gigabytes(4), 0.0, 100.0},
-      {1, 2, gigabytes(2), 0.0, 100.0},
+      {0, 1, gigabytes(4)},
+      {1, 2, gigabytes(2)},
   };
   SflowConfig cfg;
   cfg.sampling_rate = 1024;
@@ -30,7 +30,7 @@ TEST(Sflow, HeavyFlowsEstimatedAccurately) {
 TEST(Sflow, TinyFlowsMayVanish) {
   Rng rng(2);
   // 30 KB = 20 packets at 1:1024 sampling: usually zero samples.
-  std::vector<ObservedTransfer> transfers{{0, 1, 30e3, 0.0, 1.0}};
+  std::vector<ObservedTransfer> transfers{{0, 1, 30e3}};
   SflowConfig cfg;
   cfg.sampling_rate = 1024;
   std::size_t empty_runs = 0;
@@ -43,7 +43,7 @@ TEST(Sflow, TinyFlowsMayVanish) {
 
 TEST(Sflow, SamplingRateOneIsLossless) {
   Rng rng(3);
-  std::vector<ObservedTransfer> transfers{{0, 1, megabytes(1.5), 0.0, 10.0}};
+  std::vector<ObservedTransfer> transfers{{0, 1, megabytes(1.5)}};
   SflowConfig cfg;
   cfg.sampling_rate = 1;
   const auto records = sflow_sample(transfers, cfg, rng);
@@ -56,7 +56,7 @@ TEST(Sflow, SamplingRateOneIsLossless) {
 
 TEST(Sflow, RejectsBadConfig) {
   Rng rng(5);
-  std::vector<ObservedTransfer> transfers{{0, 1, 1e6, 0.0, 1.0}};
+  std::vector<ObservedTransfer> transfers{{0, 1, 1e6}};
   SflowConfig cfg;
   cfg.sampling_rate = 0;
   EXPECT_THROW(sflow_sample(transfers, cfg, rng), PreconditionError);
@@ -69,7 +69,7 @@ class SflowAccuracy : public ::testing::TestWithParam<std::uint32_t> {};
 TEST_P(SflowAccuracy, ErrorWithinStatisticalBound) {
   Rng rng(GetParam());
   const double truth = gigabytes(8);
-  std::vector<ObservedTransfer> transfers{{0, 1, truth, 0.0, 100.0}};
+  std::vector<ObservedTransfer> transfers{{0, 1, truth}};
   SflowConfig cfg;
   cfg.sampling_rate = 4096;
   const auto records = sflow_sample(transfers, cfg, rng);
