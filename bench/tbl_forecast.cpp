@@ -18,6 +18,7 @@
 // failed check.
 
 #include <cstring>
+#include <limits>
 #include <memory>
 
 #include "bench_common.h"
@@ -149,7 +150,7 @@ int main(int argc, char** argv) {
   // regime alarm for the shift.
   measure::RefreshPolicy predictive_net = fixed;
   predictive_net.max_age_epochs = 1000;
-  predictive_net.refresh_volatile = false;
+  predictive_net.volatility_threshold = std::numeric_limits<double>::infinity();
   forecast::ForecastOptions opts;
   opts.enabled = true;
   // One observation is enough to coast on (the forecast degenerates to the

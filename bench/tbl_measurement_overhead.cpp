@@ -156,7 +156,7 @@ int main(int argc, char** argv) {
     policy.max_age_epochs = 50;
     policy.volatility_threshold = 1e9;  // isolate the staleness mechanics
 
-    measure::ViewCache cache;
+    measure::ViewCache cache(vms.size());
     const measure::RefreshResult full =
         measure::refresh_cluster_view(c, vms, plan, 1, cache, policy);
     cache.invalidate(0, 1);

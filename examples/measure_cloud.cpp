@@ -71,7 +71,7 @@ int main(int argc, char** argv) {
 
   // --- incremental refresh: keeping the view fresh without re-probing ---
   {
-    measure::ViewCache cache;
+    measure::ViewCache cache(vms.size());
     measure::RefreshPolicy policy;
     policy.max_age_epochs = 4;
     const auto full = measure::refresh_cluster_view(cloud, vms, plan, 1, cache, policy);

@@ -76,7 +76,6 @@ void ClusterAgent::deliver(const proto::Message& msg, std::uint64_t cycle,
       const proto::StatsReport& report = msg.stats_report;
       if (report.agent >= agents_.size()) return;
       AgentState& st = agents_[report.agent];
-      st.last_heard_cycle = cycle;
       if (report.generation < st.generation) {
         // A dead incarnation's report still in flight. Never integrate and
         // never ack: the restarted agent does not own this seq number, and
@@ -111,7 +110,6 @@ void ClusterAgent::deliver(const proto::Message& msg, std::uint64_t cycle,
       const proto::Hello& hello = msg.hello;
       if (hello.agent >= agents_.size()) return;
       AgentState& st = agents_[hello.agent];
-      st.last_heard_cycle = cycle;
       ++stats_.hellos;
       if (hello.generation > st.generation) {
         st.generation = hello.generation;
@@ -132,11 +130,6 @@ ClusterAgent::CycleReport ClusterAgent::end_cycle(std::uint64_t epoch) {
   CHOREO_REQUIRE_MSG(epoch == refresher_.epoch(),
                      "end_cycle epoch does not match begin_cycle");
   return refresher_.finish({rounds_, wall_time_s_, cycle_reports_});
-}
-
-std::uint64_t ClusterAgent::last_heard(std::uint32_t agent) const {
-  CHOREO_REQUIRE(agent < agents_.size());
-  return agents_[agent].last_heard_cycle;
 }
 
 std::uint32_t ClusterAgent::known_generation(std::uint32_t agent) const {

@@ -61,15 +61,12 @@ class ClusterAgent {
   const measure::ViewCache& cache() const { return refresher_.cache(); }
   const Stats& stats() const { return stats_; }
 
-  /// Last cycle at which any message from `agent` was delivered (0 = never).
-  std::uint64_t last_heard(std::uint32_t agent) const;
   /// The newest generation the controller has accepted from `agent`.
   std::uint32_t known_generation(std::uint32_t agent) const;
 
  private:
   struct AgentState {
     std::uint32_t generation = 0;
-    std::uint64_t last_heard_cycle = 0;
     std::unordered_set<std::uint32_t> seen_seqs;  ///< of the current generation
     bool resync_pending = false;
   };

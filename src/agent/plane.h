@@ -46,13 +46,6 @@ class AgentPlane {
   /// agent restarts options.down_cycles cycles later with a new generation.
   void crash_agent(std::uint32_t id);
 
-  std::uint64_t cycle() const { return cycle_; }
-  ClusterAgent& cluster() { return cluster_; }
-  const ClusterAgent& cluster() const { return cluster_; }
-  const HostAgent& host(std::uint32_t id) const { return hosts_[id]; }
-  const net::SimTransport& transport() const { return transport_; }
-  const AgentOptions& options() const { return opts_; }
-
   /// Aggregated counters across the transport, the controller and every
   /// host agent. A host's counters survive its crashes, so the totals are
   /// conserved across crashes (pinned by test_agent_faults).

@@ -28,52 +28,21 @@ static_assert(kErrorEwmaAlpha > 0.0 && kErrorEwmaAlpha <= 1.0);
 
 }  // namespace
 
-PredictivePolicy::PredictivePolicy(ForecastOptions options)
+PredictivePolicy::PredictivePolicy(ForecastOptions options, std::size_t vm_count)
     : options_(std::move(options)),
-      history_(0, kHistoryCapacity),
-      predictors_(default_predictor_set()) {
+      vm_count_(options_.enabled ? vm_count : 0),
+      history_(vm_count_, kHistoryCapacity),
+      predictors_(default_predictor_set()),
+      error_ewma_(vm_count_ * vm_count_ * predictors_.size(), -1.0),
+      recent_errors_(vm_count_ * vm_count_ * kErrorWindow, 0.0),
+      recent_head_(vm_count_ * vm_count_, 0),
+      recent_count_(vm_count_ * vm_count_, 0),
+      baseline_(vm_count_ * vm_count_, -1.0),
+      cusum_(vm_count_ * vm_count_, CusumDetector(options_.cusum)),
+      changepoint_(vm_count_ * vm_count_, 0) {
   CHOREO_REQUIRE(options_.probe_budget_fraction >= 0.0 &&
                  options_.probe_budget_fraction <= 1.0);
   CHOREO_REQUIRE(options_.discount_quantile >= 0.0 && options_.discount_quantile <= 1.0);
-}
-
-void PredictivePolicy::resize(std::size_t vm_count) {
-  if (vm_count == vm_count_) return;
-  const std::size_t pairs = vm_count * vm_count;
-  const std::size_t P = predictors_.size();
-  std::vector<double> ewma(pairs * P, -1.0);
-  std::vector<double> recent(pairs * kErrorWindow, 0.0);
-  std::vector<std::size_t> rhead(pairs, 0), rcount(pairs, 0);
-  std::vector<double> base(pairs, -1.0);
-  std::vector<CusumDetector> cusum(pairs, CusumDetector(options_.cusum));
-  std::vector<std::uint8_t> flag(pairs, 0);
-  const std::size_t keep = std::min(vm_count, vm_count_);
-  for (std::size_t i = 0; i < keep; ++i) {
-    for (std::size_t j = 0; j < keep; ++j) {
-      const std::size_t oldp = i * vm_count_ + j;
-      const std::size_t newp = i * vm_count + j;
-      for (std::size_t p = 0; p < P; ++p) {
-        ewma[newp * P + p] = error_ewma_[oldp * P + p];
-      }
-      for (std::size_t w = 0; w < kErrorWindow; ++w) {
-        recent[newp * kErrorWindow + w] = recent_errors_[oldp * kErrorWindow + w];
-      }
-      rhead[newp] = recent_head_[oldp];
-      rcount[newp] = recent_count_[oldp];
-      base[newp] = baseline_[oldp];
-      cusum[newp] = cusum_[oldp];
-      flag[newp] = changepoint_[oldp];
-    }
-  }
-  vm_count_ = vm_count;
-  history_.resize(vm_count);
-  error_ewma_ = std::move(ewma);
-  recent_errors_ = std::move(recent);
-  recent_head_ = std::move(rhead);
-  recent_count_ = std::move(rcount);
-  baseline_ = std::move(base);
-  cusum_ = std::move(cusum);
-  changepoint_ = std::move(flag);
 }
 
 measure::RefreshPlan PredictivePolicy::plan_refresh(const measure::ViewCache& cache,
@@ -84,9 +53,8 @@ measure::RefreshPlan PredictivePolicy::plan_refresh(const measure::ViewCache& ca
     // The oracle path: verbatim fixed-policy planning, zero forecast state.
     return cache.plan_refresh(epoch, fixed);
   }
-  resize(cache.vm_count());
   const std::size_t n = vm_count_;
-  CHOREO_REQUIRE(n >= 2);
+  CHOREO_REQUIRE(n >= 2 && cache.vm_count() == n);
 
   // Regime alarm: when most of last cycle's scored probes fired the CUSUM,
   // the whole network likely shifted — forecasts are stale everywhere, so

@@ -71,14 +71,11 @@ struct ForecastOptions {
 /// verbatim and steps 3-4 are no-ops — the bit-identical oracle path.
 class PredictivePolicy {
  public:
-  PredictivePolicy() = default;
-  explicit PredictivePolicy(ForecastOptions options);
+  /// Sizes every per-pair track for a `vm_count`-VM fleet. A disabled
+  /// policy tracks no pairs and allocates no per-pair state.
+  PredictivePolicy(ForecastOptions options, std::size_t vm_count);
 
-  const ForecastOptions& options() const { return options_; }
   const RateHistory& history() const { return history_; }
-
-  /// Grows (or shrinks) the fleet, preserving state of surviving indices.
-  void resize(std::size_t vm_count);
 
   /// Forecast-plane accounting of the most recent plan (all zero when
   /// disabled). `predicted` is filled in by apply_to_view.
@@ -94,7 +91,8 @@ class PredictivePolicy {
   /// Plans one measurement cycle. Disabled: exactly
   /// cache.plan_refresh(epoch, fixed). Enabled: never-measured and stale
   /// pairs (fixed.max_age_epochs is kept as the staleness safety net) plus
-  /// change-point-flagged, warm-up, and the budgeted worst-predicted pairs.
+  /// change-point-flagged, warm-up, and the budgeted worst-predicted pairs;
+  /// requires a cache of the policy's fleet.
   measure::RefreshPlan plan_refresh(const measure::ViewCache& cache, std::uint64_t epoch,
                                     const measure::RefreshPolicy& fixed);
 
@@ -144,7 +142,7 @@ class PredictivePolicy {
   }
 
   ForecastOptions options_;
-  std::size_t vm_count_ = 0;
+  std::size_t vm_count_;  ///< fleet size when enabled, 0 when disabled
   RateHistory history_;
   std::vector<std::unique_ptr<Predictor>> predictors_;
 

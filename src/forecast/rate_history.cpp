@@ -1,7 +1,5 @@
 #include "forecast/rate_history.h"
 
-#include <algorithm>
-
 #include "util/require.h"
 
 namespace choreo::forecast {
@@ -12,36 +10,13 @@ const RateSample& PairSeries::at(std::size_t k) const {
 }
 
 RateHistory::RateHistory(std::size_t vm_count, std::size_t capacity)
-    : capacity_(capacity) {
+    : vm_count_(vm_count),
+      capacity_(capacity),
+      samples_(vm_count * vm_count * capacity),
+      head_(vm_count * vm_count, 0),
+      count_(vm_count * vm_count, 0),
+      recorded_(vm_count * vm_count, 0) {
   CHOREO_REQUIRE(capacity >= 2);
-  resize(vm_count);
-}
-
-void RateHistory::resize(std::size_t vm_count) {
-  CHOREO_REQUIRE(capacity_ >= 2);
-  if (vm_count == vm_count_) return;
-  const std::size_t pairs = vm_count * vm_count;
-  std::vector<RateSample> samples(pairs * capacity_);
-  std::vector<std::size_t> head(pairs, 0), count(pairs, 0);
-  std::vector<std::uint64_t> recorded(pairs, 0);
-  const std::size_t keep = std::min(vm_count, vm_count_);
-  for (std::size_t i = 0; i < keep; ++i) {
-    for (std::size_t j = 0; j < keep; ++j) {
-      const std::size_t old_pair = i * vm_count_ + j;
-      const std::size_t new_pair = i * vm_count + j;
-      for (std::size_t s = 0; s < capacity_; ++s) {
-        samples[new_pair * capacity_ + s] = samples_[old_pair * capacity_ + s];
-      }
-      head[new_pair] = head_[old_pair];
-      count[new_pair] = count_[old_pair];
-      recorded[new_pair] = recorded_[old_pair];
-    }
-  }
-  vm_count_ = vm_count;
-  samples_ = std::move(samples);
-  head_ = std::move(head);
-  count_ = std::move(count);
-  recorded_ = std::move(recorded);
 }
 
 void RateHistory::record(std::size_t src, std::size_t dst, double rate_bps,

@@ -14,7 +14,7 @@ struct RateSample {
 
 /// Read-only window over one pair's retained samples, oldest first. The
 /// window is a view into the RateHistory's ring storage; it is invalidated
-/// by the next record()/resize() on the history.
+/// by the next record() on the history.
 class PairSeries {
  public:
   PairSeries() = default;
@@ -43,16 +43,11 @@ class PairSeries {
 /// Memory is O(n^2 * capacity) regardless of session length — the forecast
 /// plane's raw material. Every probe result the measurement plane stores
 /// into the ViewCache is mirrored here (the cache keeps only the latest two
-/// estimates; predictors need the recent window).
+/// estimates; predictors need the recent window). Sized once, for one
+/// tenant's fleet.
 class RateHistory {
  public:
-  RateHistory() = default;
   RateHistory(std::size_t vm_count, std::size_t capacity);
-
-  /// Grows (or shrinks) the fleet, preserving the retained samples of
-  /// surviving VM indices — mirrors ViewCache::resize so the two stay in
-  /// lockstep across allocations.
-  void resize(std::size_t vm_count);
 
   std::size_t vm_count() const { return vm_count_; }
   std::size_t capacity() const { return capacity_; }
@@ -75,8 +70,8 @@ class RateHistory {
     return src * vm_count_ + dst;
   }
 
-  std::size_t vm_count_ = 0;
-  std::size_t capacity_ = 0;
+  std::size_t vm_count_;
+  std::size_t capacity_;
   /// Ring storage, pair-major: samples_[pair * capacity_ + slot].
   std::vector<RateSample> samples_;
   std::vector<std::size_t> head_;         ///< per pair: slot of the oldest sample

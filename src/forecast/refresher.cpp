@@ -12,7 +12,7 @@ Refresher::Refresher(const cloud::Cloud& cloud, std::vector<cloud::VmId> vms,
       vms_(std::move(vms)),
       refresh_(refresh),
       cache_(vms_.size()),
-      policy_(std::move(forecast)),
+      policy_(std::move(forecast), vms_.size()),
       fresh_(vms_.size() * vms_.size(), 0) {
   CHOREO_REQUIRE(vms_.size() >= 2);
 }

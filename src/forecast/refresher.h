@@ -28,7 +28,7 @@ struct MeasureReport {
   bool incremental = false;
 
   // Why each planned pair qualified (the RefreshPlan counts).
-  std::size_t never_measured = 0;  ///< includes pairs of newly allocated VMs
+  std::size_t never_measured = 0;  ///< no cached estimate: first sweep, or every probe lost
   /// Older than refresh.max_age_epochs, plus the agent plane's re-sync rows.
   std::size_t stale = 0;
   std::size_t volatile_pairs = 0;  ///< fixed policy's two-sample volatility rule

@@ -62,7 +62,7 @@ RefreshResult refresh_cluster_view(const cloud::Cloud& cloud,
                                    const MeasurementPlan& plan, std::uint64_t epoch,
                                    ViewCache& cache, const RefreshPolicy& policy) {
   CHOREO_REQUIRE(vms.size() >= 2);
-  cache.resize(vms.size());
+  CHOREO_REQUIRE(cache.vm_count() == vms.size());
   RefreshResult out;
   out.plan = cache.plan_refresh(epoch, policy);
   if (!out.plan.pairs.empty()) {

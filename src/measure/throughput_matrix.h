@@ -69,7 +69,8 @@ struct RefreshResult {
 /// empty cache this is exactly a full measurement. The view's pair_epoch
 /// records per-pair provenance. (core::Choreo refreshes through
 /// forecast::Refresher instead, which plans through the forecast plane; with
-/// forecasting disabled the two agree bit for bit.)
+/// forecasting disabled the two agree bit for bit.) Requires
+/// cache.vm_count() == vms.size().
 RefreshResult refresh_cluster_view(const cloud::Cloud& cloud,
                                    const std::vector<cloud::VmId>& vms,
                                    const MeasurementPlan& plan, std::uint64_t epoch,

@@ -7,19 +7,6 @@
 
 namespace choreo::measure {
 
-void ViewCache::resize(std::size_t vm_count) {
-  if (vm_count == vm_count_) return;
-  std::vector<PairEstimate> fresh(vm_count * vm_count);
-  const std::size_t keep = std::min(vm_count, vm_count_);
-  for (std::size_t i = 0; i < keep; ++i) {
-    for (std::size_t j = 0; j < keep; ++j) {
-      fresh[i * vm_count + j] = entries_[i * vm_count_ + j];
-    }
-  }
-  vm_count_ = vm_count;
-  entries_ = std::move(fresh);
-}
-
 const PairEstimate& ViewCache::at(std::size_t src, std::size_t dst) const {
   CHOREO_REQUIRE(src < vm_count_ && dst < vm_count_);
   return entries_[index(src, dst)];
@@ -61,8 +48,7 @@ RefreshPlan ViewCache::plan_refresh(std::uint64_t current_epoch,
         ++plan.never_measured;
       } else if (e.epoch + policy.max_age_epochs < current_epoch) {
         ++plan.stale;
-      } else if (policy.refresh_volatile &&
-                 is_volatile(i, j, policy.volatility_threshold)) {
+      } else if (is_volatile(i, j, policy.volatility_threshold)) {
         ++plan.volatile_pairs;
       } else {
         continue;

@@ -27,15 +27,15 @@ struct RefreshPolicy {
   std::uint64_t max_age_epochs = 8;
   /// A pair is volatile when its last two estimates disagree by more than
   /// this relative factor — the pair-level analogue of a low §2.1
-  /// predictability score. Volatile pairs are re-probed every cycle.
+  /// predictability score. Volatile pairs are re-probed every cycle; an
+  /// infinite threshold switches the rule off.
   double volatility_threshold = 0.5;
-  bool refresh_volatile = true;
 };
 
 /// What an incremental refresh must probe, and why each pair qualified.
 struct RefreshPlan {
   std::vector<ProbePair> pairs;
-  std::size_t never_measured = 0;  ///< includes pairs of newly allocated VMs
+  std::size_t never_measured = 0;  ///< no estimate yet, or invalidated
   std::size_t stale = 0;
   std::size_t volatile_pairs = 0;
 };
@@ -44,16 +44,12 @@ struct RefreshPlan {
 /// place::ClusterView. The measurement plane stores every train estimate
 /// here; refresh planning walks the cache instead of re-probing the whole
 /// n(n-1) matrix, which is what turns §2.4 re-evaluation from a full
-/// re-measurement into an incremental one.
+/// re-measurement into an incremental one. Sized once, for one tenant's
+/// fleet: every pair starts never-measured.
 class ViewCache {
  public:
-  ViewCache() = default;
-  explicit ViewCache(std::size_t vm_count) { resize(vm_count); }
-
-  /// Grows (or shrinks) the fleet, preserving estimates for surviving VM
-  /// indices. Pairs touching newly allocated VMs start never-measured, so
-  /// the next refresh plan probes exactly them.
-  void resize(std::size_t vm_count);
+  explicit ViewCache(std::size_t vm_count)
+      : vm_count_(vm_count), entries_(vm_count * vm_count) {}
 
   std::size_t vm_count() const { return vm_count_; }
 
@@ -70,8 +66,8 @@ class ViewCache {
   bool is_volatile(std::size_t src, std::size_t dst, double threshold) const;
 
   /// Plans an incremental refresh at `current_epoch`: every never-measured
-  /// pair, every pair older than policy.max_age_epochs, and (optionally)
-  /// every volatile pair. On a fresh cache this degenerates to the full
+  /// pair, every pair older than policy.max_age_epochs, and every volatile
+  /// pair. On a fresh cache this degenerates to the full
   /// matrix, so first measurement and refresh share one code path.
   RefreshPlan plan_refresh(std::uint64_t current_epoch, const RefreshPolicy& policy) const;
 
@@ -90,7 +86,7 @@ class ViewCache {
     return src * vm_count_ + dst;
   }
 
-  std::size_t vm_count_ = 0;
+  std::size_t vm_count_;
   std::vector<PairEstimate> entries_;  ///< row-major vm_count x vm_count
 };
 

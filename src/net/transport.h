@@ -65,8 +65,6 @@ class SimTransport {
 
   SimTransport(std::size_t endpoints, TransportOptions options);
 
-  const TransportOptions& options() const { return opts_; }
-
   /// Sends one message at `cycle`. Faults are drawn here; the message (and
   /// any duplicate) lands in the destination queue with its delivery cycle.
   void send(Endpoint from, Endpoint to, Bytes bytes, std::uint64_t cycle);

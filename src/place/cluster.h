@@ -163,10 +163,11 @@ class ClusterState {
   /// migration). The caller must pass the same placement it committed.
   void release(const Application& app, const Placement& placement);
 
-  /// Swaps in a freshly measured view of the SAME fleet while keeping the
-  /// residual occupancy (committed CPU and transfer counts) — what makes a
-  /// §2.4 measurement refresh an O(n^2) rebuild of the static bounds instead
-  /// of a full replay of every running application.
+  /// Swaps in a freshly measured view of the same fleet, same hosts (equal
+  /// colocation groups; throws otherwise, with the state untouched) while
+  /// keeping the residual occupancy (committed CPU and transfer counts) —
+  /// what makes a §2.4 measurement refresh an O(n^2) rebuild of the static
+  /// bounds instead of a full replay of every running application.
   void update_view(ClusterView view);
 
   /// A state sharing the view and cached indexes but with zero occupancy —

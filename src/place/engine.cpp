@@ -111,20 +111,11 @@ void PlacementEngine::apply(const Application& app, const Placement& placement, 
 }
 
 void PlacementEngine::update_view(ClusterView view) {
-  CHOREO_REQUIRE_MSG(view.machine_count() == machine_count(),
-                     "update_view needs the same fleet; rebuild the state otherwise");
-  const bool regrouped = view.colocation_group != this->view().colocation_group;
+  CHOREO_REQUIRE_MSG(view.machine_count() == machine_count() &&
+                         view.colocation_group == this->view().colocation_group,
+                     "update_view needs the same fleet on the same hosts; rebuild the "
+                     "state otherwise");
   static_ = std::make_shared<const Static>(std::move(view));
-  if (!regrouped) return;
-  // Out-of-hose counts depend on the groups alone. Re-derived from the
-  // integer per-path counts, they equal a replay of every running app.
-  const std::size_t M = machine_count();
-  for (std::size_t m = 0; m < M; ++m) {
-    out_of_[m] = 0;
-    for (std::size_t n = 0; n < M; ++n) {
-      if (!this->view().colocated(m, n)) out_of_[m] += on_path_[m * M + n];
-    }
-  }
 }
 
 PlacementEngine PlacementEngine::clone_unoccupied() const {

@@ -123,11 +123,12 @@ class PlacementEngine {
   /// Reverse of commit (same placement the caller committed).
   void release(const Application& app, const Placement& placement);
 
-  /// Swaps in a new view of the same fleet, keeping the residual occupancy.
-  /// Builds a new static block in the constructor's one validating O(n^2)
-  /// sweep; clones keep the old one. Only a changed colocation clustering
-  /// re-derives the out-of-hose counts, from the (integer) per-path counts:
-  /// no replay of running applications is ever needed.
+  /// Swaps in a new view of the same fleet on the same hosts (equal
+  /// colocation groups, checked before anything is replaced), keeping the
+  /// residual occupancy: the out-of-hose counts depend on the groups alone,
+  /// so no replay of running applications is ever needed. Builds a new
+  /// static block in the constructor's one validating O(n^2) sweep; clones
+  /// keep the old one.
   void update_view(ClusterView view);
 
   /// Copy sharing the view and static indexes, with zero occupancy.

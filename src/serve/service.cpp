@@ -62,7 +62,7 @@ void PlacementService::swap_in(place::ClusterState next) {
 void PlacementService::publish_view(place::ClusterView view) {
   CHOREO_OBS_SPAN(span, obs_, "serve.publish", "serve");
   place::ClusterState next = snapshot()->state.clone();
-  next.update_view(std::move(view));  // throws on another fleet, before the swap
+  next.update_view(std::move(view));  // throws on another fleet or hosts, before the swap
   swap_in(std::move(next));
 }
 

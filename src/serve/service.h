@@ -125,9 +125,9 @@ class PlacementService {
 
   // ---- Writer path (single-threaded by contract) ----
 
-  /// Publishes a freshly measured view of the same fleet: next snapshot
-  /// keeps the committed occupancy over static rate indexes built from the
-  /// new view.
+  /// Publishes a freshly measured view of the same fleet, same hosts: next
+  /// snapshot keeps the committed occupancy over static rate indexes built
+  /// from the new view. Throws with the snapshot unchanged otherwise.
   void publish_view(place::ClusterView view);
   /// Publishes the snapshot with `app` committed at `placement`.
   void commit(const place::Application& app, const place::Placement& placement);

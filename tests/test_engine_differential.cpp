@@ -114,6 +114,19 @@ StaticIndexes static_indexes(const PlacementEngine& eng) {
   return out;
 }
 
+/// Every residual of a state (free cores, out-of-hose and per-path counts),
+/// copied out so it can be compared with == after a rejected change.
+std::vector<double> residuals(const ClusterState& state) {
+  std::vector<double> r;
+  const std::size_t M = state.machine_count();
+  for (std::size_t m = 0; m < M; ++m) {
+    r.push_back(state.free_cores(m));
+    r.push_back(state.transfers_out_of(m));
+    for (std::size_t n = 0; n < M; ++n) r.push_back(state.transfers_on_path(m, n));
+  }
+  return r;
+}
+
 void expect_same_statics(const StaticIndexes& a, const StaticIndexes& b) {
   EXPECT_EQ(a.hose, b.hose);
   EXPECT_EQ(a.cross_out, b.cross_out);
@@ -282,11 +295,12 @@ TEST_P(EngineDifferential, UpdateViewEqualsRebuildAndReplay) {
     }
   }
 
-  // A fresh measurement of the same fleet: different rates, cross traffic,
-  // and even a different colocation clustering — but the same machines, so
-  // the same CPU capacities.
+  // A fresh measurement of the same fleet: different rates and cross
+  // traffic, but the same machines on the same hosts, so the same CPU
+  // capacities and colocation groups.
   ClusterView refreshed = corpus_cluster(rng, machines);
   refreshed.cores = incremental.view().cores;
+  refreshed.colocation_group = incremental.view().colocation_group;
   incremental.update_view(refreshed);
   ClusterState replayed(refreshed);
   for (const auto& [app, p] : committed) replayed.commit(app, p);
@@ -428,6 +442,7 @@ TEST_P(EngineDifferential, CloneEqualsOriginalAndIsIsolated) {
   const ClusterState unoccupied = original.clone_unoccupied();
   ClusterView refreshed = corpus_cluster(rng, machines);
   refreshed.cores = original.view().cores;
+  refreshed.colocation_group = original.view().colocation_group;
   original.update_view(refreshed);
   DoubleMatrix factor(machines, machines, 1.0);
   for (std::size_t m = 0; m < machines; ++m) factor(m, (m + 1) % machines) = 0.5;
@@ -466,9 +481,10 @@ TEST_P(EngineDifferential, RejectedRateDiscountLeavesEngineUntouched) {
   expect_same_view(view, view_before);
 }
 
-// The ways a new view can differ from the last one, from nothing at all to
-// everything; update_view must handle each exactly like a fresh build.
-enum class ViewChange { kNone, kOnePair, kRow, kColumn, kFifth, kAll, kCrossOnly, kRegroup, kTies };
+// The ways a new view of the same fleet can differ from the last one, from
+// nothing at all to every rate; update_view must handle each exactly like a
+// fresh build.
+enum class ViewChange { kNone, kOnePair, kRow, kColumn, kFifth, kAll, kCrossOnly, kTies };
 
 const char* to_string(ViewChange c) {
   switch (c) {
@@ -479,7 +495,6 @@ const char* to_string(ViewChange c) {
     case ViewChange::kFifth: return "20% of pairs";
     case ViewChange::kAll: return "all pairs";
     case ViewChange::kCrossOnly: return "cross traffic only";
-    case ViewChange::kRegroup: return "colocation regrouping";
     case ViewChange::kTies: return "tied bounds";
   }
   return "?";
@@ -536,14 +551,6 @@ ClusterView changed_view(const ClusterView& base, ViewChange change, Rng& rng) {
         }
       }
       break;
-    case ViewChange::kRegroup: {
-      int group = 0;
-      for (std::size_t m = 0; m < M; ++m) {
-        if (m > 0 && !rng.chance(0.3)) ++group;
-        v.colocation_group[m] = group;
-      }
-      break;
-    }
     case ViewChange::kTies: {
       const std::size_t r = pick();
       const std::size_t c = pick();
@@ -584,7 +591,7 @@ TEST_P(EngineDifferential, UpdateViewEqualsFreshBuild) {
   std::vector<ViewChange> steps = {
       ViewChange::kNone,  ViewChange::kOnePair,   ViewChange::kRow,
       ViewChange::kColumn, ViewChange::kFifth,    ViewChange::kAll,
-      ViewChange::kCrossOnly, ViewChange::kRegroup, ViewChange::kTies};
+      ViewChange::kCrossOnly, ViewChange::kTies};
   rng.shuffle(steps);
   for (std::size_t step = 0; step <= steps.size(); ++step) {
     const bool discount = step == steps.size();
@@ -703,38 +710,63 @@ TEST_P(EngineDifferential, ZeroRateRejectedWithEngineUntouched) {
   } catch (const PlacementError&) {
   }
 
-  // A refreshed, regrouped view with one zero rate late in the sweep, so a
-  // build that replaced anything before checking would show it.
+  // A refreshed view with one zero rate late in the sweep, so a build that
+  // replaced anything before checking would show it.
   ClusterView bad = changed_view(state.view(), ViewChange::kAll, rng);
-  bad = changed_view(bad, ViewChange::kRegroup, rng);
   bad.rate_bps(machines - 1, machines - 2) = 0.0;
   EXPECT_THROW(PlacementEngine{bad}, PreconditionError);
   EXPECT_THROW(ClusterState{bad}, PreconditionError);
 
   const ClusterView view_before = state.view();
   const StaticIndexes statics_before = static_indexes(state.engine());
-  const auto residuals = [&] {
-    std::vector<double> r;
-    for (std::size_t m = 0; m < machines; ++m) {
-      r.push_back(state.free_cores(m));
-      r.push_back(state.transfers_out_of(m));
-      for (std::size_t n = 0; n < machines; ++n) r.push_back(state.transfers_on_path(m, n));
-    }
-    return r;
-  };
-  const std::vector<double> residuals_before = residuals();
+  const std::vector<double> residuals_before = residuals(state);
 
   EXPECT_THROW(state.update_view(bad), PreconditionError);
   expect_same_view(state.view(), view_before);
   EXPECT_EQ(state.view().colocation_group, view_before.colocation_group);
   expect_same_statics(static_indexes(state.engine()), statics_before);
-  EXPECT_EQ(residuals(), residuals_before);
+  EXPECT_EQ(residuals(state), residuals_before);
 }
 
-// update_view re-derives the out-of-hose counts only when the colocation
-// groups change; under the same groups it keeps the counts it has. Over
-// repeated same-group refreshes with commits and releases in between, the
-// kept counts must equal a fresh replay of the live applications.
+// A view of the same machines on other hosts is another fleet: update_view
+// rejects it before replacing anything, so the view, the static indexes and
+// the residuals (whose out-of-hose counts depend on the groups) stay as they
+// were. A fresh build of the same view is accepted.
+TEST_P(EngineDifferential, RegroupedViewRejectedWithEngineUntouched) {
+  Rng rng(GetParam() + 16000);
+  const std::size_t machines = static_cast<std::size_t>(rng.uniform_int(3, 14));
+  ClusterState state(corpus_cluster(rng, machines));
+  GreedyPlacer greedy(RateModel::Hose);
+  for (int a = 0; a < 2; ++a) {
+    const Application app = corpus_app(rng, machines);
+    try {
+      state.commit(app, greedy.place(app, state));
+    } catch (const PlacementError&) {
+    }
+  }
+
+  // Fresh rates, and machine 0 moved onto machine 1's host (or off it, onto
+  // a host of its own, when the two already share one).
+  ClusterView regrouped = changed_view(state.view(), ViewChange::kAll, rng);
+  regrouped.colocation_group[0] = regrouped.colocated(0, 1)
+                                      ? static_cast<int>(machines)
+                                      : regrouped.colocation_group[1];
+  EXPECT_NO_THROW(PlacementEngine{regrouped});
+
+  const ClusterView view_before = state.view();
+  const StaticIndexes statics_before = static_indexes(state.engine());
+  const std::vector<double> residuals_before = residuals(state);
+
+  EXPECT_THROW(state.update_view(regrouped), PreconditionError);
+  expect_same_view(state.view(), view_before);
+  expect_same_statics(static_indexes(state.engine()), statics_before);
+  EXPECT_EQ(residuals(state), residuals_before);
+}
+
+// update_view keeps the out-of-hose counts it has: it takes only views with
+// the same colocation groups. Over repeated refreshes with commits and
+// releases in between, the kept counts must equal a fresh replay of the
+// live applications.
 TEST_P(EngineDifferential, SameGroupUpdateViewsKeepOutOfHoseCounts) {
   Rng rng(GetParam() + 14000);
   const std::size_t machines = static_cast<std::size_t>(rng.uniform_int(4, 20));

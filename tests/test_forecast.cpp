@@ -45,18 +45,6 @@ TEST(RateHistory, RecordsOldestFirstAndEvictsAtCapacity) {
   EXPECT_TRUE(h.series(1, 0).empty());
 }
 
-TEST(RateHistory, ResizePreservesSurvivingPairs) {
-  RateHistory h(2, 8);
-  h.record(0, 1, mbps(500), 1);
-  h.record(1, 0, mbps(300), 1);
-  h.resize(4);
-  EXPECT_EQ(h.sample_count(0, 1), 1u);
-  EXPECT_EQ(h.series(1, 0).newest().rate_bps, mbps(300));
-  EXPECT_EQ(h.sample_count(0, 3), 0u);
-  h.resize(2);  // shrink back: still intact
-  EXPECT_EQ(h.series(0, 1).newest().rate_bps, mbps(500));
-}
-
 // ---------------------------------------------------------------------------
 // Predictors
 // ---------------------------------------------------------------------------
@@ -220,7 +208,7 @@ TEST(PredictivePolicy, DisabledDelegatesToFixedPolicyVerbatim) {
   fixed.max_age_epochs = 8;
   fixed.volatility_threshold = 0.5;
 
-  PredictivePolicy policy;  // default: disabled
+  PredictivePolicy policy(ForecastOptions{}, 4);  // default: disabled
   const RefreshPlan got = policy.plan_refresh(cache, 3, fixed);
   const RefreshPlan want = cache.plan_refresh(3, fixed);
   ASSERT_EQ(got.pairs.size(), want.pairs.size());
@@ -232,11 +220,24 @@ TEST(PredictivePolicy, DisabledDelegatesToFixedPolicyVerbatim) {
   EXPECT_EQ(got.volatile_pairs, want.volatile_pairs);
   EXPECT_EQ(policy.last_plan().predictable, 0u);
   EXPECT_EQ(policy.last_plan().unpredictable, 0u);
+  EXPECT_EQ(policy.history().vm_count(), 0u);  // no per-pair state
+}
+
+// Every per-pair track is sized for the fleet at construction, so a probe
+// result can be scored before the first plan.
+TEST(PredictivePolicy, ObservesBeforeFirstPlan) {
+  PredictivePolicy policy(enabled_options(), 3);
+  policy.observe(0, 1, mbps(500), 1);
+  policy.observe(0, 1, mbps(400), 2);
+  EXPECT_EQ(policy.history().sample_count(0, 1), 2u);
+  EXPECT_EQ(policy.history().sample_count(1, 0), 0u);
+  EXPECT_FALSE(std::isinf(policy.predictability_error(0, 1)));
+  EXPECT_TRUE(std::isinf(policy.predictability_error(2, 1)));
 }
 
 TEST(PredictivePolicy, ProbesNeverMeasuredStaleAndWarmupPairs) {
   ViewCache cache(3);
-  PredictivePolicy policy(enabled_options());
+  PredictivePolicy policy(enabled_options(), 3);
   RefreshPolicy fixed;
   fixed.max_age_epochs = 4;
 
@@ -267,8 +268,7 @@ TEST(PredictivePolicy, BudgetGoesToTheWorstPredictedPairs) {
   ForecastOptions opts = enabled_options();
   opts.probe_budget_fraction = 0.25;  // 1 of 6 pairs
   ViewCache cache(3);
-  PredictivePolicy policy(opts);
-  policy.resize(3);
+  PredictivePolicy policy(opts, 3);
   RefreshPolicy fixed;
   fixed.max_age_epochs = 100;  // staleness out of the picture
 
@@ -300,8 +300,7 @@ TEST(PredictivePolicy, CusumFlagsRegimeShiftedPair) {
   opts.cusum.slack = 0.15;
   opts.cusum.threshold = 0.5;
   ViewCache cache(3);
-  PredictivePolicy policy(opts);
-  policy.resize(3);
+  PredictivePolicy policy(opts, 3);
   RefreshPolicy fixed;
   fixed.max_age_epochs = 1000;
 
@@ -335,8 +334,7 @@ TEST(PredictivePolicy, RegimeAlarmForcesFullSweep) {
   opts.cusum.slack = 0.1;
   opts.cusum.threshold = 0.3;
   ViewCache cache(3);
-  PredictivePolicy policy(opts);
-  policy.resize(3);
+  PredictivePolicy policy(opts, 3);
   RefreshPolicy fixed;
   fixed.max_age_epochs = 1000;
 
@@ -364,8 +362,7 @@ TEST(PredictivePolicy, AppliesForecastsAndDiscountsToView) {
   opts.discount_rates = true;
   opts.discount_quantile = 1.0;  // max of the recent errors: easy to compute
   ViewCache cache(2);
-  PredictivePolicy policy(opts);
-  policy.resize(2);
+  PredictivePolicy policy(opts, 2);
 
   // Pair (0, 1) alternates 400/800: last-value error |400-800|/800 = 0.5 or
   // |800-400|/400 = 1.0. Pair (1, 0) is steady at 600.
@@ -459,23 +456,6 @@ TEST(RateDiscountHook, EngineDiscountMatchesViewDiscountAndKeepsOracleIdentity) 
   place::ExhaustiveGreedyPlacer oracle(place::RateModel::Hose);
   const place::Placement via_oracle = oracle.place(second, state_b);
   EXPECT_EQ(via_b.machine_of_task, via_oracle.machine_of_task);
-}
-
-TEST(PredictivePolicy, ResizePreservesStateOfSurvivingPairs) {
-  ViewCache cache(2);
-  PredictivePolicy policy(enabled_options());
-  policy.resize(2);
-  for (std::uint64_t e = 1; e <= 3; ++e) {
-    cache.store(0, 1, mbps(500), e);
-    policy.observe(0, 1, mbps(500), e);
-    cache.store(1, 0, mbps(500), e);
-    policy.observe(1, 0, mbps(500), e);
-  }
-  const double err_before = policy.predictability_error(0, 1);
-  policy.resize(4);
-  EXPECT_EQ(policy.predictability_error(0, 1), err_before);
-  EXPECT_EQ(policy.history().sample_count(0, 1), 3u);
-  EXPECT_TRUE(std::isinf(policy.predictability_error(0, 3)));
 }
 
 }  // namespace

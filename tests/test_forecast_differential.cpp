@@ -78,7 +78,7 @@ TEST(ForecastDifferential, DisabledPolicyBitIdenticalToFixedPipeline) {
       ASSERT_FALSE(config.forecast.enabled) << "forecast must default off";
 
       core::Choreo choreo(c_sys, vms_sys, config);
-      FixedPipelineOracle oracle{c_ora, vms_ora, config, measure::ViewCache{}, nullptr,
+      FixedPipelineOracle oracle{c_ora, vms_ora, config, measure::ViewCache(n), nullptr,
                                  measure::RefreshResult{}};
 
       Rng app_rng(seed * 1000 + n);

@@ -1,5 +1,7 @@
 #include <gtest/gtest.h>
 
+#include <limits>
+
 #include "cloud/cloud.h"
 #include "measure/throughput_matrix.h"
 #include "measure/view_cache.h"
@@ -62,7 +64,7 @@ TEST(ViewCache, VolatilePairsAreReprobedEveryCycle) {
   EXPECT_EQ(plan.volatile_pairs, 1u);
   EXPECT_TRUE(plan.pairs[0] == (ProbePair{1, 2}));
 
-  policy.refresh_volatile = false;
+  policy.volatility_threshold = std::numeric_limits<double>::infinity();
   EXPECT_TRUE(cache.plan_refresh(4, policy).pairs.empty());
 }
 
@@ -70,24 +72,6 @@ TEST(ViewCache, SingleMeasurementIsNeverVolatile) {
   ViewCache cache(2);
   cache.store(0, 1, mbps(100), 1);
   EXPECT_FALSE(cache.is_volatile(0, 1, 0.01));
-}
-
-TEST(ViewCache, ResizePreservesSurvivorsAndFlagsNewVms) {
-  ViewCache cache(3);
-  for (const ProbePair& p : all_ordered_pairs(3)) {
-    cache.store(p.src, p.dst, mbps(700), 5);
-  }
-  cache.resize(5);  // two newly allocated VMs
-  EXPECT_EQ(cache.at(0, 1).rate_bps, mbps(700));
-  EXPECT_EQ(cache.at(2, 1).epoch, 5u);
-  EXPECT_FALSE(cache.at(0, 3).valid());
-  const RefreshPlan plan = cache.plan_refresh(6, RefreshPolicy{});
-  // 5*4 total pairs minus the 6 surviving measured ones.
-  EXPECT_EQ(plan.pairs.size(), 14u);
-  EXPECT_EQ(plan.never_measured, 14u);
-  for (const ProbePair& p : plan.pairs) {
-    EXPECT_TRUE(p.src >= 3 || p.dst >= 3) << "old pair re-probed";
-  }
 }
 
 TEST(ViewCache, ExportsRatesAndEpochs) {
@@ -174,7 +158,7 @@ TEST(ViewCacheIntegration, IncrementalRefreshProbesFewerAndKeepsFreshPairs) {
   policy.max_age_epochs = 50;  // nothing goes stale between the two cycles
   policy.volatility_threshold = 1e9;  // ignore volatility here
 
-  ViewCache cache;
+  ViewCache cache(vms.size());
   const RefreshResult full = refresh_cluster_view(c, vms, plan, 1, cache, policy);
   EXPECT_EQ(full.pairs_probed, 30u);
   EXPECT_EQ(full.rounds, 5u);
@@ -208,6 +192,18 @@ TEST(ViewCacheIntegration, IncrementalRefreshProbesFewerAndKeepsFreshPairs) {
   EXPECT_EQ(incr.view.freshness(1, 0), 1u);
 }
 
+// A cache is sized once, for one fleet: refreshing through a cache of
+// another size is a caller error, caught before anything is probed.
+TEST(ViewCacheIntegration, RefreshRejectsCacheOfAnotherFleet) {
+  cloud::Cloud c(cloud::ec2_2013(), 47);
+  const auto vms = c.allocate_vms(4);
+  MeasurementPlan plan;
+  ViewCache cache(5);
+  EXPECT_THROW(refresh_cluster_view(c, vms, plan, 1, cache, RefreshPolicy{}),
+               PreconditionError);
+  EXPECT_EQ(cache.measured_pairs(), 0u);
+}
+
 TEST(ViewCacheIntegration, NothingToProbeCostsNothing) {
   cloud::Cloud c(cloud::ec2_2013(), 43);
   const auto vms = c.allocate_vms(4);
@@ -217,7 +213,7 @@ TEST(ViewCacheIntegration, NothingToProbeCostsNothing) {
   RefreshPolicy policy;
   policy.max_age_epochs = 50;
   policy.volatility_threshold = 1e9;
-  ViewCache cache;
+  ViewCache cache(vms.size());
   refresh_cluster_view(c, vms, plan, 1, cache, policy);
   const RefreshResult again = refresh_cluster_view(c, vms, plan, 2, cache, policy);
   EXPECT_EQ(again.pairs_probed, 0u);
