@@ -18,7 +18,6 @@
 // failed check.
 
 #include <cstring>
-#include <limits>
 #include <memory>
 
 #include "bench_common.h"
@@ -150,7 +149,6 @@ int main(int argc, char** argv) {
   // regime alarm for the shift.
   measure::RefreshPolicy predictive_net = fixed;
   predictive_net.max_age_epochs = 1000;
-  predictive_net.volatility_threshold = std::numeric_limits<double>::infinity();
   forecast::ForecastOptions opts;
   opts.enabled = true;
   // One observation is enough to coast on (the forecast degenerates to the

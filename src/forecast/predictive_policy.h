@@ -92,7 +92,8 @@ class PredictivePolicy {
   /// cache.plan_refresh(epoch, fixed). Enabled: never-measured and stale
   /// pairs (fixed.max_age_epochs is kept as the staleness safety net) plus
   /// change-point-flagged, warm-up, and the budgeted worst-predicted pairs;
-  /// requires a cache of the policy's fleet.
+  /// requires a cache of the policy's fleet. Enabled, it reads only
+  /// fixed.max_age_epochs: fixed.volatility_threshold has no effect.
   measure::RefreshPlan plan_refresh(const measure::ViewCache& cache, std::uint64_t epoch,
                                     const measure::RefreshPolicy& fixed);
 

@@ -28,7 +28,9 @@ struct RefreshPolicy {
   /// A pair is volatile when its last two estimates disagree by more than
   /// this relative factor — the pair-level analogue of a low §2.1
   /// predictability score. Volatile pairs are re-probed every cycle; an
-  /// infinite threshold switches the rule off.
+  /// infinite threshold switches the rule off. Only ViewCache::plan_refresh
+  /// reads it: an enabled forecast::PredictivePolicy ranks pairs by forecast
+  /// error instead and ignores this rule.
   double volatility_threshold = 0.5;
 };
 
