@@ -55,55 +55,25 @@ TokenBucket::TokenBucket(EventQueue& events, double rate_bps, double depth_bytes
       rate_bps_(rate_bps),
       depth_bytes_(depth_bytes),
       next_(next),
-      idle_reset_s_(idle_reset_s),
-      tokens_(depth_bytes) {
+      idle_reset_s_(idle_reset_s) {
   CHOREO_REQUIRE(rate_bps > 0.0);
   CHOREO_REQUIRE(depth_bytes > 0.0);
   CHOREO_REQUIRE(next != nullptr);
 }
 
-void TokenBucket::refill(double now) {
-  if (idle_reset_s_ >= 0.0 && last_activity_ >= 0.0 &&
-      now - last_activity_ >= idle_reset_s_ && queue_.empty()) {
-    tokens_ = depth_bytes_;
-  } else {
-    tokens_ = std::min(depth_bytes_, tokens_ + rate_bps_ / 8.0 * (now - last_update_));
-  }
-  last_update_ = now;
-}
-
 void TokenBucket::receive(const Packet& pkt, double now) {
-  refill(now);
-  last_activity_ = now;
-  queue_.push_back(pkt);
-  if (!draining_) pump(now);
-}
-
-void TokenBucket::pump(double now) {
-  refill(now);
-  last_activity_ = now;
-  // The small tolerance absorbs float rounding between the scheduled wait
-  // and the refill integral; without it the wake-up can land a hair short
-  // of the packet size and reschedule forever.
-  constexpr double kByteTolerance = 1e-6;
-  while (!queue_.empty() && tokens_ + kByteTolerance >= queue_.front().wire_bytes) {
-    const Packet pkt = queue_.front();
-    queue_.pop_front();
-    tokens_ = std::max(0.0, tokens_ - pkt.wire_bytes);
+  CHOREO_REQUIRE(pkt.wire_bytes <= depth_bytes_);
+  const double increment = static_cast<double>(pkt.wire_bytes) * 8.0 / rate_bps_;
+  const double tolerance = (depth_bytes_ - pkt.wire_bytes) * 8.0 / rate_bps_;
+  if (idle_reset_s_ >= 0.0 && now - departure_ >= idle_reset_s_) tat_ = now;
+  departure_ = std::max({now, departure_, tat_ - tolerance});
+  tat_ = std::max(tat_, departure_) + increment;
+  if (departure_ == now) {
     next_->receive(pkt, now);
-  }
-  if (queue_.empty()) {
-    draining_ = false;
     return;
   }
-  // Not enough tokens for the head packet: wake up when there are (with a
-  // nanosecond of slack so the refill is guaranteed to cover the deficit).
-  // The wake-up delivers into hop 0, so it is keyed as an arrival there.
-  draining_ = true;
-  const double deficit = queue_.front().wire_bytes - tokens_;
-  const double wait = deficit * 8.0 / rate_bps_ + 1e-9;
-  events_.schedule(now + wait, {now, EventKey::kArrival, 0, queue_.front().seq},
-                   [this] { pump(events_.now()); });
+  events_.schedule(departure_, {now, EventKey::kArrival, 0, pkt.seq},
+                   [this, pkt] { next_->receive(pkt, events_.now()); });
 }
 
 Path::Path(EventQueue& events, const ShaperSpec& shaper, const std::vector<HopSpec>& hops,

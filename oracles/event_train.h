@@ -5,6 +5,7 @@
 #include <cstdint>
 #include <deque>
 #include <functional>
+#include <limits>
 #include <memory>
 #include <vector>
 
@@ -163,32 +164,33 @@ class Link : public Element {
   std::uint64_t drops_ = 0;
 };
 
-/// Token-bucket traffic shaper (ShaperSpec): tokens (bytes) refill at
-/// `rate_bps`; a packet passes immediately if the bucket holds enough
-/// tokens, otherwise it waits in FIFO order for a wake-up. `idle_reset_s`
-/// restores the full depth after that long idle; negative disables it.
+/// Token-bucket traffic shaper (ShaperSpec) as GCRA virtual scheduling
+/// (ITU-T I.371). A packet of `w` wire bytes arriving at `now` leaves at
+/// d = max(now, previous d, V - (depth - w)*8/rate), then
+/// V <- max(V, d) + w*8/rate: a full bucket is V <= now, and V - now is
+/// how many seconds of refill the bucket is short of full. An arrival
+/// `idle_reset_s` or more after the previous departure first sets V <- now
+/// (negative: never). A packet leaving at `now` passes at once; any other
+/// is released by an event scheduled at its arrival, keyed as an arrival
+/// into hop 0. A held packet leaves the bucket empty, so the next departure
+/// is strictly later: passing at once never overtakes a held packet.
 class TokenBucket : public Element {
  public:
   TokenBucket(EventQueue& events, double rate_bps, double depth_bytes, Element* next,
               double idle_reset_s = -1.0);
 
+  /// Requires `pkt` to fit the bucket: wire bytes <= depth.
   void receive(const Packet& pkt, double now) override;
 
  private:
-  void refill(double now);
-  void pump(double now);
-
   EventQueue& events_;
   double rate_bps_;
   double depth_bytes_;
   Element* next_;
   double idle_reset_s_;
 
-  double tokens_;
-  double last_update_ = 0.0;
-  double last_activity_ = -1.0;
-  std::deque<Packet> queue_;
-  bool draining_ = false;
+  double tat_ = -std::numeric_limits<double>::infinity();  ///< V, the theoretical arrival time
+  double departure_ = -std::numeric_limits<double>::infinity();  ///< the last packet's d
 };
 
 /// Owns a linear chain of elements modelling one VM-to-VM direction:

@@ -42,58 +42,25 @@ Scratch& scratch() {
   return s;
 }
 
-/// The oracle's TokenBucket, replayed: emissions merged with the one
-/// pending wake-up, an emission first at a shared instant (it was scheduled
-/// earlier). Every refill the oracle makes is made here, in the same order,
-/// with the same operands.
+/// The token bucket as GCRA virtual scheduling (ITU-T I.371), the
+/// oracle's TokenBucket term for term. Packet k, emitted at e, leaves at
+/// d = max(e, previous d, V - tolerance), then V <- max(V, d) + increment;
+/// an emission at least `idle_reset_s` after the previous departure first
+/// sets V <- e. A packet that leaves at its emission passes inside the
+/// emission event; any other is released by an event scheduled at its
+/// emission.
 void shape(const ShaperSpec& spec, std::uint32_t wire, const std::vector<double>& emission,
            Stage& out) {
-  constexpr double kByteTolerance = 1e-6;  // as the oracle's TokenBucket::pump
-  const double depth = spec.depth_bytes;
-  const double rate = spec.rate_bps;
-  double tokens = depth;
-  double last_update = 0.0;
-  double last_activity = -1.0;
-  std::size_t head = 0, tail = 0;  // the bucket's queue: packets [head, tail)
-  bool draining = false;
-  double wake = 0.0, wake_scheduled = 0.0;
-
-  const auto refill = [&](double now) {
-    if (spec.idle_reset_s >= 0.0 && last_activity >= 0.0 &&
-        now - last_activity >= spec.idle_reset_s && head == tail) {
-      tokens = depth;
-    } else {
-      tokens = std::min(depth, tokens + rate / 8.0 * (now - last_update));
-    }
-    last_update = now;
-  };
-  const auto pump = [&](double now, double scheduled) {
-    refill(now);
-    last_activity = now;
-    while (head < tail && tokens + kByteTolerance >= wire) {
-      out.push_back({now, scheduled, static_cast<std::uint32_t>(head)});
-      tokens = std::max(0.0, tokens - wire);
-      ++head;
-    }
-    draining = head < tail;
-    if (!draining) return;
-    const double deficit = wire - tokens;
-    const double wait = deficit * 8.0 / rate + 1e-9;
-    wake = now + wait;
-    wake_scheduled = now;
-  };
-
-  std::size_t next = 0;
-  while (next < emission.size() || draining) {
-    if (draining && (next == emission.size() || wake < emission[next])) {
-      pump(wake, wake_scheduled);
-      continue;
-    }
-    const double now = emission[next++];
-    refill(now);
-    last_activity = now;
-    ++tail;
-    if (!draining) pump(now, kEmitted);
+  const double increment = static_cast<double>(wire) * 8.0 / spec.rate_bps;
+  const double tolerance = (spec.depth_bytes - wire) * 8.0 / spec.rate_bps;
+  double v = -std::numeric_limits<double>::infinity();  // a full bucket
+  double d = -std::numeric_limits<double>::infinity();
+  for (std::size_t k = 0; k < emission.size(); ++k) {
+    const double e = emission[k];
+    if (spec.idle_reset_s >= 0.0 && e - d >= spec.idle_reset_s) v = e;
+    d = std::max({e, d, v - tolerance});
+    v = std::max(v, d) + increment;
+    out.push_back({d, d == e ? kEmitted : e, static_cast<std::uint32_t>(k)});
   }
 }
 
@@ -176,13 +143,12 @@ void run_tandem(const ShaperSpec& shaper, const std::vector<HopSpec>& hops,
   CHOREO_REQUIRE(params.packet_bytes >= 1);
   CHOREO_REQUIRE(params.line_rate_bps > 0.0);
   CHOREO_REQUIRE(!hops.empty() || shaper.enabled);
-  CHOREO_REQUIRE(!shaper.enabled || (shaper.rate_bps > 0.0 && shaper.depth_bytes > 0.0));
+  const std::uint32_t wire = params.packet_bytes + params.header_bytes;
+  CHOREO_REQUIRE(!shaper.enabled || (shaper.rate_bps > 0.0 && shaper.depth_bytes >= wire));
   for (const HopSpec& h : hops) {
     CHOREO_REQUIRE(h.rate_bps > 0.0 && h.delay_s >= 0.0 && h.queue_bytes >= 0.0);
   }
   if (ties) *ties = TrainTies{};
-
-  const std::uint32_t wire = params.packet_bytes + params.header_bytes;
 
   // Emission times: the oracle's send_train running sums, term for term.
   const double spacing = static_cast<double>(wire) * 8.0 / params.line_rate_bps;

@@ -16,10 +16,14 @@ struct HopSpec {
 };
 
 /// Description of the source-side token-bucket rate limiter (hose
-/// enforcement, §4.3). Tokens (bytes) refill at `rate_bps`; a packet passes
-/// at once if the bucket holds enough, otherwise it waits in FIFO order. The
-/// depth is the burst allowance, and it is the knob behind Fig 6's
-/// asymmetry:
+/// enforcement, §4.3). Tokens (bytes) refill at `rate_bps` up to
+/// `depth_bytes`; a packet passes at once if the bucket holds its wire
+/// bytes, otherwise it waits in FIFO order. The bucket is defined in closed
+/// form, as GCRA virtual scheduling (ITU-T I.371): a packet of w wire bytes
+/// emitted at e leaves at d = max(e, previous d, V - (depth - w)*8/rate),
+/// then V <- max(V, d) + w*8/rate, with V = -inf (a full bucket) at the
+/// start. The depth must hold one packet. It is the burst allowance, and it
+/// is the knob behind Fig 6's asymmetry:
 ///
 ///   * a *shallow* bucket (EC2-like) forces even short packet trains down to
 ///     the token rate, so 10x200-packet trains are already accurate;
@@ -29,8 +33,9 @@ struct HopSpec {
 ///
 /// `idle_reset_s` models credit-style hypervisor limiters that restore the
 /// full burst allowance after a short idle period (>= the inter-burst gap
-/// delta of §3.1); set it negative for a classic continuously-refilling
-/// bucket.
+/// delta of §3.1): an emission at least that long after the previous
+/// departure first sets V <- e. Set it negative for a classic
+/// continuously-refilling bucket.
 struct ShaperSpec {
   bool enabled = true;
   double rate_bps = 1e9;
@@ -51,8 +56,8 @@ struct TrainTies {
 /// `hops` in order, into `sink`: exactly what the event-driven simulator
 /// (the differential oracle in oracles/event_train.h) leaves there, computed
 /// by a direct per-packet recurrence instead of an event queue. Emission
-/// times are the train's running sums, the token bucket is replayed refill
-/// for refill against its single pending wake-up, each FIFO hop is
+/// times are the train's running sums, the token bucket is ShaperSpec's
+/// GCRA recurrence, one max and one add per packet, each FIFO hop is
 /// completion = (busy ? previous completion : arrival) + transmit time with
 /// the drop-tail rule, and the survivors are fed to `sink` in order. A train
 /// that finds every hop idle at every arrival (the common case for a probe)

@@ -110,9 +110,8 @@ TEST(TokenBucket, ShapesSustainedLoadToTokenRate) {
   for (std::uint64_t i = 0; i < 11; ++i) tb.receive(make_packet(i, 1000), 0.0);
   q.run();
   ASSERT_EQ(sink.count(), 11u);
-  // First passes at t=0 on the full bucket; each next waits ~1 ms of refill
-  // (plus the bucket's nanosecond anti-livelock slack).
-  EXPECT_NEAR(sink.records()[10].time, 0.010, 1e-6);
+  // First passes at t=0 on the full bucket; each next waits 1 ms of refill.
+  EXPECT_NEAR(sink.records()[10].time, 0.010, 1e-12);
   // Long-run rate == token rate.
   const double rate = 10.0 * 1000 * 8 / sink.records()[10].time;
   EXPECT_NEAR(rate, 8e6, 1e3);

@@ -258,11 +258,9 @@ double rate_for_tx(double tx) {
   return rate;
 }
 
-TEST(BucketTie, WakeUpAtAnEmissionInstant) {
-  // Packet 0 leaves at once; packet 1 waits for a wake-up at W. Move burst
-  // 1's first emission onto W: the queue fires the emission first (lower
-  // seq), and the recurrence's merge must replay that order refill for
-  // refill, with and without idle resets.
+/// Two bursts of two packets through a 2 000-byte bucket at 300 Mb/s: packet
+/// 0 leaves at once, packet 1 is held until the bucket holds its bytes.
+Case held_second_packet() {
   Case c;
   c.shaper = ShaperSpec{true, 300e6, 2000.0, -1.0};
   c.params.bursts = 2;
@@ -270,20 +268,60 @@ TEST(BucketTie, WakeUpAtAnEmissionInstant) {
   c.params.line_rate_bps = 10e9;
   c.params.inter_burst_gap_s = 1e-3;
   c.hops.push_back(HopSpec{10e9, 0.0, 2e6});
-  const double wake = logged_time(tapped_event_path(c).into[0], 1);
+  return c;
+}
+
+TEST(BucketTie, ReleaseAtAnEmissionInstant) {
+  // Move burst 1's first emission onto packet 1's release R: the queue fires
+  // the emission first (it was scheduled before the train started), while
+  // packet 1 is still held. Packet 2 must not overtake it, with and without
+  // an idle reset that R - R cannot reach.
+  Case c = held_second_packet();
+  const double release = logged_time(tapped_event_path(c).into[0], 1);
   const double spacing = 1500.0 * 8.0 / c.params.line_rate_bps;
   const double two = spacing + spacing;  // send_train's running sum after burst 0
-  double gap = wake - two;
-  for (int i = 0; i < 64 && two + gap != wake; ++i) {
-    gap = std::nextafter(gap, two + gap < wake ? 1.0 : 0.0);
+  double gap = release - two;
+  for (int i = 0; i < 64 && two + gap != release; ++i) {
+    gap = std::nextafter(gap, two + gap < release ? 1.0 : 0.0);
   }
   c.params.inter_burst_gap_s = gap;
-  const Tapped t = tapped_event_path(c);
-  ASSERT_EQ(logged_time(t.emitted, 2), wake);
-  ASSERT_EQ(logged_time(t.into[0], 1), wake) << "the wake-up moved";
-  for (const double idle : {-1.0, 0.5e-3, 0.0}) {
+  for (const double idle : {-1.0, 0.5e-3}) {
     c.shaper.idle_reset_s = idle;
-    EXPECT_TRUE(same_records(event_path(c), recurrence(c))) << idle;
+    const Tapped t = tapped_event_path(c);
+    ASSERT_EQ(logged_time(t.emitted, 2), release) << idle;
+    ASSERT_EQ(logged_time(t.into[0], 1), release) << "the release moved, idle " << idle;
+    EXPECT_GT(logged_time(t.into[0], 2), release) << idle;
+    EXPECT_TRUE(same_records(t.records, recurrence(c))) << idle;
+  }
+  // Idle reset 0 restores the bucket at every emission: nothing is held.
+  c.shaper.idle_reset_s = 0.0;
+  const Tapped t = tapped_event_path(c);
+  EXPECT_EQ(t.into[0], t.emitted);
+  EXPECT_TRUE(same_records(t.records, recurrence(c)));
+}
+
+TEST(BucketTie, IdleResetAtEquality) {
+  // Set idle_reset_s to exactly the idle time between packet 1's release and
+  // packet 2's emission: the reset fires (>=), so packet 2 passes at once.
+  // One ulp more and it does not, so packet 2 is held.
+  Case c = held_second_packet();
+  c.params.inter_burst_gap_s = 40e-6;
+  const Tapped base = tapped_event_path(c);
+  const double release = logged_time(base.into[0], 1);
+  const double emission = logged_time(base.emitted, 2);
+  ASSERT_GT(release, logged_time(base.emitted, 1)) << "packet 1 is held";
+  ASSERT_GT(logged_time(base.into[0], 2), emission) << "without a reset packet 2 is held";
+  const double idle = emission - release;
+  for (const double reset : {idle, std::nextafter(idle, 1.0)}) {
+    c.shaper.idle_reset_s = reset;
+    const Tapped t = tapped_event_path(c);
+    ASSERT_EQ(logged_time(t.into[0], 1), release);
+    if (reset == idle) {
+      EXPECT_EQ(logged_time(t.into[0], 2), emission) << "the reset at equality fires";
+    } else {
+      EXPECT_GT(logged_time(t.into[0], 2), emission);
+    }
+    EXPECT_TRUE(same_records(t.records, recurrence(c))) << reset;
   }
 }
 
@@ -299,10 +337,10 @@ TEST(HopOneTie, ArrivalFromAnEmissionGoesFirst) {
   EXPECT_EQ(ties.completion_first, 0u);
 }
 
-TEST(HopOneTie, ArrivalFromAWakeUpScheduledAfterServiceStart) {
+TEST(HopOneTie, ArrivalFromAReleaseScheduledAfterServiceStart) {
   // Packet 0 leaves the bucket at 0 and starts service; packet 1 (emitted at
-  // s) waits for a wake-up at W, scheduled at s. Tune the hop so packet 0
-  // completes at exactly W: the completion was scheduled first (at 0 < s),
+  // s) is held until R, by a release scheduled at s. Tune the hop so packet
+  // 0 completes at exactly R: the completion was scheduled first (at 0 < s),
   // so it fires first and packet 1 finds the link idle.
   Case c;
   c.shaper = ShaperSpec{true, 300e6, 2000.0, -1.0};
@@ -310,9 +348,9 @@ TEST(HopOneTie, ArrivalFromAWakeUpScheduledAfterServiceStart) {
   c.params.burst_length = 2;
   c.params.line_rate_bps = 10e9;
   c.hops.push_back(HopSpec{10e9, 0.0, 1500.0});
-  const double wake = logged_time(tapped_event_path(c).into[0], 1);
-  c.hops[0].rate_bps = rate_for_tx(wake);
-  ASSERT_EQ(0.0 + 1500.0 * 8.0 / c.hops[0].rate_bps, wake);
+  const double release = logged_time(tapped_event_path(c).into[0], 1);
+  c.hops[0].rate_bps = rate_for_tx(release);
+  ASSERT_EQ(0.0 + 1500.0 * 8.0 / c.hops[0].rate_bps, release);
   const std::vector<Record> want = event_path(c);
   ASSERT_EQ(want.size(), 2u) << "completion-first keeps packet 1";
   TrainTies ties;
