@@ -206,9 +206,26 @@ Case random_case(Rng& rng) {
   return c;
 }
 
+/// `c` with every byte count and bit rate doubled: packet and header bytes,
+/// line rate, bucket rate and depth, hop rates and queues. Every time and
+/// every drop decision is a ratio of the two, so the train must not move.
+Case doubled(Case c) {
+  c.params.packet_bytes *= 2;
+  c.params.header_bytes *= 2;
+  c.params.line_rate_bps *= 2;
+  c.shaper.rate_bps *= 2;
+  c.shaper.depth_bytes *= 2;
+  for (HopSpec& h : c.hops) {
+    h.rate_bps *= 2;
+    h.queue_bytes *= 2;
+  }
+  return c;
+}
+
 class RandomCorpus : public ::testing::TestWithParam<int> {};
 
-/// 4 shards x 5 000 cases. Every train equals the oracle record for record.
+/// 4 shards x 5 000 cases. Every train equals the oracle record for record,
+/// and equals itself with every byte and bit rate doubled, ties included.
 TEST_P(RandomCorpus, MatchesEventPathRecordForRecord) {
   constexpr int kCases = 5000;
   Rng rng(0x7e41u + static_cast<std::uint64_t>(GetParam()));
@@ -219,6 +236,13 @@ TEST_P(RandomCorpus, MatchesEventPathRecordForRecord) {
     TrainTies ties;
     const std::vector<Record> got = recurrence(c, &ties);
     ASSERT_TRUE(same_records(want, got)) << "case " << i << ": " << c.describe();
+    std::vector<Record> want_doubled = got;
+    for (Record& r : want_doubled) r.wire_bytes *= 2;
+    TrainTies doubled_ties;
+    ASSERT_TRUE(same_records(want_doubled, recurrence(doubled(c), &doubled_ties)))
+        << "doubled case " << i << ": " << c.describe();
+    ASSERT_EQ(doubled_ties.arrival_first, ties.arrival_first) << "doubled case " << i;
+    ASSERT_EQ(doubled_ties.completion_first, ties.completion_first) << "doubled case " << i;
     arrival_first += ties.arrival_first;
     completion_first += ties.completion_first;
     if (want.size() < std::size_t{c.params.bursts} * c.params.burst_length) ++dropped;
