@@ -76,7 +76,6 @@ double Choreo::measure_network(std::uint64_t epoch) {
   } else {
     state_ = std::make_unique<place::ClusterState>(std::move(view));
   }
-  measured_ = true;
 
   CHOREO_OBS_INC(obs_.measure_cycles, config_.obs);
   CHOREO_OBS_ADD(obs_.pairs_probed, config_.obs, last_measure_.pairs_probed);
@@ -92,12 +91,12 @@ double Choreo::measure_network(std::uint64_t epoch) {
 }
 
 const place::ClusterView& Choreo::view() const {
-  CHOREO_REQUIRE_MSG(measured_, "call measure_network() first");
+  CHOREO_REQUIRE_MSG(state_ != nullptr, "call measure_network() first");
   return state_->view();
 }
 
 const place::ClusterState& Choreo::state() const {
-  CHOREO_REQUIRE_MSG(measured_, "call measure_network() first");
+  CHOREO_REQUIRE_MSG(state_ != nullptr, "call measure_network() first");
   return *state_;
 }
 
@@ -107,7 +106,7 @@ Choreo::AppHandle Choreo::place_application(const place::Application& app) {
 
 Choreo::AppHandle Choreo::place_application(const place::Application& app,
                                             place::Placer& placer) {
-  CHOREO_REQUIRE_MSG(measured_, "call measure_network() first");
+  CHOREO_REQUIRE_MSG(state_ != nullptr, "call measure_network() first");
   CHOREO_OBS_SPAN(span, config_.obs, "place.app", "place");
   span.arg("tasks", static_cast<double>(app.task_count()));
   const place::Placement placement = placer.place(app, *state_);
@@ -121,7 +120,7 @@ Choreo::AppHandle Choreo::place_application(const place::Application& app,
 
 Choreo::AppHandle Choreo::adopt_placement(const place::Application& app,
                                           const place::Placement& placement) {
-  CHOREO_REQUIRE_MSG(measured_, "call measure_network() first");
+  CHOREO_REQUIRE_MSG(state_ != nullptr, "call measure_network() first");
   CHOREO_REQUIRE_MSG(placement.machine_of_task.size() == app.task_count(),
                      "placement does not cover the application");
   state_->commit(app, placement);
@@ -158,7 +157,7 @@ double Choreo::estimated_total_completion(
 }
 
 Choreo::ReevalReport Choreo::reevaluate(std::uint64_t epoch) {
-  CHOREO_REQUIRE_MSG(measured_, "call measure_network() first");
+  CHOREO_REQUIRE_MSG(state_ != nullptr, "call measure_network() first");
   CHOREO_OBS_SPAN(span, config_.obs, "place.reeval", "place");
   ReevalReport report;
   report.apps_considered = running_.size();

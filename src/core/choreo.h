@@ -203,11 +203,10 @@ class Choreo {
   const cloud::Cloud& cloud_;
   std::vector<cloud::VmId> vms_;
   ChoreoConfig config_;
-  std::unique_ptr<place::ClusterState> state_;
+  std::unique_ptr<place::ClusterState> state_;  ///< null until measure_network()
   place::GreedyPlacer greedy_;
   std::map<AppHandle, RunningApp> running_;
   AppHandle next_handle_ = 1;
-  bool measured_ = false;
   /// The measurement plane, created on the first measure_network(): the
   /// in-process refresh core, or the distributed agent plane (config.agents)
   /// whose ClusterAgent runs the same core. Never both.
