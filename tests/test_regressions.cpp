@@ -105,10 +105,12 @@ TEST(Regression, IlpPlacementAlwaysComplete) {
 
 // --- token-bucket livelock ---------------------------------------------------
 //
-// Bug: the wake-up scheduled for "when tokens suffice" could land a float
-// ulp short of the packet size, rescheduling with an infinitesimal wait
-// forever. The exact configuration that hung: 100 Mbit/s bucket, 8 KB depth,
-// 5x200-packet train at 4 Gbit/s line rate.
+// Bug: a refill-and-wake-up token bucket scheduled its wake-up for "when
+// tokens suffice", which could land a float ulp short of the packet size and
+// reschedule with an infinitesimal wait forever. The GCRA bucket schedules
+// one release per held packet; the configuration that hung stays as a
+// termination check: 100 Mbit/s bucket, 8 KB depth, 5x200-packet train at
+// 4 Gbit/s line rate.
 
 TEST(Regression, TokenBucketTerminatesOnOriginalHangConfig) {
   using namespace packetsim;
