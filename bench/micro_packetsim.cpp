@@ -7,9 +7,9 @@
 // std::function per hop event. Its summary form goes further: it leaves
 // only what the §3.1 estimator reads per burst (count, first and last time
 // and seq), drawing timestamp jitter only near each burst's ends, where the
-// recording form draws one per packet. The summary is timed through
-// cloud::Cloud::summarize_chain, the runner every train of the measurement
-// plane goes through. Two train shapes are timed all three ways:
+// recording form draws one per packet. The summary form is what
+// cloud::Cloud::run_train_in_snapshot runs for every train of the
+// measurement plane. Two train shapes are timed all three ways:
 //
 //   * ec2 chain: the ec2_2013 inter-host chain a measurement round probes
 //     (hose bucket plus the routed fabric hops, built by the cloud itself),
@@ -115,10 +115,10 @@ Timing time_shape(const Shape& s, int reps) {
     sink.clear();
     packetsim::simulate_train(s.shaper, s.hops, s.params, sink);
   };
-  const cloud::Cloud::TrainChain chain{s.shaper, s.hops, s.params, s.jitter_s,
-                                       /*sink_seed=*/1};
   packetsim::TrainSummary summary;
-  const auto run_summary = [&] { cloud::Cloud::summarize_chain(chain, summary); };
+  const auto run_summary = [&] {
+    packetsim::simulate_train(s.shaper, s.hops, s.params, s.jitter_s, /*sink_seed=*/1, summary);
+  };
 
   // Equal records on the first train (same sink seed, same jitter draws),
   // and the summary of those records.

@@ -8,9 +8,10 @@
 //      pairs into exactly n-1 conflict-free rounds whose trains run
 //      concurrently, so modeled wall-clock grows ~linearly in n while a
 //      train-at-a-time plan grows quadratically.
-//   3. The incremental path: a ViewCache refresh re-probes only flagged
-//      pairs — strictly fewer than a full re-measurement — and carries every
-//      unchanged estimate over bit-for-bit.
+//   3. The incremental path: a forecast::Refresher cycle (forecasting off)
+//      re-probes only flagged pairs — strictly fewer than a full
+//      re-measurement — and carries every unchanged estimate over
+//      bit-for-bit.
 //
 // `--smoke` runs a reduced sweep for CI; the exit code is non-zero on any
 // [FAIL], which is what lets CI enforce the §4.1 claim continuously.
@@ -18,6 +19,7 @@
 #include <cstring>
 
 #include "bench_common.h"
+#include "forecast/refresher.h"
 #include "measure/packet_train.h"
 #include "measure/probe_scheduler.h"
 #include "measure/throughput_matrix.h"
@@ -156,14 +158,14 @@ int main(int argc, char** argv) {
     policy.max_age_epochs = 50;
     policy.volatility_threshold = 1e9;  // isolate the staleness mechanics
 
-    measure::ViewCache cache(vms.size());
-    const measure::RefreshResult full =
-        measure::refresh_cluster_view(c, vms, plan, 1, cache, policy);
-    cache.invalidate(0, 1);
-    cache.invalidate(1, 0);
-    cache.invalidate(2, 3);
-    const measure::RefreshResult incr =
-        measure::refresh_cluster_view(c, vms, plan, 5, cache, policy);
+    forecast::Refresher refresher(c, vms, policy, forecast::ForecastOptions{});
+    const forecast::Refresher::Cycle first = refresher.run_in_process(c, plan, 1);
+    refresher.invalidate(0, 1);
+    refresher.invalidate(1, 0);
+    refresher.invalidate(2, 3);
+    const forecast::Refresher::Cycle second = refresher.run_in_process(c, plan, 5);
+    const forecast::MeasureReport& full = first.report;
+    const forecast::MeasureReport& incr = second.report;
 
     Table it({"cycle", "pairs probed", "rounds", "modeled wall (s)"});
     it.add_row({"full", fmt(static_cast<double>(full.pairs_probed), 0),
@@ -175,8 +177,8 @@ int main(int argc, char** argv) {
     bool unchanged_identical = true;
     for (std::size_t i = 0; i < n; ++i) {
       for (std::size_t j = 0; j < n; ++j) {
-        if (i == j || incr.view.pair_epoch(i, j) != 1) continue;
-        unchanged_identical &= incr.view.rate_bps(i, j) == full.view.rate_bps(i, j);
+        if (i == j || second.view.pair_epoch(i, j) != 1) continue;
+        unchanged_identical &= second.view.rate_bps(i, j) == first.view.rate_bps(i, j);
       }
     }
     check(full.pairs_probed == n * (n - 1), "first cycle probes the full matrix");

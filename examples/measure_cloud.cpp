@@ -12,6 +12,7 @@
 #include <iostream>
 #include <string>
 
+#include "forecast/refresher.h"
 #include "measure/bottleneck.h"
 #include "measure/calibration.h"
 #include "measure/cross_traffic.h"
@@ -71,17 +72,17 @@ int main(int argc, char** argv) {
 
   // --- incremental refresh: keeping the view fresh without re-probing ---
   {
-    measure::ViewCache cache(vms.size());
     measure::RefreshPolicy policy;
     policy.max_age_epochs = 4;
-    const auto full = measure::refresh_cluster_view(cloud, vms, plan, 1, cache, policy);
+    forecast::Refresher refresher(cloud, vms, policy, forecast::ForecastOptions{});
+    const auto full = refresher.run_in_process(cloud, plan, 1).report;
     // A few paths looked off (an operator flag, a failed transfer): drop
     // just those estimates and refresh. Disjoint pairs share rounds, so the
     // re-probe is cheap; everything else carries over from epoch 1.
-    cache.invalidate(0, 1);
-    cache.invalidate(1, 0);
-    cache.invalidate(2, n_vms - 1);
-    const auto incr = measure::refresh_cluster_view(cloud, vms, plan, 3, cache, policy);
+    refresher.invalidate(0, 1);
+    refresher.invalidate(1, 0);
+    refresher.invalidate(2, n_vms - 1);
+    const auto incr = refresher.run_in_process(cloud, plan, 3).report;
     std::cout << "incremental refresh of 3 flagged paths: " << incr.pairs_probed << "/"
               << full.pairs_probed << " pairs re-probed in " << incr.rounds
               << " round(s), modeled wall clock " << fmt(incr.wall_time_s, 0) << " s vs "

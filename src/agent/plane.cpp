@@ -2,7 +2,7 @@
 
 #include <utility>
 
-#include "measure/packet_train.h"
+#include "measure/throughput_matrix.h"
 #include "util/require.h"
 #include "util/rng.h"
 
@@ -67,10 +67,7 @@ double AgentPlane::execute_probe(std::uint32_t src, std::uint32_t dst,
   if (it == snapshots_.end()) {
     it = snapshots_.emplace(key, cloud_.round_snapshot(epoch, round)).first;
   }
-  thread_local packetsim::TrainSummary summary;  // reused: warm probes allocate none
-  cloud_.run_train_in_snapshot(vms_[src], vms_[dst], mplan_.train, it->second, summary);
-  const double rtt = cloud_.ping_rtt_s(vms_[src], vms_[dst]);
-  return measure::estimate_train_throughput(summary, mplan_.train, rtt).throughput_bps;
+  return measure::probe_rate_bps(cloud_, vms_[src], vms_[dst], mplan_.train, it->second);
 }
 
 void AgentPlane::crash_agent(std::uint32_t id) {

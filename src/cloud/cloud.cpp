@@ -1,13 +1,11 @@
 #include "cloud/cloud.h"
 
 #include <algorithm>
-#include <atomic>
 #include <cmath>
 
 #include "packetsim/train_recurrence.h"
 #include "util/require.h"
 #include "util/units.h"
-#include "util/worker_pool.h"
 
 namespace choreo::cloud {
 namespace {
@@ -41,11 +39,6 @@ enum Lane : std::uint64_t {
 constexpr std::uint64_t kRoundSalt = 0x726f756e64000000ULL;
 
 }  // namespace
-
-void Cloud::summarize_chain(const TrainChain& chain, packetsim::TrainSummary& out) {
-  packetsim::simulate_train(chain.shaper, chain.hops, chain.params, chain.timestamp_jitter_s,
-                            chain.sink_seed, out);
-}
 
 Cloud::Cloud(ProviderProfile profile, std::uint64_t seed)
     : profile_(std::move(profile)),
@@ -330,35 +323,9 @@ Cloud::TrainChain Cloud::train_chain_in_snapshot(VmId src, VmId dst,
 void Cloud::run_train_in_snapshot(VmId src, VmId dst, const packetsim::TrainParams& params,
                                   const TrafficSnapshot& snapshot,
                                   packetsim::TrainSummary& out) const {
-  summarize_chain(train_chain_in_snapshot(src, dst, params, snapshot), out);
-}
-
-void Cloud::run_train_round(const std::vector<std::pair<VmId, VmId>>& pairs,
-                            const packetsim::TrainParams& params,
-                            const TrafficSnapshot& snapshot,
-                            std::vector<packetsim::TrainSummary>& out,
-                            unsigned workers) const {
-  CHOREO_REQUIRE(!pairs.empty());
-  // Enforce the conflict-free contract: a VM sourcing (or sinking) two
-  // simultaneous trains would share its hose (vNIC) between them and bias
-  // both estimates (§4.1).
-  std::vector<char> src_busy(vms_.size(), 0), dst_busy(vms_.size(), 0);
-  for (const auto& [s, d] : pairs) {
-    CHOREO_REQUIRE(s < vms_.size() && d < vms_.size() && s != d);
-    CHOREO_REQUIRE_MSG(!src_busy[s] && !dst_busy[d],
-                       "round is not conflict-free: a VM appears twice");
-    src_busy[s] = dst_busy[d] = 1;
-  }
-
-  out.resize(pairs.size());
-  const unsigned n_workers =
-      std::max(1u, std::min<unsigned>(workers, static_cast<unsigned>(pairs.size())));
-  std::atomic<std::size_t> next{0};
-  util::run_workers(n_workers, [&](unsigned) {
-    for (std::size_t i = next.fetch_add(1); i < pairs.size(); i = next.fetch_add(1)) {
-      run_train_in_snapshot(pairs[i].first, pairs[i].second, params, snapshot, out[i]);
-    }
-  });
+  const TrainChain chain = train_chain_in_snapshot(src, dst, params, snapshot);
+  packetsim::simulate_train(chain.shaper, chain.hops, chain.params, chain.timestamp_jitter_s,
+                            chain.sink_seed, out);
 }
 
 void Cloud::set_observer(const obs::Observer& o) {

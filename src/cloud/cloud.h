@@ -144,20 +144,6 @@ class Cloud {
   TrainChain train_chain_in_snapshot(VmId src, VmId dst, const packetsim::TrainParams& params,
                                      const TrafficSnapshot& snapshot) const;
 
-  /// Leaves in `out` the summary of one chain's train (the summary form of
-  /// packetsim::simulate_train): the one chain runner behind every train
-  /// this cloud sends. A warm `out` is reused and nothing is allocated.
-  static void summarize_chain(const TrainChain& chain, packetsim::TrainSummary& out);
-
-  /// Runs one conflict-free round of trains — no VM may appear twice as a
-  /// source or twice as a destination — on up to `workers` threads. Leaves
-  /// the summaries in `out`, resized parallel to `pairs` (its elements'
-  /// buffers are reused), byte-identical for any worker count (pinned by
-  /// test_determinism).
-  void run_train_round(const std::vector<std::pair<VmId, VmId>>& pairs,
-                       const packetsim::TrainParams& params, const TrafficSnapshot& snapshot,
-                       std::vector<packetsim::TrainSummary>& out, unsigned workers = 1) const;
-
   // ---- harness primitives -------------------------------------------------
 
   /// One application-level transfer to execute on the cloud.

@@ -113,6 +113,10 @@ class Refresher {
   Cycle run_in_process(const cloud::Cloud& probe_cloud, const measure::MeasurementPlan& mplan,
                        std::uint64_t epoch);
 
+  /// Drops the cached estimate of src->dst (an operator flagged the path, a
+  /// transfer on it failed), so the next plan probes it as never measured.
+  void invalidate(std::size_t src, std::size_t dst) { cache_.invalidate(src, dst); }
+
   std::uint64_t epoch() const { return epoch_; }
   const measure::ViewCache& cache() const { return cache_; }
 

@@ -3,6 +3,7 @@
 #include <algorithm>
 
 #include "measure/packet_train.h"
+#include "measure/throughput_matrix.h"
 #include "util/require.h"
 #include "util/stats.h"
 
@@ -27,7 +28,6 @@ std::vector<CalibrationPoint> calibrate_trains(const cloud::Cloud& cloud,
   CHOREO_REQUIRE(!paths.empty());
 
   std::vector<CalibrationPoint> out;
-  packetsim::TrainSummary summary;
   std::uint64_t sub = 0;
   for (std::uint32_t bursts : config.burst_counts) {
     for (std::uint32_t blen : config.burst_lengths) {
@@ -43,13 +43,8 @@ std::vector<CalibrationPoint> calibrate_trains(const cloud::Cloud& cloud,
             cloud.netperf_bps(src, dst, config.netperf_duration_s, epoch + sub);
         // An empty snapshot: the train crosses an idle fabric, every hop at
         // raw link capacity, with noise keyed by (epoch + sub, src, dst).
-        const cloud::Cloud::TrafficSnapshot idle{epoch + sub, {}};
-        cloud.run_train_in_snapshot(src, dst, params, idle, summary);
-        const TrainEstimate est =
-            estimate_train_throughput(summary, params, cloud.ping_rtt_s(src, dst));
-        if (truth > 0.0 && est.throughput_bps > 0.0) {
-          errors.push_back(relative_error(est.throughput_bps, truth));
-        }
+        const double rate = probe_rate_bps(cloud, src, dst, params, {epoch + sub, {}});
+        if (truth > 0.0 && rate > 0.0) errors.push_back(relative_error(rate, truth));
       }
       CalibrationPoint point;
       point.bursts = bursts;

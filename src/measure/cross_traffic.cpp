@@ -1,7 +1,6 @@
 #include "measure/cross_traffic.h"
 
 #include <algorithm>
-#include <cmath>
 
 #include "util/require.h"
 
@@ -29,9 +28,10 @@ UnknownRateEstimate cross_traffic_unknown_rate(double one_conn_bps,
   CHOREO_REQUIRE(one_conn_bps > 0.0 && two_conn_total_bps > 0.0);
   UnknownRateEstimate out;
   const double denom = two_conn_total_bps - 2.0 * one_conn_bps;
-  if (std::abs(denom) < 1e-9) {
-    // Two connections doubled the aggregate: the path was unloaded and
-    // unbounded in this regime; report c = 0 with the best lower bound.
+  if (denom >= 0.0) {
+    // Two connections got at least twice what one did, which the model
+    // never yields (there s2 < 2*r1): the path showed no cross traffic and
+    // carried at least s2. Report c = 0 with that lower bound.
     out.c = 0.0;
     out.path_rate_bps = two_conn_total_bps;
     return out;

@@ -13,13 +13,16 @@ namespace choreo::measure {
 std::vector<double> cross_traffic_series(const std::vector<double>& probe_series_bps,
                                          double path_rate_bps);
 
-/// Integer-rounded version of a single sample (what Fig 4 plots).
+/// The estimate for a single sample (what Fig 4 plots): c1/c2 - 1, floored
+/// at 0; 0 for a sample that carried nothing.
 double cross_traffic_estimate(double probe_bps, double path_rate_bps);
 
 /// §3.2's fallback when the maximum path rate is unknown: send one
 /// connection (rate r1), then two in parallel (combined rate s2); the shift
 /// reveals c. Algebra: r1 = C/(c+1), s2 = 2C/(c+2)  =>
-/// c = 2*(r1 - s2) / (s2 - 2*r1)  (and the path rate C follows).
+/// c = 2*(r1 - s2) / (s2 - 2*r1)  (and the path rate C follows). The model
+/// always has s2 < 2*r1; at or above it the path reads unloaded: c = 0 and
+/// path rate s2.
 struct UnknownRateEstimate {
   double c = 0.0;
   double path_rate_bps = 0.0;

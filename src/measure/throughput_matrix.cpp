@@ -1,11 +1,13 @@
 #include "measure/throughput_matrix.h"
 
+#include <algorithm>
+#include <atomic>
 #include <unordered_map>
-#include <utility>
 #include <vector>
 
 #include "measure/packet_train.h"
 #include "util/require.h"
+#include "util/worker_pool.h"
 
 namespace choreo::measure {
 
@@ -13,6 +15,15 @@ double measurement_wall_time_s(const MeasurementPlan& plan, std::size_t rounds) 
   if (rounds == 0) return 0.0;
   return kSetupOverheadS +
          static_cast<double>(rounds) * (train_duration_s(plan.train) + kRoundOverheadS);
+}
+
+double probe_rate_bps(const cloud::Cloud& cloud, cloud::VmId src, cloud::VmId dst,
+                      const packetsim::TrainParams& train,
+                      const cloud::Cloud::TrafficSnapshot& snapshot) {
+  // Reused call to call, so warm probes allocate no summary buffers.
+  thread_local packetsim::TrainSummary summary;
+  cloud.run_train_in_snapshot(src, dst, train, snapshot, summary);
+  return estimate_train_throughput(summary, train, cloud.ping_rtt_s(src, dst)).throughput_bps;
 }
 
 PairsResult measure_rate_pairs(const cloud::Cloud& cloud, const std::vector<cloud::VmId>& vms,
@@ -33,49 +44,39 @@ PairsResult measure_rate_pairs(const cloud::Cloud& cloud, const std::vector<clou
   }
 
   const ProbeSchedule schedule = schedule_probes(n, pairs);
-  // Reused round to round and call to call, so warm rounds allocate no
-  // summary buffers.
-  thread_local std::vector<packetsim::TrainSummary> summaries;
-  std::vector<std::pair<cloud::VmId, cloud::VmId>> vm_pairs;
+  std::vector<char> src_busy, dst_busy;
   for (std::size_t r = 0; r < schedule.rounds.size(); ++r) {
-    const auto& round = schedule.rounds[r];
-    // All trains of the round observe the same background realization; the
-    // snapshot is computed once and shared across the round's workers.
-    const cloud::Cloud::TrafficSnapshot snapshot = cloud.round_snapshot(epoch, r);
-    vm_pairs.clear();
-    for (const ProbePair& p : round) vm_pairs.emplace_back(vms[p.src], vms[p.dst]);
-    cloud.run_train_round(vm_pairs, plan.train, snapshot, summaries, plan.workers);
-    for (std::size_t k = 0; k < round.size(); ++k) {
-      const ProbePair& p = round[k];
-      const double rtt = cloud.ping_rtt_s(vms[p.src], vms[p.dst]);
-      const TrainEstimate est = estimate_train_throughput(summaries[k], plan.train, rtt);
-      out.rate_bps[position.at(p.src * n + p.dst)] = est.throughput_bps;
+    const std::vector<ProbePair>& round = schedule.rounds[r];
+    // Enforce the conflict-free contract: a VM sourcing (or sinking) two
+    // simultaneous trains would share its hose (vNIC) between them and bias
+    // both estimates (§4.1).
+    src_busy.assign(cloud.vm_count(), 0);
+    dst_busy.assign(cloud.vm_count(), 0);
+    for (const ProbePair& p : round) {
+      const cloud::VmId s = vms[p.src], d = vms[p.dst];
+      CHOREO_REQUIRE(s < cloud.vm_count() && d < cloud.vm_count() && s != d);
+      CHOREO_REQUIRE_MSG(!src_busy[s] && !dst_busy[d],
+                         "round is not conflict-free: a VM appears twice");
+      src_busy[s] = dst_busy[d] = 1;
     }
+
+    // All trains of the round observe the same background realization; the
+    // snapshot is computed once and shared across the round's workers, each
+    // claiming the next train from one shared index.
+    const cloud::Cloud::TrafficSnapshot snapshot = cloud.round_snapshot(epoch, r);
+    const unsigned workers =
+        std::max(1u, std::min<unsigned>(plan.workers, static_cast<unsigned>(round.size())));
+    std::atomic<std::size_t> next{0};
+    util::run_workers(workers, [&](unsigned) {
+      for (std::size_t k = next.fetch_add(1); k < round.size(); k = next.fetch_add(1)) {
+        const ProbePair& p = round[k];
+        out.rate_bps[position.at(p.src * n + p.dst)] =
+            probe_rate_bps(cloud, vms[p.src], vms[p.dst], plan.train, snapshot);
+      }
+    });
   }
   out.rounds = schedule.rounds.size();
   out.wall_time_s = measurement_wall_time_s(plan, out.rounds);
-  return out;
-}
-
-RefreshResult refresh_cluster_view(const cloud::Cloud& cloud,
-                                   const std::vector<cloud::VmId>& vms,
-                                   const MeasurementPlan& plan, std::uint64_t epoch,
-                                   ViewCache& cache, const RefreshPolicy& policy) {
-  CHOREO_REQUIRE(vms.size() >= 2);
-  CHOREO_REQUIRE(cache.vm_count() == vms.size());
-  RefreshResult out;
-  out.plan = cache.plan_refresh(epoch, policy);
-  if (!out.plan.pairs.empty()) {
-    const PairsResult probed = measure_rate_pairs(cloud, vms, out.plan.pairs, plan, epoch);
-    for (std::size_t k = 0; k < out.plan.pairs.size(); ++k) {
-      cache.store(out.plan.pairs[k].src, out.plan.pairs[k].dst, probed.rate_bps[k],
-                  epoch);
-    }
-    out.pairs_probed = out.plan.pairs.size();
-    out.rounds = probed.rounds;
-    out.wall_time_s = probed.wall_time_s;
-  }
-  out.view = cached_cluster_view(cloud, vms, cache, epoch);
   return out;
 }
 
@@ -123,9 +124,13 @@ place::ClusterView measured_cluster_view(const cloud::Cloud& cloud,
                                          const std::vector<cloud::VmId>& vms,
                                          const MeasurementPlan& plan,
                                          std::uint64_t epoch) {
-  // A one-shot full measurement is an incremental refresh of an empty cache.
   ViewCache cache(vms.size());
-  return refresh_cluster_view(cloud, vms, plan, epoch, cache, RefreshPolicy{}).view;
+  const std::vector<ProbePair> pairs = all_ordered_pairs(vms.size());
+  const PairsResult probed = measure_rate_pairs(cloud, vms, pairs, plan, epoch);
+  for (std::size_t k = 0; k < pairs.size(); ++k) {
+    cache.store(pairs[k].src, pairs[k].dst, probed.rate_bps[k], epoch);
+  }
+  return cached_cluster_view(cloud, vms, cache, epoch);
 }
 
 place::ClusterView true_cluster_view(const cloud::Cloud& cloud,

@@ -42,39 +42,25 @@ struct PairsResult {
   std::size_t rounds = 0;
 };
 
+/// One §3.1 probe: a packet train src->dst against `snapshot`, estimated
+/// into a TCP throughput in bits/s. The one place a train becomes a rate:
+/// measure_rate_pairs, the agent plane's host agents and the calibration
+/// sweep all probe through it. Thread-safe; the train's summary lands in a
+/// per-thread buffer, so a warm call allocates none.
+double probe_rate_bps(const cloud::Cloud& cloud, cloud::VmId src, cloud::VmId dst,
+                      const packetsim::TrainParams& train,
+                      const cloud::Cloud::TrafficSnapshot& snapshot);
+
 /// Probes exactly `pairs` with packet trains (§4.1): schedules them into
-/// conflict-free rounds, runs each round's trains concurrently against a
-/// per-round cross-traffic snapshot (Cloud::round_snapshot(epoch, r)), and estimates
-/// throughput per pair. `epoch` selects the snapshots, so repeated
-/// measurements of the same epoch are reproducible. A full sweep probes
-/// all_ordered_pairs(vms.size()); incremental refreshes probe what a
-/// ViewCache plans.
+/// conflict-free rounds, runs each round's trains concurrently (up to
+/// plan.workers threads) against a per-round cross-traffic snapshot
+/// (Cloud::round_snapshot(epoch, r)), and estimates throughput per pair.
+/// `epoch` selects the snapshots, so repeated measurements of the same
+/// epoch are reproducible. A full sweep probes all_ordered_pairs(vms.size());
+/// incremental refreshes probe what a ViewCache plans.
 PairsResult measure_rate_pairs(const cloud::Cloud& cloud, const std::vector<cloud::VmId>& vms,
                                const std::vector<ProbePair>& pairs,
                                const MeasurementPlan& plan, std::uint64_t epoch);
-
-/// Result of refreshing a ClusterView through a ViewCache.
-struct RefreshResult {
-  place::ClusterView view;
-  double wall_time_s = 0.0;
-  std::size_t pairs_probed = 0;  ///< strictly < n(n-1) on incremental cycles
-  std::size_t rounds = 0;
-  RefreshPlan plan;              ///< why each probed pair qualified
-};
-
-/// Incremental measurement cycle (§2.4 re-evaluation, arrivals): probes only
-/// the pairs `cache` flags under `policy` — never measured, stale, or
-/// volatile — stores the estimates back, and rebuilds the ClusterView from
-/// the cache. Unchanged pairs keep their cached estimate bit-for-bit; on an
-/// empty cache this is exactly a full measurement. The view's pair_epoch
-/// records per-pair provenance. (core::Choreo refreshes through
-/// forecast::Refresher instead, which plans through the forecast plane; with
-/// forecasting disabled the two agree bit for bit.) Requires
-/// cache.vm_count() == vms.size().
-RefreshResult refresh_cluster_view(const cloud::Cloud& cloud,
-                                   const std::vector<cloud::VmId>& vms,
-                                   const MeasurementPlan& plan, std::uint64_t epoch,
-                                   ViewCache& cache, const RefreshPolicy& policy);
 
 /// The ClusterView `cache` stands for at `epoch`: its rates and per-pair
 /// epochs (never-measured pairs read zero), no cross traffic, plus the
@@ -85,10 +71,12 @@ place::ClusterView cached_cluster_view(const cloud::Cloud& cloud,
                                        const std::vector<cloud::VmId>& vms,
                                        const ViewCache& cache, std::uint64_t epoch);
 
-/// Builds the tenant's ClusterView from measurements alone: packet-train
-/// rates, traceroute co-location groups (hop count 1 => same host), CPU
-/// capacities from the instance type. This is exactly the information
-/// Choreo's placement stage runs on.
+/// Builds the tenant's ClusterView from measurements alone: a full sweep of
+/// packet-train rates (all_ordered_pairs through measure_rate_pairs, stored
+/// at `epoch`), traceroute co-location groups (hop count 1 => same host),
+/// CPU capacities from the instance type. This is exactly the information
+/// Choreo's placement stage runs on, and the view a first
+/// forecast::Refresher cycle at `epoch` builds.
 place::ClusterView measured_cluster_view(const cloud::Cloud& cloud,
                                          const std::vector<cloud::VmId>& vms,
                                          const MeasurementPlan& plan, std::uint64_t epoch);

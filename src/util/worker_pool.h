@@ -13,7 +13,7 @@ namespace choreo::util {
 ///
 /// This is the fork-join primitive behind the sharded control plane
 /// (core::ShardedSession) and parallel probe rounds
-/// (cloud::Cloud::run_train_round), and is deliberately dumb: no queue, no
+/// (measure::measure_rate_pairs), and is deliberately dumb: no queue, no
 /// futures. Both callers distribute work the same way, each worker claiming
 /// the next item from one shared std::atomic index, which keeps the
 /// synchronization they must reason about (and that TSan checks) to that one

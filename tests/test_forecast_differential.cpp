@@ -2,10 +2,12 @@
 // cycle through forecast::PredictivePolicy must leave the DISABLED pipeline
 // bit-identical to the pre-forecast fixed-policy pipeline — same refresh
 // plans, same rate matrices, same placements — over a randomized corpus.
-// The oracle is the still-exposed fixed path itself: a raw ViewCache +
-// measure::refresh_cluster_view + ClusterState/GreedyPlacer loop replaying
-// what core::Choreo::measure_network did before the forecast plane existed,
-// driven against an identically seeded twin cloud.
+// The oracle is the fixed cycle spelled out from the public primitives: a
+// raw ViewCache planned by ViewCache::plan_refresh, probed by
+// measure::measure_rate_pairs, stored back and read out with
+// measure::cached_cluster_view, plus a ClusterState/GreedyPlacer loop
+// replaying what core::Choreo::measure_network did before the forecast plane
+// existed, driven against an identically seeded twin cloud.
 
 #include <gtest/gtest.h>
 
@@ -36,17 +38,20 @@ struct FixedPipelineOracle {
   core::ChoreoConfig config;
   measure::ViewCache cache;
   std::unique_ptr<place::ClusterState> state;
-  measure::RefreshResult last;
+  measure::RefreshPlan plan;    ///< the last cycle's plan
+  measure::PairsResult probed;  ///< what probing that plan took
 
   void measure(std::uint64_t epoch) {
-    last = measure::refresh_cluster_view(cloud, vms, config.plan, epoch, cache,
-                                         config.refresh);
-    if (state && state->machine_count() == last.view.machine_count()) {
-      place::ClusterView copy = last.view;
-      state->update_view(std::move(copy));
+    plan = cache.plan_refresh(epoch, config.refresh);
+    probed = measure::measure_rate_pairs(cloud, vms, plan.pairs, config.plan, epoch);
+    for (std::size_t k = 0; k < plan.pairs.size(); ++k) {
+      cache.store(plan.pairs[k].src, plan.pairs[k].dst, probed.rate_bps[k], epoch);
+    }
+    place::ClusterView view = measure::cached_cluster_view(cloud, vms, cache, epoch);
+    if (state && state->machine_count() == view.machine_count()) {
+      state->update_view(std::move(view));
     } else {
-      place::ClusterView copy = last.view;
-      state = std::make_unique<place::ClusterState>(std::move(copy));
+      state = std::make_unique<place::ClusterState>(std::move(view));
     }
   }
 
@@ -78,8 +83,7 @@ TEST(ForecastDifferential, DisabledPolicyBitIdenticalToFixedPipeline) {
       ASSERT_FALSE(config.forecast.enabled) << "forecast must default off";
 
       core::Choreo choreo(c_sys, vms_sys, config);
-      FixedPipelineOracle oracle{c_ora, vms_ora, config, measure::ViewCache(n), nullptr,
-                                 measure::RefreshResult{}};
+      FixedPipelineOracle oracle{c_ora, vms_ora, config, measure::ViewCache(n), nullptr, {}, {}};
 
       Rng app_rng(seed * 1000 + n);
       const workload::GeneratorConfig gen = small_apps();
@@ -91,12 +95,12 @@ TEST(ForecastDifferential, DisabledPolicyBitIdenticalToFixedPipeline) {
         // Refresh plans: identical pair sets in identical order, identical
         // classification counts, surfaced identically in the report.
         const core::Choreo::MeasureReport& rep = choreo.last_measure();
-        ASSERT_EQ(rep.pairs_probed, oracle.last.pairs_probed);
-        ASSERT_EQ(rep.rounds, oracle.last.rounds);
-        ASSERT_EQ(rep.wall_time_s, oracle.last.wall_time_s);
-        ASSERT_EQ(rep.never_measured, oracle.last.plan.never_measured);
-        ASSERT_EQ(rep.stale, oracle.last.plan.stale);
-        ASSERT_EQ(rep.volatile_pairs, oracle.last.plan.volatile_pairs);
+        ASSERT_EQ(rep.pairs_probed, oracle.plan.pairs.size());
+        ASSERT_EQ(rep.rounds, oracle.probed.rounds);
+        ASSERT_EQ(rep.wall_time_s, oracle.probed.wall_time_s);
+        ASSERT_EQ(rep.never_measured, oracle.plan.never_measured);
+        ASSERT_EQ(rep.stale, oracle.plan.stale);
+        ASSERT_EQ(rep.volatile_pairs, oracle.plan.volatile_pairs);
         ASSERT_EQ(rep.predictable_pairs, 0u);
         ASSERT_EQ(rep.unpredictable_pairs, 0u);
         ASSERT_EQ(rep.changepoint_pairs, 0u);

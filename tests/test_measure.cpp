@@ -1,8 +1,10 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <string>
 
 #include "cloud/cloud.h"
+#include "forecast/refresher.h"
 #include "measure/bottleneck.h"
 #include "measure/calibration.h"
 #include "measure/cross_traffic.h"
@@ -129,6 +131,35 @@ TEST(CrossTraffic, UnknownRateUnloadedPath) {
   // Unloaded 1G path: r1 = 1G... but two connections share it: s2 = 1G.
   const auto est = cross_traffic_unknown_rate(mbps(1000), mbps(1000));
   EXPECT_NEAR(est.c, 0.0, 1e-6);
+}
+
+// Two connections that together carry more than twice what one got lie
+// outside the §3.2 model (there s2 < 2*r1 always): the path showed no
+// cross traffic, and it carried at least s2.
+TEST(CrossTraffic, UnknownRateAboveTwiceOneConnectionIsUnloaded) {
+  for (const double s2 : {mbps(1000), mbps(1000) + 1e-6, mbps(1100)}) {
+    SCOPED_TRACE(s2);
+    const auto est = cross_traffic_unknown_rate(mbps(500), s2);
+    EXPECT_EQ(est.c, 0.0);
+    EXPECT_GE(est.path_rate_bps, s2);
+  }
+}
+
+// The estimate scales with the rates: doubling both leaves c unchanged and
+// doubles the path rate, inside the model and outside it.
+TEST(CrossTraffic, UnknownRateScalesWithBothRates) {
+  const double cases[][2] = {{mbps(500), mbps(2000.0 / 3.0)},
+                             {mbps(300), mbps(450)},
+                             {mbps(1000), mbps(1000)},
+                             {mbps(500), mbps(1000)},
+                             {mbps(500), mbps(1100)}};
+  for (const auto& [r1, s2] : cases) {
+    SCOPED_TRACE(std::to_string(r1) + " " + std::to_string(s2));
+    const auto base = cross_traffic_unknown_rate(r1, s2);
+    const auto doubled = cross_traffic_unknown_rate(2.0 * r1, 2.0 * s2);
+    EXPECT_EQ(doubled.c, base.c);
+    EXPECT_EQ(doubled.path_rate_bps, 2.0 * base.path_rate_bps);
+  }
 }
 
 TEST(MatrixMeasurement, CoversAllPairsWithinMinutes) {
@@ -277,6 +308,29 @@ TEST(ClusterViews, CachedAndTrueViewsShareTopology) {
         EXPECT_EQ(truth.colocated(i, j), c.vm_host(vms[i]) == c.vm_host(vms[j]));
       }
     }
+  }
+}
+
+// The paper benches' one-shot view and Choreo's first refresh cycle are the
+// same measurement: a full sweep of an empty cache at one epoch.
+TEST(ClusterViews, MeasuredViewIsTheFirstRefresherCycle) {
+  for (cloud::ProviderProfile profile : {cloud::ec2_2013(), cloud::rackspace()}) {
+    SCOPED_TRACE(profile.name);
+    profile.colocate_prob = 0.6;  // force some same-host pairs
+    cloud::Cloud c(profile, 2);
+    const auto vms = c.allocate_vms(6);
+    MeasurementPlan plan;
+    plan.train.bursts = 5;
+    plan.train.burst_length = 100;
+    const place::ClusterView measured = measured_cluster_view(c, vms, plan, 4);
+    forecast::Refresher refresher(c, vms, RefreshPolicy{}, forecast::ForecastOptions{});
+    const place::ClusterView first = refresher.run_in_process(c, plan, 4).view;
+    EXPECT_TRUE(measured.rate_bps == first.rate_bps);
+    EXPECT_TRUE(measured.pair_epoch == first.pair_epoch);
+    EXPECT_TRUE(measured.hops == first.hops);
+    EXPECT_EQ(measured.colocation_group, first.colocation_group);
+    EXPECT_EQ(measured.cores, first.cores);
+    EXPECT_EQ(measured.view_epoch, first.view_epoch);
   }
 }
 

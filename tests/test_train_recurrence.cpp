@@ -551,7 +551,8 @@ TEST(IdleHandover, LaterHopTiesPartway) {
 
 /// Every ordered VM pair of an ec2_2013 and a rackspace cloud, over several
 /// epochs: run_train_in_snapshot equals the event path's log over the very
-/// chain the cloud built, summarized, and so does a parallel run_train_round.
+/// chain the cloud built, summarized. (Parallel rounds are pinned against
+/// sequential ones by Determinism.ParallelProbingMatchesSequentialBitForBit.)
 TEST(CloudTrains, EqualTheEventPathOnEveryPair) {
   for (const cloud::ProviderProfile& profile : {cloud::ec2_2013(), cloud::rackspace()}) {
     cloud::Cloud cl(profile, 7);
@@ -559,10 +560,8 @@ TEST(CloudTrains, EqualTheEventPathOnEveryPair) {
     const TrainParams params;  // the paper's 10 x 200
     for (std::uint64_t epoch : {1u, 2u, 9u}) {
       const cloud::Cloud::TrafficSnapshot snap = cl.traffic_snapshot(epoch);
-      std::vector<std::pair<cloud::VmId, cloud::VmId>> round;
-      for (std::size_t i = 0; i < vms.size(); ++i) {
-        const cloud::VmId src = vms[i];
-        for (cloud::VmId dst : vms) {
+      for (const cloud::VmId src : vms) {
+        for (const cloud::VmId dst : vms) {
           if (src == dst) continue;
           const cloud::Cloud::TrainChain chain =
               cl.train_chain_in_snapshot(src, dst, params, snap);
@@ -573,17 +572,6 @@ TEST(CloudTrains, EqualTheEventPathOnEveryPair) {
           EXPECT_EQ(summarize(event_path(c), c.params), summary)
               << profile.name << " " << src << "->" << dst << " epoch " << epoch;
         }
-        round.emplace_back(src, vms[(i + 1) % vms.size()]);
-      }
-      std::vector<TrainSummary> parallel;
-      cl.run_train_round(round, params, snap, parallel, /*workers=*/3);
-      for (std::size_t i = 0; i < round.size(); ++i) {
-        const cloud::Cloud::TrainChain chain =
-            cl.train_chain_in_snapshot(round[i].first, round[i].second, params, snap);
-        Case c{chain.shaper, chain.hops, chain.params, chain.timestamp_jitter_s,
-               chain.sink_seed};
-        EXPECT_EQ(summarize(event_path(c), c.params), parallel[i])
-            << profile.name << " round " << i;
       }
     }
   }

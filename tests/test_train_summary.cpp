@@ -267,7 +267,8 @@ TEST(OneInstantTie, SummarizeChainEqualsTheEventPath) {
     events.run();
     ASSERT_EQ(sink.records().size(), 40u);
     TrainSummary from_chain;
-    cloud::Cloud::summarize_chain(chain, from_chain);
+    simulate_train(chain.shaper, chain.hops, chain.params, chain.timestamp_jitter_s,
+                   chain.sink_seed, from_chain);
     EXPECT_TRUE(same_bits(summarize(sink.records(), chain.params), from_chain))
         << "jitter " << jitter;
   }

@@ -3,9 +3,9 @@
 #include <limits>
 
 #include "cloud/cloud.h"
+#include "forecast/refresher.h"
 #include "measure/throughput_matrix.h"
 #include "measure/view_cache.h"
-#include "util/require.h"
 #include "util/units.h"
 
 namespace choreo::measure {
@@ -158,20 +158,21 @@ TEST(ViewCacheIntegration, IncrementalRefreshProbesFewerAndKeepsFreshPairs) {
   policy.max_age_epochs = 50;  // nothing goes stale between the two cycles
   policy.volatility_threshold = 1e9;  // ignore volatility here
 
-  ViewCache cache(vms.size());
-  const RefreshResult full = refresh_cluster_view(c, vms, plan, 1, cache, policy);
-  EXPECT_EQ(full.pairs_probed, 30u);
-  EXPECT_EQ(full.rounds, 5u);
-  EXPECT_GT(full.wall_time_s, 0.0);
+  forecast::Refresher refresher(c, vms, policy, forecast::ForecastOptions{});
+  const forecast::Refresher::Cycle full = refresher.run_in_process(c, plan, 1);
+  EXPECT_EQ(full.report.pairs_probed, 30u);
+  EXPECT_EQ(full.report.rounds, 5u);
+  EXPECT_GT(full.report.wall_time_s, 0.0);
   full.view.validate();
 
   // Invalidate a couple of pairs (e.g. flagged by an operator) and refresh.
-  cache.invalidate(0, 1);
-  cache.invalidate(3, 2);
-  const RefreshResult incr = refresh_cluster_view(c, vms, plan, 9, cache, policy);
-  EXPECT_EQ(incr.pairs_probed, 2u);
-  EXPECT_LT(incr.pairs_probed, full.pairs_probed);
-  EXPECT_LT(incr.wall_time_s, full.wall_time_s);
+  refresher.invalidate(0, 1);
+  refresher.invalidate(3, 2);
+  const forecast::Refresher::Cycle incr = refresher.run_in_process(c, plan, 9);
+  EXPECT_EQ(incr.report.pairs_probed, 2u);
+  EXPECT_EQ(incr.report.never_measured, 2u);
+  EXPECT_LT(incr.report.pairs_probed, full.report.pairs_probed);
+  EXPECT_LT(incr.report.wall_time_s, full.report.wall_time_s);
 
   // Unchanged pairs: bit-identical. Re-probed pairs: stamped with the new
   // epoch and re-measured.
@@ -192,18 +193,6 @@ TEST(ViewCacheIntegration, IncrementalRefreshProbesFewerAndKeepsFreshPairs) {
   EXPECT_EQ(incr.view.freshness(1, 0), 1u);
 }
 
-// A cache is sized once, for one fleet: refreshing through a cache of
-// another size is a caller error, caught before anything is probed.
-TEST(ViewCacheIntegration, RefreshRejectsCacheOfAnotherFleet) {
-  cloud::Cloud c(cloud::ec2_2013(), 47);
-  const auto vms = c.allocate_vms(4);
-  MeasurementPlan plan;
-  ViewCache cache(5);
-  EXPECT_THROW(refresh_cluster_view(c, vms, plan, 1, cache, RefreshPolicy{}),
-               PreconditionError);
-  EXPECT_EQ(cache.measured_pairs(), 0u);
-}
-
 TEST(ViewCacheIntegration, NothingToProbeCostsNothing) {
   cloud::Cloud c(cloud::ec2_2013(), 43);
   const auto vms = c.allocate_vms(4);
@@ -213,12 +202,12 @@ TEST(ViewCacheIntegration, NothingToProbeCostsNothing) {
   RefreshPolicy policy;
   policy.max_age_epochs = 50;
   policy.volatility_threshold = 1e9;
-  ViewCache cache(vms.size());
-  refresh_cluster_view(c, vms, plan, 1, cache, policy);
-  const RefreshResult again = refresh_cluster_view(c, vms, plan, 2, cache, policy);
-  EXPECT_EQ(again.pairs_probed, 0u);
-  EXPECT_EQ(again.rounds, 0u);
-  EXPECT_DOUBLE_EQ(again.wall_time_s, 0.0);
+  forecast::Refresher refresher(c, vms, policy, forecast::ForecastOptions{});
+  refresher.run_in_process(c, plan, 1);
+  const forecast::Refresher::Cycle again = refresher.run_in_process(c, plan, 2);
+  EXPECT_EQ(again.report.pairs_probed, 0u);
+  EXPECT_EQ(again.report.rounds, 0u);
+  EXPECT_DOUBLE_EQ(again.report.wall_time_s, 0.0);
   again.view.validate();
 }
 
