@@ -36,6 +36,15 @@ struct HopSpec {
 /// delta of §3.1): an emission at least that long after the previous
 /// departure first sets V <- e. Set it negative for a classic
 /// continuously-refilling bucket.
+///
+/// simulate_train computes this definition through two identities that
+/// hold exactly in IEEE arithmetic, because emissions and departures never
+/// decrease and the tolerance (depth - w)*8/rate is >= 0:
+/// d = max(e, V - tolerance) and V <- max(V, e) + w*8/rate. Only V carries
+/// from packet to packet. Since a reset needs e - previous d >= idle_reset_s,
+/// and inside a burst that gap is at most the line-rate spacing (up to the
+/// emission sums' rounding), the reset test runs only at burst starts when
+/// the spacing plus that rounding is below `idle_reset_s`.
 struct ShaperSpec {
   bool enabled = true;
   double rate_bps = 1e9;
@@ -57,12 +66,20 @@ struct TrainTies {
 /// (the differential oracle in oracles/event_train.h) leaves there, computed
 /// by a direct per-packet recurrence instead of an event queue. Emission
 /// times are the train's running sums, the token bucket is ShaperSpec's
-/// GCRA recurrence, one max and one add per packet, each FIFO hop is
-/// completion = (busy ? previous completion : arrival) + transmit time with
-/// the drop-tail rule, and the survivors are fed to `sink` in order. A train
-/// that finds every hop idle at every arrival (the common case for a probe)
-/// is carried through all hops in one packet-major pass; the per-hop
-/// recurrence runs only for a train that queues, drops or meets a tie.
+/// GCRA recurrence, one max and one add per packet on the critical path,
+/// each FIFO hop is completion = (busy ? previous completion : arrival) +
+/// transmit time with the drop-tail rule, and the survivors are fed to
+/// `sink` in order.
+///
+/// Most probe trains find every hop idle at every arrival. A certificate
+/// shows this from the bucket's departures alone: every gap between two
+/// consecutive departures exceeds the largest hop transmit time by a margin
+/// of 2 ulps per hop, plus 2, of the largest time the train reaches. That
+/// margin covers each hop's rounding of a completion and a delivery. A
+/// train that passes drops nothing, and each packet reaches the receiver at
+/// its departure plus each hop's transmit time and delay, in hop order. A
+/// train that fails takes the per-hop recurrence, which also handles
+/// queueing, drops and ties.
 ///
 /// A same-instant arrival/completion tie goes the oracle's event-key way:
 /// the event scheduled earlier fires first, and a completion fires first
@@ -82,7 +99,10 @@ void simulate_train(const ShaperSpec& shaper, const std::vector<HopSpec>& hops,
 /// |J| < kJitterBoundSigmas * sigma, so r_i at a burst's first and last
 /// arrival needs only the jitters of arrivals k walking back from i while
 /// a_k + kJitterBoundSigmas * sigma exceeds the best time seen: a few per
-/// burst end instead of one per packet.
+/// burst end instead of one per packet. A train that passes the idle-hop
+/// certificate keeps every packet, so each burst's count and seqs are known
+/// without carrying it through the hops, and only the packets that walk
+/// visits are carried: about 8 per burst end at the profiles' jitter.
 ///
 /// Warm calls into a reused `out` allocate nothing.
 void simulate_train(const ShaperSpec& shaper, const std::vector<HopSpec>& hops,

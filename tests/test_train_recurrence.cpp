@@ -13,7 +13,9 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cmath>
+#include <limits>
 #include <memory>
 #include <sstream>
 #include <utility>
@@ -70,6 +72,13 @@ std::vector<Record> recurrence(const Case& c, TrainTies* ties = nullptr) {
   RecordingSink sink(c.jitter_s, c.sink_seed);
   simulate_train(c.shaper, c.hops, c.params, sink, ties);
   return sink.records();
+}
+
+/// The recurrence's summary form.
+TrainSummary summary(const Case& c, TrainTies* ties = nullptr) {
+  TrainSummary out;
+  simulate_train(c.shaper, c.hops, c.params, c.jitter_s, c.sink_seed, out, ties);
+  return out;
 }
 
 ::testing::AssertionResult same_records(const std::vector<Record>& want,
@@ -349,6 +358,41 @@ TEST(BucketTie, IdleResetAtEquality) {
   }
 }
 
+TEST(BucketTie, IdleResetAtTheLineRateSpacing) {
+  // 12000 bits take exactly 2^-20 s at kDyadicRate, so every gap between two
+  // emissions of a burst is exactly 2^-20 s. With idle_reset_s at that
+  // spacing, or just under it, every packet that passes at once restores
+  // the bucket for the next, so the reset fires inside bursts and a 300 Mb/s
+  // bucket holds nothing; one ulp over it, the reset fires only at burst
+  // starts and the bucket holds packets. Both must equal the oracle, in
+  // both forms, as must a 10 Gb/s line whose running sums round the gaps to
+  // either side of its spacing.
+  for (const double line_rate : {kDyadicRate, 10e9}) {
+    Case c;
+    c.shaper = ShaperSpec{true, 300e6, 8e3, -1.0};
+    c.params.bursts = 3;
+    c.params.burst_length = 50;
+    c.params.line_rate_bps = line_rate;
+    c.hops.push_back(HopSpec{20e9, 20e-6, 2e6});
+    c.jitter_s = 2e-6;
+    const double spacing = 1500.0 * 8.0 / line_rate;
+    for (const double reset :
+         {std::nextafter(spacing, 0.0), spacing, std::nextafter(spacing, 1.0)}) {
+      c.shaper.idle_reset_s = reset;
+      const Tapped t = tapped_event_path(c);
+      if (line_rate == kDyadicRate) {
+        if (reset <= spacing) {
+          EXPECT_EQ(t.into[0], t.emitted) << "the reset fires at every packet";
+        } else {
+          EXPECT_NE(t.into[0], t.emitted) << "without resets inside bursts the bucket holds";
+        }
+      }
+      EXPECT_TRUE(same_records(t.records, recurrence(c))) << line_rate << " " << reset;
+      EXPECT_EQ(summary(c), summarize(t.records, c.params)) << line_rate << " " << reset;
+    }
+  }
+}
+
 TEST(HopOneTie, ArrivalFromAnEmissionGoesFirst) {
   // Hop rate == line rate: packet j arrives exactly when j-1 completes. With
   // room for one packet, arrival-first drops every other packet.
@@ -446,15 +490,16 @@ TEST(Recurrence, BucketFeedingTheSinkDirectly) {
   EXPECT_TRUE(same_records(event_path(c), recurrence(c)));
 }
 
-// ---- the idle pass handing over partway ---------------------------------
+// ---- the idle-hop certificate at its boundary -----------------------------
 
 /// The paper's 10 x 200 train at 10 Gb/s, unshaped, through a fast hop, a
 /// hop whose transmit time is a few ulps under the emission spacing, and
 /// another fast hop, none with delay. Early in the train every hop is idle
-/// at every arrival, so the one-pass idle loop carries it; as send_train's
-/// running sum grows, its rounding brings some arrival at hop 1 to (or
-/// before) the previous packet's completion there, and the train is rerun
-/// through the per-hop recurrence.
+/// at every arrival; as send_train's running sum grows, its rounding brings
+/// some arrival at hop 1 to (or before) the previous packet's completion
+/// there. The departure gaps come within a few ulps of hop 1's transmit
+/// time, so the idle-hop certificate must refuse the train and leave it to
+/// the per-hop recurrence, in both forms.
 Case drifting(double rate_excess, double hop1_queue_bytes) {
   Case c;
   c.shaper.enabled = false;
@@ -500,11 +545,28 @@ std::uint64_t ties_at(const Tapped& t, std::size_t h) {
   return n;
 }
 
+/// The summary form, with and without `ties`, equals summarize() of the
+/// oracle's records, and counts the same ties as the recording form did.
+::testing::AssertionResult same_summary(const Tapped& t, const Case& c,
+                                        const TrainTies& recorded) {
+  const TrainSummary want = summarize(t.records, c.params);
+  if (summary(c) != want) return ::testing::AssertionFailure() << "summary without ties";
+  TrainTies ties;
+  if (summary(c, &ties) != want) return ::testing::AssertionFailure() << "summary with ties";
+  if (ties.arrival_first != recorded.arrival_first ||
+      ties.completion_first != recorded.completion_first) {
+    return ::testing::AssertionFailure()
+           << "summary ties " << ties.arrival_first << "/" << ties.completion_first
+           << ", recording form " << recorded.arrival_first << "/" << recorded.completion_first;
+  }
+  return ::testing::AssertionSuccess();
+}
+
 TEST(IdleHandover, LaterHopQueuesPartway) {
   const Case c = drifting(8e-15, 2e6);
   const Tapped t = tapped_event_path(c);
   const Handover at = first_handover(t, c.hops.size());
-  EXPECT_GT(at.seq, 50u) << "the idle loop should carry the first packets";
+  EXPECT_GT(at.seq, 50u) << "the first packets find every hop idle";
   EXPECT_EQ(at.hop, 1u);
   EXPECT_FALSE(at.tie);
   ASSERT_EQ(t.records.size(), 2000u) << "a 2 MB queue drops nothing";
@@ -512,6 +574,7 @@ TEST(IdleHandover, LaterHopQueuesPartway) {
   EXPECT_TRUE(same_records(t.records, recurrence(c, &ties)));
   // Every tie here meets a queue with room either way: none is counted.
   EXPECT_EQ(ties.arrival_first + ties.completion_first, 0u);
+  EXPECT_TRUE(same_summary(t, c, ties));
 }
 
 TEST(IdleHandover, LaterHopDropsPartway) {
@@ -527,6 +590,7 @@ TEST(IdleHandover, LaterHopDropsPartway) {
   EXPECT_TRUE(same_records(t.records, recurrence(c, &ties)));
   EXPECT_EQ(ties.arrival_first, 0u);
   EXPECT_EQ(ties.completion_first, ties_at(t, 1));
+  EXPECT_TRUE(same_summary(t, c, ties));
 }
 
 TEST(IdleHandover, LaterHopTiesPartway) {
@@ -545,6 +609,33 @@ TEST(IdleHandover, LaterHopTiesPartway) {
   EXPECT_EQ(ties.arrival_first, 0u);
   EXPECT_GT(ties.completion_first, 0u);
   EXPECT_EQ(ties.completion_first, ties_at(t, 1));
+  EXPECT_TRUE(same_summary(t, c, ties));
+}
+
+TEST(IdleHandover, HopRoundingAloneMakesALaterHopBusy) {
+  // Every gap between two emissions exceeds every hop's transmit time: hop 1
+  // transmits in a few ulps less than the smallest gap. Yet hop 0 rounds
+  // each arrival plus its transmit time and its 20 us delay, and that moves
+  // some gaps at hop 1 below its transmit time: with no queue there, those
+  // packets drop. Only a certificate whose margin covers the hops' roundings
+  // sends this train to the per-hop recurrence.
+  Case c = drifting(0.0, 0.0);
+  c.hops[0].delay_s = 20e-6;
+  const Tapped base = tapped_event_path(c);
+  double smallest_gap = std::numeric_limits<double>::infinity();
+  for (std::size_t k = 1; k < base.emitted.size(); ++k) {
+    smallest_gap = std::min(smallest_gap, base.emitted[k].second - base.emitted[k - 1].second);
+  }
+  double tx = smallest_gap;
+  for (int i = 0; i < 4; ++i) tx = std::nextafter(tx, 0.0);
+  c.hops[1].rate_bps = rate_for_tx(tx);
+  ASSERT_EQ(1500.0 * 8.0 / c.hops[1].rate_bps, tx);
+  ASSERT_GT(smallest_gap, 1500.0 * 8.0 / c.hops[0].rate_bps);
+  const Tapped t = tapped_event_path(c);
+  ASSERT_LT(t.records.size(), 2000u) << "hop 1 finds itself busy and drops";
+  TrainTies ties;
+  EXPECT_TRUE(same_records(t.records, recurrence(c, &ties)));
+  EXPECT_TRUE(same_summary(t, c, ties));
 }
 
 // ---- cloud level -------------------------------------------------------
