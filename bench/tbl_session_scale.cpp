@@ -14,10 +14,11 @@
 //
 //   3. Deterministic thread scaling — the same tenant sweep routed through
 //      the sharded control plane (core::ShardedSession) at --threads
-//      1/2/4/8 produces a merged log bit-identical to the single-threaded
-//      oracle at every thread count, while events/sec grows with threads
-//      (gated at 0.375x per thread, at the largest swept thread count the
-//      host has cores for).
+//      1/2/4/8 produces, at every thread count, a merged log bit-identical
+//      to running each tenant as a standalone core::SessionRuntime and
+//      merging the logs, while events/sec grows with threads (gated at
+//      0.375x per thread, at the largest swept thread count the host has
+//      cores for).
 //
 // `--smoke` runs the reduced CI sweep (still covering a full 7-day trace
 // and a threads={1,2} determinism check); the exit code is non-zero on any
@@ -32,7 +33,6 @@
 
 #include "bench_common.h"
 #include "core/sharded.h"
-#include "oracles/multi_tenant_session.h"
 #include "workload/stream.h"
 
 namespace {
@@ -94,8 +94,8 @@ struct TenantRun {
 };
 
 /// Tenant specs for a sweep: identical for every run with the same
-/// arguments, so the oracle and every sharded configuration replay the
-/// exact same workload on the exact same cloud.
+/// arguments, so the standalone runs and every sharded configuration replay
+/// the exact same workload on the exact same cloud.
 std::vector<core::TenantSpec> make_tenants(
     cloud::Cloud& cloud, std::size_t tenants, std::size_t fleet,
     double mean_gap_s, double duration_s, std::uint64_t seed,
@@ -111,7 +111,6 @@ std::vector<core::TenantSpec> make_tenants(
     streams.push_back(std::make_unique<workload::GeneratorArrivalStream>(
         seed * 100 + i, cfg));
     core::TenantSpec spec;
-    spec.name = "tenant" + std::to_string(i);
     spec.vms = cloud.allocate_vms(fleet);
     spec.config = session_config();
     spec.stream = streams.back().get();
@@ -127,10 +126,10 @@ TenantRun run_tenant_sweep(std::size_t tenants, std::size_t fleet,
   std::vector<std::unique_ptr<workload::GeneratorArrivalStream>> streams;
   std::vector<core::TenantSpec> specs =
       make_tenants(cloud, tenants, fleet, mean_gap_s, duration_s, seed, streams);
-  core::MultiTenantOptions options;
+  core::ShardedOptions options;
   options.record_events = false;
   options.record_outcomes = false;
-  core::MultiTenantSession session(cloud, std::move(specs), options);
+  core::ShardedSession session(cloud, std::move(specs), options);
 
   const auto t0 = std::chrono::steady_clock::now();
   const core::MultiTenantLog result = session.run();
@@ -156,8 +155,9 @@ struct ThreadRun {
 };
 
 /// One full tenant sweep with recording on (the merged logs are what the
-/// determinism check compares). threads == 0 runs the single-threaded
-/// MultiTenantSession oracle; anything else the sharded control plane.
+/// determinism check compares). threads == 0 runs each tenant as a
+/// standalone SessionRuntime, one after another, and merges their logs with
+/// merge_tenant_logs; anything else runs the sharded control plane.
 ThreadRun run_thread_sweep(std::size_t tenants, std::size_t fleet,
                            double mean_gap_s, double duration_s,
                            std::uint64_t seed, unsigned threads) {
@@ -169,9 +169,15 @@ ThreadRun run_thread_sweep(std::size_t tenants, std::size_t fleet,
   ThreadRun out;
   const auto t0 = std::chrono::steady_clock::now();
   if (threads == 0) {
-    core::MultiTenantSession session(cloud, std::move(specs));
-    out.log = session.run();
-    for (const auto& s : session.tenant_stats()) out.events += s.events_processed;
+    std::vector<core::SessionLog> logs;
+    for (std::size_t i = 0; i < specs.size(); ++i) {
+      core::RuntimeOptions options;
+      options.tenant = static_cast<std::uint32_t>(i);
+      core::SessionRuntime runtime(cloud, specs[i].vms, specs[i].config, std::move(options));
+      logs.push_back(runtime.run(*specs[i].stream));
+      out.events += runtime.stats().events_processed;
+    }
+    out.log = core::merge_tenant_logs(std::move(logs));
   } else {
     core::ShardedOptions options;
     options.threads = threads;
@@ -257,11 +263,11 @@ int main(int argc, char** argv) {
         "(near-linear event-throughput growth)");
 
   // ---- sharded control plane: --threads sweep -----------------------------
-  // The oracle (MultiTenantSession) runs once; every sharded configuration
-  // must reproduce its merged log bit-identically while events/sec scales
-  // with threads. The speedup gate is scaled to the host: it runs at the
-  // largest swept thread count the host has cores for — determinism is
-  // asserted everywhere, unconditionally.
+  // The standalone runs go once; every sharded configuration must reproduce
+  // their merged log bit-identically while events/sec scales with threads.
+  // The speedup gate is scaled to the host: it runs at the largest swept
+  // thread count the host has cores for — determinism is asserted
+  // everywhere, unconditionally.
   const std::size_t shard_tenants = smoke ? 8 : 100;
   const std::size_t shard_fleet = smoke ? 4 : 6;
   const double shard_duration_s = smoke ? 1200.0 : 1800.0;
@@ -271,15 +277,15 @@ int main(int argc, char** argv) {
          std::to_string(shard_tenants) + " tenants" +
          std::string(smoke ? " [smoke]" : ""));
 
-  const ThreadRun oracle =
+  const ThreadRun standalone =
       run_thread_sweep(shard_tenants, shard_fleet, 30.0, shard_duration_s, 7, 0);
   Table sh({"threads", "events", "wall (ms)", "events/sec", "speedup", "identical"});
-  const double oracle_eps =
-      oracle.wall_ms > 0.0
-          ? static_cast<double>(oracle.events) * 1000.0 / oracle.wall_ms
+  const double standalone_eps =
+      standalone.wall_ms > 0.0
+          ? static_cast<double>(standalone.events) * 1000.0 / standalone.wall_ms
           : 0.0;
-  sh.add_row({"oracle", std::to_string(oracle.events), fmt(oracle.wall_ms, 1),
-              fmt(oracle_eps, 0), "-", "-"});
+  sh.add_row({"standalone", std::to_string(standalone.events),
+              fmt(standalone.wall_ms, 1), fmt(standalone_eps, 0), "-", "-"});
   const unsigned cores = std::thread::hardware_concurrency();
   unsigned gate_threads = 0;  // largest swept count <= cores
   for (unsigned threads : thread_counts) {
@@ -289,16 +295,19 @@ int main(int argc, char** argv) {
   for (unsigned threads : thread_counts) {
     const ThreadRun r = run_thread_sweep(shard_tenants, shard_fleet, 30.0,
                                          shard_duration_s, 7, threads);
-    const bool identical = r.log.tenants == oracle.log.tenants &&
-                           r.log.aggregate == oracle.log.aggregate;
+    const bool identical = r.log.tenants == standalone.log.tenants &&
+                           r.log.aggregate == standalone.log.aggregate;
     check(identical, "threads=" + std::to_string(threads) +
-                         " merged log is bit-identical to the oracle");
-    check(r.events == oracle.events,
+                         " merged log is bit-identical to the standalone runs");
+    check(r.events == standalone.events,
           "threads=" + std::to_string(threads) + " processed the same events");
     const double eps =
         r.wall_ms > 0.0 ? static_cast<double>(r.events) * 1000.0 / r.wall_ms : 0.0;
     // Speedup over the threads=1 row (the first swept), the ratio the gate
-    // checks: the oracle runs the same tenants but first, so it is no baseline.
+    // checks. The standalone row runs the same tenants but first in the
+    // process, so it is no baseline: glibc returns the heap top to the OS
+    // until its trim threshold adapts, and the first sweep re-faults those
+    // pages (about 2.5 M minor faults at full size).
     if (threads == 1) wall_threads_1 = r.wall_ms;
     const double speedup = r.wall_ms > 0.0 ? wall_threads_1 / r.wall_ms : 0.0;
     sh.add_row({std::to_string(threads), std::to_string(r.events),

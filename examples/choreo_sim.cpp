@@ -368,7 +368,6 @@ int main(int argc, char** argv) {
         source = streams.back().get();
       }
       core::TenantSpec spec;
-      spec.name = "tenant" + std::to_string(i);
       spec.vms = (i == 0) ? vms : cloud.allocate_vms(n_vms);
       spec.config.choreo.plan = plan;
       spec.config.choreo.rate_model = model;

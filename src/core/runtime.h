@@ -7,7 +7,6 @@
 #include <memory>
 #include <optional>
 #include <queue>
-#include <string>
 #include <vector>
 
 #include "core/session.h"
@@ -242,11 +241,10 @@ class SessionRuntime {
   obs::Counter obs_batch_placed_;
 };
 
-/// One tenant of a multi-tenant session: a name, a disjoint slice of the
-/// shared cloud's VMs, its own controller configuration, and its workload.
-/// The stream is not owned and must outlive the session.
+/// One tenant of a multi-tenant session: a disjoint slice of the shared
+/// cloud's VMs, its own controller configuration, and its workload. The
+/// stream is not owned and must outlive the session.
 struct TenantSpec {
-  std::string name;
   std::vector<cloud::VmId> vms;
   ControllerConfig config;
   workload::ArrivalStream* stream = nullptr;
@@ -269,9 +267,9 @@ void validate_tenants(const std::vector<TenantSpec>& tenants);
 /// The one reduction of per-tenant logs (in TenantSpec order) to a
 /// MultiTenantLog: counters summed and outcomes concatenated in tenant
 /// order, events k-way merged on (time, tenant) with app payloads re-based
-/// onto the concatenation (kNoApp passes through). ShardedSession and its
-/// single-threaded oracle MultiTenantSession (oracles/) both call it, so
-/// their aggregates cannot drift apart.
+/// onto the concatenation (kNoApp passes through). ShardedSession calls it
+/// on its workers' logs; any other runner of per-tenant SessionRuntimes
+/// calls it to get the same aggregate.
 MultiTenantLog merge_tenant_logs(std::vector<SessionLog> tenants);
 
 }  // namespace choreo::core

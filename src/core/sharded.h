@@ -20,18 +20,19 @@ struct ShardedOptions {
   obs::Observer obs;
 };
 
-/// Multi-threaded drop-in for `MultiTenantSession`: the same tenants on
-/// disjoint VM slices of one shared cloud, run by a pool of worker threads,
-/// producing a `MultiTenantLog` that is bit-identical to the
-/// single-threaded oracle for every thread count — events, outcomes,
-/// placements, and accounting doubles (pinned by test_sharded_differential).
+/// The §7.2 multi-user regime: tenants on disjoint VM slices of one shared
+/// cloud, each measuring its own VMs and placing its own apps, run by a pool
+/// of worker threads. Tenant i's log and Stats are those of a standalone
+/// `SessionRuntime(cloud, vms_i, config_i, {tenant = i}).run(stream_i)`, bit
+/// for bit at every thread count — events, outcomes, placements, and
+/// accounting doubles (pinned by test_sharded_differential).
 ///
 /// Tenants share nothing mutable. Each `SessionRuntime` numbers its own
 /// measurement cycles, and the cloud's realization of a cycle is a pure
 /// function of (seed, that tenant-local epoch, round), so a tenant's session
 /// does not depend on when, or on which thread, the others run. Workers claim
 /// tenants from an atomic index and run each to completion; the per-tenant
-/// logs are then reduced by `merge_tenant_logs`, as the oracle does.
+/// logs are then reduced by `merge_tenant_logs`.
 class ShardedSession {
  public:
   ShardedSession(const cloud::Cloud& cloud, std::vector<TenantSpec> tenants,
@@ -41,7 +42,7 @@ class ShardedSession {
   MultiTenantLog run();
 
   /// Per-tenant runtime stats, valid after run(). Deterministic: identical
-  /// to the oracle's for the same spec.
+  /// to each tenant's standalone run.
   const std::vector<SessionRuntime::Stats>& tenant_stats() const { return stats_; }
 
  private:

@@ -4,10 +4,9 @@
 #include <gtest/gtest.h>
 
 #include "cloud/cloud.h"
-#include "core/runtime.h"
+#include "core/sharded.h"
 #include "lp/simplex.h"
 #include "obs/metrics.h"
-#include "oracles/multi_tenant_session.h"
 #include "oracles/event_train.h"
 #include "place/ilp.h"
 #include "util/rng.h"
@@ -161,7 +160,7 @@ TEST(Regression, TokenBucketRateExactUnderLongLoad) {
 // 0.2 h, 6 250 apps/day each with 4.8 GB median transfers — but not its seed:
 // the cloud and stream seeds below are derived the way choreo_bench derives
 // them for the first input of --seed=6, found by scanning seeds for one whose
-// measured rates lead this MultiTenantSession (each tenant numbering its own
+// measured rates lead this ShardedSession (each tenant numbering its own
 // measurement cycles) to an infeasible re-plan. Measurement noise picks the
 // path here; ReplanInfeasibleByCpuKeepsTheCurrentPlan below reaches it by CPU
 // demand alone. The re-plan now keeps the current placements and is counted
@@ -184,13 +183,12 @@ TEST(Regression, InfeasibleReevaluationKeepsTheCurrentPlan) {
   for (std::size_t i = 0; i < 4; ++i) {
     streams.push_back(std::make_unique<workload::TraceArrivalStream>(stream_seeds[i], trace));
     core::TenantSpec t;
-    t.name = "tenant" + std::to_string(i);
     t.vms = cl.allocate_vms(5);
     t.config.choreo.obs.metrics = &registry;
     t.stream = streams.back().get();
     tenants.push_back(std::move(t));
   }
-  core::MultiTenantSession session(cl, std::move(tenants));
+  core::ShardedSession session(cl, std::move(tenants));
   core::MultiTenantLog log;
   ASSERT_NO_THROW(log = session.run());
   const obs::MetricsSnapshot snap = registry.snapshot();

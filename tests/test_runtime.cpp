@@ -12,7 +12,6 @@
 #include <vector>
 
 #include "core/sharded.h"
-#include "oracles/multi_tenant_session.h"
 #include "util/units.h"
 #include "workload/stream.h"
 
@@ -168,7 +167,6 @@ TEST(SessionRuntime, RejectsArrivalsThatGoBackInTime) {
           2, workload::VectorArrivalStream(apps));
       std::vector<TenantSpec> tenants(2);
       for (std::size_t i = 0; i < tenants.size(); ++i) {
-        tenants[i].name = "tenant" + std::to_string(i);
         tenants[i].vms = cloud.allocate_vms(4);
         tenants[i].config = fast_config();
         tenants[i].stream = &streams[i];
@@ -189,7 +187,7 @@ TEST(MultiTenant, RejectsOverlappingVmSlices) {
   tenants[0].stream = &stream;
   tenants[1].vms = {vms[2], vms[3], vms[4]};  // vms[2] shared: invalid
   tenants[1].stream = &stream;
-  EXPECT_THROW(MultiTenantSession(cloud, std::move(tenants)), PreconditionError);
+  EXPECT_THROW(ShardedSession(cloud, std::move(tenants)), PreconditionError);
 }
 
 TEST(MultiTenant, InterleavesTenantsOnSharedClock) {
@@ -200,15 +198,13 @@ TEST(MultiTenant, InterleavesTenantsOnSharedClock) {
   workload::GeneratorArrivalStream stream_b(200, small_stream_config(6, 40.0));
 
   std::vector<TenantSpec> tenants(2);
-  tenants[0].name = "a";
   tenants[0].vms = vms_a;
   tenants[0].config = fast_config();
   tenants[0].stream = &stream_a;
-  tenants[1].name = "b";
   tenants[1].vms = vms_b;
   tenants[1].config = fast_config();
   tenants[1].stream = &stream_b;
-  MultiTenantSession session(cloud, std::move(tenants));
+  ShardedSession session(cloud, std::move(tenants));
   const MultiTenantLog result = session.run();
 
   ASSERT_EQ(result.tenants.size(), 2u);
@@ -338,7 +334,7 @@ TEST(MultiTenant, DeterministicAcrossRuns) {
     tenants[1].vms = vms_b;
     tenants[1].config = fast_config();
     tenants[1].stream = &stream_b;
-    MultiTenantSession session(cloud, std::move(tenants));
+    ShardedSession session(cloud, std::move(tenants));
     return session.run();
   };
   const MultiTenantLog r1 = run_once();

@@ -1,22 +1,32 @@
-// Differential pin for the sharded control plane: core::ShardedSession must
-// reproduce the single-threaded MultiTenantSession bit-identically — every
-// event, outcome, placement, and accounting double, per tenant and in the
-// aggregate — for every thread count, over a randomized
-// multi-tenant corpus that exercises bursty MMPP arrivals, streaming traces,
-// queueing, rejection, and migration. Tenants share no mutable state, so the
-// same corpus must also give each tenant the same log whatever order the
-// tenants run in: one after another, in reverse, or interleaved on one clock.
+// Differential pin for the sharded control plane. Tenants are the unit: a
+// tenant measures and places only on its own VMs, so its session is a
+// function of its own spec alone. The contract, for every thread count:
+//
+//   - core::ShardedSession's log and Stats for tenant i equal those of a
+//     standalone core::SessionRuntime(cloud, vms_i, config_i, {tenant = i})
+//     .run(stream_i), run alone on a fresh copy of the world (no other
+//     tenant ever runs on its cloud) — every event, outcome, placement and
+//     accounting double;
+//   - the merged log equals merge_tenant_logs of those standalone logs, and
+//     that merge is the standalone events in (time, tenant) order, derived
+//     here without merge_tenant_logs.
+//
+// The corpus is randomized and multi-tenant: bursty MMPP arrivals, streaming
+// traces, queueing, rejection and migration. The same corpus must also give
+// each tenant its standalone log whatever order the tenants of one world run
+// in: in reverse, or interleaved on one clock.
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <limits>
 #include <memory>
 #include <optional>
 #include <string>
+#include <tuple>
 #include <vector>
 
 #include "core/sharded.h"
-#include "oracles/multi_tenant_session.h"
 #include "util/kway.h"
 #include "util/units.h"
 #include "workload/generator.h"
@@ -78,6 +88,29 @@ void expect_multi_identical(const MultiTenantLog& ref, const MultiTenantLog& got
   }
   expect_logs_identical(ref.aggregate, got.aggregate, label + " aggregate");
   EXPECT_TRUE(ref.aggregate == got.aggregate) << label << " aggregate";
+}
+
+/// The aggregate's events must be every tenant's events, app payloads
+/// re-based onto the concatenated outcomes (kNoApp passes through), stably
+/// sorted on (time, tenant index): equal instants go to the lower tenant.
+/// Derived with std::stable_sort, apart from merge_tenant_logs' k-way merge.
+void expect_clock_order_merge(const MultiTenantLog& log, const std::string& label) {
+  std::vector<std::pair<std::size_t, SessionEvent>> want;
+  std::uint32_t app_offset = 0;
+  for (std::size_t i = 0; i < log.tenants.size(); ++i) {
+    for (SessionEvent e : log.tenants[i].events) {
+      if (e.app != SessionEvent::kNoApp) e.app += app_offset;
+      want.emplace_back(i, e);
+    }
+    app_offset += static_cast<std::uint32_t>(log.tenants[i].apps.size());
+  }
+  std::stable_sort(want.begin(), want.end(), [](const auto& a, const auto& b) {
+    return std::tie(a.second.time_s, a.first) < std::tie(b.second.time_s, b.first);
+  });
+  ASSERT_EQ(want.size(), log.aggregate.events.size()) << label;
+  for (std::size_t k = 0; k < want.size(); ++k) {
+    ASSERT_TRUE(want[k].second == log.aggregate.events[k]) << label << " merged event " << k;
+  }
 }
 
 void expect_stats_identical(const std::vector<SessionRuntime::Stats>& ref,
@@ -148,8 +181,8 @@ struct WorldSpec {
 
 /// Everything one session run owns: the cloud, the per-tenant streams (and
 /// the vectors / inner streams backing them), and the specs. Built fresh —
-/// from nothing but the spec — for the oracle run and for every sharded
-/// run, so each sees a bit-identical world and workload.
+/// from nothing but the spec — for every standalone tenant and for every
+/// sharded run, so each sees a bit-identical world and workload.
 struct World {
   std::unique_ptr<cloud::Cloud> cloud;
   std::vector<std::vector<place::Application>> vectors;
@@ -163,8 +196,6 @@ World build_world(const WorldSpec& spec) {
   w.vectors.reserve(spec.tenants);  // VectorArrivalStream is non-owning
   for (std::size_t i = 0; i < spec.tenants; ++i) {
     TenantSpec tenant;
-    tenant.name = "t";
-    tenant.name += std::to_string(i);
     tenant.vms = w.cloud->allocate_vms(spec.vms_per_tenant);
     tenant.config.choreo.use_measured_view = spec.use_measured_view;
     tenant.config.choreo.plan.train.bursts = 3;
@@ -233,13 +264,23 @@ struct WorldRun {
   std::uint64_t final_epoch = 0;
 };
 
-WorldRun run_oracle(const WorldSpec& spec) {
-  World w = build_world(spec);
-  MultiTenantSession session(*w.cloud, std::move(w.tenants));
+/// The reference: tenant i as a standalone SessionRuntime, alone on its own
+/// fresh world, and the logs reduced by merge_tenant_logs. `final_epoch` is
+/// the largest of the worlds' counters, so a draw by any tenant shows.
+WorldRun run_standalone(const WorldSpec& spec) {
   WorldRun out;
-  out.log = session.run();
-  out.stats = session.tenant_stats();
-  out.final_epoch = w.cloud->next_epoch();
+  std::vector<SessionLog> logs;
+  for (std::size_t i = 0; i < spec.tenants; ++i) {
+    World w = build_world(spec);
+    const TenantSpec& tenant = w.tenants[i];
+    RuntimeOptions options;
+    options.tenant = static_cast<std::uint32_t>(i);
+    SessionRuntime runtime(*w.cloud, tenant.vms, tenant.config, std::move(options));
+    logs.push_back(runtime.run(*tenant.stream));
+    out.stats.push_back(runtime.stats());
+    out.final_epoch = std::max(out.final_epoch, w.cloud->next_epoch());
+  }
+  out.log = merge_tenant_logs(std::move(logs));
   return out;
 }
 
@@ -255,8 +296,9 @@ WorldRun run_sharded(const WorldSpec& spec, unsigned threads) {
   return out;
 }
 
-/// The orders, besides the oracle's one-after-another, in which the tenants
-/// of one world are run for the order-independence check.
+/// The orders in which the tenants of one world are run for the
+/// order-independence check (ShardedSession at one thread runs them one
+/// after another).
 enum class Order { Reverse, Interleave };
 
 /// Runs a world's tenants as bare SessionRuntimes in `order`: Reverse runs
@@ -297,18 +339,25 @@ WorldRun run_in_order(const WorldSpec& spec, Order order) {
 }
 
 /// Corpus coverage: the differential only means something if the scenarios
-/// actually hit queueing, rejection, and migration.
+/// actually hit queueing, rejection, and migration, and the merge check's
+/// tie order only if events of different tenants meet at one instant.
 struct Coverage {
   std::size_t deferred = 0;
   std::size_t rejected = 0;
   std::size_t adopted = 0;
   std::size_t migrated = 0;
+  std::size_t cross_tenant_ties = 0;
 
   void absorb(const MultiTenantLog& log) {
-    for (const SessionEvent& e : log.aggregate.events) {
+    const std::vector<SessionEvent>& events = log.aggregate.events;
+    for (std::size_t k = 0; k < events.size(); ++k) {
+      const SessionEvent& e = events[k];
       if (e.kind == SessionEventKind::Deferred) ++deferred;
       if (e.kind == SessionEventKind::Rejected) ++rejected;
       if (e.kind == SessionEventKind::Reevaluation && e.adopted) ++adopted;
+      if (k > 0 && events[k - 1].time_s == e.time_s && events[k - 1].tenant != e.tenant) {
+        ++cross_tenant_ties;
+      }
     }
     migrated += log.aggregate.tasks_migrated;
   }
@@ -316,14 +365,15 @@ struct Coverage {
 
 void check_spec(const WorldSpec& spec, const std::vector<unsigned>& thread_counts,
                 const std::string& label, Coverage* coverage = nullptr) {
-  const WorldRun oracle = run_oracle(spec);
-  if (coverage != nullptr) coverage->absorb(oracle.log);
+  const WorldRun standalone = run_standalone(spec);
+  expect_clock_order_merge(standalone.log, label + " standalone");
+  if (coverage != nullptr) coverage->absorb(standalone.log);
   for (const unsigned threads : thread_counts) {
     const std::string tag = label + " threads=" + std::to_string(threads);
     const WorldRun got = run_sharded(spec, threads);
-    expect_multi_identical(oracle.log, got.log, tag);
-    expect_stats_identical(oracle.stats, got.stats, tag);
-    EXPECT_EQ(oracle.final_epoch, got.final_epoch) << tag;
+    expect_multi_identical(standalone.log, got.log, tag);
+    expect_stats_identical(standalone.stats, got.stats, tag);
+    EXPECT_EQ(standalone.final_epoch, got.final_epoch) << tag;
   }
 }
 
@@ -389,9 +439,9 @@ TEST(ShardedDifferential, RandomizedCorpus) {
 }
 
 TEST(ShardedDifferential, MeasuredViewDrawsSharedEpochs) {
-  // The measured-view entries of the corpus: the sharded run and the
-  // oracle must draw the same tenant-local epochs, because every epoch
-  // seeds real probe noise. A slip shows up as a different measured
+  // The measured-view entries of the corpus: the sharded run and each
+  // standalone tenant must draw the same tenant-local epochs, because every
+  // epoch seeds real probe noise. A slip shows up as a different measured
   // matrix, different placements, different everything.
   for (const CorpusEntry& e : corpus()) {
     if (!e.spec.use_measured_view) continue;
@@ -401,24 +451,24 @@ TEST(ShardedDifferential, MeasuredViewDrawsSharedEpochs) {
 
 TEST(ShardedDifferential, TenantLogsDoNotDependOnRunOrder) {
   // Each tenant's log is a function of its own spec alone: running the
-  // tenants one after another, in reverse, or interleaved on one clock
-  // gives every tenant the same log, and none of them draws from the
+  // tenants of one world in reverse, or interleaved on one clock, gives
+  // every tenant its standalone log, and none of them draws from the
   // cloud's shared epoch counter.
   const std::uint64_t untouched = cloud::Cloud(cloud::ec2_2013(), 1).next_epoch();
   for (const CorpusEntry& e : corpus()) {
     const std::string label = label_of(e.spec);
-    const WorldRun sequential = run_oracle(e.spec);
-    EXPECT_EQ(sequential.final_epoch, untouched) << label;
+    const WorldRun standalone = run_standalone(e.spec);
+    EXPECT_EQ(standalone.final_epoch, untouched) << label;
     for (const Order order : {Order::Reverse, Order::Interleave}) {
       const std::string tag = label + (order == Order::Reverse ? " reverse" : " interleave");
       const WorldRun got = run_in_order(e.spec, order);
-      expect_multi_identical(sequential.log, got.log, tag);
-      expect_stats_identical(sequential.stats, got.stats, tag);
+      expect_multi_identical(standalone.log, got.log, tag);
+      expect_stats_identical(standalone.stats, got.stats, tag);
       EXPECT_EQ(got.final_epoch, untouched) << tag;
     }
     if (!e.spec.use_measured_view) continue;
     // Every measured tenant probed and accounted its own cycles.
-    for (const SessionLog& log : sequential.log.tenants) {
+    for (const SessionLog& log : standalone.log.tenants) {
       EXPECT_GT(log.pairs_probed, 0u) << label;
       EXPECT_GT(log.measurement_wall_s, 0.0) << label;
     }
@@ -427,19 +477,24 @@ TEST(ShardedDifferential, TenantLogsDoNotDependOnRunOrder) {
 
 TEST(ShardedDifferential, ManyTenantsWideGrid) {
   // The upper corner: 64 tenants. One seed, tiny per-tenant work, several
-  // tenants per worker at every thread count.
+  // tenants per worker at every thread count. With this many tenants,
+  // events of different tenants fall on one instant, which they do in none
+  // of the smaller worlds, so this is where the merge's tie order is
+  // checked.
   WorldSpec spec;
   spec.seed = 77;
   spec.tenants = 64;
   spec.vms_per_tenant = 4;
   spec.apps_per_tenant = 2;
-  check_spec(spec, {8, 5}, "wide");
+  Coverage cov;
+  check_spec(spec, {8, 5}, "wide", &cov);
+  EXPECT_GT(cov.cross_tenant_ties, 0u);
 }
 
 TEST(ShardedDifferential, RepeatedRunsAreBitIdentical) {
   // Same seed, same thread count, run twice: thread scheduling must
   // not leak into the output (this is the determinism half of the pin; the
-  // oracle half is covered above).
+  // standalone half is covered above).
   WorldSpec spec;
   spec.seed = 9;
   spec.tenants = 6;

@@ -1,7 +1,8 @@
 // Edge cases of the sharded control plane: degenerate tenant/thread shapes
 // (single tenant, one thread, more threads than tenants), a tenant whose
 // stream never produces an arrival, and tenants that all hit the same
-// epoch-boundary instant.
+// epoch-boundary instant. The reference is every tenant run as a standalone
+// SessionRuntime, the logs reduced by merge_tenant_logs.
 
 #include <gtest/gtest.h>
 
@@ -10,7 +11,6 @@
 #include <vector>
 
 #include "core/sharded.h"
-#include "oracles/multi_tenant_session.h"
 #include "util/units.h"
 #include "workload/stream.h"
 
@@ -82,8 +82,11 @@ void expect_multi_equal(const MultiTenantLog& ref, const MultiTenantLog& got,
 /// Workload vectors per tenant, rebuilt identically for each run.
 using TenantApps = std::vector<std::vector<place::Application>>;
 
-MultiTenantLog run_oracle(std::uint64_t seed, const TenantApps& per_tenant,
-                          double period_s) {
+/// Builds one tenant per workload vector, four VMs each, on a fresh cloud
+/// of `seed`, and returns what `run` makes of them.
+template <typename Run>
+MultiTenantLog with_tenants(std::uint64_t seed, const TenantApps& per_tenant,
+                            double period_s, Run&& run) {
   cloud::Cloud cloud(cloud::ec2_2013(), seed);
   std::vector<std::unique_ptr<workload::VectorArrivalStream>> streams;
   std::vector<TenantSpec> tenants;
@@ -95,27 +98,32 @@ MultiTenantLog run_oracle(std::uint64_t seed, const TenantApps& per_tenant,
     t.stream = streams.back().get();
     tenants.push_back(std::move(t));
   }
-  MultiTenantSession session(cloud, std::move(tenants));
-  return session.run();
+  return run(cloud, std::move(tenants));
+}
+
+MultiTenantLog run_standalone(std::uint64_t seed, const TenantApps& per_tenant,
+                              double period_s) {
+  const auto standalone = [](const cloud::Cloud& cloud, std::vector<TenantSpec> tenants) {
+    std::vector<SessionLog> logs;
+    for (std::size_t i = 0; i < tenants.size(); ++i) {
+      RuntimeOptions options;
+      options.tenant = static_cast<std::uint32_t>(i);
+      SessionRuntime runtime(cloud, tenants[i].vms, tenants[i].config, std::move(options));
+      logs.push_back(runtime.run(*tenants[i].stream));
+    }
+    return merge_tenant_logs(std::move(logs));
+  };
+  return with_tenants(seed, per_tenant, period_s, standalone);
 }
 
 MultiTenantLog run_sharded(std::uint64_t seed, const TenantApps& per_tenant,
                            double period_s, unsigned threads) {
-  cloud::Cloud cloud(cloud::ec2_2013(), seed);
-  std::vector<std::unique_ptr<workload::VectorArrivalStream>> streams;
-  std::vector<TenantSpec> tenants;
-  for (const auto& apps : per_tenant) {
-    TenantSpec t;
-    t.vms = cloud.allocate_vms(4);
-    t.config = fast_config(period_s);
-    streams.push_back(std::make_unique<workload::VectorArrivalStream>(apps));
-    t.stream = streams.back().get();
-    tenants.push_back(std::move(t));
-  }
-  ShardedOptions opts;
-  opts.threads = threads;
-  ShardedSession session(cloud, std::move(tenants), opts);
-  return session.run();
+  const auto sharded = [threads](const cloud::Cloud& cloud, std::vector<TenantSpec> tenants) {
+    ShardedOptions opts;
+    opts.threads = threads;
+    return ShardedSession(cloud, std::move(tenants), opts).run();
+  };
+  return with_tenants(seed, per_tenant, period_s, sharded);
 }
 
 TenantApps busy_tenants(std::size_t count) {
@@ -133,12 +141,12 @@ TenantApps busy_tenants(std::size_t count) {
 
 TEST(ShardedEdges, SingleTenantEveryShape) {
   // One tenant: one thread, then more threads than tenants, so every extra
-  // thread finds the ready queue empty. Everything degenerates to the oracle
-  // schedule.
+  // thread finds the ready queue empty. Everything degenerates to the
+  // standalone run.
   const TenantApps apps = busy_tenants(1);
-  const MultiTenantLog oracle = run_oracle(5, apps, 60.0);
+  const MultiTenantLog standalone = run_standalone(5, apps, 60.0);
   for (const unsigned threads : {1u, 2u, 4u, 8u}) {
-    expect_multi_equal(oracle, run_sharded(5, apps, 60.0, threads),
+    expect_multi_equal(standalone, run_sharded(5, apps, 60.0, threads),
                        "single threads=" + std::to_string(threads));
   }
 }
@@ -146,9 +154,9 @@ TEST(ShardedEdges, SingleTenantEveryShape) {
 TEST(ShardedEdges, MoreShardsThanTenants) {
   // More threads than tenants: some workers never get a tenant.
   const TenantApps apps = busy_tenants(3);
-  const MultiTenantLog oracle = run_oracle(11, apps, 60.0);
-  expect_multi_equal(oracle, run_sharded(11, apps, 60.0, 4), "threads>n");
-  expect_multi_equal(oracle, run_sharded(11, apps, 60.0, 8), "threads>n wide");
+  const MultiTenantLog standalone = run_standalone(11, apps, 60.0);
+  expect_multi_equal(standalone, run_sharded(11, apps, 60.0, 4), "threads>n");
+  expect_multi_equal(standalone, run_sharded(11, apps, 60.0, 8), "threads>n wide");
 }
 
 TEST(ShardedEdges, TenantWithZeroArrivals) {
@@ -157,11 +165,11 @@ TEST(ShardedEdges, TenantWithZeroArrivals) {
   // other tenant's log.
   TenantApps apps = busy_tenants(3);
   apps[1].clear();
-  const MultiTenantLog oracle = run_oracle(23, apps, 60.0);
-  EXPECT_TRUE(oracle.tenants[1].apps.empty());
-  EXPECT_TRUE(oracle.tenants[1].events.empty());
-  expect_multi_equal(oracle, run_sharded(23, apps, 60.0, 2), "zero-arrival");
-  expect_multi_equal(oracle, run_sharded(23, apps, 60.0, 8), "zero-arrival wide");
+  const MultiTenantLog standalone = run_standalone(23, apps, 60.0);
+  EXPECT_TRUE(standalone.tenants[1].apps.empty());
+  EXPECT_TRUE(standalone.tenants[1].events.empty());
+  expect_multi_equal(standalone, run_sharded(23, apps, 60.0, 2), "zero-arrival");
+  expect_multi_equal(standalone, run_sharded(23, apps, 60.0, 8), "zero-arrival wide");
 }
 
 TEST(ShardedEdges, TenantsFinishingAtTheSameEpochBoundary) {
@@ -178,14 +186,14 @@ TEST(ShardedEdges, TenantsFinishingAtTheSameEpochBoundary) {
     apps.push_back(chat_app("edge2" + std::to_string(i), 60.0));  // duplicate
     per_tenant.push_back(std::move(apps));
   }
-  const MultiTenantLog oracle = run_oracle(29, per_tenant, 60.0);
+  const MultiTenantLog standalone = run_standalone(29, per_tenant, 60.0);
   std::size_t boundary_events = 0;
-  for (const SessionEvent& e : oracle.aggregate.events) {
+  for (const SessionEvent& e : standalone.aggregate.events) {
     if (e.time_s == 60.0) ++boundary_events;
   }
   EXPECT_GT(boundary_events, 8u);  // the instant is genuinely contended
-  expect_multi_equal(oracle, run_sharded(29, per_tenant, 60.0, 4), "boundary");
-  expect_multi_equal(oracle, run_sharded(29, per_tenant, 60.0, 2),
+  expect_multi_equal(standalone, run_sharded(29, per_tenant, 60.0, 4), "boundary");
+  expect_multi_equal(standalone, run_sharded(29, per_tenant, 60.0, 2),
                      "boundary two threads");
 }
 
