@@ -147,8 +147,9 @@ BENCHMARK(BM_EngineCloneUnoccupied)->Arg(100)->Arg(500);
 
 // ...and what a serving-plane Scratch refresh pays for a copy with the
 // residual occupancy included (one per reader thread per published epoch).
-// The view and static indexes are shared, so this prices a residual-only
-// copy: the O(n^2) 32-bit per-path counts plus two O(n) vectors.
+// The view and static indexes are shared, and so are the per-path count
+// rows until one side writes them, so this prices O(n): a row handle per
+// machine plus two O(n) vectors.
 void BM_EngineClone(benchmark::State& state) {
   Rng rng(42);
   const auto machines = static_cast<std::size_t>(state.range(0));

@@ -166,8 +166,9 @@ class ClusterState {
   /// Swaps in a freshly measured view of the same fleet, same hosts (equal
   /// colocation groups; throws otherwise, with the state untouched) while
   /// keeping the residual occupancy (committed CPU and transfer counts) —
-  /// what makes a §2.4 measurement refresh an O(n^2) rebuild of the static
-  /// bounds instead of a full replay of every running application.
+  /// what makes a §2.4 measurement refresh one sweep over the new view's
+  /// rates into O(n) static indexes instead of a full replay of every
+  /// running application.
   void update_view(ClusterView view);
 
   /// A state sharing the view and cached indexes but with zero occupancy —
@@ -177,8 +178,9 @@ class ClusterState {
   /// A copy with the same view, cached indexes, AND residual occupancy.
   /// What the serving plane refreshes its per-worker scratch arenas from
   /// when a new snapshot epoch is published. The view and cached indexes
-  /// are immutable and shared with the original; only the residual
-  /// occupancy is copied.
+  /// are immutable and shared with the original, and the per-path counts
+  /// are shared row by row until either side writes one, so a clone costs
+  /// O(n), not a copy of the O(n^2) counts.
   ClusterState clone() const;
 
   /// The engine this state is backed by. Returned non-const from a const

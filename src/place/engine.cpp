@@ -1,7 +1,9 @@
 #include "place/engine.h"
 
 #include <algorithm>
+#include <bit>
 #include <limits>
+#include <new>
 #include <utility>
 
 namespace choreo::place {
@@ -12,49 +14,147 @@ PlacementEngine::PlacementEngine(ClusterView view)
 PlacementEngine::PlacementEngine(std::shared_ptr<const Static> statics)
     : static_(std::move(statics)),
       used_cores_(machine_count(), 0.0),
-      on_path_(machine_count() * machine_count(), 0),
+      on_path_(machine_count(), PathRow(machine_count())),
       out_of_(machine_count(), 0) {}
+
+PlacementEngine::PathRow::PathRow(std::size_t size) : block_(allocate(size)) {
+  std::fill_n(block_->counts(), size, 0);
+}
+
+PlacementEngine::PathRow::PathRow(const PathRow& other) noexcept : block_(other.block_) {
+  // A new handle is made from a live one, so the row cannot be freed
+  // meanwhile: the increment needs no ordering.
+  block_->refs.fetch_add(1, std::memory_order_relaxed);
+}
+
+PlacementEngine::PathRow::~PathRow() { drop(block_); }
+
+PlacementEngine::PathRow::Block* PlacementEngine::PathRow::allocate(std::size_t size) {
+  CHOREO_REQUIRE(size <= std::numeric_limits<std::uint32_t>::max());
+  Block* block = ::new (::operator new(sizeof(Block) + size * sizeof(std::int32_t))) Block;
+  block->size = static_cast<std::uint32_t>(size);
+  return block;
+}
+
+void PlacementEngine::PathRow::drop(Block* block) noexcept {
+  // Release publishes this handle's reads to whoever next sees the count
+  // fall; the last handle's acquire orders them before the free.
+  if (block->refs.fetch_sub(1, std::memory_order_acq_rel) == 1) {
+    block->~Block();
+    ::operator delete(block);
+  }
+}
+
+void PlacementEngine::PathRow::unshare() {
+  Block* copy = allocate(block_->size);
+  std::copy_n(block_->counts(), block_->size, copy->counts());
+  drop(block_);
+  block_ = copy;
+}
+
+namespace {
+
+/// Joins peers [begin, end) of row m: returns their largest rate, and joins
+/// into `far` and `c_out` the largest rate and cross traffic to peers off
+/// host `group` (`cross` may be null: no cross traffic), into `positive`
+/// whether every rate is positive (a NaN is not). Four independent chains
+/// per maximum, so the scan does not wait on each max's latency; max is
+/// exact, so the join order changes no result. A peer on the host joins 0,
+/// which leaves `far` and `c_out`, both at least 0, as they were.
+double join_peers(const double* rate, const double* cross, const int* groups, int group,
+                  std::size_t begin, std::size_t end, double& far, double& c_out,
+                  bool& positive) {
+  double a0 = 0.0, a1 = 0.0, a2 = 0.0, a3 = 0.0;
+  double f0 = far, f1 = far, f2 = far, f3 = far;
+  double c0 = c_out, c1 = c_out, c2 = c_out, c3 = c_out;
+  bool ok = positive;
+  const auto peer = [&](std::size_t n, double& a, double& f, double& c) {
+    const double r = rate[n];
+    const bool off_host = groups[n] != group;
+    a = std::max(a, r);
+    f = std::max(f, off_host ? r : 0.0);
+    c = std::max(c, off_host && cross ? cross[n] : 0.0);
+    ok = ok & (r > 0.0);
+  };
+  std::size_t n = begin;
+  for (; n + 4 <= end; n += 4) {
+    peer(n, a0, f0, c0);
+    peer(n + 1, a1, f1, c1);
+    peer(n + 2, a2, f2, c2);
+    peer(n + 3, a3, f3, c3);
+  }
+  for (; n < end; ++n) peer(n, a0, f0, c0);
+  positive = ok;
+  far = std::max(std::max(f0, f1), std::max(f2, f3));
+  c_out = std::max(std::max(c0, c1), std::max(c2, c3));
+  return std::max(std::max(a0, a1), std::max(a2, a3));
+}
+
+/// The double two steps below x toward 0 (0 for 0), for x >= 0: adjacent
+/// non-negative doubles have adjacent bit patterns.
+double two_ulps_below(double x) {
+  const auto bits = std::bit_cast<std::uint64_t>(x);
+  return std::bit_cast<double>(bits - std::min<std::uint64_t>(bits, 2));
+}
+
+}  // namespace
 
 PlacementEngine::Static::Static(ClusterView v) : view(std::move(v)) {
   view.validate_shape();  // before anything is sized from it
   const std::size_t M = view.machine_count();
   hose.resize(M);
   cross_out.resize(M);
-  ub.resize(M * M);
   peer_max.resize(M);
   // Every index repeats the arithmetic and comparison order of its uncached
   // counterpart (ClusterView::hose_bps, hose_cross_out, the bound formula),
   // so the cached doubles are theirs. Counts only divide a rate down, so a
   // model's zero-load rate bounds it: R for vswitch and hose, and for pipe
-  // the literal R*(c+1)/(c+1), whose roundings can exceed R by an ulp.
+  // the literal R*(c+1)/(c+1). Its two roundings are each within half an
+  // ulp, so it exceeds R by at most two ulps (for finite R*(c+1)): only a
+  // peer whose rate is within two ulps of the row's largest rate can raise
+  // the row's largest bound, and only those get the division. The rate join
+  // keeps each block of peers' largest rate, so that bound pass visits only
+  // the blocks that reach that far.
+  struct PeerBlock {
+    std::size_t begin, end;
+    double max;
+  };
+  constexpr std::size_t kBlock = 64;
+  std::vector<PeerBlock> blocks;
+  blocks.reserve(M / kBlock + 2);
   bool rates_positive = true;
   for (std::size_t m = 0; m < M; ++m) {
     const double* rate = view.rate_bps.data().data() + m * M;
     const double* cross =
         view.cross_traffic.empty() ? nullptr : view.cross_traffic.data().data() + m * M;
-    double* ub_row = ub.data() + m * M;
     const int group = view.colocation_group[m];
     double far = 0.0, any = 0.0;  // best rate to a non-colocated peer, to any peer
-    double c_out = 0.0, row_max = -std::numeric_limits<double>::infinity();
-    for (std::size_t n = 0; n < M; ++n) {
-      if (n == m) continue;
-      const double r = rate[n];
-      rates_positive = rates_positive && r > 0.0;
-      any = std::max(any, r);
-      double bound = r;
-      if (view.colocation_group[n] != group) {
-        const double c = cross ? cross[n] : 0.0;
-        far = std::max(far, r);
-        c_out = std::max(c_out, c);
-        bound = std::max(r, residual::pipe_rate_bps(r * (c + 1.0), c, 0.0));
+    double c_out = 0.0;
+    blocks.clear();
+    for (const auto& [begin, end] : {std::pair{std::size_t{0}, m}, std::pair{m + 1, M}}) {
+      for (std::size_t b = begin; b < end; b += kBlock) {
+        const std::size_t e = std::min(end, b + kBlock);
+        blocks.push_back({b, e,
+                          join_peers(rate, cross, view.colocation_group.data(), group, b, e,
+                                     far, c_out, rates_positive)});
+        any = std::max(any, blocks.back().max);
       }
-      ub_row[n] = bound;
-      row_max = std::max(row_max, bound);
     }
-    ub_row[m] = kIntraMachineRate;
+    const double near = two_ulps_below(any);
+    double pipe_max = -std::numeric_limits<double>::infinity();
+    for (const PeerBlock& block : blocks) {
+      if (block.max < near) continue;
+      for (std::size_t n = block.begin; n < block.end; ++n) {
+        const double r = rate[n];
+        if (r < near || view.colocation_group[n] == group) continue;
+        const double c = cross ? cross[n] : 0.0;
+        pipe_max =
+            std::max(pipe_max, std::max(r, residual::pipe_rate_bps(r * (c + 1.0), c, 0.0)));
+      }
+    }
     hose[m] = far == 0.0 ? any : far;
     cross_out[m] = c_out;
-    peer_max[m] = row_max;
+    peer_max[m] = M > 1 ? std::max(any, pipe_max) : pipe_max;
   }
   CHOREO_REQUIRE_MSG(rates_positive, "every off-diagonal rate must be positive");
 }
@@ -64,8 +164,7 @@ double PlacementEngine::rate_bps(std::size_t m, std::size_t n, RateModel model) 
   if (m == n) return kIntraMachineRate;
   const ClusterView& v = view();
   if (v.colocated(m, n)) {
-    return residual::vswitch_rate_bps(v.rate_bps(m, n),
-                                      on_path_[m * machine_count() + n]);
+    return residual::vswitch_rate_bps(v.rate_bps(m, n), on_path_[m].counts()[n]);
   }
   switch (model) {
     case RateModel::Pipe: {
@@ -74,7 +173,7 @@ double PlacementEngine::rate_bps(std::size_t m, std::size_t n, RateModel model) 
       // the result is bit-identical to the uncached transfer_rate_bps.
       const double c = v.cross_traffic.empty() ? 0.0 : v.cross_traffic(m, n);
       return residual::pipe_rate_bps(v.rate_bps(m, n) * (c + 1.0), c,
-                                     on_path_[m * machine_count() + n]);
+                                     on_path_[m].counts()[n]);
     }
     case RateModel::Hose:
       return residual::hose_rate_bps(v.rate_bps(m, n), hose_bps(m), hose_cross_out_of(m),
@@ -106,7 +205,7 @@ void PlacementEngine::apply(const Application& app, const Placement& placement, 
   }
   for_each_placed_transfer(app, placement, [&](std::size_t m, std::size_t n, double) {
     register_transfer(m, n, sign);
-    CHOREO_ASSERT(on_path_[m * machine_count() + n] >= 0);
+    CHOREO_ASSERT(on_path_[m].counts()[n] >= 0);
   });
 }
 

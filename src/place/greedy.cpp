@@ -102,26 +102,35 @@ Placement GreedyPlacer::place(const Application& app, const ClusterState& state)
     // candidate with a lower index wins the tie-break, whatever the visit
     // order). The co-located candidate goes first: its rate is
     // kIntraMachineRate, which usually leaves nothing else to evaluate.
-    if (mi != kUnplaced) {
-      consider(mi, mi);
-      const double* ub = eng.upper_bound_row(mi);
-      for (std::size_t n = 0; n < M; ++n) {
-        if (n != mi && ub[n] >= best.rate) consider(mi, n);
-      }
-    } else if (mj != kUnplaced) {
-      consider(mj, mj);
-      for (std::size_t m = 0; m < M; ++m) {
-        if (m != mj && eng.upper_bound_row(m)[mj] >= best.rate) consider(m, mj);
-      }
-    } else {
-      for (std::size_t m = 0; m < M; ++m) consider(m, m);
-      for (std::size_t m = 0; m < M; ++m) {
-        if (eng.peer_bound_max(m) < best.rate) continue;
-        const double* ub = eng.upper_bound_row(m);
+    const auto scan = [&](auto bound) {
+      if (mi != kUnplaced) {
+        consider(mi, mi);
         for (std::size_t n = 0; n < M; ++n) {
-          if (n != m && ub[n] >= best.rate) consider(m, n);
+          if (n != mi && bound(mi, n) >= best.rate) consider(mi, n);
+        }
+      } else if (mj != kUnplaced) {
+        consider(mj, mj);
+        for (std::size_t m = 0; m < M; ++m) {
+          if (m != mj && bound(m, mj) >= best.rate) consider(m, mj);
+        }
+      } else {
+        for (std::size_t m = 0; m < M; ++m) consider(m, m);
+        for (std::size_t m = 0; m < M; ++m) {
+          if (eng.peer_bound_max(m) < best.rate) continue;
+          for (std::size_t n = 0; n < M; ++n) {
+            if (n != m && bound(m, n) >= best.rate) consider(m, n);
+          }
         }
       }
+    };
+    if (model_ == RateModel::Hose) {
+      // The measured rate R(m, n) bounds every hose and vswitch rate
+      // exactly (both only ever take a minimum with it or divide it down),
+      // so the hose scan reads the view's rate rows.
+      const double* rate = view.rate_bps.data().data();
+      scan([rate, M](std::size_t m, std::size_t n) { return rate[m * M + n]; });
+    } else {
+      scan([&eng](std::size_t m, std::size_t n) { return eng.upper_bound_bps(m, n); });
     }
 
     if (best.m == kUnplaced) {

@@ -15,9 +15,11 @@ namespace choreo::place {
 /// previously committed ones) under the configured rate model.
 ///
 /// Candidate selection runs on the state's PlacementEngine: O(1) cached
-/// residual rates, the co-located candidate first, then a scan of the
-/// static upper bounds that skips every candidate (and, with both endpoints
-/// free, every row) whose bound cannot beat the best exact rate found.
+/// residual rates, the co-located candidate first, then a scan of static
+/// upper bounds that skips every candidate (and, with both endpoints free,
+/// every row) whose bound cannot beat the best exact rate found. Under the
+/// hose model the bound is the view's measured rate itself; under the pipe
+/// model it is PlacementEngine::upper_bound_bps, computed from the view.
 /// Results are bit-identical to the exhaustive scan (ExhaustiveGreedyPlacer
 /// in oracles/), pinned by test_engine_differential.
 ///

@@ -19,9 +19,10 @@ PlacementService::Result PlacementService::place(const place::Application& app,
   const std::shared_ptr<const ClusterSnapshot> snap = snapshot();
   if (scratch.base_ != snap) {
     // The epoch moved (or this arena is fresh): rebuild it from the new
-    // snapshot. clone() shares the snapshot's static indexes and copies only
-    // its residual occupancy; in the steady state (no swap between queries)
-    // this branch is never taken and a query costs only the pointer compare.
+    // snapshot. clone() shares the snapshot's static indexes and its
+    // per-path rows copy-on-write, copying O(n); in the steady state (no
+    // swap between queries) this branch is never taken and a query costs
+    // only the pointer compare.
     CHOREO_OBS_SPAN(refresh, scratch.obs_, "serve.refresh", "serve");
     scratch.state_.emplace(snap->state.clone());
     scratch.base_ = snap;

@@ -28,15 +28,17 @@ struct ClusterSnapshot {
 
 /// A per-worker placement arena: a clone of the current snapshot's engine
 /// that a query thread runs its tentative Txn search on. The clone shares
-/// the snapshot's immutable view and static indexes and owns a copy of the
-/// residual occupancy, the only part a search writes to. Placement
-/// algorithms mutate the residuals in place (and roll back), so concurrent
-/// queries cannot share one state — but they can each keep ONE clone and
-/// reuse it across queries, refreshing only when the service publishes a
-/// new epoch. In the steady state a query costs a pointer comparison; a
-/// refresh copies the residuals (O(n^2) 32-bit per-path counts), never the
-/// view or the static bounds. Each thread owns its Scratch exclusively; a
-/// Scratch is never shared.
+/// the snapshot's immutable view and static indexes, and shares its
+/// per-path count rows copy-on-write: the residuals are the only part a
+/// search writes to, and a write copies the row first while the snapshot
+/// (or another arena) still holds it. Placement algorithms mutate the
+/// residuals in place (and roll back), so concurrent queries cannot share
+/// one state — but they can each keep ONE clone and reuse it across
+/// queries, refreshing only when the service publishes a new epoch. In the
+/// steady state a query costs a pointer comparison; a refresh copies O(n)
+/// row handles and per-machine counts, and the next search copies only the
+/// rows it writes, never the view. Each thread owns its Scratch
+/// exclusively; a Scratch is never shared.
 class Scratch {
  public:
   Scratch() = default;

@@ -236,6 +236,12 @@ TEST_P(EngineDifferential, CachedRatesEqualUncachedRates) {
         // The static bound the greedy prunes on really bounds the rate.
         EXPECT_LE(eng.rate_bps(m, n, model), eng.upper_bound_bps(m, n));
       }
+      if (m == n) continue;
+      // What the greedy's scans read instead of a stored bound: the hose
+      // scan prunes on the measured rate, and the row skip on the row's
+      // largest bound, which must cover every bound in the row.
+      EXPECT_LE(eng.rate_bps(m, n, RateModel::Hose), state.view().rate_bps(m, n));
+      EXPECT_GE(eng.peer_bound_max(m), eng.upper_bound_bps(m, n));
     }
   }
 }
@@ -458,6 +464,93 @@ TEST_P(EngineDifferential, CloneEqualsOriginalAndIsIsolated) {
     expect_same_view(shared->view(), copy_view);
     expect_same_statics(static_indexes(shared->engine()), copy_statics);
   }
+}
+
+// Clones share their per-path rows copy-on-write. Every write path — commit,
+// release, and a Txn's apply and rollback — must copy a shared row before
+// writing it: run on the original and then on its clone, each write leaves
+// the writer equal to a fresh replay of its own live apps and the other side
+// exactly as it was, mid-Txn included. Every row of an unoccupied engine
+// shares one zero row, which a commit writing one of those rows must leave
+// zero for the others, and for other unoccupied clones of the same state.
+TEST_P(EngineDifferential, CopyOnWriteIsolatesEveryWritePath) {
+  Rng rng(GetParam() + 17000);
+  const std::size_t machines = static_cast<std::size_t>(rng.uniform_int(4, 16));
+  const ClusterView view = corpus_cluster(rng, machines);
+  ClusterState original(view);
+  GreedyPlacer greedy(RateModel::Hose);
+  using Live = std::vector<std::pair<Application, Placement>>;
+  const auto place_and_commit = [&](ClusterState& state, Live& live) {
+    for (int tries = 0; tries < 8; ++tries) {
+      const Application app = corpus_app(rng, machines);
+      try {
+        const Placement p = greedy.place(app, state);
+        state.commit(app, p);
+        live.push_back({app, p});
+        return;
+      } catch (const PlacementError&) {
+      }
+    }
+  };
+  const auto replay = [&](const Live& live) {
+    ClusterState fresh(view);
+    for (const auto& [app, p] : live) fresh.commit(app, p);
+    return residuals(fresh);
+  };
+
+  Live original_live;
+  for (int a = 0; a < 3; ++a) place_and_commit(original, original_live);
+  ClusterState copy = original.clone();
+  Live copy_live = original_live;
+
+  struct Side {
+    ClusterState* state;
+    Live* live;
+  };
+  const Side sides[] = {{&original, &original_live}, {&copy, &copy_live}};
+  for (std::size_t w = 0; w < 2; ++w) {
+    SCOPED_TRACE(w == 0 ? "writing the original" : "writing the clone");
+    ClusterState& writer = *sides[w].state;
+    Live& live = *sides[w].live;
+    const ClusterState& other = *sides[1 - w].state;
+    const std::vector<double> other_before = residuals(other);
+
+    place_and_commit(writer, live);
+    EXPECT_EQ(residuals(writer), replay(live));
+    EXPECT_EQ(residuals(other), other_before);
+
+    if (!live.empty()) {
+      writer.release(live.front().first, live.front().second);
+      live.erase(live.begin());
+    }
+    EXPECT_EQ(residuals(writer), replay(live));
+    EXPECT_EQ(residuals(other), other_before);
+
+    // A tentative placement of a committed app over every path it uses.
+    if (!live.empty()) {
+      const auto& [app, p] = live.back();
+      PlacementEngine::Txn txn(writer.engine());
+      for (std::size_t t = 0; t < app.task_count(); ++t) {
+        txn.apply_task(p.machine_of_task[t], app.cpu_demand[t]);
+      }
+      for_each_placed_transfer(app, p, [&](std::size_t m, std::size_t n, double) {
+        txn.apply_transfer(m, n);
+      });
+      EXPECT_EQ(residuals(other), other_before);
+      txn.rollback();
+    }
+    EXPECT_EQ(residuals(writer), replay(live));
+    EXPECT_EQ(residuals(other), other_before);
+  }
+
+  const ClusterState zeros = ClusterState(view).clone_unoccupied();
+  ClusterState sharer = original.clone_unoccupied();
+  const ClusterState other_sharer = original.clone_unoccupied();
+  Live sharer_live;
+  place_and_commit(sharer, sharer_live);
+  EXPECT_EQ(residuals(sharer), replay(sharer_live));
+  EXPECT_EQ(residuals(other_sharer), residuals(zeros));
+  EXPECT_EQ(residuals(original.clone_unoccupied()), residuals(zeros));
 }
 
 // A rate discount with one bad factor must throw before scaling any rate:

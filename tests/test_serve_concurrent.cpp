@@ -253,5 +253,43 @@ TEST(ServeConcurrent, ConcurrentCommitsFromOneWriterStayCoherent) {
   }
 }
 
+// Clones share their per-path rows copy-on-write, and a row is written in
+// place once no other engine holds it. Here a reader thread reads a row
+// through its clone and drops the clone; the writer learns that only through
+// a relaxed flag, which orders nothing, and then commits into the original,
+// which now holds the row alone and writes it in place. The share count
+// itself must order the reader's reads before that write: TSan reports the
+// pair as a race when the in-place check does not synchronize with the
+// dropped handle.
+TEST(ServeConcurrent, DroppedCloneRowsAreWrittenInPlaceWithoutRace) {
+  constexpr std::size_t kMachines = 8;
+  Rng rng(7);
+  place::ClusterState original(random_view(rng, kMachines));
+  place::Application app;
+  app.cpu_demand = {0.5, 0.5};
+  app.traffic_bytes = DoubleMatrix(2, 2, 0.0);
+  app.traffic_bytes(0, 1) = 1e6;
+  const place::Placement placement{{0, 1}};
+  // The first commit gives the original its own row 0 (until then all its
+  // rows shared one zero row).
+  original.commit(app, placement);
+
+  std::atomic<bool> dropped{false};
+  double seen = 0.0;
+  std::thread reader([&dropped, &seen, copy = original.clone()]() mutable {
+    {
+      const place::ClusterState mine = std::move(copy);
+      for (std::size_t n = 0; n < kMachines; ++n) seen += mine.transfers_on_path(0, n);
+    }
+    dropped.store(true, std::memory_order_relaxed);
+  });
+  while (!dropped.load(std::memory_order_relaxed)) std::this_thread::yield();
+  original.commit(app, placement);
+  reader.join();
+
+  EXPECT_EQ(seen, 1.0);
+  EXPECT_EQ(original.transfers_on_path(0, 1), 2.0);
+}
+
 }  // namespace
 }  // namespace choreo::serve
