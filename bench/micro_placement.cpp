@@ -102,8 +102,9 @@ BENCHMARK(BM_GreedyPlacementExhaustive)->Args({40, 10})->Args({200, 10});
 // view into an occupied state (static bounds rebuilt from the view,
 // residuals kept). The second argument is the share of pairs (%) each new
 // view changes; iterations alternate between two views that differ in
-// exactly those pairs. Every update rebuilds the whole block, so the share
-// should not move the cost.
+// exactly those pairs. The two views share the chunks of every row neither
+// changed, and only the other rows are swept: at 0% none, while 1% of the
+// pairs of a 500-VM view touches nearly every row.
 void BM_EngineUpdateView(benchmark::State& state) {
   Rng rng(42);
   const auto machines = static_cast<std::size_t>(state.range(0));
@@ -115,8 +116,8 @@ void BM_EngineUpdateView(benchmark::State& state) {
   cluster.commit(app, greedy.place(app, cluster));
   std::size_t i = 0;
   for (auto _ : state) {
-    // The production path (Choreo::measure_network) moves a freshly built
-    // view in; keep the O(n^2) copy needed to repeat that outside the timer.
+    // The production path (Choreo::measure_network) moves a view in; keep
+    // the copy (one handle per row chunk) outside the timer.
     state.PauseTiming();
     place::ClusterView fresh = views[++i % 2];
     state.ResumeTiming();
@@ -178,7 +179,7 @@ void BM_SnapshotPublish(benchmark::State& state) {
   std::size_t i = 0;
   for (auto _ : state) {
     state.PauseTiming();
-    place::ClusterView fresh = views[++i % 2];  // the O(n^2) copy the producer hands in
+    place::ClusterView fresh = views[++i % 2];  // the copy the producer hands in
     state.ResumeTiming();
     service.publish_view(std::move(fresh));
     benchmark::DoNotOptimize(service.epoch());

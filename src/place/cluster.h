@@ -44,7 +44,10 @@ enum class RateModel {
 const char* to_string(RateModel m);
 
 /// The tenant's knowledge of its rented cluster: what Choreo's measurement
-/// phase produces (or, in tests, ground truth).
+/// phase produces (or, in tests, ground truth). Its matrices share row
+/// chunks copy-on-write (util/matrix.h), so a copy of a view costs one
+/// handle per chunk and a refresh written into the copy copies only the
+/// rows it writes.
 struct ClusterView {
   /// R: single-connection TCP throughput of each VM pair (bits/s). The
   /// diagonal is ignored (intra-machine transfers are free).
@@ -166,9 +169,12 @@ class ClusterState {
   /// Swaps in a freshly measured view of the same fleet, same hosts (equal
   /// colocation groups; throws otherwise, with the state untouched) while
   /// keeping the residual occupancy (committed CPU and transfer counts) —
-  /// what makes a §2.4 measurement refresh one sweep over the new view's
+  /// what makes a §2.4 measurement refresh a sweep over the new view's
   /// rates into O(n) static indexes instead of a full replay of every
-  /// running application.
+  /// running application. The sweep visits only the rows whose rate or
+  /// cross-traffic chunk is not the one the current view holds: pass a copy
+  /// of view() with the refresh written into it, and a refresh that rewrote
+  /// k rows costs O(k n), not O(n^2).
   void update_view(ClusterView view);
 
   /// A state sharing the view and cached indexes but with zero occupancy —
@@ -177,10 +183,12 @@ class ClusterState {
 
   /// A copy with the same view, cached indexes, AND residual occupancy.
   /// What the serving plane refreshes its per-worker scratch arenas from
-  /// when a new snapshot epoch is published. The view and cached indexes
-  /// are immutable and shared with the original, and the per-path counts
-  /// are shared row by row until either side writes one, so a clone costs
-  /// O(n), not a copy of the O(n^2) counts.
+  /// when a new snapshot epoch is published, and what it builds each next
+  /// snapshot on. The view and cached indexes are immutable and shared with
+  /// the original, and the per-path counts are shared row by row until
+  /// either side writes one, so a clone costs O(n), not a copy of the
+  /// O(n^2) counts; an update_view on the clone then reuses the indexes of
+  /// every row its new view did not change.
   ClusterState clone() const;
 
   /// The engine this state is backed by. Returned non-const from a const

@@ -3,54 +3,18 @@
 #include <algorithm>
 #include <bit>
 #include <limits>
-#include <new>
 #include <utility>
 
 namespace choreo::place {
 
 PlacementEngine::PlacementEngine(ClusterView view)
-    : PlacementEngine(std::make_shared<const Static>(std::move(view))) {}
+    : PlacementEngine(std::make_shared<const Static>(std::move(view), nullptr)) {}
 
 PlacementEngine::PlacementEngine(std::shared_ptr<const Static> statics)
     : static_(std::move(statics)),
       used_cores_(machine_count(), 0.0),
-      on_path_(machine_count(), PathRow(machine_count())),
+      on_path_(machine_count(), CowArray<std::int32_t>(machine_count(), 0)),
       out_of_(machine_count(), 0) {}
-
-PlacementEngine::PathRow::PathRow(std::size_t size) : block_(allocate(size)) {
-  std::fill_n(block_->counts(), size, 0);
-}
-
-PlacementEngine::PathRow::PathRow(const PathRow& other) noexcept : block_(other.block_) {
-  // A new handle is made from a live one, so the row cannot be freed
-  // meanwhile: the increment needs no ordering.
-  block_->refs.fetch_add(1, std::memory_order_relaxed);
-}
-
-PlacementEngine::PathRow::~PathRow() { drop(block_); }
-
-PlacementEngine::PathRow::Block* PlacementEngine::PathRow::allocate(std::size_t size) {
-  CHOREO_REQUIRE(size <= std::numeric_limits<std::uint32_t>::max());
-  Block* block = ::new (::operator new(sizeof(Block) + size * sizeof(std::int32_t))) Block;
-  block->size = static_cast<std::uint32_t>(size);
-  return block;
-}
-
-void PlacementEngine::PathRow::drop(Block* block) noexcept {
-  // Release publishes this handle's reads to whoever next sees the count
-  // fall; the last handle's acquire orders them before the free.
-  if (block->refs.fetch_sub(1, std::memory_order_acq_rel) == 1) {
-    block->~Block();
-    ::operator delete(block);
-  }
-}
-
-void PlacementEngine::PathRow::unshare() {
-  Block* copy = allocate(block_->size);
-  std::copy_n(block_->counts(), block_->size, copy->counts());
-  drop(block_);
-  block_ = copy;
-}
 
 namespace {
 
@@ -97,14 +61,17 @@ double two_ulps_below(double x) {
   return std::bit_cast<double>(bits - std::min<std::uint64_t>(bits, 2));
 }
 
+const double* cross_row(const ClusterView& view, std::size_t m) {
+  return view.cross_traffic.empty() ? nullptr : view.cross_traffic.row(m);
+}
+
 }  // namespace
 
-PlacementEngine::Static::Static(ClusterView v) : view(std::move(v)) {
+PlacementEngine::Static::Static(ClusterView v, const Static* previous) : view(std::move(v)) {
   view.validate_shape();  // before anything is sized from it
   const std::size_t M = view.machine_count();
-  hose.resize(M);
-  cross_out.resize(M);
-  peer_max.resize(M);
+  rate_rows.resize(M);
+  rows.resize(M);
   // Every index repeats the arithmetic and comparison order of its uncached
   // counterpart (ClusterView::hose_bps, hose_cross_out, the bound formula),
   // so the cached doubles are theirs. Counts only divide a rate down, so a
@@ -112,49 +79,64 @@ PlacementEngine::Static::Static(ClusterView v) : view(std::move(v)) {
   // the literal R*(c+1)/(c+1). Its two roundings are each within half an
   // ulp, so it exceeds R by at most two ulps (for finite R*(c+1)): only a
   // peer whose rate is within two ulps of the row's largest rate can raise
-  // the row's largest bound, and only those get the division. The rate join
-  // keeps each block of peers' largest rate, so that bound pass visits only
-  // the blocks that reach that far.
+  // the row's largest bound. A row of at most one block of peers takes every
+  // bound in its one fused pass. A longer row joins its rates block by block,
+  // keeping each block's largest rate, and the bound pass visits only the
+  // blocks that reach within two ulps of the row's largest.
   struct PeerBlock {
     std::size_t begin, end;
     double max;
   };
   constexpr std::size_t kBlock = 64;
   std::vector<PeerBlock> blocks;
-  blocks.reserve(M / kBlock + 2);
+  const int* groups = view.colocation_group.data();
   bool rates_positive = true;
   for (std::size_t m = 0; m < M; ++m) {
-    const double* rate = view.rate_bps.data().data() + m * M;
-    const double* cross =
-        view.cross_traffic.empty() ? nullptr : view.cross_traffic.data().data() + m * M;
-    const int group = view.colocation_group[m];
+    const double* rate = rate_rows[m] = view.rate_bps.row(m);
+    const double* cross = cross_row(view, m);
+    if (previous && previous->rate_rows[m] == rate && cross_row(previous->view, m) == cross) {
+      rows[m] = previous->rows[m];
+      continue;
+    }
+    const int group = groups[m];
     double far = 0.0, any = 0.0;  // best rate to a non-colocated peer, to any peer
     double c_out = 0.0;
-    blocks.clear();
-    for (const auto& [begin, end] : {std::pair{std::size_t{0}, m}, std::pair{m + 1, M}}) {
-      for (std::size_t b = begin; b < end; b += kBlock) {
-        const std::size_t e = std::min(end, b + kBlock);
-        blocks.push_back({b, e,
-                          join_peers(rate, cross, view.colocation_group.data(), group, b, e,
-                                     far, c_out, rates_positive)});
-        any = std::max(any, blocks.back().max);
-      }
-    }
-    const double near = two_ulps_below(any);
     double pipe_max = -std::numeric_limits<double>::infinity();
-    for (const PeerBlock& block : blocks) {
-      if (block.max < near) continue;
-      for (std::size_t n = block.begin; n < block.end; ++n) {
+    if (M - 1 <= kBlock) {
+      for (std::size_t n = 0; n < M; ++n) {
+        if (n == m) continue;
         const double r = rate[n];
-        if (r < near || view.colocation_group[n] == group) continue;
+        rates_positive = rates_positive & (r > 0.0);
+        any = std::max(any, r);
+        if (groups[n] == group) continue;
         const double c = cross ? cross[n] : 0.0;
-        pipe_max =
-            std::max(pipe_max, std::max(r, residual::pipe_rate_bps(r * (c + 1.0), c, 0.0)));
+        far = std::max(far, r);
+        c_out = std::max(c_out, c);
+        pipe_max = std::max(pipe_max, std::max(r, residual::pipe_rate_bps(r * (c + 1.0), c, 0.0)));
+      }
+    } else {
+      blocks.clear();
+      for (const auto& [begin, end] : {std::pair{std::size_t{0}, m}, std::pair{m + 1, M}}) {
+        for (std::size_t b = begin; b < end; b += kBlock) {
+          const std::size_t e = std::min(end, b + kBlock);
+          blocks.push_back(
+              {b, e, join_peers(rate, cross, groups, group, b, e, far, c_out, rates_positive)});
+          any = std::max(any, blocks.back().max);
+        }
+      }
+      const double near = two_ulps_below(any);
+      for (const PeerBlock& block : blocks) {
+        if (block.max < near) continue;
+        for (std::size_t n = block.begin; n < block.end; ++n) {
+          const double r = rate[n];
+          if (r < near || groups[n] == group) continue;
+          const double c = cross ? cross[n] : 0.0;
+          pipe_max =
+              std::max(pipe_max, std::max(r, residual::pipe_rate_bps(r * (c + 1.0), c, 0.0)));
+        }
       }
     }
-    hose[m] = far == 0.0 ? any : far;
-    cross_out[m] = c_out;
-    peer_max[m] = M > 1 ? std::max(any, pipe_max) : pipe_max;
+    rows[m] = {far == 0.0 ? any : far, c_out, M > 1 ? std::max(any, pipe_max) : pipe_max};
   }
   CHOREO_REQUIRE_MSG(rates_positive, "every off-diagonal rate must be positive");
 }
@@ -163,21 +145,18 @@ double PlacementEngine::rate_bps(std::size_t m, std::size_t n, RateModel model) 
   CHOREO_REQUIRE(m < machine_count() && n < machine_count());
   if (m == n) return kIntraMachineRate;
   const ClusterView& v = view();
-  if (v.colocated(m, n)) {
-    return residual::vswitch_rate_bps(v.rate_bps(m, n), on_path_[m].counts()[n]);
-  }
+  const double r = static_->rate_rows[m][n];
+  if (v.colocated(m, n)) return residual::vswitch_rate_bps(r, on_path_[m].data()[n]);
   switch (model) {
     case RateModel::Pipe: {
       // One cross-traffic fetch feeds both the capacity R*(c+1) and the
       // share term — the same literal arithmetic path_capacity_bps runs, so
       // the result is bit-identical to the uncached transfer_rate_bps.
       const double c = v.cross_traffic.empty() ? 0.0 : v.cross_traffic(m, n);
-      return residual::pipe_rate_bps(v.rate_bps(m, n) * (c + 1.0), c,
-                                     on_path_[m].counts()[n]);
+      return residual::pipe_rate_bps(r * (c + 1.0), c, on_path_[m].data()[n]);
     }
     case RateModel::Hose:
-      return residual::hose_rate_bps(v.rate_bps(m, n), hose_bps(m), hose_cross_out_of(m),
-                                     out_of_[m]);
+      return residual::hose_rate_bps(r, hose_bps(m), hose_cross_out_of(m), out_of_[m]);
   }
   CHOREO_ASSERT(false);
   return 0.0;
@@ -205,7 +184,7 @@ void PlacementEngine::apply(const Application& app, const Placement& placement, 
   }
   for_each_placed_transfer(app, placement, [&](std::size_t m, std::size_t n, double) {
     register_transfer(m, n, sign);
-    CHOREO_ASSERT(on_path_[m].counts()[n] >= 0);
+    CHOREO_ASSERT(on_path_[m].data()[n] >= 0);
   });
 }
 
@@ -214,7 +193,9 @@ void PlacementEngine::update_view(ClusterView view) {
                          view.colocation_group == this->view().colocation_group,
                      "update_view needs the same fleet on the same hosts; rebuild the "
                      "state otherwise");
-  static_ = std::make_shared<const Static>(std::move(view));
+  // The old block stays alive until the new one is built, so its chunks'
+  // addresses cannot be reused by the new view while rows are compared.
+  static_ = std::make_shared<const Static>(std::move(view), static_.get());
 }
 
 PlacementEngine PlacementEngine::clone_unoccupied() const {

@@ -1,13 +1,13 @@
 #pragma once
 
 #include <algorithm>
-#include <atomic>
 #include <cstdint>
 #include <memory>
 #include <vector>
 
 #include "place/cluster.h"
 #include "place/rate_model.h"
+#include "util/cow_array.h"
 
 namespace choreo::place {
 
@@ -32,7 +32,9 @@ namespace choreo::place {
 ///     whose largest bound cannot. Per-pair bounds are read from the view
 ///     itself (upper_bound_bps), so the view and these O(n) indexes form one
 ///     immutable `Static` block shared by every clone: a view change builds
-///     a new block and never touches a published one.
+///     a new block and never touches a published one. Every index is
+///     row-local, so the new block re-sweeps only the rows whose rate or
+///     cross-traffic chunk the new view does not share with the old one.
 ///
 ///   * **Residual indexes as first-class mutable state**: CPU slack,
 ///     per-path placed-transfer counts and per-source out-of-hose counts,
@@ -54,8 +56,8 @@ namespace choreo::place {
 /// concurrent one); a Txn mutates the engine in place and must be rolled
 /// back (or destroyed) before observable state is read by anyone else.
 /// Distinct engines that share rows may live on distinct threads: the
-/// share count is atomic, and a row is written in place only by the one
-/// engine holding it.
+/// share count is atomic (util/cow_array.h), and a row is written in place
+/// only by the one engine holding it.
 class PlacementEngine {
  public:
   explicit PlacementEngine(ClusterView view);
@@ -85,7 +87,7 @@ class PlacementEngine {
   /// Transfers currently placed on path m->n (inter-machine only),
   /// committed plus any tentative Txn applications.
   double transfers_on_path(std::size_t m, std::size_t n) const {
-    return on_path_[m].counts()[n];
+    return on_path_[m].data()[n];
   }
   /// Transfers currently leaving machine m for non-colocated machines.
   double transfers_out_of(std::size_t m) const { return out_of_[m]; }
@@ -97,10 +99,14 @@ class PlacementEngine {
 
   // ---- Static indexes (replaced by update_view, O(1) to read) ----
 
+  /// view().rate_bps.row(m) for every machine m, cached per view: greedy's
+  /// scans hoist this array and read R(m, n) as rate_rows()[m][n], with no
+  /// chunk lookup per candidate. Valid until update_view or destruction.
+  const double* const* rate_rows() const { return static_->rate_rows.data(); }
   /// Cached ClusterView::hose_bps(m).
-  double hose_bps(std::size_t m) const { return static_->hose[m]; }
+  double hose_bps(std::size_t m) const { return static_->rows[m].hose; }
   /// Cached hose_cross_out(view, m).
-  double hose_cross_out_of(std::size_t m) const { return static_->cross_out[m]; }
+  double hose_cross_out_of(std::size_t m) const { return static_->rows[m].cross_out; }
   /// Static upper bound on rate_bps(m, n, model) in ANY residual state:
   /// kIntraMachineRate on the diagonal, R(m, n) to a co-located peer, and
   /// otherwise the measured single-connection rate joined with the pipe
@@ -113,16 +119,15 @@ class PlacementEngine {
   double upper_bound_bps(std::size_t m, std::size_t n) const {
     if (m == n) return kIntraMachineRate;
     const ClusterView& v = view();
-    const std::size_t at = m * machine_count() + n;
-    const double r = v.rate_bps.data()[at];
+    const double r = static_->rate_rows[m][n];
     if (v.colocated(m, n)) return r;
-    const double c = v.cross_traffic.empty() ? 0.0 : v.cross_traffic.data()[at];
+    const double c = v.cross_traffic.empty() ? 0.0 : v.cross_traffic.row(m)[n];
     return std::max(r, residual::pipe_rate_bps(r * (c + 1.0), c, 0.0));
   }
   /// Largest off-diagonal upper_bound_bps in row m, exactly; -infinity for a
   /// one-machine fleet. A both-endpoints-free greedy search skips row m when
   /// this cannot beat the best exact rate found.
-  double peer_bound_max(std::size_t m) const { return static_->peer_max[m]; }
+  double peer_bound_max(std::size_t m) const { return static_->rows[m].peer_max; }
 
   // ---- Committed mutations ----
 
@@ -136,8 +141,11 @@ class PlacementEngine {
   /// colocation groups, checked before anything is replaced), keeping the
   /// residual occupancy: the out-of-hose counts depend on the groups alone,
   /// so no replay of running applications is ever needed. Builds a new
-  /// static block in the constructor's one validating sweep, which reads the
-  /// view's O(n^2) rates and writes O(n) indexes; clones keep the old one.
+  /// static block; clones keep the old one. A row whose rate and
+  /// cross-traffic chunks are the ones the old block read (a view copied
+  /// from this one shares every chunk it did not write) keeps its indexes,
+  /// and every other row takes the constructor's validating sweep, so a
+  /// refresh reads O(changed rows x n) rates and writes O(n) indexes.
   void update_view(ClusterView view);
 
   /// Copy sharing the view and static indexes, with zero occupancy: every
@@ -210,59 +218,35 @@ class PlacementEngine {
   };
 
   void register_transfer(std::size_t m, std::size_t n, std::int32_t delta) {
-    on_path_[m].mutable_counts()[n] += delta;
+    on_path_[m].mutable_data()[n] += delta;
     if (!view().colocated(m, n)) out_of_[m] += delta;
   }
   void apply(const Application& app, const Placement& placement, int sign);
-
-  /// One source row of per-path transfer counts (machine_count entries,
-  /// indexed by destination), shared copy-on-write: copying a handle shares
-  /// the row, and mutable_counts() first copies it unless this handle is
-  /// the only one. The share count is atomic because reader threads copy a
-  /// published engine's handles while the writer asks whether its own are
-  /// unshared; an acquire load of a count of 1 sees every access the
-  /// released handles made, so the in-place write cannot race them.
-  class PathRow {
-   public:
-    /// A new row of `size` zero counts.
-    explicit PathRow(std::size_t size);
-    PathRow(const PathRow& other) noexcept;
-    PathRow& operator=(const PathRow&) = delete;
-    ~PathRow();
-
-    const std::int32_t* counts() const { return block_->counts(); }
-    /// The row for writing, copied first while another handle shares it.
-    std::int32_t* mutable_counts() {
-      if (block_->refs.load(std::memory_order_acquire) != 1) unshare();
-      return block_->counts();
-    }
-
-   private:
-    /// Header of one allocation: the share count and size, then the counts.
-    struct Block {
-      std::atomic<std::uint32_t> refs{1};
-      std::uint32_t size = 0;
-      std::int32_t* counts() { return reinterpret_cast<std::int32_t*>(this + 1); }
-    };
-    static Block* allocate(std::size_t size);
-    static void drop(Block* block) noexcept;
-    void unshare();
-
-    Block* block_;
-  };
 
   /// The view and every index that is a function of it alone, built in one
   /// validating sweep over the view's rows and never mutated: clones share
   /// it, and a view change replaces it. Apart from the view it holds O(n):
   /// per-pair bounds are computed from the view (upper_bound_bps).
   struct Static {
+    /// Machine m's indexes: a function of the view's rate and cross-traffic
+    /// rows m and the colocation groups alone.
+    struct Row {
+      double hose;
+      double cross_out;
+      double peer_max;  // max of upper_bound_bps(m, n) over n != m
+    };
     ClusterView view;
-    std::vector<double> hose;
-    std::vector<double> cross_out;
-    std::vector<double> peer_max;  // per row: max of upper_bound_bps(m, n) over n != m
+    std::vector<const double*> rate_rows;  // view.rate_bps.row(m)
+    std::vector<Row> rows;
 
-    /// Throws where ClusterView::validate() would.
-    explicit Static(ClusterView view);
+    /// Throws where ClusterView::validate() would. `previous`, if given, is
+    /// the block of a view of the same fleet on the same hosts: a row whose
+    /// rate and cross-traffic rows are the very arrays `previous` read
+    /// (pointer identity, never a value comparison) takes its Row from
+    /// there. That is sound because `previous` keeps its chunks alive, so no
+    /// new chunk can reuse their addresses, and a chunk that two views
+    /// share is never written in place.
+    Static(ClusterView view, const Static* previous);
   };
 
   /// An unoccupied engine over an already built static block, its rows all
@@ -272,13 +256,14 @@ class PlacementEngine {
   std::shared_ptr<const Static> static_;
 
   // Residual indexes (committed plus open-Txn tentative state). on_path_
-  // holds one copy-on-write row per source, indexed without per-access
-  // bounds checks — the rate query on the serving hot path touches it once
-  // per candidate. Counts are 32-bit integers: a row copy moves half the
-  // bytes of doubles, and the rate formulas' int-to-double conversion is
-  // exact.
+  // holds one source row of per-path transfer counts per machine, indexed
+  // by destination and shared copy-on-write between clones, read without
+  // per-access bounds checks — the rate query on the serving hot path
+  // touches it once per candidate. Counts are 32-bit integers: a row copy
+  // moves half the bytes of doubles, and the rate formulas' int-to-double
+  // conversion is exact.
   std::vector<double> used_cores_;
-  std::vector<PathRow> on_path_;  // one row per source machine
+  std::vector<CowArray<std::int32_t>> on_path_;  // one row per source machine
   std::vector<std::int32_t> out_of_;
 
   std::vector<Op> txn_log_;

@@ -126,9 +126,10 @@ Placement GreedyPlacer::place(const Application& app, const ClusterState& state)
     if (model_ == RateModel::Hose) {
       // The measured rate R(m, n) bounds every hose and vswitch rate
       // exactly (both only ever take a minimum with it or divide it down),
-      // so the hose scan reads the view's rate rows.
-      const double* rate = view.rate_bps.data().data();
-      scan([rate, M](std::size_t m, std::size_t n) { return rate[m * M + n]; });
+      // so the hose scan reads the view's rate rows, through the engine's
+      // row pointers: a column scan costs no chunk lookup per candidate.
+      const double* const* rate = eng.rate_rows();
+      scan([rate](std::size_t m, std::size_t n) { return rate[m][n]; });
     } else {
       scan([&eng](std::size_t m, std::size_t n) { return eng.upper_bound_bps(m, n); });
     }

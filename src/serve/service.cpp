@@ -46,7 +46,8 @@ void PlacementService::set_observer(const obs::Observer& o) {
   CHOREO_OBS_SET(epoch_gauge_, static_cast<double>(epoch()));
 }
 
-void PlacementService::swap_in(place::ClusterState next) {
+std::shared_ptr<const ClusterSnapshot> PlacementService::swap_in(
+    place::ClusterState next) {
   const std::uint64_t next_epoch = snapshot()->epoch + 1;
   std::shared_ptr<const ClusterSnapshot> snap =
       std::make_shared<const ClusterSnapshot>(next_epoch, std::move(next));
@@ -54,17 +55,20 @@ void PlacementService::swap_in(place::ClusterState next) {
     const std::lock_guard<std::mutex> lock(snap_mutex_);
     snap_.swap(snap);
   }
-  // `snap` now holds the previous snapshot: if no reader still does, it is
-  // freed here, outside the lock.
+  // `snap` now holds the previous snapshot: a caller that drops it frees it,
+  // outside the lock, if no reader still holds it.
   CHOREO_OBS_INC(publishes_, obs_);
   CHOREO_OBS_SET(epoch_gauge_, static_cast<double>(next_epoch));
+  return snap;
 }
 
 void PlacementService::publish_view(place::ClusterView view) {
   CHOREO_OBS_SPAN(span, obs_, "serve.publish", "serve");
   place::ClusterState next = snapshot()->state.clone();
   next.update_view(std::move(view));  // throws on another fleet or hosts, before the swap
-  swap_in(std::move(next));
+  // The view before last is freed here, once the new one is in.
+  const std::shared_ptr<const ClusterSnapshot> before_last = std::move(previous_view_);
+  previous_view_ = swap_in(std::move(next));
 }
 
 void PlacementService::commit(const place::Application& app,

@@ -142,12 +142,19 @@ class PlacementService {
   void set_observer(const obs::Observer& o);
 
  private:
-  void swap_in(place::ClusterState next);
+  /// Swaps `next` in at the next epoch; returns the snapshot it replaced.
+  std::shared_ptr<const ClusterSnapshot> swap_in(place::ClusterState next);
 
   place::RateModel model_;
   /// Guards snap_ for the pointer copy and the swap, nothing longer.
   mutable std::mutex snap_mutex_;
   std::shared_ptr<const ClusterSnapshot> snap_;
+  /// The last snapshot over the view before the current one, held until the
+  /// next publish_view (writer-only). Freeing a view drops one handle per
+  /// row chunk, O(n) for a fleet of n, so the writer's next publish does it
+  /// rather than whichever reader's arena refresh drops the last reference.
+  /// A reader still holding that view by then frees it itself.
+  std::shared_ptr<const ClusterSnapshot> previous_view_;
   obs::Observer obs_;
   obs::Counter publishes_;
   obs::Gauge epoch_gauge_;

@@ -731,6 +731,96 @@ TEST_P(EngineDifferential, UpdateViewEqualsFreshBuild) {
   }
 }
 
+// update_view keeps the indexes of every row whose rate and cross-traffic
+// chunks the new view shares with the engine's old one, and sweeps the rest.
+// Each step takes a copy of the published view, so rows it leaves alone keep
+// their chunks, and rewrites random rows of one kind: rates only, cross
+// traffic only, both, pair epochs only (which no index reads), or nothing.
+// The result must equal a fresh engine over the same view bit for bit: every
+// static index, every cached rate under both models over the committed
+// occupancy, and greedy placements. Fleets span one 64-peer block (the
+// fused row sweep) and several, and chunk layouts with several rows per
+// chunk, so a changed row can share its chunk with unchanged ones.
+TEST_P(EngineDifferential, UpdateViewReusesOnlyUnchangedRows) {
+  Rng rng(GetParam() + 19000);
+  const std::size_t machines = static_cast<std::size_t>(
+      rng.chance(0.5) ? rng.uniform_int(4, 40) : rng.uniform_int(66, 150));
+  ClusterView initial = corpus_cluster(rng, machines);
+  initial.pair_epoch = Matrix<std::uint64_t>(machines, machines, 1);
+  ClusterState state(initial);
+  GreedyPlacer greedy(RateModel::Hose);
+  std::vector<std::pair<Application, Placement>> committed;
+  for (int a = 0; a < 3; ++a) {
+    const Application app = corpus_app(rng, machines);
+    try {
+      const Placement p = greedy.place(app, state);
+      state.commit(app, p);
+      committed.push_back({app, p});
+    } catch (const PlacementError&) {
+    }
+  }
+
+  enum class Kind { kRate, kCross, kBoth, kEpoch, kNone };
+  const char* const names[] = {"rates", "cross traffic", "both", "pair epochs", "nothing"};
+  for (int step = 0; step < 12; ++step) {
+    const auto kind = static_cast<Kind>(rng.uniform_int(0, 4));
+    SCOPED_TRACE(std::string("step ") + std::to_string(step) + ": " +
+                 names[static_cast<int>(kind)]);
+    ClusterView next = state.view();
+    if ((kind == Kind::kCross || kind == Kind::kBoth) && next.cross_traffic.empty()) {
+      next.cross_traffic = DoubleMatrix(machines, machines, 0.0);
+    }
+    const std::size_t rows = kind == Kind::kNone
+                                 ? 0
+                                 : static_cast<std::size_t>(rng.uniform_int(1, 4));
+    for (std::size_t k = 0; k < rows; ++k) {
+      const auto m = static_cast<std::size_t>(
+          rng.uniform_int(0, static_cast<std::int64_t>(machines) - 1));
+      for (std::size_t n = 0; n < machines; ++n) {
+        if (n == m || !rng.chance(0.5)) continue;
+        if (kind == Kind::kRate || kind == Kind::kBoth) {
+          next.rate_bps(m, n) = rng.uniform(mbps(200), mbps(1200));
+        }
+        if (kind == Kind::kCross || kind == Kind::kBoth) {
+          next.cross_traffic(m, n) = rng.uniform(0.0, 3.0);
+        }
+        if (kind == Kind::kEpoch) next.pair_epoch(m, n) += 1;
+      }
+    }
+    state.update_view(next);
+
+    ClusterState fresh(next);
+    for (const auto& [app, p] : committed) fresh.commit(app, p);
+    const PlacementEngine& eng = state.engine();
+    expect_same_statics(static_indexes(eng), static_indexes(fresh.engine()));
+    for (std::size_t m = 0; m < machines; ++m) {
+      for (std::size_t n = 0; n < machines; ++n) {
+        for (const RateModel model : {RateModel::Hose, RateModel::Pipe}) {
+          ASSERT_EQ(eng.rate_bps(m, n, model), fresh.engine().rate_bps(m, n, model))
+              << m << "->" << n << " " << to_string(model);
+        }
+      }
+    }
+    const Application app = corpus_app(rng, machines);
+    for (const RateModel model : {RateModel::Hose, RateModel::Pipe}) {
+      GreedyPlacer g(model);
+      std::optional<Placement> pi, pf;
+      try {
+        pi = g.place(app, state);
+      } catch (const PlacementError&) {
+      }
+      try {
+        pf = g.place(app, fresh);
+      } catch (const PlacementError&) {
+      }
+      ASSERT_EQ(pi.has_value(), pf.has_value());
+      if (pi) {
+        EXPECT_EQ(pi->machine_of_task, pf->machine_of_task);
+      }
+    }
+  }
+}
+
 /// Every static index computed by the uncached helpers the engine's fused
 /// sweep replaces: ClusterView::hose_bps, hose_cross_out, and the per-pair
 /// bound formula with each row's off-diagonal max.
