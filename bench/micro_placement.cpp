@@ -37,15 +37,18 @@ place::ClusterView random_view(Rng& rng, std::size_t machines) {
   return view;
 }
 
-/// A copy of `view` with about `percent`% of its pair rates re-drawn: what a
-/// measurement cycle that saw that share of the fleet move publishes.
-place::ClusterView perturbed(const place::ClusterView& view, Rng& rng, std::int64_t percent) {
+/// A copy of `view` with about `percent`% of its pair rates re-drawn, and
+/// with `cross` those pairs' cross-traffic estimates too: what a measurement
+/// cycle that saw that share of the fleet move publishes.
+place::ClusterView perturbed(const place::ClusterView& view, Rng& rng, std::int64_t percent,
+                             bool cross) {
   place::ClusterView out = view;
   const std::size_t machines = view.machine_count();
   for (std::size_t i = 0; i < machines; ++i) {
     for (std::size_t j = 0; j < machines; ++j) {
       if (i != j && rng.chance(static_cast<double>(percent) / 100.0)) {
         out.rate_bps(i, j) = rng.uniform(3e8, 1.1e9);
+        if (cross) out.cross_traffic(i, j) = rng.uniform(0.0, 3.0);
       }
     }
   }
@@ -104,12 +107,15 @@ BENCHMARK(BM_GreedyPlacementExhaustive)->Args({40, 10})->Args({200, 10});
 // view changes; iterations alternate between two views that differ in
 // exactly those pairs. The two views share the chunks of every row neither
 // changed, and only the other rows are swept: at 0% none, while 1% of the
-// pairs of a 500-VM view touches nearly every row.
+// pairs of a 500-VM view touches nearly every row. The third argument is 1
+// when those pairs' cross traffic changes too: at 0 a swept row keeps its
+// cross-traffic share and joins its rates alone, at 1 it joins both.
 void BM_EngineUpdateView(benchmark::State& state) {
   Rng rng(42);
   const auto machines = static_cast<std::size_t>(state.range(0));
   const place::ClusterView view = random_view(rng, machines);
-  const place::ClusterView views[2] = {view, perturbed(view, rng, state.range(1))};
+  const place::ClusterView views[2] = {
+      view, perturbed(view, rng, state.range(1), state.range(2) != 0)};
   place::ClusterState cluster(view);
   place::GreedyPlacer greedy(place::RateModel::Hose);
   const place::Application app = random_app(rng, 10);
@@ -126,12 +132,14 @@ void BM_EngineUpdateView(benchmark::State& state) {
   }
 }
 BENCHMARK(BM_EngineUpdateView)
-    ->ArgNames({"vms", "changed_pct"})
-    ->Args({50, 100})
-    ->Args({200, 100})
-    ->Args({500, 0})
-    ->Args({500, 1})
-    ->Args({500, 100});
+    ->ArgNames({"vms", "changed_pct", "cross"})
+    ->Args({50, 100, 0})
+    ->Args({200, 100, 0})
+    ->Args({500, 0, 0})
+    ->Args({500, 1, 0})
+    ->Args({500, 100, 0})
+    ->Args({500, 1, 1})
+    ->Args({500, 100, 1});
 
 // Serving-plane arena costs: what a §2.4 hypothetical re-placement pays for
 // a zero-occupancy scratch state...
@@ -174,7 +182,7 @@ void BM_SnapshotPublish(benchmark::State& state) {
   Rng rng(42);
   const auto machines = static_cast<std::size_t>(state.range(0));
   const place::ClusterView view = random_view(rng, machines);
-  const place::ClusterView views[2] = {view, perturbed(view, rng, state.range(1))};
+  const place::ClusterView views[2] = {view, perturbed(view, rng, state.range(1), false)};
   serve::PlacementService service(view, place::RateModel::Hose);
   std::size_t i = 0;
   for (auto _ : state) {

@@ -1,5 +1,7 @@
 #include "place/engine.h"
 
+#include <emmintrin.h>
+
 #include <algorithm>
 #include <bit>
 #include <limits>
@@ -19,39 +21,69 @@ PlacementEngine::PlacementEngine(std::shared_ptr<const Static> statics)
 namespace {
 
 /// Joins peers [begin, end) of row m: returns their largest rate, and joins
-/// into `far` and `c_out` the largest rate and cross traffic to peers off
-/// host `group` (`cross` may be null: no cross traffic), into `positive`
-/// whether every rate is positive (a NaN is not). Four independent chains
-/// per maximum, so the scan does not wait on each max's latency; max is
-/// exact, so the join order changes no result. A peer on the host joins 0,
-/// which leaves `far` and `c_out`, both at least 0, as they were.
+/// into `far` the largest rate to peers off host `group`, into `c_out` (with
+/// kCross; without, `cross` is not read and `c_out` is left as it is) their
+/// largest cross traffic, and into `positive` whether every rate is
+/// positive (a NaN is not). The body takes eight peers a step in SSE2
+/// (baseline x86-64): one 4-wide compare of the groups, widened to 64-bit
+/// lanes, masks on-host peers to +0, and each maximum keeps four independent
+/// 2-lane accumulators, so the scan does not wait on each max's latency.
+/// `_mm_max_pd(r, acc)` is `std::max(acc, r)` bit for bit, NaN and signed
+/// zeros included; no accumulator ever holds a NaN or -0, so the order of
+/// the final joins changes no result, and the scalar tail finishes from the
+/// joined values. A peer on the host joins +0, which leaves `far` and
+/// `c_out`, both at least +0, as they were.
+template <bool kCross>
 double join_peers(const double* rate, const double* cross, const int* groups, int group,
                   std::size_t begin, std::size_t end, double& far, double& c_out,
                   bool& positive) {
-  double a0 = 0.0, a1 = 0.0, a2 = 0.0, a3 = 0.0;
-  double f0 = far, f1 = far, f2 = far, f3 = far;
-  double c0 = c_out, c1 = c_out, c2 = c_out, c3 = c_out;
-  bool ok = positive;
-  const auto peer = [&](std::size_t n, double& a, double& f, double& c) {
+  const __m128d zero = _mm_setzero_pd();
+  const __m128i host = _mm_set1_epi32(group);
+  __m128d a[4], f[4], c[4];
+  for (int k = 0; k < 4; ++k) {
+    a[k] = zero;
+    f[k] = _mm_set1_pd(far);
+    c[k] = _mm_set1_pd(c_out);
+  }
+  __m128d ok = _mm_castsi128_pd(_mm_set1_epi32(-1));
+  std::size_t n = begin;
+  for (; n + 8 <= end; n += 8) {
+    const auto load_groups = [&](std::size_t at) {
+      return _mm_cmpeq_epi32(_mm_loadu_si128(reinterpret_cast<const __m128i*>(groups + at)),
+                             host);
+    };
+    const __m128i lo = load_groups(n), hi = load_groups(n + 4);
+    const __m128d on_host[4] = {
+        _mm_castsi128_pd(_mm_unpacklo_epi32(lo, lo)), _mm_castsi128_pd(_mm_unpackhi_epi32(lo, lo)),
+        _mm_castsi128_pd(_mm_unpacklo_epi32(hi, hi)), _mm_castsi128_pd(_mm_unpackhi_epi32(hi, hi))};
+    for (int k = 0; k < 4; ++k) {
+      const __m128d r = _mm_loadu_pd(rate + n + 2 * k);
+      a[k] = _mm_max_pd(r, a[k]);
+      f[k] = _mm_max_pd(_mm_andnot_pd(on_host[k], r), f[k]);
+      if constexpr (kCross) {
+        c[k] = _mm_max_pd(_mm_andnot_pd(on_host[k], _mm_loadu_pd(cross + n + 2 * k)), c[k]);
+      }
+      ok = _mm_and_pd(ok, _mm_cmpgt_pd(r, zero));
+    }
+  }
+  const auto join = [](const __m128d* v) {
+    const __m128d m = _mm_max_pd(_mm_max_pd(v[0], v[1]), _mm_max_pd(v[2], v[3]));
+    return _mm_cvtsd_f64(_mm_max_pd(m, _mm_unpackhi_pd(m, m)));
+  };
+  double any = join(a);
+  far = join(f);
+  if constexpr (kCross) c_out = join(c);
+  bool all_positive = positive && _mm_movemask_pd(ok) == 3;
+  for (; n < end; ++n) {
     const double r = rate[n];
     const bool off_host = groups[n] != group;
-    a = std::max(a, r);
-    f = std::max(f, off_host ? r : 0.0);
-    c = std::max(c, off_host && cross ? cross[n] : 0.0);
-    ok = ok & (r > 0.0);
-  };
-  std::size_t n = begin;
-  for (; n + 4 <= end; n += 4) {
-    peer(n, a0, f0, c0);
-    peer(n + 1, a1, f1, c1);
-    peer(n + 2, a2, f2, c2);
-    peer(n + 3, a3, f3, c3);
+    any = std::max(any, r);
+    far = std::max(far, off_host ? r : 0.0);
+    if constexpr (kCross) c_out = std::max(c_out, off_host ? cross[n] : 0.0);
+    all_positive = all_positive & (r > 0.0);
   }
-  for (; n < end; ++n) peer(n, a0, f0, c0);
-  positive = ok;
-  far = std::max(std::max(f0, f1), std::max(f2, f3));
-  c_out = std::max(std::max(c0, c1), std::max(c2, c3));
-  return std::max(std::max(a0, a1), std::max(a2, a3));
+  positive = all_positive;
+  return any;
 }
 
 /// The double two steps below x toward 0 (0 for 0), for x >= 0: adjacent
@@ -80,9 +112,13 @@ PlacementEngine::Static::Static(ClusterView v, const Static* previous) : view(st
   // ulp, so it exceeds R by at most two ulps (for finite R*(c+1)): only a
   // peer whose rate is within two ulps of the row's largest rate can raise
   // the row's largest bound. A row of at most one block of peers takes every
-  // bound in its one fused pass. A longer row joins its rates block by block,
-  // keeping each block's largest rate, and the bound pass visits only the
-  // blocks that reach within two ulps of the row's largest.
+  // bound in its one fused pass. A longer row joins its rates block by block
+  // (join_peers, vectorised), keeping each block's largest rate, and the
+  // bound pass visits only the blocks that reach within two ulps of the
+  // row's largest. A row keeps the old block's indexes when both its rate
+  // and cross-traffic chunks are the ones the old block read; a longer row
+  // whose cross-traffic chunk alone is the old one keeps its cross-traffic
+  // share and joins only its rates.
   struct PeerBlock {
     std::size_t begin, end;
     double max;
@@ -94,7 +130,8 @@ PlacementEngine::Static::Static(ClusterView v, const Static* previous) : view(st
   for (std::size_t m = 0; m < M; ++m) {
     const double* rate = rate_rows[m] = view.rate_bps.row(m);
     const double* cross = cross_row(view, m);
-    if (previous && previous->rate_rows[m] == rate && cross_row(previous->view, m) == cross) {
+    const bool same_cross = previous && cross_row(previous->view, m) == cross;
+    if (same_cross && previous->rate_rows[m] == rate) {
       rows[m] = previous->rows[m];
       continue;
     }
@@ -115,15 +152,24 @@ PlacementEngine::Static::Static(ClusterView v, const Static* previous) : view(st
         pipe_max = std::max(pipe_max, std::max(r, residual::pipe_rate_bps(r * (c + 1.0), c, 0.0)));
       }
     } else {
+      // A row whose cross-traffic chunk the old block read keeps its share
+      // and joins rates alone.
+      const double* join_cross = same_cross ? nullptr : cross;
       blocks.clear();
       for (const auto& [begin, end] : {std::pair{std::size_t{0}, m}, std::pair{m + 1, M}}) {
         for (std::size_t b = begin; b < end; b += kBlock) {
           const std::size_t e = std::min(end, b + kBlock);
-          blocks.push_back(
-              {b, e, join_peers(rate, cross, groups, group, b, e, far, c_out, rates_positive)});
-          any = std::max(any, blocks.back().max);
+          const double max =
+              join_cross
+                  ? join_peers<true>(rate, join_cross, groups, group, b, e, far, c_out,
+                                     rates_positive)
+                  : join_peers<false>(rate, nullptr, groups, group, b, e, far, c_out,
+                                      rates_positive);
+          blocks.push_back({b, e, max});
+          any = std::max(any, max);
         }
       }
+      if (same_cross) c_out = previous->rows[m].cross_out;
       const double near = two_ulps_below(any);
       for (const PeerBlock& block : blocks) {
         if (block.max < near) continue;

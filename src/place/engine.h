@@ -34,7 +34,8 @@ namespace choreo::place {
 ///     immutable `Static` block shared by every clone: a view change builds
 ///     a new block and never touches a published one. Every index is
 ///     row-local, so the new block re-sweeps only the rows whose rate or
-///     cross-traffic chunk the new view does not share with the old one.
+///     cross-traffic chunk the new view does not share with the old one,
+///     and a row that shares its cross-traffic chunk keeps its share of it.
 ///
 ///   * **Residual indexes as first-class mutable state**: CPU slack,
 ///     per-path placed-transfer counts and per-source out-of-hose counts,
@@ -145,7 +146,9 @@ class PlacementEngine {
   /// cross-traffic chunks are the ones the old block read (a view copied
   /// from this one shares every chunk it did not write) keeps its indexes,
   /// and every other row takes the constructor's validating sweep, so a
-  /// refresh reads O(changed rows x n) rates and writes O(n) indexes.
+  /// refresh reads O(changed rows x n) rates and writes O(n) indexes. A
+  /// swept row of more than 64 peers whose cross-traffic chunk alone is the
+  /// old one keeps its hose cross-traffic share and joins only its rates.
   void update_view(ClusterView view);
 
   /// Copy sharing the view and static indexes, with zero occupancy: every
@@ -243,8 +246,10 @@ class PlacementEngine {
     /// the block of a view of the same fleet on the same hosts: a row whose
     /// rate and cross-traffic rows are the very arrays `previous` read
     /// (pointer identity, never a value comparison) takes its Row from
-    /// there. That is sound because `previous` keeps its chunks alive, so no
-    /// new chunk can reuse their addresses, and a chunk that two views
+    /// there, and a row of more than 64 peers whose cross-traffic row alone
+    /// is one `previous` read takes its cross_out from there and joins only
+    /// its rates. That is sound because `previous` keeps its chunks alive,
+    /// so no new chunk can reuse their addresses, and a chunk that two views
     /// share is never written in place.
     Static(ClusterView view, const Static* previous);
   };

@@ -12,9 +12,11 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <cmath>
 #include <cstdint>
 #include <limits>
 #include <optional>
+#include <string>
 #include <utility>
 #include <vector>
 
@@ -878,6 +880,68 @@ TEST_P(EngineDifferential, FusedStaticsEqualUncachedHelpersOnDegenerateViews) {
   EXPECT_EQ(lone.peer_bound_max(0), -std::numeric_limits<double>::infinity());
 }
 
+/// A copy of `view` whose every row reaches a new largest rate at up to
+/// eight peers spread over the row, all tied, or with `near` each one ulp
+/// below the last (one to seven ulps below the largest) and with fresh cross
+/// traffic, so the pipe formula's rounding can lift a near peer's bound
+/// above the largest rate.
+ClusterView with_peaks(const ClusterView& view, Rng& rng, bool near) {
+  ClusterView v = view;
+  const std::size_t M = v.machine_count();
+  if (near && v.cross_traffic.empty()) v.cross_traffic = DoubleMatrix(M, M, 0.0);
+  for (std::size_t m = 0; m < M; ++m) {
+    double rate = rng.uniform(mbps(1300), mbps(1400));
+    for (int k = 0; k < 8; ++k) {
+      const auto n = static_cast<std::size_t>(rng.uniform_int(0, static_cast<std::int64_t>(M) - 1));
+      if (n == m) continue;
+      v.rate_bps(m, n) = rate;
+      if (near) {
+        v.cross_traffic(m, n) = rng.uniform(0.0, 3.0);
+        rate = std::nextafter(rate, 0.0);
+      }
+    }
+  }
+  return v;
+}
+
+// The same degenerate views over rows longer than one 64-peer block, which
+// the sweep joins in vectors and finishes in a scalar tail (the fleet size
+// keeps M-1 off a multiple of 8), on three layouts of hosts: the corpus's
+// pairs, every peer colocated, and three hosts shared at random, so on-host
+// peers fall in every vector lane. On each: no cross-traffic matrix, several
+// peers tied at each row's largest rate, and peers a few ulps below it. Each
+// view must match the uncached helpers both from a fresh build and after
+// update_view from a view of the same hosts, where a row whose cross-traffic
+// chunk is the old one keeps its share.
+TEST_P(EngineDifferential, BlockedStaticsEqualUncachedHelpersOnDegenerateViews) {
+  Rng rng(GetParam() + 21000);
+  auto machines = static_cast<std::size_t>(rng.uniform_int(66, 150));
+  if ((machines - 1) % 8 == 0) ++machines;
+  ClusterView pairs = corpus_cluster(rng, machines);
+  if (pairs.cross_traffic.empty()) pairs = changed_view(pairs, ViewChange::kCrossOnly, rng);
+  ClusterView one_host = pairs;
+  std::fill(one_host.colocation_group.begin(), one_host.colocation_group.end(), 7);
+  ClusterView three_hosts = pairs;
+  for (int& group : three_hosts.colocation_group) group = static_cast<int>(rng.uniform_int(0, 2));
+
+  for (const ClusterView* hosts : {&pairs, &one_host, &three_hosts}) {
+    ClusterView no_cross = *hosts;
+    no_cross.cross_traffic = DoubleMatrix();
+    const ClusterView tied = with_peaks(*hosts, rng, false);
+    const ClusterView near = with_peaks(*hosts, rng, true);
+    const ClusterView* const views[] = {hosts, &no_cross, &tied, &near};
+    for (const ClusterView* view : views) {
+      expect_same_statics(static_indexes(PlacementEngine(*view)), uncached_statics(*view));
+    }
+    PlacementEngine eng(*hosts);
+    const ClusterView* const updates[] = {&tied, &near, &no_cross, &tied, hosts};
+    for (const ClusterView* view : updates) {
+      eng.update_view(*view);
+      expect_same_statics(static_indexes(eng), uncached_statics(*view));
+    }
+  }
+}
+
 // The rate check rides the static sweep and guards both ways a view reaches
 // an engine: the constructor and update_view. One zero off-diagonal rate
 // throws, and update_view leaves the engine's view, static indexes and
@@ -909,6 +973,80 @@ TEST_P(EngineDifferential, ZeroRateRejectedWithEngineUntouched) {
   EXPECT_EQ(state.view().colocation_group, view_before.colocation_group);
   expect_same_statics(static_indexes(state.engine()), statics_before);
   EXPECT_EQ(residuals(state), residuals_before);
+}
+
+/// Whether peer n of row m falls in the vector body of the blocked sweep's
+/// join (whole 8-peer steps from the start of its 64-peer block) rather than
+/// its scalar tail; blocks restart after the diagonal.
+bool in_vector_body(std::size_t m, std::size_t n, std::size_t machines) {
+  const std::size_t begin = n < m ? 0 : m + 1;
+  const std::size_t end = n < m ? m : machines;
+  const std::size_t block = begin + (n - begin) / 64 * 64;
+  const std::size_t block_end = std::min(end, block + 64);
+  return n < block + (block_end - block) / 8 * 8;
+}
+
+// Rows longer than one 64-peer block check their rates in the vector join.
+// A zero or NaN rate throws wherever it sits: in the join's vector body or
+// its scalar tail, before or after the diagonal, whether or not the refresh
+// also rewrote the row's cross traffic (the join reads it only then), and
+// whether or not it refreshed every other rate. update_view leaves the
+// engine's view, static indexes and residuals as they were.
+TEST_P(EngineDifferential, BadRateBeyondOneBlockRejectedWithEngineUntouched) {
+  Rng rng(GetParam() + 20000);
+  const std::size_t machines = static_cast<std::size_t>(rng.uniform_int(66, 150));
+  ClusterState state(corpus_cluster(rng, machines));
+  GreedyPlacer greedy(RateModel::Hose);
+  for (int a = 0; a < 2; ++a) {
+    const Application app = corpus_app(rng, machines);
+    try {
+      state.commit(app, greedy.place(app, state));
+    } catch (const PlacementError&) {
+    }
+  }
+  // A row with a vector body and a scalar tail on both sides of the diagonal.
+  std::size_t m = 0;
+  while (m < 8 || machines - m - 1 < 8 || m % 8 == 0 || (machines - m - 1) % 8 == 0) {
+    m = static_cast<std::size_t>(rng.uniform_int(0, static_cast<std::int64_t>(machines) - 1));
+  }
+  std::vector<std::size_t> places[2][2];  // [after the diagonal][in the vector body]
+  for (std::size_t n = 0; n < machines; ++n) {
+    if (n != m) places[n > m][in_vector_body(m, n, machines)].push_back(n);
+  }
+
+  const ClusterView view_before = state.view();
+  const StaticIndexes statics_before = static_indexes(state.engine());
+  const std::vector<double> residuals_before = residuals(state);
+  for (const bool after : {false, true}) {
+    for (const bool body : {false, true}) {
+      const std::vector<std::size_t>& peers = places[after][body];
+      ASSERT_FALSE(peers.empty());
+      const std::size_t n = peers[static_cast<std::size_t>(
+          rng.uniform_int(0, static_cast<std::int64_t>(peers.size()) - 1))];
+      for (const double rate : {0.0, std::numeric_limits<double>::quiet_NaN()}) {
+        for (const bool rewrite_cross : {false, true}) {
+          // With every rate refreshed, rows after m are swept too.
+          for (const ViewChange change : {ViewChange::kNone, ViewChange::kAll}) {
+            SCOPED_TRACE(std::to_string(m) + "->" + std::to_string(n) + " of " +
+                         std::to_string(machines) + (body ? " body " : " tail ") +
+                         std::to_string(rate) + (rewrite_cross ? " with cross, " : ", ") +
+                         to_string(change));
+            ClusterView bad = changed_view(state.view(), change, rng);
+            if (rewrite_cross && bad.cross_traffic.empty()) {
+              bad.cross_traffic = DoubleMatrix(machines, machines, 0.0);
+            }
+            if (rewrite_cross) bad.cross_traffic(m, (m + 1) % machines) = rng.uniform(0.0, 3.0);
+            bad.rate_bps(m, n) = rate;
+            EXPECT_THROW(PlacementEngine{bad}, PreconditionError);
+            EXPECT_THROW(state.update_view(bad), PreconditionError);
+            expect_same_view(state.view(), view_before);
+            expect_same_statics(static_indexes(state.engine()), statics_before);
+            EXPECT_EQ(residuals(state), residuals_before);
+          }
+        }
+      }
+    }
+  }
 }
 
 // A view of the same machines on other hosts is another fleet: update_view
